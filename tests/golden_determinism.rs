@@ -38,23 +38,31 @@ impl Write for SharedBuf {
     }
 }
 
+/// Executes `runner` with a JSONL trace on replication 0 and returns the
+/// run set and the trace bytes.
+fn run_traced(runner: Runner) -> (MultiRun, String) {
+    let buf = SharedBuf::default();
+    let sink = SharedSink::new(Box::new(JsonlSink::new(buf.clone())));
+    let multi = runner
+        .trace(sink)
+        .execute()
+        .expect("golden configs validate");
+    let bytes = buf.0.lock().unwrap().clone();
+    let trace = String::from_utf8(bytes).expect("utf-8 jsonl");
+    (multi, trace)
+}
+
 /// Runs `cfg` under the Runner exactly as the CLI would (3 replications,
 /// 2 worker threads, trace on replication 0) and returns
 /// (deterministic stats.json bytes, trace JSONL bytes).
 fn run_case(cfg: SimConfig, seed: u64) -> (String, String) {
-    let buf = SharedBuf::default();
-    let sink = SharedSink::new(Box::new(JsonlSink::new(buf.clone())));
-    let multi = Runner::new(cfg)
-        .seed(seed)
-        .jobs(2)
-        .stop(StopRule::FixedReps(3))
-        .trace(sink)
-        .execute()
-        .expect("golden configs validate");
-    let stats = multi.stats().to_json();
-    let bytes = buf.0.lock().unwrap().clone();
-    let trace = String::from_utf8(bytes).expect("utf-8 jsonl");
-    (stats, trace)
+    let (multi, trace) = run_traced(
+        Runner::new(cfg)
+            .seed(seed)
+            .jobs(2)
+            .stop(StopRule::FixedReps(3)),
+    );
+    (multi.stats().to_json(), trace)
 }
 
 /// The Figure-5 shape with the paper's winning strategy and
@@ -124,4 +132,85 @@ fn section8_stats_and_trace_match_golden() {
     assert!(!trace.is_empty(), "the run must actually trace");
     check_or_regen("section8_stats.json", &stats);
     check_or_regen("section8_trace.jsonl", &trace);
+}
+
+/// A short Table 1 configuration for the stopping-rule cases.
+fn short() -> SimConfig {
+    SimConfig {
+        duration: 1_000.0,
+        warmup: 100.0,
+        ..SimConfig::baseline()
+    }
+}
+
+/// An adaptive point whose target is met only after several rounds of
+/// extra replications beyond the explicit floor (the replication count
+/// is the `samples` field of every metric).
+fn ci_width_case(jobs: usize) -> String {
+    let multi = Runner::new(short().with_load(0.7))
+        .seed(31)
+        .jobs(jobs)
+        .stop(StopRule::CiWidth(0.12))
+        .min_reps(3)
+        .max_reps(20)
+        .execute()
+        .expect("golden configs validate");
+    assert!(
+        multi.runs().len() >= 7,
+        "the case must need at least two extra rounds (3 -> 5 -> 7), ran {}",
+        multi.runs().len()
+    );
+    multi.stats().to_json()
+}
+
+/// The batch-means intervals, bit for bit, with their batch counts.
+fn batch_estimates_text(multi: &MultiRun) -> String {
+    let batch = multi.batch_means().expect("batch-means run");
+    let mut out = String::new();
+    for (name, e) in [("md_local", batch.md_local), ("md_global", batch.md_global)] {
+        out.push_str(&format!(
+            "{name} mean={:016x} half_width={:016x}\n",
+            e.mean.to_bits(),
+            e.half_width.to_bits()
+        ));
+    }
+    out.push_str(&format!(
+        "batches local={} global={}\n",
+        batch.batches.0, batch.batches.1
+    ));
+    out
+}
+
+#[test]
+fn ci_width_stats_match_golden_at_any_jobs_level() {
+    for jobs in [1, 4] {
+        check_or_regen("ci_width_stats.json", &ci_width_case(jobs));
+    }
+}
+
+#[test]
+fn batch_means_stats_estimates_and_trace_match_golden() {
+    let (multi, trace) = run_traced(
+        Runner::new(short())
+            .seed(99)
+            .jobs(2)
+            .stop(StopRule::BatchMeans { batch_size: 64 }),
+    );
+    assert!(!trace.is_empty(), "the run must actually trace");
+    check_or_regen("batch_means_stats.json", &multi.stats().to_json());
+    check_or_regen("batch_means_estimates.txt", &batch_estimates_text(&multi));
+    check_or_regen("batch_means_trace.jsonl", &trace);
+}
+
+#[test]
+fn explicit_seed_list_stats_match_golden() {
+    let multi = Runner::new(short().with_strategy(SdaStrategy::ud_div1()))
+        .with_seeds(vec![11, 22, 33])
+        .jobs(2)
+        .stop(StopRule::FixedReps(3))
+        .execute()
+        .expect("golden configs validate");
+    let seeds: Vec<u64> = multi.runs().iter().map(|r| r.seed).collect();
+    assert_eq!(seeds, [11, 22, 33], "explicit seeds run in list order");
+    check_or_regen("with_seeds_stats.json", &multi.stats().to_json());
 }
