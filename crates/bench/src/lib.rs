@@ -1,14 +1,11 @@
 //! # sda-bench — criterion benchmarks
 //!
-//! Two layers of benches:
-//!
-//! * **micro** (`engine`, `scheduler`, `strategies`): the hot paths of the
-//!   simulation substrate — event calendar churn, EDF queue operations,
-//!   deadline-assignment arithmetic, SDA decomposition walks;
-//! * **macro** (`figures`, `tables`): per-figure regeneration benches that
-//!   run the same harness code as the `sda-experiments` binaries at
-//!   [`sda_experiments::Scale::Quick`], so `cargo bench` literally
-//!   regenerates every table and figure (at reduced scale) while timing it.
+//! Micro-benches (`engine`, `scheduler`, `strategies`) time the hot paths
+//! of the simulation substrate — event calendar churn, EDF queue
+//! operations, deadline-assignment arithmetic, SDA decomposition walks —
+//! and `runner` times a fixed replication budget at several `jobs`
+//! levels. The campaign benchmark is the `quick_campaign` workload of
+//! the separate `perfbench` package.
 //!
 //! Shared helpers live here.
 

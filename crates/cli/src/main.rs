@@ -33,7 +33,7 @@ use sda_cli::{apply_setting, load_config, parse_strategy, render_report};
 use sda_core::Decomposition;
 use sda_model::parse_spec;
 use sda_sim::trace::{JsonlSink, SharedSink};
-use sda_sim::{MultiRun, PointCache, Runner, SimConfig, StopRule, Sweep, SweepPoint};
+use sda_sim::{MultiRun, PointCache, SimConfig, StopRule, Sweep, SweepPoint};
 use sda_simcore::SimTime;
 
 fn main() -> ExitCode {
@@ -86,52 +86,48 @@ struct RunOptions {
 }
 
 impl RunOptions {
-    /// Runs `cfg` under these options. The trace (if requested) records
-    /// replication 0 only, so its bytes are independent of `--jobs`.
-    fn execute(&self, cfg: &SimConfig) -> Result<MultiRun, String> {
+    /// Runs one point per configuration as a single sweep, returning the
+    /// results in order. A trace records replication 0 of the first
+    /// point (bytes independent of `--jobs`) and bypasses the cache.
+    fn execute(&self, cfgs: Vec<SimConfig>) -> Result<Vec<MultiRun>, String> {
         let stop = match self.ci_target {
             Some(target) => StopRule::CiWidth(target),
             None => StopRule::FixedReps(self.reps),
         };
-        // Tracing needs the live event stream, so a traced run always
-        // simulates; otherwise the cached result is bit-identical to a
-        // fresh one and the cache dir (if any) answers first.
-        if self.trace_out.is_none() {
-            if let Some(dir) = &self.cache_dir {
-                let cache = Arc::new(
-                    PointCache::with_dir(dir)
-                        .map_err(|e| format!("cannot open cache dir {dir:?}: {e}"))?,
-                );
-                let results = Sweep::new()
-                    .point(SweepPoint::new(cfg.clone(), self.seed).stop(stop))
-                    .jobs(self.jobs)
-                    .min_reps(self.reps.max(2))
-                    .max_reps(self.max_reps)
-                    .cache(Arc::clone(&cache))
-                    .execute()
-                    .map_err(|e| e.to_string())?;
-                eprintln!("{}", cache.report());
-                let [multi]: [MultiRun; 1] = results.try_into().expect("one point in, one out");
-                return Ok(multi);
-            }
-        }
-        let mut runner = Runner::new(cfg.clone())
-            .seed(self.seed)
-            .jobs(self.jobs)
-            .stop(stop)
-            .min_reps(self.reps.max(2))
-            .max_reps(self.max_reps);
-        if let Some(path) = &self.trace_out {
+        let mut points: Vec<SweepPoint> = cfgs
+            .into_iter()
+            .map(|cfg| SweepPoint::new(cfg, self.seed).stop(stop))
+            .collect();
+        if let (Some(path), Some(first)) = (&self.trace_out, points.first_mut()) {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
             let sink = JsonlSink::new(std::io::BufWriter::new(file));
-            runner = runner.trace(SharedSink::new(Box::new(sink)));
+            first.trace = Some(SharedSink::new(Box::new(sink)));
         }
-        let multi = runner.execute().map_err(|e| e.to_string())?;
+        let mut sweep = Sweep::new()
+            .points(points)
+            .jobs(self.jobs)
+            .min_reps(self.reps.max(2))
+            .max_reps(self.max_reps);
+        let cache = match (&self.cache_dir, &self.trace_out) {
+            (Some(dir), None) => {
+                Some(Arc::new(PointCache::with_dir(dir).map_err(|e| {
+                    format!("cannot open cache dir {dir:?}: {e}")
+                })?))
+            }
+            _ => None,
+        };
+        if let Some(cache) = &cache {
+            sweep = sweep.cache(Arc::clone(cache));
+        }
+        let results = sweep.execute().map_err(|e| e.to_string())?;
+        if let Some(cache) = &cache {
+            eprintln!("{}", cache.report());
+        }
         if let Some(path) = &self.trace_out {
             eprintln!("trace written to {path}");
         }
-        Ok(multi)
+        Ok(results)
     }
 
     /// The run point's `stats.json` document: deterministic by default,
@@ -259,7 +255,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         return Err(format!("unexpected argument {extra:?}"));
     }
     cfg.validate().map_err(|e| e.to_string())?;
-    let multi = opts.execute(&cfg)?;
+    let multi = opts.execute(vec![cfg.clone()])?.remove(0);
     print!("{}", render_report(&cfg, &multi));
     if let Some(path) = &opts.stats_out {
         write_stats(path, &opts.stats_json(&multi))?;
@@ -273,28 +269,47 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     if strategy_args.is_empty() {
         return Err("compare needs at least one strategy label (e.g. UD-UD EQF-DIV1)".into());
     }
+    base.validate().map_err(|e| e.to_string())?;
+    let mut rows = Vec::new();
+    for label in strategy_args {
+        let strategy = parse_strategy(label)?;
+        let label = strategy.label().into_owned();
+        rows.push((label.clone(), label, base.clone().with_strategy(strategy)));
+    }
+    run_table(&opts, "strategy", 12, rows)
+}
+
+/// Runs one point per `(shown, stats key, config)` row as a single sweep,
+/// prints the miss-rate table, and writes the keyed `stats.json` if
+/// asked (the shared body of `compare` and `sweep`).
+fn run_table(
+    opts: &RunOptions,
+    title: &str,
+    width: usize,
+    rows: Vec<(String, String, SimConfig)>,
+) -> Result<(), String> {
     if opts.trace_out.is_some() {
         return Err("--trace-out is only supported by `sda run`".into());
     }
-    base.validate().map_err(|e| e.to_string())?;
+    let (labels, cfgs): (Vec<_>, Vec<_>) = rows
+        .into_iter()
+        .map(|(shown, key, cfg)| ((shown, key), cfg))
+        .unzip();
+    let results = opts.execute(cfgs)?;
     println!(
-        "{:<12} {:>16} {:>16} {:>16}",
-        "strategy", "MD_local", "MD_global", "missed work"
+        "{title:<width$} {:>16} {:>16} {:>16}",
+        "MD_local", "MD_global", "missed work"
     );
     let mut stats_entries = Vec::new();
-    for label in strategy_args {
-        let strategy = parse_strategy(label)?;
-        let cfg = base.clone().with_strategy(strategy);
-        let multi = opts.execute(&cfg)?;
+    for ((shown, key), multi) in labels.into_iter().zip(&results) {
         println!(
-            "{:<12} {:>16} {:>16} {:>16}",
-            strategy.label(),
+            "{shown:<width$} {:>16} {:>16} {:>16}",
             format!("{}", multi.md_local()),
             format!("{}", multi.md_global()),
             format!("{}", multi.missed_work()),
         );
         if opts.stats_out.is_some() {
-            stats_entries.push((strategy.label().into_owned(), opts.stats_json(&multi)));
+            stats_entries.push((key, opts.stats_json(multi)));
         }
     }
     if let Some(path) = &opts.stats_out {
@@ -336,13 +351,23 @@ fn parse_sweep_spec(text: &str) -> Result<(String, Vec<f64>), String> {
     if !(step > 0.0 && hi >= lo) {
         return Err(format!("invalid sweep [{lo}, {hi}] step {step}"));
     }
-    let mut values = Vec::new();
-    let mut v = lo;
-    while v <= hi + 1e-9 {
-        values.push(v);
-        v += step;
-    }
+    // Step on a decimal grid instead of accumulating `v += step`, which
+    // drifts (0.1 + 0.1 + 0.1 = 0.30000000000000004) and would give each
+    // drifted value its own cache key and stats.json label.
+    let scale = 10f64.powi(decimals(lo).max(decimals(step)));
+    let (lo_scaled, step_scaled) = ((lo * scale).round(), (step * scale).round());
+    let values = (0u32..)
+        .map(|i| (lo_scaled + f64::from(i) * step_scaled) / scale)
+        .take_while(|v| *v <= hi + 1e-9)
+        .collect();
     Ok((key.trim().to_string(), values))
+}
+
+/// Digits after the decimal point in the shortest decimal form of `x`.
+fn decimals(x: f64) -> i32 {
+    format!("{x}")
+        .split_once('.')
+        .map_or(0, |(_, fraction)| fraction.len() as i32)
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
@@ -355,34 +380,14 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if let Some(extra) = leftovers.first() {
         return Err(format!("unexpected argument {extra:?}"));
     }
-    if opts.trace_out.is_some() {
-        return Err("--trace-out is only supported by `sda run`".into());
-    }
-    println!(
-        "{:<10} {:>16} {:>16} {:>16}",
-        key, "MD_local", "MD_global", "missed work"
-    );
-    let mut stats_entries = Vec::new();
+    let mut rows = Vec::new();
     for value in values {
         let mut cfg = base.clone();
         apply_setting(&mut cfg, &key, &format!("{value}")).map_err(|e| e.to_string())?;
         cfg.validate().map_err(|e| e.to_string())?;
-        let multi = opts.execute(&cfg)?;
-        println!(
-            "{:<10.3} {:>16} {:>16} {:>16}",
-            value,
-            format!("{}", multi.md_local()),
-            format!("{}", multi.md_global()),
-            format!("{}", multi.missed_work()),
-        );
-        if opts.stats_out.is_some() {
-            stats_entries.push((format!("{key}={value}"), opts.stats_json(&multi)));
-        }
+        rows.push((format!("{value:.3}"), format!("{key}={value}"), cfg));
     }
-    if let Some(path) = &opts.stats_out {
-        write_stats(path, &keyed_stats(&stats_entries))?;
-    }
-    Ok(())
+    run_table(&opts, &key, 10, rows)
 }
 
 fn cmd_decompose(args: &[String]) -> Result<(), String> {
@@ -485,7 +490,7 @@ fn print_help(topic: Option<&str>) {
          options (run/compare/sweep):\n\
          \x20 --seed N       base seed of the replication stream (default 42)\n\
          \x20 --reps N       replications per point (default 2; the floor with --ci-target)\n\
-         \x20 --jobs N       worker threads per point (default 0 = all cores)\n\
+         \x20 --jobs N       worker threads (default 0 = all cores)\n\
          \x20 --ci-target R  add replications until each MD metric's 95% CI\n\
          \x20                width ratio is <= R (capped by --max-reps)\n\
          \x20 --max-reps N   replication cap under --ci-target (default 64)\n\
@@ -584,24 +589,19 @@ mod tests {
             warmup: 100.0,
             ..SimConfig::baseline()
         };
-        let fresh = RunOptions {
-            seed: 42,
-            reps: 2,
-            jobs: 1,
-            ci_target: None,
-            max_reps: 64,
-            stats_out: None,
-            throughput: false,
-            trace_out: None,
-            cache_dir: None,
-        };
+        let (_, fresh) = split_options(&strings(&["--jobs", "1"])).unwrap();
         let cached = RunOptions {
             cache_dir: Some(dir.display().to_string()),
             ..fresh.clone()
         };
-        let want = fresh.execute(&cfg).unwrap().stats().to_json();
-        let cold = cached.execute(&cfg).unwrap().stats().to_json();
-        let warm = cached.execute(&cfg).unwrap().stats().to_json();
+        let stats = |opts: &RunOptions| {
+            opts.execute(vec![cfg.clone()]).unwrap()[0]
+                .stats()
+                .to_json()
+        };
+        let want = stats(&fresh);
+        let cold = stats(&cached);
+        let warm = stats(&cached);
         assert_eq!(want, cold);
         assert_eq!(want, warm);
         std::fs::remove_dir_all(&dir).ok();
@@ -637,19 +637,14 @@ mod tests {
             warmup: 100.0,
             ..SimConfig::baseline()
         };
-        let opts = RunOptions {
-            seed: 1,
-            reps: 2,
-            jobs: 2,
-            ci_target: Some(100.0),
-            max_reps: 8,
-            stats_out: None,
-            throughput: false,
-            trace_out: None,
-            cache_dir: None,
-        };
-        let multi = opts.execute(&cfg).unwrap();
-        assert_eq!(multi.runs().len(), 2, "loose target stops at the floor");
+        let args = strings(&["--seed", "1", "--jobs", "2", "--ci-target", "100"]);
+        let (_, opts) = split_options(&args).unwrap();
+        let results = opts.execute(vec![cfg]).unwrap();
+        assert_eq!(
+            results[0].runs().len(),
+            2,
+            "loose target stops at the floor"
+        );
     }
 
     #[test]
@@ -674,5 +669,16 @@ mod tests {
         assert!(parse_sweep_spec("load").is_err());
         assert!(parse_sweep_spec("load=0.5..0.1:0.1").is_err());
         assert!(parse_sweep_spec("load=0.1..0.5:0").is_err());
+    }
+
+    #[test]
+    fn sweep_spec_values_do_not_drift() {
+        let (_, values) = parse_sweep_spec("load=0.1..0.9:0.1").unwrap();
+        assert_eq!(values.len(), 9);
+        for (i, value) in values.iter().enumerate() {
+            assert_eq!(format!("{value}"), format!("0.{}", i + 1));
+        }
+        let (_, values) = parse_sweep_spec("x=1..2:0.25").unwrap();
+        assert_eq!(values, [1.0, 1.25, 1.5, 1.75, 2.0]);
     }
 }

@@ -19,15 +19,16 @@
 //! identical cache keys, so the sweep engine simulates each unique point
 //! exactly once per campaign.
 //!
-//! # Choosing an execution mode
+//! # Choosing an execution context
 //!
-//! The process-wide mode is installed once (by `repro` or the CLI) with
-//! [`install`]; everything after that call uses it. Tests that need a
-//! specific mode run under the scoped [`with_exec`] override instead.
+//! The process-wide context (worker count and cache) is installed once
+//! (by `repro`) with [`install`]; everything after that call uses it.
+//! Tests that need a specific context run under the scoped [`with_exec`]
+//! override instead.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use sda_sim::{CacheReport, MultiRun, PointCache, Runner, SimConfig, StopRule, Sweep, SweepPoint};
+use sda_sim::{CacheReport, MultiRun, PointCache, SimConfig, StopRule, Sweep, SweepPoint};
 
 /// The single base seed shared by the whole campaign (see the
 /// [module docs](self)).
@@ -69,23 +70,10 @@ impl Point {
     }
 }
 
-/// How experiment points are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// The sweep engine: one work-stealing pool over all replications of
-    /// all points, with point-level memoization.
-    Sweep,
-    /// The pre-engine behavior — one [`Runner`] per point, a thread
-    /// barrier between points, no memoization. Kept as the comparison
-    /// baseline for the sweep benchmark.
-    Baseline,
-}
-
-/// An execution context for experiment sweeps: a mode, a worker count,
-/// and (in sweep mode) the cache shared by every sweep in the campaign.
+/// An execution context for experiment sweeps: a worker count and the
+/// cache (if any) shared by every sweep in the campaign.
 #[derive(Debug, Clone)]
 pub struct Exec {
-    mode: Mode,
     jobs: usize,
     cache: Option<Arc<PointCache>>,
 }
@@ -96,7 +84,6 @@ impl Exec {
     /// process.
     pub fn sweep() -> Exec {
         Exec {
-            mode: Mode::Sweep,
             jobs: jobs(),
             cache: Some(Arc::new(PointCache::in_memory())),
         }
@@ -110,7 +97,6 @@ impl Exec {
     /// Returns the error from creating the directory.
     pub fn sweep_with_dir(dir: impl Into<std::path::PathBuf>) -> std::io::Result<Exec> {
         Ok(Exec {
-            mode: Mode::Sweep,
             jobs: jobs(),
             cache: Some(Arc::new(PointCache::with_dir(dir)?)),
         })
@@ -121,18 +107,6 @@ impl Exec {
     /// [`run_points`] call are still deduplicated by the engine.
     pub fn sweep_uncached() -> Exec {
         Exec {
-            mode: Mode::Sweep,
-            jobs: jobs(),
-            cache: None,
-        }
-    }
-
-    /// The sequential per-point baseline: every point runs its own
-    /// `Runner` loop with no sharing between points — the pre-engine
-    /// execution model, kept as the benchmark comparison target.
-    pub fn baseline() -> Exec {
-        Exec {
-            mode: Mode::Baseline,
             jobs: jobs(),
             cache: None,
         }
@@ -149,35 +123,19 @@ impl Exec {
         self.cache.as_ref().map(|c| c.report())
     }
 
-    /// Executes a batch of points and returns their results in order.
+    /// Executes a batch of points as one sweep and returns their results
+    /// in order.
     fn run(&self, points: &[Point]) -> Vec<MultiRun> {
-        match self.mode {
-            Mode::Sweep => {
-                let mut sweep = Sweep::new().jobs(self.jobs).points(
-                    points
-                        .iter()
-                        .map(|p| {
-                            SweepPoint::new(p.cfg.clone(), p.seed).stop(StopRule::FixedReps(p.reps))
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                if let Some(cache) = &self.cache {
-                    sweep = sweep.cache(Arc::clone(cache));
-                }
-                sweep.execute().expect("experiment configuration validates")
-            }
-            Mode::Baseline => points
+        let mut sweep = Sweep::new().jobs(self.jobs).points(
+            points
                 .iter()
-                .map(|p| {
-                    Runner::new(p.cfg.clone())
-                        .seed(p.seed)
-                        .jobs(self.jobs)
-                        .stop(StopRule::FixedReps(p.reps))
-                        .execute()
-                        .expect("experiment configuration validates")
-                })
-                .collect(),
+                .map(|p| SweepPoint::new(p.cfg.clone(), p.seed).stop(StopRule::FixedReps(p.reps)))
+                .collect::<Vec<_>>(),
+        );
+        if let Some(cache) = &self.cache {
+            sweep = sweep.cache(Arc::clone(cache));
         }
+        sweep.execute().expect("experiment configuration validates")
     }
 }
 
@@ -198,7 +156,7 @@ pub fn install(exec: Exec) {
 }
 
 /// Runs `f` with `exec` as this thread's execution context, restoring
-/// the previous context afterwards. For tests that must pin a mode
+/// the previous context afterwards. For tests that must pin a context
 /// without touching process state.
 pub fn with_exec<T>(exec: Exec, f: impl FnOnce() -> T) -> T {
     OVERRIDE.with(|stack| stack.lock().expect("exec override").push(exec));
@@ -286,14 +244,19 @@ mod tests {
     }
 
     #[test]
-    fn sweep_and_baseline_modes_agree_bit_for_bit() {
+    fn a_batch_matches_its_points_run_one_at_a_time() {
         let points = [
             Point::new(quick(), 2),
             Point::new(quick().with_load(0.7), 2),
         ];
-        let swept = with_exec(Exec::sweep().with_jobs(3), || run_points(&points));
-        let sequential = with_exec(Exec::baseline().with_jobs(1), || run_points(&points));
-        for (a, b) in swept.iter().zip(&sequential) {
+        let batched = with_exec(Exec::sweep().with_jobs(3), || run_points(&points));
+        let single = with_exec(Exec::sweep_uncached().with_jobs(1), || {
+            points
+                .iter()
+                .map(|p| run_point(&p.cfg, p.seed, p.reps))
+                .collect::<Vec<_>>()
+        });
+        for (a, b) in batched.iter().zip(&single) {
             assert_eq!(a.stats().to_json(), b.stats().to_json());
             for (x, y) in a.runs().iter().zip(b.runs()) {
                 assert_eq!(
@@ -316,7 +279,7 @@ mod tests {
             report.hits_memory, 1,
             "second identical point is a memory hit"
         );
-        // Outside the scope, baseline mode has no cache.
-        assert_eq!(with_exec(Exec::baseline(), cache_report), None);
+        // An uncached context reports no cache.
+        assert_eq!(with_exec(Exec::sweep_uncached(), cache_report), None);
     }
 }

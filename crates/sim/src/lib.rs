@@ -17,10 +17,10 @@
 //! | `pm` (private) | the process manager's slot table of in-flight global tasks |
 //! | [`Simulation`] | the orchestration tying the layers together over the engine |
 //! | [`trace`] | the structured [`trace::TraceSink`] observability pipeline |
-//! | [`runner`] | replications, parallel execution, adaptive stopping, stats |
+//! | [`runner`] | the one-configuration builder, stopping rules, run results, stats |
 //! | [`fault`] | deterministic fault injection: crashes, stragglers, comm delays |
 //! | [`cache`] | content-addressed memoization of completed data points |
-//! | [`sweep`] | campaign-level work-stealing scheduler over many points |
+//! | [`sweep`] | the executor: one work-stealing pool over every replication |
 //!
 //! ```
 //! use sda_core::SdaStrategy;
@@ -60,9 +60,7 @@ pub use config::{
 };
 pub use fault::{CrashPolicy, FaultConfig};
 pub use metrics::Metrics;
-pub use runner::{
-    seeds, BatchEstimates, MultiRun, NodeSummary, RunResult, Runner, StatsReport, StopRule,
-};
+pub use runner::{BatchEstimates, MultiRun, NodeSummary, RunResult, Runner, StatsReport, StopRule};
 pub use simulation::{Ev, Simulation};
 pub use sweep::{RunError, Sweep, SweepPoint};
 pub use trace::{

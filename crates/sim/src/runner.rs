@@ -1,5 +1,5 @@
-//! Running simulations: the [`Runner`] builder executes independent
-//! replications on parallel worker threads, with fixed-count, adaptive
+//! Running simulations: the [`Runner`] builder describes independent
+//! replications of one configuration, with fixed-count, adaptive
 //! (CI-width) or batch-means stopping, and renders per-metric statistics
 //! as a machine-readable `stats.json` record.
 //!
@@ -10,18 +10,24 @@
 //! generalizes it with adaptive stopping: keep adding replications until
 //! every tracked metric's CI width ratio falls below a target.
 //!
+//! [`Runner::execute`] lowers to a one-point [`Sweep`], so a single run
+//! and a whole campaign share one executor: the same work-stealing pool,
+//! panic isolation, and run body ([`crate::sweep`] has the scheduling
+//! details).
+//!
 //! # Determinism
 //!
 //! Replication `i` of base seed `b` always runs with seed
-//! [`derive_seed`]`(b, i)`, and the adaptive-stopping schedule depends
-//! only on the accumulated results, never on thread timing — so the
-//! output of [`Runner::execute`] is **bit-identical** for `jobs = 1` and
-//! `jobs = N`. Parallelism changes only the wall-clock time.
+//! [`derive_seed`](sda_simcore::rng::derive_seed)`(b, i)`, and the
+//! adaptive-stopping schedule depends only on the accumulated results,
+//! never on thread timing — so the output of [`Runner::execute`] is
+//! **bit-identical** for `jobs = 1` and `jobs = N`. Parallelism changes
+//! only the wall-clock time.
 //!
 //! The same holds for tracing: a sink attached with [`Runner::trace`]
 //! observes replication 0 only (which always runs with
-//! [`derive_seed`]`(b, 0)`), so a trace file is byte-identical at any
-//! `jobs` level.
+//! [`derive_seed`](sda_simcore::rng::derive_seed)`(b, 0)`), so a trace
+//! file is byte-identical at any `jobs` level.
 //!
 //! ```
 //! use sda_sim::{Runner, SimConfig, StopRule};
@@ -36,16 +42,16 @@
 //! println!("{}", multi.stats().to_json());
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use sda_simcore::rng::{derive_seed, derive_seeds};
-use sda_simcore::stats::{Estimate, NodeStats, Replications, Summary};
+use sda_simcore::stats::{BatchMeans, Estimate, NodeStats, Replications, Summary};
 use sda_simcore::{Engine, SimTime};
 
 use crate::config::{ConfigError, SimConfig};
 use crate::metrics::Metrics;
 use crate::simulation::Simulation;
-use crate::trace::{FanoutSink, SharedSink, TraceEvent};
+use crate::sweep::{Sweep, SweepPoint};
+use crate::trace::{SharedSink, TraceEvent, TraceSink};
 
 /// The outcome of one simulation run.
 #[derive(Debug, Clone)]
@@ -116,26 +122,17 @@ pub enum StopRule {
     },
 }
 
-/// Default replication floor for adaptive stopping (a CI needs ≥ 2).
-pub(crate) const DEFAULT_MIN_REPS: usize = 2;
-/// Default hard cap on adaptive replications.
-pub(crate) const DEFAULT_MAX_REPS: usize = 64;
-
 /// Builds and executes a set of simulation replications.
 ///
-/// The single entry point for running this simulator: every replication
-/// count, parallelism level and stopping rule goes through here. See
-/// the [module docs](self) for the determinism guarantee.
+/// The builder for running one configuration: every replication count,
+/// parallelism level and stopping rule is set here, and
+/// [`Runner::execute`] lowers the result to a one-point [`Sweep`], the
+/// crate's only executor. See the [module docs](self) for the
+/// determinism guarantee.
 #[derive(Debug, Clone)]
 pub struct Runner {
-    cfg: SimConfig,
-    seed: u64,
-    explicit_seeds: Option<Vec<u64>>,
-    jobs: usize,
-    stop: StopRule,
-    min_reps: usize,
-    max_reps: usize,
-    trace: Option<SharedSink>,
+    point: SweepPoint,
+    sweep: Sweep,
 }
 
 impl Runner {
@@ -143,21 +140,15 @@ impl Runner {
     /// automatic parallelism, and the paper's two fixed replications.
     pub fn new(cfg: SimConfig) -> Runner {
         Runner {
-            cfg,
-            seed: 0,
-            explicit_seeds: None,
-            jobs: 0,
-            stop: StopRule::FixedReps(2),
-            min_reps: DEFAULT_MIN_REPS,
-            max_reps: DEFAULT_MAX_REPS,
-            trace: None,
+            point: SweepPoint::new(cfg, 0),
+            sweep: Sweep::new(),
         }
     }
 
     /// Sets the base seed; replication `i` runs with
-    /// [`derive_seed`]`(base, i)`.
+    /// [`derive_seed`](sda_simcore::rng::derive_seed)`(base, i)`.
     pub fn seed(mut self, base: u64) -> Runner {
-        self.seed = base;
+        self.point.seed = base;
         self
     }
 
@@ -165,7 +156,7 @@ impl Runner {
     /// stream (common-random-numbers workflows). Caps the replication
     /// count at `seeds.len()`.
     pub fn with_seeds(mut self, seeds: Vec<u64>) -> Runner {
-        self.explicit_seeds = Some(seeds);
+        self.point.seeds = Some(seeds);
         self
     }
 
@@ -173,73 +164,38 @@ impl Runner {
     /// machine's available parallelism. Affects wall-clock time only,
     /// never results.
     pub fn jobs(mut self, jobs: usize) -> Runner {
-        self.jobs = jobs;
+        self.sweep = self.sweep.jobs(jobs);
         self
     }
 
     /// Sets the stopping rule.
     pub fn stop(mut self, rule: StopRule) -> Runner {
-        self.stop = rule;
+        self.point.stop = rule;
         self
     }
 
     /// Sets the replication floor for [`StopRule::CiWidth`]
     /// (default 2; clamped up to 2, since a CI needs two samples).
     pub fn min_reps(mut self, n: usize) -> Runner {
-        self.min_reps = n.max(2);
+        self.sweep = self.sweep.min_reps(n);
         self
     }
 
     /// Sets the hard replication cap for [`StopRule::CiWidth`]
     /// (default 64).
     pub fn max_reps(mut self, n: usize) -> Runner {
-        self.max_reps = n.max(1);
+        self.sweep = self.sweep.max_reps(n);
         self
     }
 
     /// Attaches a trace sink to **replication 0 only** (the one seeded
-    /// with [`derive_seed`]`(base, 0)`), so traced output is independent
-    /// of the `jobs` level and of how many replications follow. The sink
-    /// is flushed when that replication finishes.
+    /// with [`derive_seed`](sda_simcore::rng::derive_seed)`(base, 0)`),
+    /// so traced output is independent of the `jobs` level and of how
+    /// many replications follow. The sink is flushed when that
+    /// replication finishes.
     pub fn trace(mut self, sink: SharedSink) -> Runner {
-        self.trace = Some(sink);
+        self.point.trace = Some(sink);
         self
-    }
-
-    /// The seed of replication `index` under this runner's seed source.
-    fn seed_of(&self, index: usize) -> u64 {
-        match &self.explicit_seeds {
-            Some(list) => list[index],
-            None => derive_seed(self.seed, index as u64),
-        }
-    }
-
-    /// The largest replication count this runner may reach.
-    fn seed_budget(&self, want: usize) -> usize {
-        match &self.explicit_seeds {
-            Some(list) => want.min(list.len()),
-            None => want,
-        }
-    }
-
-    /// The trace sink for replication `index`, if any.
-    fn trace_for(&self, index: usize) -> Option<SharedSink> {
-        if index == 0 {
-            self.trace.clone()
-        } else {
-            None
-        }
-    }
-
-    /// Worker-thread count to use.
-    fn effective_jobs(&self) -> usize {
-        if self.jobs > 0 {
-            self.jobs
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
     }
 
     /// Executes the configured replications and combines them.
@@ -247,122 +203,18 @@ impl Runner {
     /// # Errors
     ///
     /// Returns the configuration's validation error before starting any
-    /// run; runs themselves cannot fail.
+    /// run.
     ///
     /// # Panics
     ///
     /// Panics if the rule asks for zero replications (explicit empty
-    /// seed list, `FixedReps(0)`), if `BatchMeans.batch_size == 0`, or
-    /// if a worker thread panics.
+    /// seed list, `FixedReps(0)`), if the CI target is not positive, or
+    /// if a replication panics (including on `BatchMeans.batch_size ==
+    /// 0`).
     pub fn execute(&self) -> Result<MultiRun, ConfigError> {
-        self.cfg.validate()?;
-        match self.stop {
-            StopRule::FixedReps(count) => {
-                let count = self.seed_budget(count);
-                assert!(count > 0, "need at least one replication");
-                let runs = self.run_indices(0, count);
-                Ok(MultiRun { runs, batch: None })
-            }
-            StopRule::CiWidth(target) => {
-                assert!(target > 0.0, "CI width target must be positive");
-                let floor = self.seed_budget(self.min_reps.max(2));
-                let cap = self.seed_budget(self.max_reps).max(floor);
-                assert!(floor > 0, "need at least one replication");
-                let mut runs = self.run_indices(0, floor);
-                // Round sizes depend only on the current count, never on
-                // `jobs` or timing, so the replication schedule — and
-                // therefore the result — is identical at any parallelism.
-                while !ci_converged(&runs, target) && runs.len() < cap {
-                    let add = (runs.len() / 2).max(2).min(cap - runs.len());
-                    let more = self.run_indices(runs.len(), add);
-                    runs.extend(more);
-                }
-                Ok(MultiRun { runs, batch: None })
-            }
-            StopRule::BatchMeans { batch_size } => {
-                let seed = self.seed_of(0);
-                let (run, batch) =
-                    run_batch_means_impl(&self.cfg, seed, batch_size, self.trace_for(0))?;
-                Ok(MultiRun {
-                    runs: vec![run],
-                    batch: Some(batch),
-                })
-            }
-        }
+        let mut results = self.sweep.clone().point(self.point.clone()).execute()?;
+        Ok(results.pop().expect("one point in, one result out"))
     }
-
-    /// Runs replications `first..first + count` across the worker pool,
-    /// returned in replication order.
-    fn run_indices(&self, first: usize, count: usize) -> Vec<RunResult> {
-        let jobs = self.effective_jobs().min(count).max(1);
-        if jobs == 1 {
-            return (first..first + count)
-                .map(|i| {
-                    run_single(&self.cfg, self.seed_of(i), self.trace_for(i))
-                        .expect("config validated in execute")
-                })
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, RunResult)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    let next = &next;
-                    let runner = &*self;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let offset = next.fetch_add(1, Ordering::Relaxed);
-                            if offset >= count {
-                                return out;
-                            }
-                            let index = first + offset;
-                            let result = run_single(
-                                &runner.cfg,
-                                runner.seed_of(index),
-                                runner.trace_for(index),
-                            )
-                            .expect("config validated in execute");
-                            out.push((index, result));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("simulation worker panicked"))
-                .collect()
-        });
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
-    }
-}
-
-/// The metrics whose CI width drives [`StopRule::CiWidth`].
-fn ci_converged(runs: &[RunResult], target: f64) -> bool {
-    if runs.len() < 2 {
-        return false;
-    }
-    [Metrics::md_local as fn(&Metrics) -> f64, Metrics::md_global]
-        .iter()
-        .all(|metric| {
-            let summary =
-                Summary::from_values(&runs.iter().map(|r| metric(&r.metrics)).collect::<Vec<_>>());
-            summary.converged(target)
-        })
-}
-
-/// Runs one simulation to its configured duration, optionally feeding a
-/// trace sink (flushed at the end of the run). Shared with the sweep
-/// engine, which schedules these same per-replication units across its
-/// own worker pool.
-pub(crate) fn run_single(
-    cfg: &SimConfig,
-    seed: u64,
-    trace: Option<SharedSink>,
-) -> Result<RunResult, ConfigError> {
-    run_single_with_budget(cfg, seed, trace, None)?
-        .map_err(|_| unreachable!("no budget, no budget exhaustion"))
 }
 
 /// A replication exceeded its event-count budget (watchdog): the run was
@@ -375,27 +227,27 @@ pub(crate) struct BudgetExceeded {
     pub budget: u64,
 }
 
-/// [`run_single`] with an optional event-count watchdog.
+/// The run body of every replication: one simulation of a validated
+/// configuration to its duration, optionally feeding a trace sink
+/// (flushed at the end of the run), under an optional event-count
+/// watchdog.
 ///
-/// With `budget: None` the engine runs the horizon in one call — the
-/// exact pre-watchdog code path. With a budget, the horizon is run in
-/// 256 equal time chunks (chunked [`Engine::run_until`] calls process
-/// the identical event sequence, so results are bit-identical either
-/// way), checking the event count between chunks; a runaway replication
-/// comes back as `Ok(Err(BudgetExceeded))` instead of looping forever.
-///
-/// The outer `Result` is configuration validation; the inner one is the
-/// watchdog verdict.
+/// With `budget: None` the engine runs the horizon in one call. With a
+/// budget, the horizon is run in 256 equal time chunks (chunked
+/// [`Engine::run_until`] calls process the identical event sequence, so
+/// results are bit-identical either way), checking the event count
+/// between chunks; a runaway replication comes back as
+/// `Err(BudgetExceeded)` instead of looping forever.
 pub(crate) fn run_single_with_budget(
     cfg: &SimConfig,
     seed: u64,
-    trace: Option<SharedSink>,
+    sink: Option<Box<dyn TraceSink>>,
     budget: Option<u64>,
-) -> Result<Result<RunResult, BudgetExceeded>, ConfigError> {
+) -> Result<RunResult, BudgetExceeded> {
     test_hooks::check(seed);
-    let mut sim = Simulation::new(cfg.clone(), seed)?;
-    if let Some(sink) = trace {
-        sim.set_sink(Box::new(sink));
+    let mut sim = Simulation::new(cfg.clone(), seed).expect("config validated");
+    if let Some(sink) = sink {
+        sim.set_sink(sink);
     }
     let mut engine = Engine::new();
     sim.prime(&mut engine);
@@ -410,10 +262,10 @@ pub(crate) fn run_single_with_budget(
                 let until = cfg.duration * f64::from(chunk) / f64::from(CHUNKS);
                 engine.run_until(&mut sim, SimTime::from(until));
                 if engine.events_processed() > limit {
-                    return Ok(Err(BudgetExceeded {
+                    return Err(BudgetExceeded {
                         events: engine.events_processed(),
                         budget: limit,
-                    }));
+                    });
                 }
             }
         }
@@ -430,7 +282,7 @@ pub(crate) fn run_single_with_budget(
         .iter()
         .map(|s| s.mean_queue_len(SimTime::from(duration)))
         .collect();
-    Ok(Ok(RunResult {
+    Ok(RunResult {
         metrics,
         events,
         busy,
@@ -439,7 +291,7 @@ pub(crate) fn run_single_with_budget(
         duration,
         seed,
         wall_secs,
-    }))
+    })
 }
 
 /// Test-only fault hooks for the harness itself: lets integration tests
@@ -484,31 +336,45 @@ pub struct BatchEstimates {
     pub batches: (usize, usize),
 }
 
-/// Body of the batch-means mode: one run with an internal trace sink
-/// cutting post-warm-up miss indicators into contiguous batches. A user
-/// trace sink, if any, rides along via a fan-out.
-fn run_batch_means_impl(
-    cfg: &SimConfig,
-    seed: u64,
-    batch_size: u64,
-    trace: Option<SharedSink>,
-) -> Result<(RunResult, BatchEstimates), ConfigError> {
-    use sda_simcore::stats::BatchMeans;
-    use std::sync::{Arc, Mutex};
+/// The batch-means observer: a trace sink cutting post-warm-up miss
+/// indicators into contiguous batches, one accumulator per task class.
+/// Clones share the accumulators, so the executor keeps one handle while
+/// the simulation owns another.
+#[derive(Clone)]
+pub(crate) struct BatchCutter {
+    warmup: f64,
+    acc: Arc<Mutex<(BatchMeans, BatchMeans)>>,
+}
 
-    let mut sim = Simulation::new(cfg.clone(), seed)?;
-    let acc: Arc<Mutex<(BatchMeans, BatchMeans)>> = Arc::new(Mutex::new((
-        BatchMeans::new(batch_size),
-        BatchMeans::new(batch_size),
-    )));
-    let batches = Arc::clone(&acc);
-    let warmup = cfg.warmup;
-    let batcher = move |now: SimTime, ev: &TraceEvent| {
-        if now.value() < warmup {
+impl BatchCutter {
+    pub(crate) fn new(batch_size: u64, warmup: f64) -> BatchCutter {
+        BatchCutter {
+            warmup,
+            acc: Arc::new(Mutex::new((
+                BatchMeans::new(batch_size),
+                BatchMeans::new(batch_size),
+            ))),
+        }
+    }
+
+    /// The intervals from the batches completed so far.
+    pub(crate) fn estimates(&self) -> BatchEstimates {
+        let acc = self.acc.lock().expect("batch accumulator");
+        BatchEstimates {
+            md_local: acc.0.estimate(),
+            md_global: acc.1.estimate(),
+            batches: (acc.0.completed_batches(), acc.1.completed_batches()),
+        }
+    }
+}
+
+impl TraceSink for BatchCutter {
+    fn record(&mut self, now: SimTime, event: &TraceEvent) {
+        if now.value() < self.warmup {
             return;
         }
-        let mut acc = batches.lock().expect("batch accumulator");
-        match ev {
+        let mut acc = self.acc.lock().expect("batch accumulator");
+        match event {
             TraceEvent::LocalFinished { missed, .. } => {
                 acc.0.push(if *missed { 1.0 } else { 0.0 });
             }
@@ -517,59 +383,7 @@ fn run_batch_means_impl(
             }
             _ => {}
         }
-    };
-    match trace {
-        Some(user) => sim.set_sink(Box::new(FanoutSink::new(vec![
-            Box::new(batcher),
-            Box::new(user),
-        ]))),
-        None => sim.set_sink(Box::new(batcher)),
     }
-    let mut engine = Engine::new();
-    sim.prime(&mut engine);
-    let started = std::time::Instant::now();
-    engine.run_until(&mut sim, SimTime::from(cfg.duration));
-    let wall_secs = started.elapsed().as_secs_f64();
-    if let Some(mut sink) = sim.take_sink() {
-        sink.flush();
-    }
-    let events = engine.events_processed();
-    let duration = cfg.duration;
-    let (metrics, node_stats) = sim.into_results();
-    let busy = node_stats.iter().map(|s| s.busy()).collect();
-    let mean_queue_len = node_stats
-        .iter()
-        .map(|s| s.mean_queue_len(SimTime::from(duration)))
-        .collect();
-    let run = RunResult {
-        metrics,
-        events,
-        busy,
-        mean_queue_len,
-        node_stats,
-        duration,
-        seed,
-        wall_secs,
-    };
-    let acc = Arc::try_unwrap(acc)
-        .expect("batch closure dropped with the sink")
-        .into_inner()
-        .expect("sink lock");
-    let batch = BatchEstimates {
-        md_local: acc.0.estimate(),
-        md_global: acc.1.estimate(),
-        batches: (acc.0.completed_batches(), acc.1.completed_batches()),
-    };
-    Ok((run, batch))
-}
-
-/// The default seed set for an experiment data point: `count` seeds
-/// derived from a base seed via the SplitMix64 stream (the paper used
-/// 2 runs per point).
-///
-/// Equivalent to [`derive_seeds`]; stable across releases.
-pub fn seeds(base: u64, count: usize) -> Vec<u64> {
-    derive_seeds(base, count)
 }
 
 /// A set of replications of the same configuration, with per-metric
@@ -582,10 +396,11 @@ pub struct MultiRun {
 
 impl MultiRun {
     /// Assembles a run set from its parts: `runs` must be in replication
-    /// order (replication `i` seeded with [`derive_seed`]`(base, i)`) for
-    /// the determinism contract to hold. Used by the sweep engine to
-    /// recombine replications it scheduled itself, and by the result
-    /// cache to reconstruct a deserialized run set.
+    /// order (replication `i` seeded with
+    /// [`derive_seed`](sda_simcore::rng::derive_seed)`(base, i)`) for the
+    /// determinism contract to hold. Used by the sweep to recombine
+    /// the replications it scheduled, and by the result cache to
+    /// reconstruct a deserialized run set.
     pub fn from_parts(runs: Vec<RunResult>, batch: Option<BatchEstimates>) -> MultiRun {
         assert!(!runs.is_empty(), "a run set needs at least one run");
         MultiRun { runs, batch }

@@ -1,21 +1,30 @@
-//! Campaign-level scheduling of many data points over one worker pool.
+//! The replication executor: every simulation this crate runs is a unit
+//! of a [`Sweep`], scheduled on one work-stealing worker pool.
 //!
 //! A paper reproduction is a *campaign*: dozens of points (configuration
-//! × base seed × stop rule), each several replications. Running points
-//! one [`Runner`] at a time puts a thread barrier between points — the
-//! tail of a slow point idles every other core. [`Sweep`] removes the
-//! barrier: it flattens all points into per-replication work units and
-//! schedules the units across a single work-stealing pool, so workers
-//! drain the whole campaign without ever waiting at a point boundary.
+//! × base seed × stop rule), each several replications. [`Sweep`]
+//! flattens all points into per-replication work units and schedules the
+//! units across a single work-stealing pool, so workers drain the whole
+//! campaign without ever waiting at a point boundary. Running one
+//! configuration on its own is a one-point sweep.
+//!
+//! A [`StopRule::FixedReps`]`(n)` point is `n` units, and a
+//! [`StopRule::BatchMeans`] point one unit whose batches a trace sink
+//! cuts. A [`StopRule::CiWidth`] point runs in rounds, each one pass of
+//! the pool shared with every point still running: first its floor, then
+//! `(len / 2).max(2)` more replications per round until its metrics
+//! converge or it reaches its cap.
 //!
 //! # Determinism
 //!
 //! Replication `i` of a point with base seed `b` always simulates with
 //! `derive_seed(b, i)` regardless of which worker runs it or when, and
-//! results are reassembled per point by replication index. Every
-//! [`MultiRun`] this module returns is therefore **bit-identical** to
-//! what a sequential [`Runner`] produces — at any `jobs` level, pinned
-//! by the `sweep` integration test.
+//! results are reassembled per point by replication index. Round sizes
+//! depend only on the replication count, never on timing. Every
+//! [`MultiRun`] this module returns is therefore **bit-identical** at any
+//! `jobs` level, pinned by the `sweep` integration test and the golden
+//! fixtures. So is the trace of replication 0 that a
+//! [`SweepPoint::trace`] sink records.
 //!
 //! # Deduplication and caching
 //!
@@ -25,25 +34,22 @@
 //! [`PointCache`] attached, completed points are also memoized across
 //! sweeps — and, when the cache is disk-backed, across processes —
 //! making repeated reproductions incremental.
-//!
-//! # Limits
-//!
-//! Adaptive points ([`StopRule::CiWidth`], [`StopRule::BatchMeans`])
-//! run as one sequential unit each (their replication schedule is
-//! data-dependent), and tracing is not supported here — attach a sink
-//! to a single-point [`Runner`] instead.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use sda_simcore::rng::derive_seed;
+use sda_simcore::stats::Summary;
 
 use crate::cache::{canonical_point, point_key_of, PointCache};
 use crate::config::{ConfigError, SimConfig};
+use crate::metrics::Metrics;
 use crate::runner::{
-    run_single_with_budget, MultiRun, Runner, StopRule, DEFAULT_MAX_REPS, DEFAULT_MIN_REPS,
+    run_single_with_budget, BatchCutter, BatchEstimates, MultiRun, RunResult, StopRule,
 };
+use crate::trace::{FanoutSink, SharedSink, TraceSink};
 
 /// One data point of a sweep: a configuration, the base seed its
 /// replication seeds derive from, and the stopping rule.
@@ -55,6 +61,15 @@ pub struct SweepPoint {
     pub seed: u64,
     /// When to stop adding replications.
     pub stop: StopRule,
+    /// A sink observing **replication 0 only**, flushed when that
+    /// replication finishes. A traced point is never resolved from the
+    /// cache or shared with a duplicate point.
+    pub trace: Option<SharedSink>,
+    /// Explicit per-replication seeds replacing the derived stream; caps
+    /// the replication count at the list's length. A point with a seed
+    /// list is never cached or deduplicated, since its content address
+    /// names only the base seed.
+    pub(crate) seeds: Option<Vec<u64>>,
 }
 
 impl SweepPoint {
@@ -64,6 +79,8 @@ impl SweepPoint {
             cfg,
             seed,
             stop: StopRule::FixedReps(2),
+            trace: None,
+            seeds: None,
         }
     }
 
@@ -72,114 +89,103 @@ impl SweepPoint {
         self.stop = stop;
         self
     }
+
+    /// Attaches a trace sink to replication 0 (see [`SweepPoint::trace`]).
+    pub fn trace(mut self, sink: SharedSink) -> SweepPoint {
+        self.trace = Some(sink);
+        self
+    }
+
+    /// The seed of replication `rep`.
+    fn seed_of(&self, rep: usize) -> u64 {
+        match &self.seeds {
+            Some(list) => list[rep],
+            None => derive_seed(self.seed, rep as u64),
+        }
+    }
 }
 
 /// How a point gets its result.
 enum Plan {
     /// Resolved from the cache before any simulation.
     Cached(MultiRun),
-    /// Computed by the task at this index.
-    Compute(usize),
-    /// Shares the result of the task at this index (duplicate point).
-    Shared(usize),
+    /// The result of the task at this index, which a duplicate point
+    /// shares with the point that planned it.
+    Task(usize),
 }
 
-/// One planned simulation task (a deduplicated point that missed the
-/// cache).
+/// One planned simulation task (a point that neither hit the cache nor
+/// duplicates an earlier point) and the replications it has run so far.
 struct Task {
-    cfg: SimConfig,
-    seed: u64,
-    stop: StopRule,
-    /// Content address, for storing the result back into the cache.
-    address: (String, String),
-    /// Number of work units this task was split into.
-    units: usize,
+    point: SweepPoint,
+    /// Content address, for storing the result back into the cache;
+    /// `None` for a point that is never shared.
+    address: Option<(String, String)>,
+    /// The first round's size and the most replications this task may
+    /// reach.
+    first: usize,
+    cap: usize,
+    /// Results by replication index; each round appends empty slots.
+    runs: Vec<Option<RunResult>>,
+    /// Batch-means estimates, for a [`StopRule::BatchMeans`] task.
+    batch: Option<BatchEstimates>,
+    /// The lowest failed replication; a failed task runs no more rounds.
+    failure: Option<RunError>,
 }
 
-/// One schedulable unit of work.
-enum Unit {
-    /// A single fixed replication of a task.
-    Rep { task: usize, rep: usize, seed: u64 },
-    /// A whole adaptive point, run sequentially as one unit.
-    Whole { task: usize },
-}
-
-/// The result of one executed unit. The per-replication result is boxed
-/// so the variants are close in size (a `RunResult` carries the full
-/// per-node statistics block).
-enum Outcome {
-    Rep {
-        task: usize,
-        rep: usize,
-        result: Box<crate::runner::RunResult>,
-    },
-    Whole {
-        task: usize,
-        multi: MultiRun,
-    },
-    /// The unit died (panic) or was cut off (event budget); the error is
-    /// attributed to its task at reassembly.
-    Failed {
-        task: usize,
-        error: UnitError,
-    },
-}
-
-/// A per-unit failure, before it is attributed to a point index.
-#[derive(Debug, Clone)]
-enum UnitError {
-    Panic {
-        rep: usize,
-        seed: u64,
-        message: String,
-    },
-    Budget {
-        rep: usize,
-        seed: u64,
-        events: u64,
-        budget: u64,
-    },
-}
-
-impl UnitError {
-    fn rep(&self) -> usize {
-        match self {
-            UnitError::Panic { rep, .. } | UnitError::Budget { rep, .. } => *rep,
-        }
+impl Task {
+    /// Schedules this task's next round (see the [module docs](self))
+    /// and returns its replication indices, empty once the task is done.
+    fn next_round(&mut self) -> Range<usize> {
+        let len = self.runs.len();
+        let add = match self.point.stop {
+            _ if len == 0 => self.first,
+            StopRule::CiWidth(target)
+                if self.failure.is_none()
+                    && len < self.cap
+                    && !ci_converged(&self.runs, target) =>
+            {
+                (len / 2).max(2).min(self.cap - len)
+            }
+            _ => 0,
+        };
+        self.runs.resize_with(len + add, || None);
+        len..len + add
     }
+}
 
-    fn at_point(&self, point: usize) -> RunError {
-        match self.clone() {
-            UnitError::Panic { rep, seed, message } => RunError::Panic {
-                point,
-                rep,
-                seed,
-                message,
-            },
-            UnitError::Budget {
-                rep,
-                seed,
-                events,
-                budget,
-            } => RunError::Budget {
-                point,
-                rep,
-                seed,
-                events,
-                budget,
-            },
-        }
-    }
+/// Whether every metric [`StopRule::CiWidth`] tracks (`MD_local` and
+/// `MD_global`) has converged to `target`.
+fn ci_converged(runs: &[Option<RunResult>], target: f64) -> bool {
+    runs.len() >= 2
+        && [Metrics::md_local as fn(&Metrics) -> f64, Metrics::md_global]
+            .iter()
+            .all(|metric| {
+                let values: Vec<f64> = runs
+                    .iter()
+                    .map(|run| metric(&run.as_ref().expect("round completed").metrics))
+                    .collect();
+                Summary::from_values(&values).converged(target)
+            })
+}
+
+/// One schedulable unit of work: a single replication of a task.
+struct Unit {
+    task: usize,
+    rep: usize,
+}
+
+/// The result of one executed unit.
+struct Outcome {
+    task: usize,
+    rep: usize,
+    result: Result<(RunResult, Option<BatchEstimates>), RunError>,
 }
 
 /// Why a point of a [`Sweep`] failed — returned per point by
 /// [`Sweep::try_execute`], so one poisoned replication degrades that
-/// point instead of killing the whole campaign.
-///
-/// `rep`/`seed` name the failing replication. For adaptive points
-/// ([`StopRule::CiWidth`], [`StopRule::BatchMeans`]) the whole point
-/// runs as one unit, so `rep` is 0 and `seed` is the point's *base*
-/// seed.
+/// point instead of killing the whole campaign. `rep`/`seed` name the
+/// failing replication.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The replication panicked; the panic payload is in `message`.
@@ -239,9 +245,27 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+impl RunError {
+    fn rep(&self) -> usize {
+        match self {
+            RunError::Panic { rep, .. } | RunError::Budget { rep, .. } => *rep,
+        }
+    }
+
+    /// This error attributed to the point at `index` (every point that
+    /// resolves to a failed task reports that task's error).
+    fn at_point(&self, index: usize) -> RunError {
+        let mut error = self.clone();
+        match &mut error {
+            RunError::Panic { point, .. } | RunError::Budget { point, .. } => *point = index,
+        }
+        error
+    }
+}
+
 /// Builds and executes a campaign of points over one work-stealing
 /// worker pool. See the [module docs](self).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Sweep {
     points: Vec<SweepPoint>,
     jobs: usize,
@@ -264,8 +288,8 @@ impl Sweep {
             points: Vec::new(),
             jobs: 0,
             cache: None,
-            min_reps: DEFAULT_MIN_REPS,
-            max_reps: DEFAULT_MAX_REPS,
+            min_reps: 2,
+            max_reps: 64,
             event_budget: None,
         }
     }
@@ -298,7 +322,8 @@ impl Sweep {
     }
 
     /// Sets the replication floor for [`StopRule::CiWidth`] points
-    /// (default 2; part of those points' cache key).
+    /// (default 2; clamped up to 2, since a CI needs two samples; part
+    /// of those points' cache key).
     pub fn min_reps(mut self, n: usize) -> Sweep {
         self.min_reps = n.max(2);
         self
@@ -311,10 +336,10 @@ impl Sweep {
         self
     }
 
-    /// Arms a per-replication event-count watchdog: a fixed replication
-    /// that processes more than `budget` engine events is cut off and
-    /// its point fails with [`RunError::Budget`] instead of hanging the
-    /// campaign. Adaptive points run under panic isolation only.
+    /// Arms a per-replication event-count watchdog: a replication that
+    /// processes more than `budget` engine events is cut off and its
+    /// point fails with [`RunError::Budget`] instead of hanging the
+    /// campaign.
     ///
     /// Not part of the cache key — the budget cannot change the result
     /// of a replication that completes within it.
@@ -325,14 +350,24 @@ impl Sweep {
 
     /// Worker-thread count for a given unit count.
     fn effective_jobs(&self, units: usize) -> usize {
-        let jobs = if self.jobs > 0 {
-            self.jobs
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
+        let auto = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let jobs = if self.jobs > 0 { self.jobs } else { auto() };
         jobs.min(units).max(1)
+    }
+
+    /// The first-round size and the replication cap of `point`.
+    fn rep_bounds(&self, point: &SweepPoint) -> (usize, usize) {
+        let (first, cap) = match point.stop {
+            StopRule::FixedReps(n) => (n, n),
+            StopRule::CiWidth(target) => {
+                assert!(target > 0.0, "CI width target must be positive");
+                (self.min_reps, self.max_reps.max(self.min_reps))
+            }
+            StopRule::BatchMeans { .. } => (1, 1),
+        };
+        // An explicit seed list caps both.
+        let budget = |n: usize| point.seeds.as_ref().map_or(n, |list| n.min(list.len()));
+        (budget(first), budget(cap))
     }
 
     /// Executes every point and returns their results in point order.
@@ -345,9 +380,10 @@ impl Sweep {
     /// # Panics
     ///
     /// Panics if a point asks for zero replications
-    /// ([`StopRule::FixedReps`]`(0)`), or if any replication fails
-    /// (panics or blows the event budget) — use [`Sweep::try_execute`]
-    /// to degrade gracefully instead.
+    /// ([`StopRule::FixedReps`]`(0)`, an empty seed list) or sets a
+    /// non-positive CI target, or if any replication fails (panics or
+    /// blows the event budget) — use [`Sweep::try_execute`] to degrade
+    /// gracefully instead.
     pub fn execute(&self) -> Result<Vec<MultiRun>, ConfigError> {
         Ok(self
             .try_execute()?
@@ -373,8 +409,8 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// Panics if a point asks for zero replications
-    /// ([`StopRule::FixedReps`]`(0)`).
+    /// Panics if a point asks for zero replications or sets a
+    /// non-positive CI target.
     pub fn try_execute(&self) -> Result<Vec<Result<MultiRun, RunError>>, ConfigError> {
         for point in &self.points {
             point.cfg.validate()?;
@@ -387,106 +423,97 @@ impl Sweep {
         let mut tasks: Vec<Task> = Vec::new();
         let mut planned: HashMap<String, usize> = HashMap::new();
         for point in &self.points {
-            let preimage = canonical_point(
-                &point.cfg,
-                point.seed,
-                &point.stop,
-                self.min_reps,
-                self.max_reps,
-            );
-            let key = point_key_of(&preimage);
-            if let Some(&task) = planned.get(&key) {
-                if let Some(cache) = &self.cache {
-                    cache.record_shared_hit();
-                }
-                plans.push(Plan::Shared(task));
-                continue;
-            }
-            if let Some(cache) = &self.cache {
-                if let Some(found) = cache.lookup(&key, &preimage) {
-                    plans.push(Plan::Cached(found));
+            let address = (point.trace.is_none() && point.seeds.is_none()).then(|| {
+                let preimage = canonical_point(
+                    &point.cfg,
+                    point.seed,
+                    &point.stop,
+                    self.min_reps,
+                    self.max_reps,
+                );
+                (point_key_of(&preimage), preimage)
+            });
+            if let Some((key, preimage)) = &address {
+                if let Some(&task) = planned.get(key) {
+                    if let Some(cache) = &self.cache {
+                        cache.record_shared_hit();
+                    }
+                    plans.push(Plan::Task(task));
                     continue;
                 }
-            }
-            let units = match point.stop {
-                StopRule::FixedReps(n) => {
-                    assert!(n > 0, "need at least one replication");
-                    n
+                if let Some(cache) = &self.cache {
+                    if let Some(found) = cache.lookup(key, preimage) {
+                        plans.push(Plan::Cached(found));
+                        continue;
+                    }
                 }
-                StopRule::CiWidth(_) | StopRule::BatchMeans { .. } => 1,
-            };
-            planned.insert(key.clone(), tasks.len());
-            plans.push(Plan::Compute(tasks.len()));
+                planned.insert(key.clone(), tasks.len());
+            }
+            let (first, cap) = self.rep_bounds(point);
+            assert!(first > 0, "need at least one replication");
+            plans.push(Plan::Task(tasks.len()));
             tasks.push(Task {
-                cfg: point.cfg.clone(),
-                seed: point.seed,
-                stop: point.stop,
-                address: (key, preimage),
-                units,
+                point: point.clone(),
+                address,
+                first,
+                cap,
+                runs: Vec::new(),
+                batch: None,
+                failure: None,
             });
         }
 
-        // Flatten tasks into units. Unit order is the submission order;
-        // it affects only which worker runs what, never the results.
-        let mut units = Vec::new();
-        for (index, task) in tasks.iter().enumerate() {
-            match task.stop {
-                StopRule::FixedReps(n) => {
-                    for rep in 0..n {
-                        units.push(Unit::Rep {
-                            task: index,
-                            rep,
-                            seed: derive_seed(task.seed, rep as u64),
-                        });
+        // Run in rounds until no task schedules more replications. Unit
+        // order is the submission order; it affects only which worker
+        // runs what, never the results.
+        loop {
+            let round: Vec<Unit> = tasks
+                .iter_mut()
+                .enumerate()
+                .flat_map(|(task, t)| t.next_round().map(move |rep| Unit { task, rep }))
+                .collect();
+            if round.is_empty() {
+                break;
+            }
+            for Outcome { task, rep, result } in self.run_units(&tasks, round) {
+                let task = &mut tasks[task];
+                match result {
+                    Ok((run, batch)) => {
+                        task.runs[rep] = Some(run);
+                        task.batch = batch;
+                    }
+                    // Outcomes arrive in worker-completion order; keep the
+                    // lowest failing replication so the error is the same
+                    // at any jobs level.
+                    Err(error) => {
+                        if task.failure.as_ref().is_none_or(|f| error.rep() < f.rep()) {
+                            task.failure = Some(error);
+                        }
                     }
                 }
-                StopRule::CiWidth(_) | StopRule::BatchMeans { .. } => {
-                    units.push(Unit::Whole { task: index });
-                }
             }
         }
 
-        let outcomes = self.run_units(&tasks, units);
-
-        // Reassemble per task by replication index.
-        let mut slots: Vec<Vec<Option<crate::runner::RunResult>>> =
-            tasks.iter().map(|t| vec![None; t.units]).collect();
-        let mut wholes: Vec<Option<MultiRun>> = tasks.iter().map(|_| None).collect();
-        let mut failures: Vec<Vec<UnitError>> = tasks.iter().map(|_| Vec::new()).collect();
-        for outcome in outcomes {
-            match outcome {
-                Outcome::Rep { task, rep, result } => slots[task][rep] = Some(*result),
-                Outcome::Whole { task, multi } => wholes[task] = Some(multi),
-                Outcome::Failed { task, error } => failures[task].push(error),
-            }
-        }
-        let mut computed: Vec<Result<MultiRun, UnitError>> = Vec::with_capacity(tasks.len());
-        for (index, task) in tasks.iter().enumerate() {
-            if !failures[index].is_empty() {
-                // Outcomes arrive in worker-completion order; report the
-                // lowest failing replication so the error is the same at
-                // any jobs level. The failed task is not cached.
-                failures[index].sort_by_key(UnitError::rep);
-                computed.push(Err(failures[index].remove(0)));
-                continue;
-            }
-            let multi = match task.stop {
-                StopRule::FixedReps(_) => {
-                    let runs = slots[index]
-                        .drain(..)
-                        .map(|slot| slot.expect("every replication ran"))
-                        .collect();
-                    MultiRun::from_parts(runs, None)
+        // Reassemble per task by replication index. A failed task is not
+        // cached.
+        let computed: Vec<Result<MultiRun, RunError>> = tasks
+            .into_iter()
+            .map(|task| {
+                if let Some(error) = task.failure {
+                    return Err(error);
                 }
-                StopRule::CiWidth(_) | StopRule::BatchMeans { .. } => {
-                    wholes[index].take().expect("adaptive point ran")
+                let runs = task
+                    .runs
+                    .into_iter()
+                    .map(|run| run.expect("every replication ran"))
+                    .collect();
+                let multi = MultiRun::from_parts(runs, task.batch);
+                if let (Some(cache), Some((key, preimage))) = (&self.cache, &task.address) {
+                    cache.store(key, preimage, &multi);
                 }
-            };
-            if let Some(cache) = &self.cache {
-                cache.store(&task.address.0, &task.address.1, &multi);
-            }
-            computed.push(Ok(multi));
-        }
+                Ok(multi)
+            })
+            .collect();
 
         // Hand results back in point order.
         Ok(plans
@@ -494,7 +521,7 @@ impl Sweep {
             .enumerate()
             .map(|(point, plan)| match plan {
                 Plan::Cached(multi) => Ok(multi),
-                Plan::Compute(task) | Plan::Shared(task) => match &computed[task] {
+                Plan::Task(task) => match &computed[task] {
                     Ok(multi) => Ok(multi.clone()),
                     Err(error) => Err(error.at_point(point)),
                 },
@@ -502,22 +529,14 @@ impl Sweep {
             .collect())
     }
 
-    /// Runs all units — inline when one worker suffices, otherwise on a
-    /// work-stealing pool — and returns their outcomes in any order.
+    /// Runs all units on the work-stealing pool and returns their
+    /// outcomes in any order.
     fn run_units(&self, tasks: &[Task], units: Vec<Unit>) -> Vec<Outcome> {
-        let jobs = self.effective_jobs(units.len());
-        if jobs <= 1 {
-            return units
-                .iter()
-                .map(|unit| run_unit(tasks, unit, self))
-                .collect();
-        }
-
         // One deque per worker, units dealt round-robin. A worker pops
         // from the front of its own deque and steals from the back of
         // others'; since no unit ever enqueues more work, a full empty
-        // scan means the campaign is drained and the worker can exit.
-        let total = units.len();
+        // scan means the round is drained and the worker can exit.
+        let (jobs, total) = (self.effective_jobs(units.len()), units.len());
         let queues: Vec<Mutex<VecDeque<Unit>>> =
             (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
         for (index, unit) in units.into_iter().enumerate() {
@@ -527,8 +546,7 @@ impl Sweep {
                 .push_back(unit);
         }
         let outcomes = Mutex::new(Vec::with_capacity(total));
-        let queues = &queues;
-        let outcomes_ref = &outcomes;
+        let (queues, outcomes_ref) = (&queues, &outcomes);
         std::thread::scope(|scope| {
             for me in 0..jobs {
                 scope.spawn(move || loop {
@@ -544,8 +562,11 @@ impl Sweep {
                             }),
                         }
                     };
-                    let Some(unit) = unit else { break };
-                    let outcome = run_unit(tasks, &unit, self);
+                    let Some(Unit { task, rep }) = unit else {
+                        break;
+                    };
+                    let result = run_unit(&tasks[task].point, rep, self.event_budget);
+                    let outcome = Outcome { task, rep, result };
                     outcomes_ref.lock().expect("sweep outcomes").push(outcome);
                 });
             }
@@ -554,70 +575,55 @@ impl Sweep {
     }
 }
 
-/// Executes one unit. Configurations were validated up front, so
-/// simulation itself cannot fail — but the unit is isolated with
-/// [`std::panic::catch_unwind`] so a poisoned replication (a model bug,
-/// a fault-injection edge case) degrades into an [`Outcome::Failed`]
+/// Executes replication `rep` of `point`. Configurations were validated
+/// up front, so simulation itself cannot fail — but the unit is isolated
+/// with [`std::panic::catch_unwind`] so a poisoned replication (a model
+/// bug, a fault-injection edge case) degrades into a [`RunError`]
 /// instead of tearing down the worker pool.
-fn run_unit(tasks: &[Task], unit: &Unit, sweep: &Sweep) -> Outcome {
-    match *unit {
-        Unit::Rep { task, rep, seed } => {
-            let cfg = &tasks[task].cfg;
-            let budget = sweep.event_budget;
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_single_with_budget(cfg, seed, None, budget).expect("config validated")
-            }));
-            match caught {
-                Ok(Ok(result)) => Outcome::Rep {
-                    task,
-                    rep,
-                    result: Box::new(result),
-                },
-                Ok(Err(exceeded)) => Outcome::Failed {
-                    task,
-                    error: UnitError::Budget {
-                        rep,
-                        seed,
-                        events: exceeded.events,
-                        budget: exceeded.budget,
-                    },
-                },
-                Err(payload) => Outcome::Failed {
-                    task,
-                    error: UnitError::Panic {
-                        rep,
-                        seed,
-                        message: panic_message(payload.as_ref()),
-                    },
-                },
+fn run_unit(
+    point: &SweepPoint,
+    rep: usize,
+    budget: Option<u64>,
+) -> Result<(RunResult, Option<BatchEstimates>), RunError> {
+    let seed = point.seed_of(rep);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let cutter = match point.stop {
+            StopRule::BatchMeans { batch_size } => {
+                Some(BatchCutter::new(batch_size, point.cfg.warmup))
             }
+            _ => None,
+        };
+        let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
+        if let Some(cutter) = &cutter {
+            sinks.push(Box::new(cutter.clone()));
         }
-        Unit::Whole { task } => {
-            let spec = &tasks[task];
-            // jobs(1): this worker IS the parallelism; nesting another
-            // pool inside a pool would oversubscribe the machine.
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Runner::new(spec.cfg.clone())
-                    .seed(spec.seed)
-                    .jobs(1)
-                    .stop(spec.stop)
-                    .min_reps(sweep.min_reps)
-                    .max_reps(sweep.max_reps)
-                    .execute()
-                    .expect("config validated")
-            }));
-            match caught {
-                Ok(multi) => Outcome::Whole { task, multi },
-                Err(payload) => Outcome::Failed {
-                    task,
-                    error: UnitError::Panic {
-                        rep: 0,
-                        seed: spec.seed,
-                        message: panic_message(payload.as_ref()),
-                    },
-                },
-            }
+        if let (0, Some(user)) = (rep, &point.trace) {
+            sinks.push(Box::new(user.clone()));
         }
+        let sink: Option<Box<dyn TraceSink>> = if sinks.len() > 1 {
+            Some(Box::new(FanoutSink::new(sinks)))
+        } else {
+            sinks.pop()
+        };
+        run_single_with_budget(&point.cfg, seed, sink, budget)
+            .map(|run| (run, cutter.map(|c| c.estimates())))
+    }));
+    match caught {
+        Ok(Ok(done)) => Ok(done),
+        // `point` is filled in when the task's error is attributed.
+        Ok(Err(exceeded)) => Err(RunError::Budget {
+            point: 0,
+            rep,
+            seed,
+            events: exceeded.events,
+            budget: exceeded.budget,
+        }),
+        Err(payload) => Err(RunError::Panic {
+            point: 0,
+            rep,
+            seed,
+            message: panic_message(payload.as_ref()),
+        }),
     }
 }
 

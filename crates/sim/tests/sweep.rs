@@ -1,14 +1,16 @@
-//! The sweep engine's contract: results bit-identical to the sequential
-//! [`Runner`] at any `jobs` level, duplicates deduplicated, and the
-//! cache making repeat sweeps free.
+//! The sweep engine's contract: results bit-identical at any `jobs`
+//! level (the golden fixtures pin the bytes themselves), duplicates
+//! deduplicated, the cache making repeat sweeps free, and failures
+//! attributed to the replication that failed.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sda_core::SdaStrategy;
 use sda_sim::{
-    CrashPolicy, FaultConfig, MultiRun, PointCache, RunError, Runner, SimConfig, StopRule, Sweep,
+    CrashPolicy, FaultConfig, MultiRun, PointCache, RunError, SimConfig, StopRule, Sweep,
     SweepPoint,
 };
+use sda_simcore::rng::{derive_seed, derive_seeds};
 
 fn quick(load: f64) -> SimConfig {
     SimConfig {
@@ -49,33 +51,14 @@ fn fingerprint(multi: &MultiRun) -> String {
 }
 
 #[test]
-fn sweep_matches_sequential_runner_at_any_jobs_level() {
-    let sequential: Vec<MultiRun> = campaign()
-        .into_iter()
-        .map(|p| {
-            Runner::new(p.cfg)
-                .seed(p.seed)
-                .jobs(1)
-                .stop(p.stop)
-                .execute()
-                .unwrap()
-        })
-        .collect();
-    for jobs in [1, 4] {
-        let swept = Sweep::new()
-            .points(campaign())
-            .jobs(jobs)
-            .execute()
-            .unwrap();
-        assert_eq!(swept.len(), sequential.len());
-        for (point, (a, b)) in sequential.iter().zip(&swept).enumerate() {
-            assert_eq!(
-                fingerprint(a),
-                fingerprint(b),
-                "point {point} diverged at jobs={jobs}"
-            );
-        }
+fn sweep_is_bit_identical_at_any_jobs_level() {
+    let sequential = Sweep::new().points(campaign()).jobs(1).execute().unwrap();
+    let parallel = Sweep::new().points(campaign()).jobs(4).execute().unwrap();
+    assert_eq!(parallel.len(), sequential.len());
+    for (point, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
+        assert_eq!(fingerprint(a), fingerprint(b), "point {point} diverged");
     }
+    assert!(sequential[4].batch_means().is_some(), "batch-means point");
 }
 
 #[test]
@@ -143,6 +126,13 @@ fn no_cache_still_deduplicates_within_a_sweep() {
         .execute()
         .unwrap();
     assert_eq!(fingerprint(&results[0]), fingerprint(&results[1]));
+}
+
+/// Serializes the tests that arm the process-global panic hook, which
+/// holds one seed at a time.
+fn hook_lock() -> MutexGuard<'static, ()> {
+    static HOOK: Mutex<()> = Mutex::new(());
+    HOOK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A configuration with every fault class enabled.
@@ -217,8 +207,9 @@ fn faulty_sweeps_are_jobs_invariant_and_cache_replayable() {
 fn a_panicking_replication_fails_its_point_and_spares_the_others() {
     // An exotic base seed no other test uses: the armed panic seed is
     // process-global, and sibling tests run concurrently.
+    let _hook = hook_lock();
     let base = 0x00AD_BEEF_FA17_0001;
-    let armed = sda_sim::seeds(base, 2)[1];
+    let armed = derive_seeds(base, 2)[1];
     sda_sim::runner::test_hooks::panic_on_seed(armed);
     let points = vec![
         SweepPoint::new(quick(0.3), 42),
@@ -253,14 +244,13 @@ fn a_panicking_replication_fails_its_point_and_spares_the_others() {
     // The sibling points completed normally, bit-identical to a clean
     // sequential run.
     for index in [0, 2] {
-        let clean = Runner::new(points[index].cfg.clone())
-            .seed(points[index].seed)
+        let clean = Sweep::new()
+            .point(points[index].clone())
             .jobs(1)
-            .stop(points[index].stop)
             .execute()
             .unwrap();
         let survived = results[index].as_ref().expect("sibling completes");
-        assert_eq!(fingerprint(&clean), fingerprint(survived));
+        assert_eq!(fingerprint(&clean[0]), fingerprint(survived));
     }
     // The strict entry point turns the structured error into a panic.
     sda_sim::runner::test_hooks::panic_on_seed(armed);
@@ -313,4 +303,57 @@ fn an_event_budget_fails_runaway_points_deterministically() {
         .execute()
         .unwrap();
     assert_eq!(fingerprint(&roomy[0]), fingerprint(&unbudgeted[0]));
+}
+
+#[test]
+fn adaptive_points_fail_at_the_real_replication_and_seed() {
+    // A target no run set meets, so the point runs rounds 0..2, 2..4 and
+    // 4..6; the armed seed is replication 3, in the second round. The
+    // base seed is exotic for the same reason as above.
+    let _hook = hook_lock();
+    let base = 0x00AD_BEEF_FA17_0002;
+    let armed = derive_seed(base, 3);
+    let adaptive = SweepPoint::new(quick(0.5), base).stop(StopRule::CiWidth(1e-9));
+    sda_sim::runner::test_hooks::panic_on_seed(armed);
+    let runs: Vec<_> = [1, 4]
+        .into_iter()
+        .map(|jobs| {
+            Sweep::new()
+                .points([SweepPoint::new(quick(0.3), 42), adaptive.clone()])
+                .jobs(jobs)
+                .max_reps(6)
+                .try_execute()
+                .unwrap()
+        })
+        .collect();
+    sda_sim::runner::test_hooks::clear();
+    for results in &runs {
+        assert!(results[0].is_ok(), "the fixed point is spared");
+        match results[1].as_ref().expect_err("armed replication fails") {
+            RunError::Panic {
+                point, rep, seed, ..
+            } => assert_eq!((*point, *rep, *seed), (1, 3, armed)),
+            other => panic!("expected a panic error, got {other}"),
+        }
+    }
+
+    // The event budget now covers adaptive and batch-means points too,
+    // and names the replication's own seed rather than the base seed.
+    let results = Sweep::new()
+        .points([
+            SweepPoint::new(quick(0.5), 42).stop(StopRule::CiWidth(0.5)),
+            SweepPoint::new(quick(0.5), 42).stop(StopRule::BatchMeans { batch_size: 64 }),
+        ])
+        .jobs(2)
+        .event_budget(500)
+        .try_execute()
+        .unwrap();
+    for (index, result) in results.iter().enumerate() {
+        match result.as_ref().expect_err("500 events is far too few") {
+            RunError::Budget {
+                point, rep, seed, ..
+            } => assert_eq!((*point, *rep, *seed), (index, 0, derive_seed(42, 0))),
+            other => panic!("expected a budget error, got {other}"),
+        }
+    }
 }

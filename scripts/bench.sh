@@ -1,23 +1,16 @@
 #!/usr/bin/env bash
-# Tracked benchmarks for the simulator.
-#
-# Two modes:
+# Throughput benchmark for the simulator.
 #
 #   scripts/bench.sh [throughput] [OUT.json]
 #       End-to-end throughput of the arrival→dispatch→completion hot
 #       path: builds the bench crate (with allocation counting) and runs
 #       the `throughput` binary over the default Figure-5 workload.
 #
-#   scripts/bench.sh sweep [OUT.json]
-#       Campaign-level sweep-engine benchmark: runs the full quick-scale
-#       reproduction three ways (sequential per-point baseline, sweep
-#       engine over a cold disk cache, warm replay) and reports the
-#       wall-clock and cache hit/miss counts of each.
-#
 # The JSON record goes to stdout and, if an output file is given, to
-# that file.
+# that file. The campaign benchmark is perfbench's `quick_campaign`
+# workload (`python3 perfbench/run.py --workload quick_campaign`).
 #
-# Environment (throughput mode):
+# Environment:
 #   SDA_BENCH_REPS      repetitions, best-of-N (default 5)
 #   SDA_BASELINE_EPS    reference events/sec; adds a "speedup" field.
 #                       Defaults to the pre-optimization baseline stored
@@ -26,29 +19,14 @@
 #
 # The committed BENCH_NNNN.json files form the perf trajectory: each PR
 # that claims a speedup records the before and after numbers of the
-# machine it measured on. See DESIGN.md, "Performance model & hot path"
-# and "Sweep engine & result cache".
+# machine it measured on. See DESIGN.md, "Performance model & hot path".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-mode="throughput"
-case "${1:-}" in
-  throughput|sweep)
-    mode="$1"
-    shift
-    ;;
-esac
-out="${1:-}"
-
-if [ "$mode" = "sweep" ]; then
-  cargo build --release -p sda-bench --bin sweep
-  if [ -n "$out" ]; then
-    ./target/release/sweep | tee "$out"
-  else
-    ./target/release/sweep
-  fi
-  exit 0
+if [ "${1:-}" = "throughput" ]; then
+  shift
 fi
+out="${1:-}"
 
 reps="${SDA_BENCH_REPS:-5}"
 baseline="${SDA_BASELINE_EPS:-}"

@@ -84,8 +84,8 @@ pub mod prelude {
     };
     pub use sda_model::{parse_spec, Attrs, NodeId, TaskClass, TaskId, TaskSpec};
     pub use sda_sim::{
-        seeds, AbortPolicy, GlobalShape, Metrics, MultiRun, ResubmitPolicy, RunResult, Runner,
-        SimConfig, StatsReport, StopRule,
+        AbortPolicy, GlobalShape, Metrics, MultiRun, ResubmitPolicy, RunResult, Runner, SimConfig,
+        StatsReport, StopRule,
     };
     pub use sda_simcore::SimTime;
 }

@@ -138,11 +138,11 @@ fn stats_json_matches_the_documented_schema() {
 
 #[test]
 fn explicit_seed_lists_agree_with_derived_seeds() {
-    // `with_seeds(seeds(b, n))` must reproduce the derived-seed schedule
+    // `with_seeds(derive_seeds(b, n))` must reproduce the derived-seed schedule
     // exactly — the common-random-numbers workflow is just the default
     // spelled out.
     let explicit = Runner::new(quick())
-        .with_seeds(seeds(23, 3))
+        .with_seeds(sda::simcore::rng::derive_seeds(23, 3))
         .stop(StopRule::FixedReps(3))
         .execute()
         .expect("baseline validates");
