@@ -1,0 +1,79 @@
+//! Format pins for the on-disk point cache: entries written by an
+//! earlier build of the cache codec, committed under
+//! `tests/fixtures/cache-v2/` (one file per point, named by its key).
+//! Each must still decode, re-encode to the same bytes, and hit when a
+//! cache is opened over that directory — so cache directories written
+//! before a codec change keep hitting after it.
+
+use std::path::PathBuf;
+
+use sda_sim::cache::{
+    canonical_point, parse_multi_run, point_key_of, serialize_multi_run, CACHE_SCHEMA_VERSION,
+};
+use sda_sim::runner::StopRule;
+use sda_sim::{PointCache, SimConfig};
+
+fn fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cache-v2")
+}
+
+/// The quick baseline configuration the fixtures were simulated with.
+fn quick_cfg() -> SimConfig {
+    SimConfig {
+        duration: 2_000.0,
+        warmup: 100.0,
+        ..SimConfig::baseline()
+    }
+}
+
+/// The pinned points: `(base seed, stop rule, key)`. The fixed-count
+/// key is the one `known_key_pins_cross_process_stability` pins.
+fn pinned_points() -> [(u64, StopRule, &'static str); 2] {
+    [
+        (
+            42,
+            StopRule::FixedReps(2),
+            "e02b39b0339bbac90e578a5e78895be2",
+        ),
+        (
+            3,
+            StopRule::BatchMeans { batch_size: 64 },
+            "b7b0598d256e2a2cfbd4bd128edee251",
+        ),
+    ]
+}
+
+#[test]
+fn committed_entries_decode_and_reencode_byte_for_byte() {
+    assert_eq!(CACHE_SCHEMA_VERSION, 2);
+    for (seed, stop, key) in pinned_points() {
+        let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+        assert_eq!(point_key_of(&preimage), key, "key drifted for {stop:?}");
+        let path = fixture_dir().join(format!("{key}.sdacache"));
+        let text = std::fs::read_to_string(&path).expect("fixture present");
+        let multi = parse_multi_run(&text, &preimage).expect("fixture decodes");
+        assert_eq!(
+            multi.batch_means().is_some(),
+            matches!(stop, StopRule::BatchMeans { .. })
+        );
+        assert!(
+            serialize_multi_run(&preimage, &multi) == text,
+            "{} does not re-encode to the same bytes",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn committed_directory_serves_disk_hits() {
+    let cache = PointCache::with_dir(fixture_dir()).expect("fixture dir opens");
+    for (seed, stop, key) in pinned_points() {
+        let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+        assert!(cache.lookup(key, &preimage).is_some(), "{key} misses");
+    }
+    let report = cache.report();
+    assert_eq!(
+        (report.hits_disk, report.misses, report.errors()),
+        (2, 0, 0)
+    );
+}
