@@ -26,9 +26,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod config_file;
+pub mod exec;
 pub mod parse;
 pub mod report;
 
 pub use config_file::{apply_setting, load_config, ConfigFileError};
+pub use exec::CliError;
 pub use parse::{parse_abort, parse_estimation, parse_range, parse_shape, parse_strategy};
 pub use report::render_report;

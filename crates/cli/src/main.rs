@@ -29,7 +29,7 @@ use std::process::ExitCode;
 
 use std::sync::Arc;
 
-use sda_cli::{apply_setting, load_config, parse_strategy, render_report};
+use sda_cli::{apply_setting, load_config, parse_strategy, render_report, CliError};
 use sda_core::Decomposition;
 use sda_model::parse_spec;
 use sda_sim::trace::{JsonlSink, SharedSink};
@@ -42,20 +42,21 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
-        Some("decompose") => cmd_decompose(&args[1..]),
+        Some("decompose") => cmd_decompose(&args[1..]).map_err(CliError::from),
         Some("help") | None => {
             print_help(args.get(1).map(String::as_str));
             Ok(())
         }
-        Some(other) => Err(format!("unknown command {other:?} (try `sda help`)")),
+        Some(other) => Err(format!("unknown command {other:?} (try `sda help`)").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            // Exit 2 for usage/configuration errors, matching `repro`:
-            // every error path here names a flag, key, or argument.
-            ExitCode::from(2)
+        Err(error) => {
+            eprintln!("error: {error}");
+            // Exit 2 for usage/configuration errors, matching `repro`
+            // (every such path names a flag, key, or argument), and 1
+            // for a failed replication.
+            ExitCode::from(error.exit_code())
         }
     }
 }
@@ -89,7 +90,7 @@ impl RunOptions {
     /// Runs one point per configuration as a single sweep, returning the
     /// results in order. A trace records replication 0 of the first
     /// point (bytes independent of `--jobs`) and bypasses the cache.
-    fn execute(&self, cfgs: Vec<SimConfig>) -> Result<Vec<MultiRun>, String> {
+    fn execute(&self, cfgs: Vec<SimConfig>) -> Result<Vec<MultiRun>, CliError> {
         let stop = match self.ci_target {
             Some(target) => StopRule::CiWidth(target),
             None => StopRule::FixedReps(self.reps),
@@ -120,7 +121,7 @@ impl RunOptions {
         if let Some(cache) = &cache {
             sweep = sweep.cache(Arc::clone(cache));
         }
-        let results = sweep.execute().map_err(|e| e.to_string())?;
+        let results = sda_cli::exec::execute(&sweep)?;
         if let Some(cache) = &cache {
             eprintln!("{}", cache.report());
         }
@@ -248,11 +249,11 @@ fn build_config<'a>(positional: &[&'a String]) -> Result<(SimConfig, Vec<&'a Str
     Ok((cfg, leftovers))
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let (positional, opts) = split_options(args)?;
     let (cfg, leftovers) = build_config(&positional)?;
     if let Some(extra) = leftovers.first() {
-        return Err(format!("unexpected argument {extra:?}"));
+        return Err(format!("unexpected argument {extra:?}").into());
     }
     cfg.validate().map_err(|e| e.to_string())?;
     let multi = opts.execute(vec![cfg.clone()])?.remove(0);
@@ -263,7 +264,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
+fn cmd_compare(args: &[String]) -> Result<(), CliError> {
     let (positional, opts) = split_options(args)?;
     let (base, strategy_args) = build_config(&positional)?;
     if strategy_args.is_empty() {
@@ -287,7 +288,7 @@ fn run_table(
     title: &str,
     width: usize,
     rows: Vec<(String, String, SimConfig)>,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     if opts.trace_out.is_some() {
         return Err("--trace-out is only supported by `sda run`".into());
     }
@@ -370,7 +371,7 @@ fn decimals(x: f64) -> i32 {
         .map_or(0, |(_, fraction)| fraction.len() as i32)
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
+fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     let (positional, opts) = split_options(args)?;
     let Some((&spec_arg, rest)) = positional.split_first() else {
         return Err("usage: sda sweep key=LO..HI:STEP [CONFIG] [key=value ...]".into());
@@ -378,7 +379,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let (key, values) = parse_sweep_spec(spec_arg)?;
     let (base, leftovers) = build_config(rest)?;
     if let Some(extra) = leftovers.first() {
-        return Err(format!("unexpected argument {extra:?}"));
+        return Err(format!("unexpected argument {extra:?}").into());
     }
     let mut rows = Vec::new();
     for value in values {

@@ -31,7 +31,8 @@
 //! naturally and are recomputed. Nothing is ever deleted; a cache
 //! directory can be wiped at any time.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,160 +56,122 @@ pub const CACHE_SCHEMA_VERSION: u32 = 2;
 // Canonical serialization and stable hashing
 // ---------------------------------------------------------------------
 
-/// Formats an `f64` exactly: Rust's `{:?}` prints the shortest decimal
-/// that round-trips, so distinct values produce distinct text.
-fn f(x: f64) -> String {
-    format!("{x:?}")
-}
-
-/// The canonical text of a configuration: one `name=value` line per
-/// simulated parameter, in fixed order. Two configurations serialize
-/// identically if and only if they compare equal — this is what gets
-/// hashed into the cache key.
-pub fn canonical_config(cfg: &SimConfig) -> String {
-    let mut out = String::with_capacity(512);
-    let mut line = |name: &str, value: String| {
-        out.push_str(name);
-        out.push('=');
-        out.push_str(&value);
-        out.push('\n');
+/// Writes the canonical text of a configuration: one `name=value` line
+/// per simulated parameter, in fixed order. Two configurations write
+/// identically if and only if they compare equal. Floats use `{:?}`,
+/// the shortest decimal that round-trips, so distinct values produce
+/// distinct text.
+fn write_config(out: &mut String, cfg: &SimConfig) -> fmt::Result {
+    writeln!(out, "nodes={}", cfg.nodes)?;
+    writeln!(out, "load={:?}", cfg.load)?;
+    writeln!(out, "frac_local={:?}", cfg.frac_local)?;
+    writeln!(out, "mu_local={:?}", cfg.mu_local)?;
+    writeln!(out, "mu_subtask={:?}", cfg.mu_subtask)?;
+    let (local, global) = (&cfg.local_slack, &cfg.global_slack);
+    writeln!(
+        out,
+        "local_slack=uniform[{:?},{:?}]",
+        local.lo(),
+        local.hi()
+    )?;
+    writeln!(
+        out,
+        "global_slack=uniform[{:?},{:?}]",
+        global.lo(),
+        global.hi()
+    )?;
+    match &cfg.shape {
+        GlobalShape::ParallelFixed { n } => writeln!(out, "shape=parallel_fixed:{n}"),
+        GlobalShape::ParallelUniform { lo, hi } => {
+            writeln!(out, "shape=parallel_uniform:{lo}..{hi}")
+        }
+        GlobalShape::Spec(spec) => writeln!(out, "shape=spec:{spec}"),
+    }?;
+    let ssp = match cfg.strategy.ssp {
+        SspStrategy::Ud => "ud",
+        SspStrategy::Ed => "ed",
+        SspStrategy::Eqs => "eqs",
+        SspStrategy::Eqf => "eqf",
     };
-    line("nodes", cfg.nodes.to_string());
-    line("load", f(cfg.load));
-    line("frac_local", f(cfg.frac_local));
-    line("mu_local", f(cfg.mu_local));
-    line("mu_subtask", f(cfg.mu_subtask));
-    line(
-        "local_slack",
-        format!(
-            "uniform[{},{}]",
-            f(cfg.local_slack.lo()),
-            f(cfg.local_slack.hi())
+    writeln!(out, "ssp={ssp}")?;
+    match cfg.strategy.psp {
+        PspStrategy::Ud => writeln!(out, "psp=ud"),
+        PspStrategy::DivX { x } => writeln!(out, "psp=div:{x:?}"),
+        PspStrategy::Gf { delta } => writeln!(out, "psp=gf:{delta:?}"),
+    }?;
+    writeln!(out, "scheduler={}", cfg.scheduler)?;
+    writeln!(out, "preemptive={}", cfg.preemptive)?;
+    out.push_str("node_speeds=");
+    for (i, speed) in cfg.node_speeds.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        write!(out, "{sep}{speed:?}")?;
+    }
+    out.push('\n');
+    let service_shape = match cfg.service_shape {
+        ServiceShape::Exponential => "exponential",
+        ServiceShape::Deterministic => "deterministic",
+        ServiceShape::UniformSpread => "uniform_spread",
+    };
+    writeln!(out, "service_shape={service_shape}")?;
+    let placement = match cfg.placement {
+        Placement::RandomDistinct => "random_distinct",
+        Placement::LeastLoaded => "least_loaded",
+    };
+    writeln!(out, "placement={placement}")?;
+    match &cfg.burst {
+        None => writeln!(out, "burst=none"),
+        Some(b) => writeln!(
+            out,
+            "burst=period:{:?},on:{:?},boost:{:?}",
+            b.period, b.on_fraction, b.boost
         ),
-    );
-    line(
-        "global_slack",
-        format!(
-            "uniform[{},{}]",
-            f(cfg.global_slack.lo()),
-            f(cfg.global_slack.hi())
-        ),
-    );
-    line(
-        "shape",
-        match &cfg.shape {
-            GlobalShape::ParallelFixed { n } => format!("parallel_fixed:{n}"),
-            GlobalShape::ParallelUniform { lo, hi } => format!("parallel_uniform:{lo}..{hi}"),
-            GlobalShape::Spec(spec) => format!("spec:{spec}"),
-        },
-    );
-    line(
-        "ssp",
-        match cfg.strategy.ssp {
-            SspStrategy::Ud => "ud".to_string(),
-            SspStrategy::Ed => "ed".to_string(),
-            SspStrategy::Eqs => "eqs".to_string(),
-            SspStrategy::Eqf => "eqf".to_string(),
-        },
-    );
-    line(
-        "psp",
-        match cfg.strategy.psp {
-            PspStrategy::Ud => "ud".to_string(),
-            PspStrategy::DivX { x } => format!("div:{}", f(x)),
-            PspStrategy::Gf { delta } => format!("gf:{}", f(delta)),
-        },
-    );
-    line("scheduler", cfg.scheduler.to_string());
-    line("preemptive", cfg.preemptive.to_string());
-    line(
-        "node_speeds",
-        cfg.node_speeds
-            .iter()
-            .map(|s| f(*s))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    line(
-        "service_shape",
-        match cfg.service_shape {
-            ServiceShape::Exponential => "exponential".to_string(),
-            ServiceShape::Deterministic => "deterministic".to_string(),
-            ServiceShape::UniformSpread => "uniform_spread".to_string(),
-        },
-    );
-    line(
-        "placement",
-        match cfg.placement {
-            Placement::RandomDistinct => "random_distinct".to_string(),
-            Placement::LeastLoaded => "least_loaded".to_string(),
-        },
-    );
-    line(
-        "burst",
-        match &cfg.burst {
-            None => "none".to_string(),
-            Some(b) => format!(
-                "period:{},on:{},boost:{}",
-                f(b.period),
-                f(b.on_fraction),
-                f(b.boost)
-            ),
-        },
-    );
-    line(
-        "abort",
-        match cfg.abort {
-            AbortPolicy::None => "none".to_string(),
-            AbortPolicy::ProcessManager => "process_manager".to_string(),
-            AbortPolicy::LocalScheduler { resubmit } => match resubmit {
-                ResubmitPolicy::Never => "local_scheduler:never".to_string(),
-                ResubmitPolicy::OnceWithRealDeadline => {
-                    "local_scheduler:once_real_deadline".to_string()
-                }
-            },
-        },
-    );
-    line(
-        "estimation",
-        match cfg.estimation {
-            EstimationModel::Exact => "exact".to_string(),
-            EstimationModel::UniformFactor { max_factor } => {
-                format!("uniform_factor:{}", f(max_factor))
-            }
-            EstimationModel::Bias { factor } => format!("bias:{}", f(factor)),
-            EstimationModel::ClassMean { mean } => format!("class_mean:{}", f(mean)),
-        },
-    );
-    line(
-        "fault",
-        if cfg.fault.any_enabled() {
-            format!(
-                "mttf:{},mttr:{},crash:{},straggler:{}x{},comm:{}~{}",
-                f(cfg.fault.mttf),
-                f(cfg.fault.mttr),
-                cfg.fault.crash_policy.label(),
-                f(cfg.fault.straggler_prob),
-                f(cfg.fault.straggler_factor),
-                f(cfg.fault.comm_delay_prob),
-                f(cfg.fault.comm_delay_mean)
-            )
-        } else {
-            // Every disabled fault configuration simulates identically
-            // (no fault stream is ever drawn), so they all share one key.
-            "none".to_string()
-        },
-    );
-    line("duration", f(cfg.duration));
-    line("warmup", f(cfg.warmup));
-    out
+    }?;
+    let abort = match cfg.abort {
+        AbortPolicy::None => "none",
+        AbortPolicy::ProcessManager => "process_manager",
+        AbortPolicy::LocalScheduler {
+            resubmit: ResubmitPolicy::Never,
+        } => "local_scheduler:never",
+        AbortPolicy::LocalScheduler {
+            resubmit: ResubmitPolicy::OnceWithRealDeadline,
+        } => "local_scheduler:once_real_deadline",
+    };
+    writeln!(out, "abort={abort}")?;
+    match cfg.estimation {
+        EstimationModel::Exact => writeln!(out, "estimation=exact"),
+        EstimationModel::UniformFactor { max_factor } => {
+            writeln!(out, "estimation=uniform_factor:{max_factor:?}")
+        }
+        EstimationModel::Bias { factor } => writeln!(out, "estimation=bias:{factor:?}"),
+        EstimationModel::ClassMean { mean } => writeln!(out, "estimation=class_mean:{mean:?}"),
+    }?;
+    let fault = &cfg.fault;
+    if fault.any_enabled() {
+        writeln!(
+            out,
+            "fault=mttf:{:?},mttr:{:?},crash:{},straggler:{:?}x{:?},comm:{:?}~{:?}",
+            fault.mttf,
+            fault.mttr,
+            fault.crash_policy.label(),
+            fault.straggler_prob,
+            fault.straggler_factor,
+            fault.comm_delay_prob,
+            fault.comm_delay_mean
+        )?;
+    } else {
+        // Every disabled fault configuration simulates identically (no
+        // fault stream is ever drawn), so they all share one key.
+        writeln!(out, "fault=none")?;
+    }
+    writeln!(out, "duration={:?}", cfg.duration)?;
+    writeln!(out, "warmup={:?}", cfg.warmup)
 }
 
 /// The canonical text of a full data point: schema version, the
-/// configuration ([`canonical_config`]), the base seed, and the stop
-/// rule. For the adaptive rule the replication bounds are included too,
-/// because they shape the result; for fixed replication counts they are
-/// irrelevant and omitted.
+/// configuration (one `name=value` line per simulated parameter), the
+/// base seed, and the stop rule. For the adaptive rule the replication
+/// bounds are included too, because they shape the result; for fixed
+/// replication counts they are irrelevant and omitted.
 pub fn canonical_point(
     cfg: &SimConfig,
     seed: u64,
@@ -216,17 +179,33 @@ pub fn canonical_point(
     min_reps: usize,
     max_reps: usize,
 ) -> String {
-    let stop_text = match stop {
-        StopRule::FixedReps(n) => format!("fixed:{n}"),
+    let mut out = String::with_capacity(768);
+    // Formatting into a `String` cannot fail.
+    let _ = write_point(&mut out, cfg, seed, stop, min_reps, max_reps);
+    out
+}
+
+fn write_point(
+    out: &mut String,
+    cfg: &SimConfig,
+    seed: u64,
+    stop: &StopRule,
+    min_reps: usize,
+    max_reps: usize,
+) -> fmt::Result {
+    writeln!(out, "schema={CACHE_SCHEMA_VERSION}")?;
+    write_config(out, cfg)?;
+    writeln!(out, "seed={seed}")?;
+    match stop {
+        StopRule::FixedReps(n) => writeln!(out, "stop=fixed:{n}"),
         StopRule::CiWidth(target) => {
-            format!("ci:target={},min={min_reps},max={max_reps}", f(*target))
+            writeln!(
+                out,
+                "stop=ci:target={target:?},min={min_reps},max={max_reps}"
+            )
         }
-        StopRule::BatchMeans { batch_size } => format!("batch:size={batch_size}"),
-    };
-    format!(
-        "schema={CACHE_SCHEMA_VERSION}\n{}seed={seed}\nstop={stop_text}\n",
-        canonical_config(cfg)
-    )
+        StopRule::BatchMeans { batch_size } => writeln!(out, "stop=batch:size={batch_size}"),
+    }
 }
 
 /// 64-bit FNV-1a over `text` from the given offset basis.
@@ -257,331 +236,407 @@ pub fn point_key_of(canonical: &str) -> String {
 // ---------------------------------------------------------------------
 // MultiRun (de)serialization
 // ---------------------------------------------------------------------
+//
+// A cache file is a sequence of lines, each a tag followed by
+// space-separated fields and a `\n`: integers in decimal, floats as the
+// 16 lowercase hex digits of their bits. `Encoder` writes it and
+// `Cursor` reads it back, method for method, so the two halves below
+// mirror each other line for line.
 
-fn hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
+/// Appends cache file lines to one `String`, with no temporaries.
+struct Encoder {
+    out: String,
 }
 
-fn push_welford(out: &mut String, name: &str, w: &Welford) {
-    let (count, mean, m2, min, max) = w.to_parts();
-    out.push_str(&format!(
-        "{name} {count} {} {} {} {}\n",
-        hex(mean),
-        hex(m2),
-        hex(min),
-        hex(max)
-    ));
-}
-
-fn push_hist(out: &mut String, name: &str, h: &Histogram) {
-    let (bin_width, bins, overflow, count) = h.to_parts();
-    out.push_str(&format!("{name} {} {overflow} {count}", hex(bin_width)));
-    for b in bins {
-        out.push_str(&format!(" {b}"));
+impl Encoder {
+    /// Starts a line with its tag.
+    fn tag(&mut self, tag: &str) -> &mut Encoder {
+        self.out.push_str(tag);
+        self
     }
-    out.push('\n');
+
+    /// Appends ` N` in decimal.
+    fn u64(&mut self, x: u64) -> &mut Encoder {
+        // Most histogram bins are single digits, most of them 0.
+        if x < 10 {
+            self.out.push(' ');
+            self.out.push(char::from(b'0' + x as u8));
+        } else {
+            // Formatting into a `String` cannot fail.
+            let _ = write!(self.out, " {x}");
+        }
+        self
+    }
+
+    /// Appends ` X`: the 16 lowercase hex digits of `x`'s bits.
+    fn f64(&mut self, x: f64) -> &mut Encoder {
+        // Formatting into a `String` cannot fail.
+        let _ = write!(self.out, " {:016x}", x.to_bits());
+        self
+    }
+
+    fn miss(&mut self, counter: &MissCounter) -> &mut Encoder {
+        self.u64(counter.missed()).u64(counter.total())
+    }
+
+    fn welford(&mut self, w: &Welford) -> &mut Encoder {
+        let (count, mean, m2, min, max) = w.to_parts();
+        self.u64(count).f64(mean).f64(m2).f64(min).f64(max)
+    }
+
+    fn hist(&mut self, h: &Histogram) -> &mut Encoder {
+        let (bin_width, bins, overflow, count) = h.to_parts();
+        self.f64(bin_width).u64(overflow).u64(count);
+        for &bin in bins {
+            self.u64(bin);
+        }
+        self
+    }
+
+    /// Ends the line.
+    fn end(&mut self) {
+        self.out.push('\n');
+    }
 }
 
 /// Serializes a [`MultiRun`] (with its canonical preimage) into the
 /// cache file text. Every float is stored as its exact bit pattern.
 pub fn serialize_multi_run(preimage: &str, multi: &MultiRun) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str(&format!(
-        "sda-point-cache {CACHE_SCHEMA_VERSION}\npreimage {}\n",
-        preimage.lines().count()
-    ));
-    out.push_str(preimage);
-    out.push_str("payload\n");
+    let mut e = Encoder {
+        out: String::with_capacity(preimage.len() + 64 + 5_120 * multi.runs().len()),
+    };
+    e.tag("sda-point-cache")
+        .u64(u64::from(CACHE_SCHEMA_VERSION))
+        .end();
+    e.tag("preimage").u64(preimage.lines().count() as u64).end();
+    e.out.push_str(preimage);
+    e.tag("payload").end();
     match multi.batch_means() {
-        None => out.push_str("batch none\n"),
-        Some(b) => out.push_str(&format!(
-            "batch {} {} {} {} {} {}\n",
-            hex(b.md_local.mean),
-            hex(b.md_local.half_width),
-            hex(b.md_global.mean),
-            hex(b.md_global.half_width),
-            b.batches.0,
-            b.batches.1
-        )),
+        None => e.tag("batch none").end(),
+        Some(b) => e
+            .tag("batch")
+            .f64(b.md_local.mean)
+            .f64(b.md_local.half_width)
+            .f64(b.md_global.mean)
+            .f64(b.md_global.half_width)
+            .u64(b.batches.0 as u64)
+            .u64(b.batches.1 as u64)
+            .end(),
     }
-    out.push_str(&format!("runs {}\n", multi.runs().len()));
+    e.tag("runs").u64(multi.runs().len() as u64).end();
     for run in multi.runs() {
         let m = &run.metrics;
-        out.push_str(&format!(
-            "run {} {} {} {}\n",
-            run.seed,
-            run.events,
-            hex(run.duration),
-            hex(run.wall_secs)
-        ));
-        out.push_str(&format!(
-            "local_md {} {}\n",
-            m.local_md.missed(),
-            m.local_md.total()
-        ));
-        out.push_str(&format!(
-            "subtask_md {} {}\n",
-            m.subtask_md.missed(),
-            m.subtask_md.total()
-        ));
-        out.push_str(&format!("global_md {}", m.global_md.len()));
-        for (n, counter) in &m.global_md {
-            out.push_str(&format!(" {n} {} {}", counter.missed(), counter.total()));
+        e.tag("run")
+            .u64(run.seed)
+            .u64(run.events)
+            .f64(run.duration)
+            .f64(run.wall_secs)
+            .end();
+        e.tag("local_md").miss(&m.local_md).end();
+        e.tag("subtask_md").miss(&m.subtask_md).end();
+        e.tag("global_md").u64(m.global_md.len() as u64);
+        for (&n, counter) in &m.global_md {
+            e.u64(u64::from(n)).miss(counter);
         }
-        out.push('\n');
-        out.push_str(&format!(
-            "missed_work {} {}\n",
-            hex(m.missed_work.missed_amount()),
-            hex(m.missed_work.total())
-        ));
-        push_welford(&mut out, "local_response", &m.local_response);
-        push_welford(&mut out, "global_response", &m.global_response);
-        push_welford(&mut out, "local_tardiness", &m.local_tardiness);
-        push_welford(&mut out, "global_tardiness", &m.global_tardiness);
-        push_hist(&mut out, "local_hist", &m.local_response_hist);
-        push_hist(&mut out, "global_hist", &m.global_response_hist);
-        out.push_str(&format!(
-            "counters {} {} {} {} {}\n",
-            m.aborted_locals,
-            m.aborted_globals,
-            m.local_scheduler_aborts,
-            m.resubmissions,
-            m.preemptions
-        ));
-        out.push_str(&format!(
-            "fault_counters {} {} {} {} {}\n",
-            m.node_crashes, m.crash_aborts, m.crash_requeues, m.straggler_inflations, m.comm_delays
-        ));
-        out.push_str(&format!("nodes {}\n", run.node_stats.len()));
+        e.end();
+        e.tag("missed_work")
+            .f64(m.missed_work.missed_amount())
+            .f64(m.missed_work.total())
+            .end();
+        e.tag("local_response").welford(&m.local_response).end();
+        e.tag("global_response").welford(&m.global_response).end();
+        e.tag("local_tardiness").welford(&m.local_tardiness).end();
+        e.tag("global_tardiness").welford(&m.global_tardiness).end();
+        e.tag("local_hist").hist(&m.local_response_hist).end();
+        e.tag("global_hist").hist(&m.global_response_hist).end();
+        e.tag("counters")
+            .u64(m.aborted_locals)
+            .u64(m.aborted_globals)
+            .u64(m.local_scheduler_aborts)
+            .u64(m.resubmissions)
+            .u64(m.preemptions)
+            .end();
+        e.tag("fault_counters")
+            .u64(m.node_crashes)
+            .u64(m.crash_aborts)
+            .u64(m.crash_requeues)
+            .u64(m.straggler_inflations)
+            .u64(m.comm_delays)
+            .end();
+        e.tag("nodes").u64(run.node_stats.len() as u64).end();
         for node in &run.node_stats {
-            let local = node.local_counter();
             let (area, last_time, last_value, start) = node.queue_stats().to_parts();
-            out.push_str(&format!(
-                "node {} {} {} {} {} {} {} {}\n",
-                hex(node.busy()),
-                node.served(),
-                local.missed(),
-                local.total(),
-                hex(area),
-                hex(last_time.value()),
-                hex(last_value),
-                hex(start.value())
-            ));
+            e.tag("node")
+                .f64(node.busy())
+                .u64(node.served())
+                .miss(node.local_counter())
+                .f64(area)
+                .f64(last_time.value())
+                .f64(last_value)
+                .f64(start.value())
+                .end();
         }
     }
-    out
+    e.out
 }
 
-/// A token-stream reader over the cache file text; every accessor
-/// returns `None` on any mismatch, so malformed input parses to a miss.
-struct Reader<'a> {
-    lines: std::str::Lines<'a>,
+/// A forward cursor over cache file text, decoding it in one pass. Each
+/// accessor consumes exactly the canonical encoding of its value and
+/// returns `None` on anything else, so malformed input reads as a miss.
+/// (Call arguments, tuple, array and struct fields evaluate left to
+/// right, so `(c.u64()?, c.f64()?)` reads two fields in line order.)
+struct Cursor<'a> {
+    rest: &'a [u8],
 }
 
-impl<'a> Reader<'a> {
-    fn tagged(&mut self, tag: &str) -> Option<Vec<&'a str>> {
-        let line = self.lines.next()?;
-        let mut tokens = line.split_ascii_whitespace();
-        if tokens.next()? != tag {
+impl Cursor<'_> {
+    /// Consumes `literal` exactly.
+    fn eat(&mut self, literal: &str) -> Option<()> {
+        self.rest = self.rest.strip_prefix(literal.as_bytes())?;
+        Some(())
+    }
+
+    /// Reads one line: its tag, the fields `fields` consumes, and the
+    /// line end.
+    fn line<T>(&mut self, tag: &str, fields: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        self.eat(tag)?;
+        let value = fields(self)?;
+        self.eat("\n")?;
+        Some(value)
+    }
+
+    /// Reads a `tag N` line announcing `N` items to follow. A count the
+    /// rest of the text could not hold is rejected before anything is
+    /// allocated for it.
+    fn count(&mut self, tag: &str) -> Option<usize> {
+        let n = self.line(tag, Self::u64)?;
+        usize::try_from(n).ok().filter(|&n| n <= self.rest.len())
+    }
+
+    /// ` N`: a decimal `u64` with no sign and no leading zeros. A `0` is
+    /// a whole field: of `05` the `5` is left over, and the next read
+    /// rejects it, since every field starts with a space and every line
+    /// ends with `\n`.
+    fn u64(&mut self) -> Option<u64> {
+        let [b' ', first @ b'0'..=b'9', ref rest @ ..] = *self.rest else {
+            return None;
+        };
+        let (mut value, mut rest) = (u64::from(first - b'0'), rest);
+        if value != 0 {
+            while let [d @ b'0'..=b'9', ref tail @ ..] = *rest {
+                value = value.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+                rest = tail;
+            }
+        }
+        self.rest = rest;
+        Some(value)
+    }
+
+    fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok()
+    }
+
+    /// ` X`: an `f64` as exactly 16 lowercase hex digits of its bits.
+    fn f64(&mut self) -> Option<f64> {
+        let digits = self.rest.strip_prefix(b" ")?;
+        let (field, rest) = digits.split_at_checked(16)?;
+        let bits = field.iter().try_fold(0u64, |acc, &d| {
+            let nibble = match d {
+                b'0'..=b'9' => d - b'0',
+                b'a'..=b'f' => d - b'a' + 10,
+                _ => return None,
+            };
+            Some((acc << 4) | u64::from(nibble))
+        })?;
+        self.rest = rest;
+        Some(f64::from_bits(bits))
+    }
+
+    /// An `f64` field holding a simulated time, which cannot be NaN.
+    fn time(&mut self) -> Option<SimTime> {
+        let t = self.f64()?;
+        (!t.is_nan()).then(|| SimTime::from(t))
+    }
+
+    fn u64s<const N: usize>(&mut self) -> Option<[u64; N]> {
+        let mut values = [0; N];
+        for value in &mut values {
+            *value = self.u64()?;
+        }
+        Some(values)
+    }
+
+    /// ` missed total`, with `missed <= total`.
+    fn miss(&mut self) -> Option<MissCounter> {
+        let (missed, total) = (self.u64()?, self.u64()?);
+        (missed <= total).then(|| MissCounter::from_parts(missed, total))
+    }
+
+    /// ` K n₁ missed₁ total₁ …`: the per-class global miss counters, in
+    /// strictly ascending class order (the order a map iterates in).
+    fn classes(&mut self) -> Option<BTreeMap<u32, MissCounter>> {
+        let count = self.u64()?;
+        let mut classes = BTreeMap::new();
+        for _ in 0..count {
+            let n = u32::try_from(self.u64()?).ok()?;
+            if classes.last_key_value().is_some_and(|(&last, _)| n <= last) {
+                return None;
+            }
+            classes.insert(n, self.miss()?);
+        }
+        Some(classes)
+    }
+
+    fn welford(&mut self) -> Option<Welford> {
+        Some(Welford::from_parts(
+            self.u64()?,
+            self.f64()?,
+            self.f64()?,
+            self.f64()?,
+            self.f64()?,
+        ))
+    }
+
+    /// ` width overflow count bin…`: a histogram with a finite positive
+    /// bin width whose bins and overflow sum (without overflowing) to
+    /// its count, checked as the bins are read.
+    fn hist(&mut self) -> Option<Histogram> {
+        let (bin_width, overflow, count) = (self.f64()?, self.u64()?, self.u64()?);
+        if !(bin_width.is_finite() && bin_width > 0.0) {
             return None;
         }
-        Some(tokens.collect())
-    }
-}
-
-fn parse_u64(t: &str) -> Option<u64> {
-    t.parse().ok()
-}
-
-fn parse_f64(t: &str) -> Option<f64> {
-    u64::from_str_radix(t, 16).ok().map(f64::from_bits)
-}
-
-fn parse_welford(tokens: &[&str]) -> Option<Welford> {
-    if tokens.len() != 5 {
-        return None;
-    }
-    Some(Welford::from_parts(
-        parse_u64(tokens[0])?,
-        parse_f64(tokens[1])?,
-        parse_f64(tokens[2])?,
-        parse_f64(tokens[3])?,
-        parse_f64(tokens[4])?,
-    ))
-}
-
-fn parse_hist(tokens: &[&str]) -> Option<Histogram> {
-    if tokens.len() < 3 {
-        return None;
-    }
-    let bin_width = parse_f64(tokens[0])?;
-    let overflow = parse_u64(tokens[1])?;
-    let count = parse_u64(tokens[2])?;
-    let bins = tokens[3..]
-        .iter()
-        .map(|t| parse_u64(t))
-        .collect::<Option<Vec<u64>>>()?;
-    if bins.iter().sum::<u64>() + overflow != count {
-        return None;
-    }
-    Some(Histogram::from_parts(bin_width, bins, overflow, count))
-}
-
-fn parse_miss(missed: &str, total: &str) -> Option<MissCounter> {
-    let (missed, total) = (parse_u64(missed)?, parse_u64(total)?);
-    if missed > total {
-        return None;
-    }
-    Some(MissCounter::from_parts(missed, total))
-}
-
-/// Parses one serialized run (everything after its `run` header line).
-fn parse_run(reader: &mut Reader<'_>, header: &[&str]) -> Option<RunResult> {
-    if header.len() != 4 {
-        return None;
-    }
-    let seed = parse_u64(header[0])?;
-    let events = parse_u64(header[1])?;
-    let duration = parse_f64(header[2])?;
-    let wall_secs = parse_f64(header[3])?;
-
-    let mut metrics = Metrics::new();
-    let t = reader.tagged("local_md")?;
-    metrics.local_md = parse_miss(t.first()?, t.get(1)?)?;
-    let t = reader.tagged("subtask_md")?;
-    metrics.subtask_md = parse_miss(t.first()?, t.get(1)?)?;
-    let t = reader.tagged("global_md")?;
-    let classes = parse_u64(t.first()?)? as usize;
-    if t.len() != 1 + 3 * classes {
-        return None;
-    }
-    for c in 0..classes {
-        let n: u32 = t[1 + 3 * c].parse().ok()?;
-        metrics
-            .global_md
-            .insert(n, parse_miss(t[2 + 3 * c], t[3 + 3 * c])?);
-    }
-    let t = reader.tagged("missed_work")?;
-    metrics.missed_work = WeightedMiss::from_parts(parse_f64(t.first()?)?, parse_f64(t.get(1)?)?);
-    metrics.local_response = parse_welford(&reader.tagged("local_response")?)?;
-    metrics.global_response = parse_welford(&reader.tagged("global_response")?)?;
-    metrics.local_tardiness = parse_welford(&reader.tagged("local_tardiness")?)?;
-    metrics.global_tardiness = parse_welford(&reader.tagged("global_tardiness")?)?;
-    metrics.local_response_hist = parse_hist(&reader.tagged("local_hist")?)?;
-    metrics.global_response_hist = parse_hist(&reader.tagged("global_hist")?)?;
-    let t = reader.tagged("counters")?;
-    if t.len() != 5 {
-        return None;
-    }
-    metrics.aborted_locals = parse_u64(t[0])?;
-    metrics.aborted_globals = parse_u64(t[1])?;
-    metrics.local_scheduler_aborts = parse_u64(t[2])?;
-    metrics.resubmissions = parse_u64(t[3])?;
-    metrics.preemptions = parse_u64(t[4])?;
-    let t = reader.tagged("fault_counters")?;
-    if t.len() != 5 {
-        return None;
-    }
-    metrics.node_crashes = parse_u64(t[0])?;
-    metrics.crash_aborts = parse_u64(t[1])?;
-    metrics.crash_requeues = parse_u64(t[2])?;
-    metrics.straggler_inflations = parse_u64(t[3])?;
-    metrics.comm_delays = parse_u64(t[4])?;
-
-    let t = reader.tagged("nodes")?;
-    let node_count = parse_u64(t.first()?)? as usize;
-    let mut node_stats = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
-        let t = reader.tagged("node")?;
-        if t.len() != 8 {
-            return None;
+        let mut bins = Vec::new();
+        let mut sum = overflow;
+        while self.rest.first() == Some(&b' ') {
+            let bin = self.u64()?;
+            sum = sum.checked_add(bin)?;
+            bins.push(bin);
         }
-        let queue = TimeWeighted::from_parts(
-            parse_f64(t[4])?,
-            SimTime::from(parse_f64(t[5])?),
-            parse_f64(t[6])?,
-            SimTime::from(parse_f64(t[7])?),
-        );
-        node_stats.push(NodeStats::from_parts(
-            parse_f64(t[0])?,
-            parse_u64(t[1])?,
-            parse_miss(t[2], t[3])?,
-            queue,
-        ));
+        (sum == count).then(|| Histogram::from_parts(bin_width, bins, overflow, count))
     }
-    // `busy` and `mean_queue_len` are derived from the node accumulators
-    // exactly as the runner derives them after a live run, so a cache
-    // hit reproduces them bit-for-bit.
-    let busy = node_stats.iter().map(NodeStats::busy).collect();
-    let mean_queue_len = node_stats
-        .iter()
-        .map(|s| s.mean_queue_len(SimTime::from(duration)))
-        .collect();
-    Some(RunResult {
-        metrics,
-        events,
-        busy,
-        mean_queue_len,
-        node_stats,
-        duration,
-        seed,
-        wall_secs,
-    })
+
+    /// ` busy served missed total area last_time last_value start`.
+    fn node(&mut self) -> Option<NodeStats> {
+        let (busy, served, local) = (self.f64()?, self.u64()?, self.miss()?);
+        let queue = TimeWeighted::from_parts(self.f64()?, self.time()?, self.f64()?, self.time()?);
+        Some(NodeStats::from_parts(busy, served, local, queue))
+    }
+
+    /// One serialized run, from its `run` line through its last `node`.
+    fn run(&mut self) -> Option<RunResult> {
+        let (seed, events, duration, wall_secs) =
+            self.line("run", |c| Some((c.u64()?, c.u64()?, c.time()?, c.f64()?)))?;
+        let local_md = self.line("local_md", Self::miss)?;
+        let subtask_md = self.line("subtask_md", Self::miss)?;
+        let global_md = self.line("global_md", Self::classes)?;
+        let missed_work = self.line("missed_work", |c| {
+            Some(WeightedMiss::from_parts(c.f64()?, c.f64()?))
+        })?;
+        let local_response = self.line("local_response", Self::welford)?;
+        let global_response = self.line("global_response", Self::welford)?;
+        let local_tardiness = self.line("local_tardiness", Self::welford)?;
+        let global_tardiness = self.line("global_tardiness", Self::welford)?;
+        let local_response_hist = self.line("local_hist", Self::hist)?;
+        let global_response_hist = self.line("global_hist", Self::hist)?;
+        let [aborted_locals, aborted_globals, local_scheduler_aborts, resubmissions, preemptions] =
+            self.line("counters", Self::u64s)?;
+        let [node_crashes, crash_aborts, crash_requeues, straggler_inflations, comm_delays] =
+            self.line("fault_counters", Self::u64s)?;
+        let nodes = self.count("nodes")?;
+        let mut node_stats = Vec::with_capacity(nodes);
+        for _ in 0..nodes {
+            node_stats.push(self.line("node", Self::node)?);
+        }
+        // `busy` and `mean_queue_len` are derived from the node
+        // accumulators exactly as the runner derives them after a live
+        // run, so a cache hit reproduces them bit-for-bit.
+        let busy = node_stats.iter().map(NodeStats::busy).collect();
+        let mean_queue_len = node_stats
+            .iter()
+            .map(|s| s.mean_queue_len(duration))
+            .collect();
+        Some(RunResult {
+            metrics: Metrics {
+                local_md,
+                subtask_md,
+                global_md,
+                missed_work,
+                local_response,
+                global_response,
+                local_response_hist,
+                global_response_hist,
+                local_tardiness,
+                global_tardiness,
+                aborted_locals,
+                aborted_globals,
+                local_scheduler_aborts,
+                resubmissions,
+                preemptions,
+                node_crashes,
+                crash_aborts,
+                crash_requeues,
+                straggler_inflations,
+                comm_delays,
+            },
+            events,
+            busy,
+            mean_queue_len,
+            node_stats,
+            duration: duration.value(),
+            seed,
+            wall_secs,
+        })
+    }
 }
 
 /// Parses a cache file back into a [`MultiRun`], verifying that the
 /// stored preimage matches `expected_preimage` exactly. Returns `None` —
 /// a cache miss — on any format mismatch, version skew, or preimage
 /// disagreement (hash collision or corruption).
+///
+/// Only the canonical encoding is accepted — the exact bytes
+/// [`serialize_multi_run`] writes for the decoded value: single spaces,
+/// exact field counts, integers without sign or leading zeros, floats
+/// as 16 lowercase hex digits, classes in ascending order, nothing after
+/// the last line. Values the result types cannot hold (a NaN time, a
+/// histogram that does not add up) are rejected too, so no input makes
+/// the decoder panic.
 pub fn parse_multi_run(text: &str, expected_preimage: &str) -> Option<MultiRun> {
-    let mut reader = Reader {
-        lines: text.lines(),
+    let mut c = Cursor {
+        rest: text.as_bytes(),
     };
-    let t = reader.tagged("sda-point-cache")?;
-    if t != [CACHE_SCHEMA_VERSION.to_string().as_str()] {
+    if c.line("sda-point-cache", Cursor::u64)? != u64::from(CACHE_SCHEMA_VERSION)
+        || c.line("preimage", Cursor::u64)? != expected_preimage.lines().count() as u64
+    {
         return None;
     }
-    let t = reader.tagged("preimage")?;
-    let preimage_lines = parse_u64(t.first()?)? as usize;
-    for expected in expected_preimage.lines() {
-        if preimage_lines == 0 || reader.lines.next()? != expected {
-            return None;
-        }
-    }
-    if expected_preimage.lines().count() != preimage_lines {
-        return None;
-    }
-    if reader.tagged("payload")?.is_empty() {
-        let batch_tokens = reader.tagged("batch")?;
-        let batch = match batch_tokens.as_slice() {
-            ["none"] => None,
-            [a, b, c, d, e, g] => Some(BatchEstimates {
+    c.eat(expected_preimage)?;
+    c.eat("payload\n")?;
+    let batch = match c.eat("batch none\n") {
+        Some(()) => None,
+        None => Some(c.line("batch", |c| {
+            Some(BatchEstimates {
                 md_local: Estimate {
-                    mean: parse_f64(a)?,
-                    half_width: parse_f64(b)?,
+                    mean: c.f64()?,
+                    half_width: c.f64()?,
                 },
                 md_global: Estimate {
-                    mean: parse_f64(c)?,
-                    half_width: parse_f64(d)?,
+                    mean: c.f64()?,
+                    half_width: c.f64()?,
                 },
-                batches: (parse_u64(e)? as usize, parse_u64(g)? as usize),
-            }),
-            _ => return None,
-        };
-        let t = reader.tagged("runs")?;
-        let count = parse_u64(t.first()?)? as usize;
-        if count == 0 {
-            return None;
-        }
-        let mut runs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let header = reader.tagged("run")?;
-            runs.push(parse_run(&mut reader, &header)?);
-        }
-        Some(MultiRun::from_parts(runs, batch))
-    } else {
-        None
+                batches: (c.usize()?, c.usize()?),
+            })
+        })?),
+    };
+    let count = c.count("runs")?;
+    if count == 0 {
+        return None;
     }
+    let mut runs = Vec::with_capacity(count);
+    for _ in 0..count {
+        runs.push(c.run()?);
+    }
+    c.rest.is_empty().then(|| MultiRun::from_parts(runs, batch))
 }
 
 // ---------------------------------------------------------------------
