@@ -44,6 +44,46 @@ fn calendar_churn(c: &mut Criterion) {
     group.finish();
 }
 
+/// Hold-model churn with a process-manager-style timer: each step also
+/// schedules one far-future timer and cancels the previous one, so
+/// cancelled entries pile up behind the live events until the clock
+/// reaches them — the large-calendar case a sorted structure handles
+/// worst.
+fn calendar_churn_tombstones(c: &mut Criterion) {
+    let mut group = c.benchmark_group("calendar_churn_tombstones");
+    for pending in [64usize, 1024, 16_384] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(pending),
+            &pending,
+            |b, &pending| {
+                let mut rng = Rng::seed_from(1);
+                let exp = Exp::new(1.0);
+                b.iter_batched(
+                    || {
+                        let mut cal = Calendar::new();
+                        for i in 0..pending {
+                            cal.schedule(SimTime::from(i as f64), i);
+                        }
+                        let timer = cal.schedule(SimTime::from(1e9), usize::MAX);
+                        (cal, timer)
+                    },
+                    |(mut cal, mut timer)| {
+                        for _ in 0..pending {
+                            let (t, e) = cal.pop().expect("pending events");
+                            cal.schedule(t + exp.sample(&mut rng), e);
+                            cal.cancel(timer);
+                            timer = cal.schedule(t + 1e6, usize::MAX);
+                        }
+                        black_box(cal.len());
+                    },
+                    BatchSize::SmallInput,
+                );
+            },
+        );
+    }
+    group.finish();
+}
+
 fn calendar_cancellation(c: &mut Criterion) {
     c.bench_function("calendar_cancel_half", |b| {
         b.iter_batched(
@@ -151,6 +191,7 @@ fn rng_and_distributions(c: &mut Criterion) {
 criterion_group!(
     benches,
     calendar_churn,
+    calendar_churn_tombstones,
     calendar_cancellation,
     mm1_model,
     rng_and_distributions

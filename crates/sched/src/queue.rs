@@ -215,7 +215,8 @@ impl<T> ReadyQueue<T> {
     /// # Panics
     ///
     /// Panics if `task.service_estimate` is NaN (it would poison the SJF
-    /// order).
+    /// order), or if the policy's rank is NaN: under LLF, an infinite
+    /// deadline with an estimate of the same infinity.
     pub fn push(&mut self, task: QueuedTask<T>) {
         self.push_with(None, task);
     }
@@ -244,6 +245,15 @@ impl<T> ReadyQueue<T> {
             Policy::Sjf => task.service_estimate,
             Policy::Llf => task.deadline.value() - task.service_estimate,
         };
+        // Checked here, not at the next comparison: LLF's difference is
+        // NaN for an infinite deadline and an equally infinite estimate.
+        assert!(
+            !rank.is_nan(),
+            "ReadyQueue::push: {} rank must not be NaN (deadline {}, service estimate {})",
+            self.policy,
+            task.deadline,
+            task.service_estimate
+        );
         let state = Slot {
             seq,
             deadline: task.deadline,
@@ -682,6 +692,25 @@ mod tests {
     fn nan_service_estimate_rejected() {
         let mut q = ReadyQueue::new(Policy::Sjf);
         q.push(entry(1.0, f64::NAN, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "ReadyQueue::push: LLF rank must not be NaN")]
+    fn nan_llf_rank_rejected_at_the_push_that_makes_it() {
+        // Regression: ∞ − ∞ used to be accepted here and panic in the
+        // heap comparison of the *next* push instead.
+        let mut q = ReadyQueue::new(Policy::Llf);
+        q.push(QueuedTask::new(SimTime::INFINITY, f64::INFINITY, 1u32));
+    }
+
+    #[test]
+    fn infinite_deadlines_with_finite_estimates_are_ranked() {
+        let mut q = ReadyQueue::new(Policy::Llf);
+        q.push(QueuedTask::new(SimTime::INFINITY, 1.0, 1u32));
+        q.push(entry(5.0, f64::INFINITY, 2));
+        q.push(entry(5.0, 1.0, 3));
+        let order: Vec<u32> = q.drain_in_order().into_iter().map(|e| e.item).collect();
+        assert_eq!(order, vec![2, 3, 1], "laxities -inf, 4, +inf");
     }
 
     #[test]

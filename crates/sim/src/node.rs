@@ -142,13 +142,19 @@ impl Node {
         self.queue.len() + usize::from(self.current.is_some())
     }
 
-    /// Puts `job` into the ready queue under its id, so abortion can
-    /// remove it in O(1) ([`ReadyQueue::remove_key`]).
+    /// Puts `job` into the ready queue. Unkeyed: abortion, the only
+    /// caller that pulls a job out of the middle, finds it by id with
+    /// [`Node::remove_job`], which keeps a hash-map update off every push
+    /// and pop.
     pub fn enqueue(&mut self, presented_dl: SimTime, service_estimate: f64, job: Job) {
-        self.queue.push_keyed(
-            job.id(),
-            QueuedTask::new(presented_dl, service_estimate, job),
-        );
+        self.queue
+            .push(QueuedTask::new(presented_dl, service_estimate, job));
+    }
+
+    /// Removes the waiting job `job_id` from the ready queue, scanning it
+    /// (O(queue depth); runs only on abortion).
+    pub fn remove_job(&mut self, job_id: u64) -> Option<QueuedTask<Job>> {
+        self.queue.remove_by(|job| job.id() == job_id)
     }
 
     /// Detaches the job in service, crediting its busy time to the node.
@@ -189,7 +195,8 @@ mod tests {
         node.enqueue(SimTime::from(5.0), 1.0, job(1, 1.0));
         node.enqueue(SimTime::from(6.0), 1.0, job(2, 1.0));
         assert_eq!(node.backlog(), 2);
-        assert!(node.queue.remove_key(1).is_some(), "keyed removal works");
+        assert!(node.remove_job(1).is_some(), "removal by id works");
+        assert!(node.remove_job(1).is_none(), "the job is gone");
         assert_eq!(node.backlog(), 1);
     }
 

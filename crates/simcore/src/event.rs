@@ -4,18 +4,29 @@
 //!
 //! * events pop in non-decreasing time order;
 //! * events scheduled for the *same* time pop in FIFO (insertion) order, so
-//!   runs are deterministic regardless of heap internals;
+//!   runs are deterministic regardless of the queue's internals;
 //! * any pending event can be cancelled in O(1) via its [`EventHandle`]
 //!   (used for the process-manager abort timers of §7.3, which are
 //!   cancelled when the task completes on time).
 //!
+//! Each pending entry is one `u128` key that orders exactly as
+//! `(time, seq)` does: the time mapped to an order-preserving `u64` in the
+//! high half, the sequence number and the payload's slot in the low half.
+//! Ordering entries is then one integer comparison. The keys live in two
+//! levels: a short ascending run holding the earliest entries, popped by
+//! advancing a cursor, and a binary min-heap holding the rest. Every entry
+//! in the run is earlier than every entry in the heap, so the run's first
+//! entry is the calendar's earliest, and the run is refilled from the heap
+//! when it empties. A calendar of a few dozen pending events never leaves
+//! the run; a large one costs O(log n) per operation, like a plain heap.
+//!
 //! Cancellation bookkeeping is a slab of per-slot states indexed directly
-//! by a slot number carried in both the handle and the heap entry — no
-//! hashing on the hot path. Freed slots go on a free list, so the slab is
-//! bounded by the maximum number of *concurrently* pending events and the
+//! by the slot number carried in both the handle and the key — no hashing
+//! on the hot path. Freed slots go on a free list, so the slab is bounded
+//! by the maximum number of *concurrently* pending events and the
 //! steady-state schedule/pop cycle allocates nothing.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -23,6 +34,23 @@ use crate::time::SimTime;
 /// Marks a slab slot as free: no live handle can match it, because
 /// sequence numbers are issued counting up from zero.
 const SEQ_FREE: u64 = u64::MAX;
+
+/// Bits of a key's low half that hold the slot; the sequence number takes
+/// the other 40.
+const SLOT_BITS: u32 = 24;
+
+/// Sequence numbers must fit in the key's low half above the slot.
+const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
+
+/// Slot numbers must fit in [`SLOT_BITS`].
+const SLOT_LIMIT: usize = 1 << SLOT_BITS;
+
+/// Most entries the sorted run holds.
+const RUN_CAP: usize = 64;
+
+/// Length the run's vector may reach, popped prefix included, before the
+/// prefix is reclaimed.
+const RUN_SPAN: usize = 2 * RUN_CAP;
 
 /// An opaque handle to a scheduled event, used for cancellation.
 ///
@@ -43,45 +71,51 @@ impl EventHandle {
     }
 }
 
-/// One calendar entry: just the ordering key plus the slot holding the
-/// payload. Keeping entries small (24 bytes regardless of the event type)
-/// keeps heap sift operations cheap. Ordered by (time, seq) so the
-/// `BinaryHeap` (a max-heap wrapped by reversing the order) pops
-/// earliest-first with FIFO tie-breaking.
-struct Entry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+/// Maps a time to a `u64` whose unsigned order is the time's order: the
+/// sign-flip transform of the IEEE-754 bits (set the sign bit of a
+/// non-negative value, invert every bit of a negative one). `-0.0` is
+/// folded onto `+0.0` first, because the two compare equal and must tie.
+/// Times are never NaN, so the order is total.
+#[inline]
+fn time_key(time: SimTime) -> u64 {
+    let value = time.value();
+    let bits = if value == 0.0 { 0 } else { value.to_bits() };
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Inverts [`time_key`]; a time scheduled as `-0.0` comes back as `+0.0`,
+/// which it equals.
+#[inline]
+fn key_time(key: u128) -> SimTime {
+    let key = (key >> 64) as u64;
+    let bits = if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    };
+    SimTime::new(f64::from_bits(bits))
 }
 
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest time (and
-        // the lowest sequence number within a time) at the top.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// Packs an entry into one key ordered as `(time, seq)`; `slot` only
+/// rides along, since `seq` is unique.
+#[inline]
+fn pack(time: SimTime, seq: u64, slot: u32) -> u128 {
+    (u128::from(time_key(time)) << 64) | u128::from(seq << SLOT_BITS | u64::from(slot))
+}
+
+/// The slot an entry's payload lives in.
+#[inline]
+fn key_slot(key: u128) -> usize {
+    (key as u64 & ((1 << SLOT_BITS) - 1)) as usize
 }
 
 /// Per-slot state: the event payload plus cancellation bookkeeping. `seq`
 /// is the generation stamp of the occupying entry ([`SEQ_FREE`] when the
-/// slot is on the free list); a cancelled slot (its heap entry is a
+/// slot is on the free list); a cancelled slot (its key is a
 /// not-yet-purged tombstone) has `event == None` — the payload is dropped
 /// eagerly at cancellation.
 struct Slot<E> {
@@ -104,10 +138,17 @@ struct Slot<E> {
 /// assert!(cal.pop().is_none());
 /// ```
 pub struct Calendar<E> {
-    heap: BinaryHeap<Entry>,
+    /// The earliest keys in ascending order, `run[head..]`: at most
+    /// [`RUN_CAP`], each earlier than every key in `heap`. `run[..head]`
+    /// has been popped already.
+    run: Vec<u128>,
+    /// Index of the run's earliest key, the next to pop.
+    head: usize,
+    /// Every later key.
+    heap: BinaryHeap<Reverse<u128>>,
     next_seq: u64,
-    /// Slot slab: one entry per heap entry (live or tombstoned), reused
-    /// via `free`. Direct indexing replaces the hash-set lookups a lazy-
+    /// Slot slab: one entry per key (live or tombstoned), reused via
+    /// `free`. Direct indexing replaces the hash-set lookups a lazy-
     /// deletion calendar otherwise pays on every schedule/cancel/pop.
     slots: Vec<Slot<E>>,
     /// Freed slot indices awaiting reuse.
@@ -120,6 +161,9 @@ impl<E> Calendar<E> {
     /// Creates an empty calendar.
     pub fn new() -> Calendar<E> {
         Calendar {
+            // Full size at once: growing it mid-run would copy it.
+            run: Vec::with_capacity(RUN_SPAN),
+            head: 0,
             heap: BinaryHeap::new(),
             next_seq: 0,
             slots: Vec::new(),
@@ -130,8 +174,14 @@ impl<E> Calendar<E> {
 
     /// Schedules `event` at absolute time `time`; returns a handle that can
     /// cancel it while it is still pending.
+    ///
+    /// # Panics
+    ///
+    /// Panics after 2^40 events, or with 2^24 events pending at once: the
+    /// key has no room for larger sequence or slot numbers.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
         let seq = self.next_seq;
+        assert!(seq < SEQ_LIMIT, "calendar sequence numbers exhausted");
         self.next_seq += 1;
         let state = Slot {
             seq,
@@ -143,13 +193,88 @@ impl<E> Calendar<E> {
                 slot
             }
             None => {
+                assert!(self.slots.len() < SLOT_LIMIT, "too many pending events");
                 self.slots.push(state);
                 (self.slots.len() - 1) as u32
             }
         };
-        self.heap.push(Entry { time, seq, slot });
+        self.insert(pack(time, seq, slot));
         self.live += 1;
         EventHandle { slot, seq }
+    }
+
+    /// Files a newly scheduled `key` in the run if it precedes the heap,
+    /// else in the heap.
+    fn insert(&mut self, key: u128) {
+        if let Some(&Reverse(first)) = self.heap.peek() {
+            if key > first {
+                self.heap.push(Reverse(key));
+                return;
+            }
+        }
+        // The keys in the run that precede `key`. Every pending key has a
+        // smaller sequence number than a new one, so a key of equal time
+        // precedes it too and comparing the times alone is exact. A
+        // branch-free count beats a binary search at this length.
+        let time = (key >> 64) as u64;
+        let mut at = self.head
+            + self.run[self.head..]
+                .iter()
+                .filter(|&&k| (k >> 64) as u64 <= time)
+                .count();
+        if self.run.len() - self.head == RUN_CAP {
+            if at == self.run.len() {
+                // Later than the whole full run, earlier than the heap:
+                // the heap's new first key.
+                self.heap.push(Reverse(key));
+                return;
+            }
+            // The full run's latest key becomes the heap's first.
+            let last = self.run.pop().expect("the run is full");
+            self.heap.push(Reverse(last));
+        } else if self.run.len() == RUN_SPAN {
+            self.run.drain(..self.head);
+            at -= self.head;
+            self.head = 0;
+        }
+        self.run.insert(at, key);
+    }
+
+    /// The earliest key, live or tombstoned, refilling the run from the
+    /// heap if it is empty.
+    fn front(&mut self) -> Option<u128> {
+        if self.head == self.run.len() {
+            self.run.clear();
+            self.head = 0;
+            while self.run.len() < RUN_CAP {
+                match self.heap.pop() {
+                    Some(Reverse(key)) => self.run.push(key),
+                    None => break,
+                }
+            }
+        }
+        self.run.get(self.head).copied()
+    }
+
+    /// Whether the key's event is still pending (not a cancelled
+    /// tombstone).
+    #[inline]
+    fn is_live(&self, key: u128) -> bool {
+        self.slots[key_slot(key)].event.is_some()
+    }
+
+    /// Removes the front key and frees its slot, returning its event, or
+    /// `None` for a tombstone. Call after [`Calendar::front`] found one.
+    fn take_front(&mut self) -> Option<E> {
+        let slot = key_slot(self.run[self.head]);
+        self.head += 1;
+        let event = self.slots[slot].event.take();
+        self.slots[slot].seq = SEQ_FREE;
+        self.free.push(slot as u32);
+        if event.is_some() {
+            self.live -= 1;
+        }
+        event
     }
 
     /// Cancels a pending event.
@@ -172,73 +297,46 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Marks `slot` free and pushes it onto the free list. The sentinel
-    /// generation makes any outstanding handle to it a detectable no-op.
-    fn release_slot(&mut self, slot: u32) {
-        self.slots[slot as usize].seq = SEQ_FREE;
-        self.free.push(slot);
-    }
-
     /// Removes and returns the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let event = self.slots[entry.slot as usize].event.take();
-            self.release_slot(entry.slot);
-            match event {
-                Some(event) => {
-                    self.live -= 1;
-                    return Some((entry.time, event));
-                }
-                None => continue, // skip cancelled tombstones
+        loop {
+            let key = self.front()?;
+            if let Some(event) = self.take_front() {
+                return Some((key_time(key), event));
             }
         }
-        None
     }
 
     /// Removes and returns the earliest non-cancelled event, provided its
     /// time does not exceed `limit`; later events stay scheduled.
     ///
     /// Equivalent to a [`Calendar::peek_time`] bounds check followed by
-    /// [`Calendar::pop`], but touches the heap top once — the engine's
-    /// run loop calls this once per event.
+    /// [`Calendar::pop`], but finds the front once — the engine's run
+    /// loop calls this once per event.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.peek() {
-            let slot = entry.slot;
-            if self.slots[slot as usize].event.is_none() {
-                // Purge a cancelled tombstone and keep looking.
-                self.heap.pop();
-                self.release_slot(slot);
-                continue;
-            }
-            if entry.time > limit {
+        let limit = time_key(limit);
+        loop {
+            let key = self.front()?;
+            if (key >> 64) as u64 > limit && self.is_live(key) {
                 return None;
             }
-            let entry = self.heap.pop().expect("peeked entry must pop");
-            let event = self.slots[entry.slot as usize]
-                .event
-                .take()
-                .expect("checked live above");
-            self.release_slot(entry.slot);
-            self.live -= 1;
-            return Some((entry.time, event));
+            if let Some(event) = self.take_front() {
+                return Some((key_time(key), event));
+            }
         }
-        None
     }
 
     /// The timestamp of the earliest pending (non-cancelled) event, without
     /// removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Purge cancelled tombstones from the top so the peek is accurate.
-        while let Some(entry) = self.heap.peek() {
-            if self.slots[entry.slot as usize].event.is_none() {
-                let slot = entry.slot;
-                self.heap.pop();
-                self.release_slot(slot);
-            } else {
-                return Some(entry.time);
+        // Purge cancelled tombstones from the front so the peek is accurate.
+        loop {
+            let key = self.front()?;
+            if self.is_live(key) {
+                return Some(key_time(key));
             }
+            self.take_front();
         }
-        None
     }
 
     /// Number of pending entries, *including* not-yet-purged cancelled ones.
@@ -246,7 +344,7 @@ impl<E> Calendar<E> {
     /// This is an upper bound on the number of live events; it is exact when
     /// nothing has been cancelled since the last pop of those entries.
     pub fn len_upper_bound(&self) -> usize {
-        self.heap.len()
+        self.run.len() - self.head + self.heap.len()
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -270,7 +368,7 @@ impl<E> std::fmt::Debug for Calendar<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Calendar")
             .field("live", &self.live)
-            .field("tombstones", &(self.heap.len() - self.live))
+            .field("tombstones", &(self.len_upper_bound() - self.live))
             .field("next_seq", &self.next_seq)
             .finish()
     }

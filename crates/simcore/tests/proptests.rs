@@ -1,10 +1,12 @@
 //! Property-based tests of the engine substrate: calendar ordering,
 //! statistics algebra, and distribution invariants.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use sda_simcore::dist::{Exp, Sample, Uniform};
-use sda_simcore::event::Calendar;
+use sda_simcore::event::{Calendar, EventHandle};
 use sda_simcore::rng::Rng;
 use sda_simcore::stats::{Histogram, Replications, Welford};
 use sda_simcore::SimTime;
@@ -160,5 +162,143 @@ proptest! {
         sorted.dedup();
         prop_assert_eq!(sorted.len(), count, "picks must be distinct");
         prop_assert!(picks.iter().all(|&p| p < population));
+    }
+}
+
+/// Schedule times: a small table, so exact ties are common, with both
+/// zeros (which must tie and stay FIFO) and both infinities.
+const TIMES: [f64; 10] = [
+    f64::NEG_INFINITY,
+    -1.5,
+    -0.0,
+    0.0,
+    0.25,
+    1.0,
+    1.0 + f64::EPSILON,
+    3.0,
+    1e300,
+    f64::INFINITY,
+];
+
+/// A time from the table or, for larger `x`, from a coarse grid that
+/// still ties often.
+fn time_of(x: usize) -> SimTime {
+    let x = x % 40;
+    SimTime::from(TIMES.get(x).copied().unwrap_or(x as f64 * 0.5 - 8.0))
+}
+
+/// The reference calendar: entries keyed by `(time, seq)` in a
+/// `BTreeMap`, whose order is by definition the one the calendar must
+/// pop in (`SimTime`'s order, with `-0.0 == +0.0`, then FIFO).
+#[derive(Default)]
+struct Model {
+    pending: BTreeMap<(SimTime, u64), usize>,
+}
+
+impl Model {
+    fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, usize)> {
+        let (&(time, seq), _) = self.pending.first_key_value()?;
+        if time > limit {
+            return None;
+        }
+        let payload = self.pending.remove(&(time, seq)).expect("first key");
+        Some((time, payload))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random interleavings of every calendar operation agree with the
+    /// reference model step for step: popped events, cancel results,
+    /// peeks and `len()`. The schedule-heavy mix grows the calendar past
+    /// the sorted run's capacity, so both levels and the refills between
+    /// them are exercised, and the final drain empties it again.
+    #[test]
+    fn calendar_matches_a_btreemap_reference(
+        ops in prop::collection::vec((0u8..100, 0usize..4096), 1..900),
+    ) {
+        let mut cal = Calendar::new();
+        let mut model = Model::default();
+        // Every handle ever issued, with its model key: cancels pick
+        // from these, so they hit live, popped, cancelled (double) and
+        // slot-reused handles alike.
+        let mut handles: Vec<(EventHandle, (SimTime, u64))> = Vec::new();
+        for (step, &(kind, x)) in ops.iter().enumerate() {
+            match kind {
+                0..=54 => {
+                    let time = time_of(x);
+                    let payload = handles.len();
+                    let handle = cal.schedule(time, payload);
+                    model.pending.insert((time, payload as u64), payload);
+                    handles.push((handle, (time, payload as u64)));
+                }
+                55..=69 if !handles.is_empty() => {
+                    let (handle, key) = handles[x % handles.len()];
+                    let expect = model.pending.remove(&key).is_some();
+                    prop_assert_eq!(cal.cancel(handle), expect, "cancel at step {}", step);
+                }
+                70..=81 => {
+                    let expect = model.pop_before(SimTime::INFINITY);
+                    prop_assert_eq!(cal.pop(), expect, "pop at step {}", step);
+                }
+                82..=93 => {
+                    let limit = if x % 5 == 0 { SimTime::INFINITY } else { time_of(x / 5) };
+                    let expect = model.pop_before(limit);
+                    prop_assert_eq!(cal.pop_before(limit), expect, "pop_before at step {}", step);
+                }
+                _ => {
+                    let expect = model.pending.first_key_value().map(|(&(t, _), _)| t);
+                    prop_assert_eq!(cal.peek_time(), expect, "peek_time at step {}", step);
+                }
+            }
+            prop_assert_eq!(cal.len(), model.pending.len(), "len after step {}", step);
+            prop_assert!(cal.len_upper_bound() >= cal.len());
+        }
+        while let Some(expect) = model.pop_before(SimTime::INFINITY) {
+            prop_assert_eq!(cal.pop(), Some(expect));
+        }
+        prop_assert_eq!(cal.pop(), None);
+        prop_assert!(cal.is_empty());
+    }
+
+    /// Timers scheduled far ahead and cancelled one step later (the
+    /// process manager's pattern) leave tombstones behind the live
+    /// events, in the run and in the heap; none of them may ever pop.
+    #[test]
+    fn cancelled_far_timers_never_pop(
+        pending in 1usize..300,
+        steps in 1usize..400,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = sda_simcore::rng::Rng::seed_from(seed);
+        let mut cal = Calendar::new();
+        let mut model = Model::default();
+        let mut seq = 0u64;
+        let mut schedule = |cal: &mut Calendar<usize>, model: &mut Model, time: SimTime| {
+            let handle = cal.schedule(time, seq as usize);
+            model.pending.insert((time, seq), seq as usize);
+            seq += 1;
+            (handle, (time, seq - 1))
+        };
+        for i in 0..pending {
+            schedule(&mut cal, &mut model, SimTime::from(i as f64));
+        }
+        let mut timer: Option<(EventHandle, (SimTime, u64))> = None;
+        for _ in 0..steps {
+            let (now, _) = model.pop_before(SimTime::INFINITY).expect("hold model");
+            prop_assert_eq!(cal.pop().map(|(t, _)| t), Some(now));
+            schedule(&mut cal, &mut model, now + rng.next_f64() * pending as f64);
+            let far = schedule(&mut cal, &mut model, now + 1e6);
+            if let Some((handle, key)) = timer.replace(far) {
+                model.pending.remove(&key);
+                prop_assert!(cal.cancel(handle));
+            }
+            prop_assert_eq!(cal.len(), model.pending.len());
+        }
+        while let Some(expect) = model.pop_before(SimTime::INFINITY) {
+            prop_assert_eq!(cal.pop(), Some(expect));
+        }
+        prop_assert_eq!(cal.pop(), None);
     }
 }
