@@ -131,6 +131,39 @@ fn decompose_prints_virtual_deadlines() {
     assert!(text.contains("virtual deadline"));
     // Last stage carries the real deadline.
     assert!(text.contains("12.000"));
+
+    // Figure 13: SDA(X, D) on the Figure 1 task graph, each subtask
+    // running exactly its pex.
+    let out = sda(&[
+        "decompose",
+        "[T1 [T2 || [T3 T4 T5]] [T6 || T7] T8]",
+        "16",
+        "EQF-DIV1",
+        "--pex",
+        "1,2,0.5,0.5,0.5,1,1.5,1",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let schedule: Vec<&str> = text.lines().filter(|l| l.starts_with("t =")).collect();
+    assert_eq!(
+        schedule,
+        [
+            "t =   0.000   T1 released, virtual deadline 2.909",
+            "t =   1.000   T2 released, virtual deadline 4.333",
+            "t =   1.000   T3 released, virtual deadline 2.111",
+            "t =   3.000   T4 released, virtual deadline 3.667",
+            "t =   3.500   T5 released, virtual deadline 4.333",
+            "t =   4.000   T6 released, virtual deadline 7.600",
+            "t =   4.000   T7 released, virtual deadline 7.600",
+            "t =   5.500   T8 released, virtual deadline 16.000",
+            "t =   6.500   complete (assuming each subtask runs exactly its pex)",
+        ],
+        "{text}"
+    );
 }
 
 #[test]

@@ -1,16 +1,23 @@
-//! Umbrella reproduction: runs every table, figure, checkpoint, ablation,
-//! and extension, printing a full report.
+//! The reproduction: runs every table, figure, checkpoint, ablation,
+//! extension, and claim check, or the ones `--only` names, printing a
+//! report.
 //!
-//! Usage: `repro [--scale quick|default|paper] [--out DIR]
-//! [--cache-dir DIR | --no-cache]`
+//! Usage: `repro [--scale quick|default|paper] [--only NAME[,NAME...]]
+//! [--plot] [--out DIR] [--cache-dir DIR | --no-cache]`
 //!
-//! With `--out DIR`, each artifact is also written to `DIR/<name>.csv`.
-//! With `--cache-dir DIR`, completed sweep points are memoized on disk,
-//! making repeated reproductions incremental.
+//! `--only` runs the named artifacts, in report order. `--plot` prints
+//! each selected figure's ASCII chart after its table. With `--out DIR`,
+//! each artifact is also written to `DIR/<name>.csv`. With
+//! `--cache-dir DIR`, completed sweep points are memoized on disk, making
+//! repeated reproductions incremental.
+//!
+//! Exits 2 on a usage error and 1 when a write fails or, once the report
+//! is out, when the `claims` artifact ran and any claim failed.
 
 use std::process::ExitCode;
 
 use sda_experiments::repro;
+use sda_experiments::run::cache_report;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,8 +26,8 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("repro: {message}");
             eprintln!(
-                "usage: repro [--scale quick|default|paper] [--out DIR] \
-                 [--cache-dir DIR | --no-cache]"
+                "usage: repro [--scale quick|default|paper] [--only NAME[,NAME...]] \
+                 [--plot] [--out DIR] [--cache-dir DIR | --no-cache]"
             );
             return ExitCode::from(2);
         }
@@ -31,9 +38,18 @@ fn main() -> ExitCode {
     }
 
     println!("# SDA reproduction report (scale: {})\n", options.scale);
-    let artifacts = repro::artifacts(options.scale);
-    for (_, table) in &artifacts {
+    let mut artifacts = Vec::new();
+    for &(name, artifact) in &repro::REGISTRY {
+        if !options.selects(name) {
+            continue;
+        }
+        eprintln!("running {name}...");
+        let (table, chart) = artifact.build(name, options.scale, options.plot);
         println!("{table}");
+        if let Some(chart) = chart {
+            println!("{chart}");
+        }
+        artifacts.push((name, table));
     }
     if let Some(dir) = &options.out {
         if let Err(message) = repro::write_csvs(dir, &artifacts) {
@@ -42,8 +58,14 @@ fn main() -> ExitCode {
         }
         eprintln!("wrote {} CSV files to {}", artifacts.len(), dir.display());
     }
-    if let Some(summary) = repro::cache_summary() {
-        eprintln!("{summary}");
+    if let Some(report) = cache_report() {
+        eprintln!("{report}");
+    }
+    if let Some((holding, total)) = repro::claim_tally(&artifacts) {
+        eprintln!("{holding} / {total} claims hold at this scale");
+        if holding < total {
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }

@@ -1,9 +1,8 @@
 //! A small ASCII line-chart renderer for terminal figure output.
 //!
-//! The paper presents its results as line plots; the `--plot` flag of the
-//! figure binaries renders the same curves on a character grid so the
-//! shape (orderings, gaps, crossovers) is visible without leaving the
-//! terminal.
+//! The paper presents its results as line plots; `repro --plot` renders
+//! the same curves on a character grid so the shape (orderings, gaps,
+//! crossovers) is visible without leaving the terminal.
 
 use std::fmt;
 

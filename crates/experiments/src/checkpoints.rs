@@ -152,7 +152,7 @@ mod tests {
     fn checkpoints_match_paper_within_tolerance() {
         // At Quick scale the CI is a couple of percentage points; the
         // paper's numbers must still be in that neighbourhood. The tight
-        // quantitative comparison runs in the `checkpoints` binary at
+        // quantitative comparison is `repro --only checkpoints` at
         // default/paper scale.
         let (_table, cps) = run(Scale::Quick);
         for c in &cps {

@@ -509,7 +509,7 @@ mod tests {
 
     // Figure-shape assertions run at Quick scale: they validate the
     // *qualitative* claims (who wins where), which are robust at 2x20k
-    // time units; the full quantitative run lives in the binaries.
+    // time units; the full quantitative run is `repro`.
 
     #[test]
     fn fig5_shapes() {

@@ -1,13 +1,12 @@
 //! # sda-experiments — the reproduction harness
 //!
-//! One function (and one binary) per table and figure of Kao &
-//! Garcia-Molina (ICDCS 1994), plus the in-text numeric checkpoints and
-//! the ablations listed in `DESIGN.md`. Each function runs the simulator
-//! at a chosen [`Scale`] and returns both the raw series (for tests and
-//! benches) and a rendered [`Table`] matching the rows/series the paper
-//! plots.
+//! One function per table and figure of Kao & Garcia-Molina (ICDCS
+//! 1994), plus the in-text numeric checkpoints and the ablations listed
+//! in `DESIGN.md`. Each function runs the simulator at a chosen [`Scale`]
+//! and returns both the raw series (for tests and benches) and a rendered
+//! [`Table`] matching the rows/series the paper plots.
 //!
-//! | Paper artifact | Function | Binary |
+//! | Paper artifact | Function | `repro --only` |
 //! |---|---|---|
 //! | Table 1 (baseline setting) | [`tables::table1`] | `table1` |
 //! | Figure 5 (UD baseline) | [`figures::fig5`] | `fig5` |
@@ -20,10 +19,13 @@
 //! | Table 2 (SSP × PSP combinations) | [`tables::table2`] | `table2` |
 //! | Figure 15 (SDA combos on Figure 14 graph) | [`figures::fig15`] | `fig15` |
 //! | §6.1/§7.3 in-text numbers | [`checkpoints::run`] | `checkpoints` |
-//! | Ablations A1–A5 | [`ablations`] | `ablation_*` |
-//! | Fault robustness F1 | [`faults::mttf_sweep`] | `faults` |
+//! | Ablations A1–A10 | [`ablations`] | `a1_local_abort` … `a10_burstiness` |
+//! | Extensions E1/E2 | [`extensions`] | `e1_stages`, `e2_slack` |
+//! | Fault robustness F1 | [`faults::mttf_sweep`] | `f1_faults` |
+//! | Reproduction claims | [`claims::validate`] | `claims` |
 //!
-//! The umbrella binary `repro` runs everything and prints a full report.
+//! The one binary, `repro`, runs every artifact of [`repro::REGISTRY`]
+//! (or the ones `--only` names) and prints a full report.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

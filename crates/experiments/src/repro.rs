@@ -1,12 +1,88 @@
-//! The umbrella reproduction as a library: the full artifact set and the
-//! `repro` binary's argument parsing, shared with the determinism test
-//! and the sweep benchmark.
+//! The reproduction as a library: the registry of every artifact the
+//! report holds and the `repro` binary's argument parsing, shared with
+//! the determinism test and the sweep benchmark.
 
 use std::path::PathBuf;
 
-use crate::run::{cache_report, install, Exec};
+use crate::figures::FigureResult;
+use crate::run::{install, Exec};
 use crate::table::Table;
 use crate::{ablations, checkpoints, claims, extensions, faults, figures, tables, Scale};
+
+/// How one registry entry builds its artifact.
+#[derive(Debug, Clone, Copy)]
+pub enum Artifact {
+    /// A table.
+    Table(fn(Scale) -> Table),
+    /// A figure, with the x-axis label of its `--plot` chart.
+    Figure(fn(Scale) -> FigureResult, &'static str),
+}
+
+impl Artifact {
+    /// Builds the artifact at `scale`. With `plot`, a figure also
+    /// renders its ASCII chart, titled `name`.
+    pub fn build(self, name: &str, scale: Scale, plot: bool) -> (Table, Option<String>) {
+        match self {
+            Artifact::Table(build) => (build(scale), None),
+            Artifact::Figure(build, x_label) => {
+                let result = build(scale);
+                let chart = plot.then(|| result.plot(name, x_label));
+                (result.table, chart)
+            }
+        }
+    }
+}
+
+/// Every artifact of the report, in report order. The names are the
+/// CSV file names `--out` writes and the names `--only` selects.
+pub const REGISTRY: [(&str, Artifact); 25] = [
+    ("table1", Artifact::Table(|_| tables::table1())),
+    ("table2", Artifact::Table(|_| tables::table2())),
+    ("fig5", Artifact::Figure(figures::fig5, "load")),
+    ("fig6", Artifact::Figure(figures::fig6, "load")),
+    ("fig7", Artifact::Figure(figures::fig7, "load")),
+    ("fig9", Artifact::Figure(figures::fig9, "x (DIV-x factor)")),
+    ("fig10", Artifact::Figure(figures::fig10, "frac_local")),
+    ("fig11", Artifact::Figure(figures::fig11, "load")),
+    (
+        "fig12",
+        Artifact::Figure(figures::fig12, "task class (0 = local, else n)"),
+    ),
+    ("fig15", Artifact::Figure(figures::fig15, "load")),
+    ("checkpoints", Artifact::Table(|s| checkpoints::run(s).0)),
+    ("a1_local_abort", Artifact::Table(ablations::local_abort)),
+    ("a2_sched", Artifact::Table(ablations::sched_policies)),
+    ("a3_ssp", Artifact::Table(ablations::ssp_family)),
+    ("a4_pex_error", Artifact::Table(ablations::pex_error)),
+    ("a5_gf_delta", Artifact::Table(ablations::gf_delta)),
+    (
+        "a6_heterogeneous",
+        Artifact::Table(ablations::heterogeneous_nodes),
+    ),
+    ("a7_preemption", Artifact::Table(ablations::preemption)),
+    (
+        "a8_service_shape",
+        Artifact::Table(ablations::service_shapes),
+    ),
+    ("a9_placement", Artifact::Table(ablations::placement)),
+    ("a10_burstiness", Artifact::Table(ablations::burstiness)),
+    (
+        "e1_stages",
+        Artifact::Table(|s| extensions::stage_sweep(s).0),
+    ),
+    (
+        "e2_slack",
+        Artifact::Table(|s| extensions::slack_sweep(s).0),
+    ),
+    ("f1_faults", Artifact::Table(|s| faults::mttf_sweep(s).0)),
+    // The claim checks re-measure cells from the figures and checkpoints
+    // above, so under the sweep engine's cache they render without
+    // simulating anything new.
+    (
+        "claims",
+        Artifact::Table(|s| claims::render(&claims::validate(s))),
+    ),
+];
 
 /// Parsed `repro` command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,6 +97,41 @@ pub struct Options {
     pub cache_dir: Option<PathBuf>,
     /// Disable result caching entirely (`--no-cache`).
     pub no_cache: bool,
+    /// The artifacts to run (`--only NAME[,NAME...]`); `None` runs all.
+    pub only: Option<Vec<&'static str>>,
+    /// Print each selected figure's ASCII chart after its table
+    /// (`--plot`).
+    pub plot: bool,
+}
+
+impl Options {
+    /// Whether the artifact `name` is selected.
+    pub fn selects(&self, name: &str) -> bool {
+        self.only.as_ref().is_none_or(|only| only.contains(&name))
+    }
+}
+
+/// Resolves a `--only` value against the registry.
+fn parse_only(value: &str) -> Result<Vec<&'static str>, String> {
+    if value.is_empty() {
+        return Err("--only needs at least one artifact name".to_string());
+    }
+    value
+        .split(',')
+        .map(|wanted| {
+            REGISTRY
+                .iter()
+                .map(|&(name, _)| name)
+                .find(|&name| name == wanted)
+                .ok_or_else(|| {
+                    let names: Vec<&str> = REGISTRY.iter().map(|&(name, _)| name).collect();
+                    format!(
+                        "unknown artifact {wanted:?} for --only; valid names: {}",
+                        names.join(", ")
+                    )
+                })
+        })
+        .collect()
 }
 
 /// Parses the `repro` argument list.
@@ -28,14 +139,16 @@ pub struct Options {
 /// # Errors
 ///
 /// Returns a message naming the offending flag: a flag missing its
-/// value, an unknown scale, `--cache-dir` combined with `--no-cache`, or
-/// an unrecognized argument.
+/// value, an unknown scale or artifact name, `--cache-dir` combined with
+/// `--no-cache`, or an unrecognized argument.
 pub fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         scale: Scale::Default,
         out: None,
         cache_dir: None,
         no_cache: false,
+        only: None,
+        plot: false,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -53,9 +166,16 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 ));
             }
             "--no-cache" => options.no_cache = true,
+            "--only" => {
+                let value = iter.next().ok_or("--only needs a value")?;
+                options
+                    .only
+                    .get_or_insert_with(Vec::new)
+                    .extend(parse_only(value)?);
+            }
+            "--plot" => options.plot = true,
             other => {
-                // Bare scale names are accepted for parity with the other
-                // experiment binaries (`repro quick`).
+                // A bare scale name is shorthand for `--scale` (`repro quick`).
                 options.scale =
                     Scale::parse(other).map_err(|_| format!("unrecognized argument {other:?}"))?;
             }
@@ -85,63 +205,12 @@ pub fn install_exec(options: &Options) -> std::io::Result<()> {
 }
 
 /// Runs every table, figure, checkpoint, ablation, and extension at the
-/// given scale, returning the named artifacts in report order. Progress
-/// goes to stderr so stdout stays a clean report.
+/// given scale, returning the named artifacts in report order.
 pub fn artifacts(scale: Scale) -> Vec<(&'static str, Table)> {
-    let mut artifacts: Vec<(&'static str, Table)> = Vec::new();
-    artifacts.push(("table1", tables::table1()));
-    artifacts.push(("table2", tables::table2()));
-
-    for (name, fig) in [
-        ("fig5", figures::fig5 as fn(Scale) -> figures::FigureResult),
-        ("fig6", figures::fig6),
-        ("fig7", figures::fig7),
-        ("fig9", figures::fig9),
-        ("fig10", figures::fig10),
-        ("fig11", figures::fig11),
-        ("fig12", figures::fig12),
-        ("fig15", figures::fig15),
-    ] {
-        eprintln!("running {name}...");
-        artifacts.push((name, fig(scale).table));
-    }
-
-    eprintln!("running checkpoints...");
-    artifacts.push(("checkpoints", checkpoints::run(scale).0));
-
-    for (name, ablation) in [
-        (
-            "a1_local_abort",
-            ablations::local_abort as fn(Scale) -> Table,
-        ),
-        ("a2_sched", ablations::sched_policies),
-        ("a3_ssp", ablations::ssp_family),
-        ("a4_pex_error", ablations::pex_error),
-        ("a5_gf_delta", ablations::gf_delta),
-        ("a6_heterogeneous", ablations::heterogeneous_nodes),
-        ("a7_preemption", ablations::preemption),
-        ("a8_service_shape", ablations::service_shapes),
-        ("a9_placement", ablations::placement),
-        ("a10_burstiness", ablations::burstiness),
-    ] {
-        eprintln!("running ablation {name}...");
-        artifacts.push((name, ablation(scale)));
-    }
-
-    eprintln!("running extension E1...");
-    artifacts.push(("e1_stages", extensions::stage_sweep(scale).0));
-    eprintln!("running extension E2...");
-    artifacts.push(("e2_slack", extensions::slack_sweep(scale).0));
-    eprintln!("running fault experiment F1...");
-    artifacts.push(("f1_faults", faults::mttf_sweep(scale).0));
-
-    // The claim checks re-measure cells from the figures and checkpoints
-    // above, so under the sweep engine's cache they render without
-    // simulating anything new.
-    eprintln!("running claim validation...");
-    artifacts.push(("claims", claims::render(&claims::validate(scale))));
-
-    artifacts
+    REGISTRY
+        .iter()
+        .map(|&(name, artifact)| (name, artifact.build(name, scale, false).0))
+        .collect()
 }
 
 /// Writes each artifact to `DIR/<name>.csv`.
@@ -159,16 +228,22 @@ pub fn write_csvs(dir: &std::path::Path, artifacts: &[(&str, Table)]) -> Result<
     Ok(())
 }
 
-/// The cache hit/miss summary line printed (and greppable by CI) after a
-/// reproduction, e.g.
-/// `cache: 120/155 points hit (77.4% — memory 120, disk 0), 35 simulated`.
-pub fn cache_summary() -> Option<String> {
-    cache_report().map(|r| r.to_string())
+/// The claim verdict of a report: `(holding, total)` claims when the
+/// `claims` artifact ran, `None` otherwise. `repro` exits with failure
+/// when fewer claims hold than were checked.
+pub fn claim_tally(artifacts: &[(&str, Table)]) -> Option<(usize, usize)> {
+    let (_, claims) = artifacts.iter().find(|(name, _)| *name == "claims")?;
+    let total = claims.row_count();
+    let holding = (0..total)
+        .filter(|&row| claims.cell(row, 0) == Some("PASS"))
+        .count();
+    Some((holding, total))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims::ClaimResult;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -183,6 +258,9 @@ mod tests {
             "report",
             "--cache-dir",
             "cache",
+            "--only",
+            "fig7,table1",
+            "--plot",
         ]))
         .unwrap();
         assert_eq!(options.scale, Scale::Quick);
@@ -192,6 +270,9 @@ mod tests {
             Some(std::path::Path::new("cache"))
         );
         assert!(!options.no_cache);
+        assert_eq!(options.only, Some(vec!["fig7", "table1"]));
+        assert!(options.plot);
+        assert!(options.selects("table1") && !options.selects("fig5"));
     }
 
     #[test]
@@ -202,7 +283,13 @@ mod tests {
             (args(&["--cache-dir"]), "--cache-dir"),
             (args(&["--scale", "galactic"]), "galactic"),
             (args(&["--frobnicate"]), "--frobnicate"),
+            (args(&["--scael", "paper"]), "--scael"),
             (args(&["--no-cache", "--cache-dir", "d"]), "--no-cache"),
+            (args(&["--only", "fig8"]), "fig8"),
+            (args(&["--only", "fig5,nope"]), "a10_burstiness"),
+            (args(&["--only", ""]), "--only"),
+            (args(&["--only", "fig5,"]), "--only"),
+            (args(&["--only"]), "--only"),
         ] {
             let err = parse_args(&argv).unwrap_err();
             assert!(err.contains(needle), "{err:?} should mention {needle}");
@@ -212,6 +299,38 @@ mod tests {
     #[test]
     fn parse_accepts_bare_scale() {
         assert_eq!(parse_args(&args(&["paper"])).unwrap().scale, Scale::Paper);
-        assert_eq!(parse_args(&args(&[])).unwrap().scale, Scale::Default);
+        let defaults = parse_args(&args(&[])).unwrap();
+        assert_eq!(defaults.scale, Scale::Default);
+        assert!(defaults.only.is_none() && REGISTRY.iter().all(|(n, _)| defaults.selects(n)));
+    }
+
+    #[test]
+    fn registry_names_are_unique() {
+        let mut names: Vec<&str> = REGISTRY.iter().map(|&(name, _)| name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), REGISTRY.len());
+    }
+
+    #[test]
+    fn a_failing_claim_fails_the_report() {
+        let claim = |id, pass| ClaimResult {
+            id,
+            claim: "demo claim",
+            pass,
+            detail: "x".into(),
+        };
+        let report = |results: &[ClaimResult]| {
+            vec![
+                ("table1", tables::table1()),
+                ("claims", claims::render(results)),
+            ]
+        };
+        assert_eq!(
+            claim_tally(&report(&[claim("ok", true), claim("bad", false)])),
+            Some((1, 2))
+        );
+        assert_eq!(claim_tally(&report(&[claim("ok", true)])), Some((1, 1)));
+        assert_eq!(claim_tally(&report(&[])[..1]), None, "claims did not run");
     }
 }

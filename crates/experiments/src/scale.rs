@@ -53,38 +53,6 @@ impl Scale {
         }
     }
 
-    /// Reads the scale from a binary's argument list: the first of
-    /// `--scale quick|default|paper` or a bare scale name; defaults to
-    /// [`Scale::Default`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a usage message) on an unrecognized scale name.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Scale::from_slice(&args).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Scale::from_args`] over an explicit argument list.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for `--scale` without a value or with an unknown
-    /// scale name; unrelated arguments are ignored.
-    pub fn from_slice(args: &[String]) -> Result<Scale, String> {
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            if arg == "--scale" {
-                let value = iter.next().ok_or("--scale needs a value")?;
-                return Scale::parse(value);
-            }
-            if let Ok(scale) = Scale::parse(arg) {
-                return Ok(scale);
-            }
-        }
-        Ok(Scale::Default)
-    }
-
     /// Applies this scale's duration/warm-up to a configuration.
     pub fn apply(self, cfg: sda_sim::SimConfig) -> sda_sim::SimConfig {
         sda_sim::SimConfig {
@@ -137,24 +105,6 @@ mod tests {
         assert_eq!(cfg.duration, 20_000.0);
         assert_eq!(cfg.warmup, 200.0);
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn from_slice_handles_flag_and_bare_forms() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            Scale::from_slice(&args(&["--scale", "paper"])),
-            Ok(Scale::Paper)
-        );
-        assert_eq!(Scale::from_slice(&args(&["quick"])), Ok(Scale::Quick));
-        assert_eq!(
-            Scale::from_slice(&args(&["--csv", "--plot"])),
-            Ok(Scale::Default),
-            "unrelated flags are ignored"
-        );
-        assert_eq!(Scale::from_slice(&args(&[])), Ok(Scale::Default));
-        assert!(Scale::from_slice(&args(&["--scale"])).is_err());
-        assert!(Scale::from_slice(&args(&["--scale", "galactic"])).is_err());
     }
 
     #[test]

@@ -55,9 +55,9 @@
 //! ## Reproducing the paper
 //!
 //! ```bash
-//! cargo run --release -p sda-experiments --bin repro              # everything
-//! cargo run --release -p sda-experiments --bin fig7 -- --scale paper
-//! cargo run --release -p sda-experiments --bin checkpoints
+//! cargo run --release -p sda-experiments --bin repro                  # everything
+//! cargo run --release -p sda-experiments --bin repro -- --only fig7 --scale paper
+//! cargo run --release -p sda-experiments --bin repro -- --only checkpoints,claims
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
