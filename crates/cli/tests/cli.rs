@@ -182,6 +182,15 @@ fn bad_input_fails_with_a_message() {
 }
 
 #[test]
+fn deeply_nested_spec_is_a_usage_error_not_an_abort() {
+    let spec = format!("{}T1{}", "[".repeat(50_000), "]".repeat(50_000));
+    let out = sda(&["decompose", &spec, "16", "EQF-DIV1"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("nested deeper than"), "{err}");
+}
+
+#[test]
 fn usage_errors_exit_2_and_name_the_setting() {
     let dir = std::env::temp_dir().join("sda-cli-badconf-test");
     std::fs::create_dir_all(&dir).unwrap();

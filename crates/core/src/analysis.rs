@@ -30,28 +30,6 @@ pub fn global_miss_probability(subtask_miss: f64, n: u32) -> f64 {
     1.0 - (1.0 - subtask_miss).powi(n as i32)
 }
 
-/// The per-subtask miss probability that would keep the global miss rate
-/// of an `n`-subtask task at `target` (the inverse of
-/// [`global_miss_probability`]).
-///
-/// ```
-/// use sda_core::analysis::{global_miss_probability, subtask_miss_for_target};
-/// let p = subtask_miss_for_target(0.25, 4);
-/// assert!((global_miss_probability(p, 4) - 0.25).abs() < 1e-12);
-/// ```
-///
-/// # Panics
-///
-/// Panics unless `target` is in `[0, 1]` and `n > 0`.
-pub fn subtask_miss_for_target(target: f64, n: u32) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&target),
-        "target must be in [0, 1], got {target}"
-    );
-    assert!(n > 0, "n must be positive");
-    1.0 - (1.0 - target).powf(1.0 / f64::from(n))
-}
-
 /// The amplification factor `MD_global / MD_subtask` implied by the
 /// independence model: how many times likelier an `n`-wide global task is
 /// to miss than a single subtask.
@@ -87,17 +65,6 @@ pub mod mm1 {
         1.0 / (1.0 - rho)
     }
 
-    /// FCFS waiting-time tail `P(W > t) = ρ·e^{−(1−ρ)t}` (μ = 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rho ∈ [0, 1)` and `t ≥ 0`.
-    pub fn waiting_tail(rho: f64, t: f64) -> f64 {
-        assert!((0.0..1.0).contains(&rho), "utilization must be in [0, 1)");
-        assert!(t >= 0.0, "time must be non-negative");
-        rho * (-(1.0 - rho) * t).exp()
-    }
-
     /// Miss probability of an FCFS M/M/1 task whose slack is uniform on
     /// `[s_lo, s_hi]`: a task misses iff its waiting time exceeds its
     /// slack (its own service time cancels out of `dl = ar + ex + sl`),
@@ -128,19 +95,15 @@ pub mod mm1 {
         }
 
         #[test]
-        fn waiting_tail_at_zero_is_rho() {
-            assert!((waiting_tail(0.7, 0.0) - 0.7).abs() < 1e-12);
-            assert!(waiting_tail(0.7, 10.0) < waiting_tail(0.7, 1.0));
-        }
-
-        #[test]
         fn miss_probability_matches_numeric_integration() {
             let (rho, lo, hi) = (0.5, 1.25, 5.0);
+            // FCFS waiting-time tail P(W > s) = ρ·e^{−(1−ρ)s} (μ = 1).
+            let waiting_tail = |s: f64| rho * (-(1.0 - rho) * s).exp();
             let steps = 100_000;
             let mut acc = 0.0;
             for i in 0..steps {
                 let s = lo + (hi - lo) * (i as f64 + 0.5) / steps as f64;
-                acc += waiting_tail(rho, s);
+                acc += waiting_tail(s);
             }
             acc /= steps as f64;
             let closed = miss_probability_uniform_slack(rho, lo, hi);
@@ -192,17 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_round_trips() {
-        for &target in &[0.01, 0.1, 0.25, 0.5, 0.9] {
-            for n in [1u32, 2, 4, 6, 10] {
-                let p = subtask_miss_for_target(target, n);
-                let back = global_miss_probability(p, n);
-                assert!((back - target).abs() < 1e-12, "target {target}, n {n}");
-            }
-        }
-    }
-
-    #[test]
     fn amplification_approaches_n_at_low_miss_rates() {
         let a = amplification(1e-6, 4);
         assert!((a - 4.0).abs() < 1e-3, "got {a}");
@@ -216,11 +168,5 @@ mod tests {
     #[should_panic(expected = "in [0, 1]")]
     fn bad_probability_panics() {
         global_miss_probability(1.5, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "n must be positive")]
-    fn inverse_zero_n_panics() {
-        subtask_miss_for_target(0.5, 0);
     }
 }

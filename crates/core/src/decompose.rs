@@ -546,14 +546,6 @@ impl Decomposition {
         self.walk().bubble_completion(node_idx, now, strategy, out);
     }
 
-    /// The deadline most recently assigned to a leaf (for inspection).
-    ///
-    /// Returns `None` if the leaf has not been released yet.
-    pub fn leaf_deadline(&self, leaf: usize) -> Option<SimTime> {
-        let node = &self.state[self.template.leaf_nodes[leaf] as usize];
-        node.activated.then_some(node.deadline)
-    }
-
     /// Splits the instance into disjoint borrows for the recursive walk
     /// (shared template and pex slices, mutable node state).
     fn walk(&mut self) -> Walk<'_> {
@@ -827,17 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_deadline_inspection() {
-        let spec = TaskSpec::pipeline(2);
-        let mut d = Decomposition::new(&spec, vec![1.0, 1.0]);
-        let strategy = SdaStrategy::ud_ud();
-        assert_eq!(d.leaf_deadline(0), None);
-        d.start(t(0.0), t(4.0), &strategy);
-        assert_eq!(d.leaf_deadline(0), Some(t(4.0)));
-        assert_eq!(d.leaf_deadline(1), None, "stage 2 not yet released");
-    }
-
-    #[test]
     fn single_simple_task() {
         let mut d = Decomposition::new(&TaskSpec::simple(), vec![1.0]);
         let strategy = SdaStrategy::eqf_div1();
@@ -907,7 +888,6 @@ mod tests {
         // Reset again with the SAME template (the pool fast path).
         d.reset_from(&tpl2, &[2.0; 11]);
         assert_eq!(d.total_pex(), 10.0);
-        assert_eq!(d.leaf_deadline(0), None, "activation state cleared");
     }
 
     #[test]

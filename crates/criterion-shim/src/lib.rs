@@ -9,8 +9,8 @@
 //! statistical machinery.
 //!
 //! Supported surface: `Criterion::bench_function` / `benchmark_group`,
-//! groups with `sample_size` / `measurement_time` / `bench_function` /
-//! `bench_with_input` / `finish`, `Bencher::iter` / `iter_batched`,
+//! groups with `sample_size` / `bench_function` / `bench_with_input` /
+//! `finish`, `Bencher::iter` / `iter_batched`,
 //! `BatchSize`, `BenchmarkId`, `black_box`, `criterion_group!`,
 //! `criterion_main!`.
 
@@ -67,12 +67,6 @@ impl BenchmarkGroup<'_> {
     /// Sets the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
-        self
-    }
-
-    /// Accepted for compatibility; the shim sizes samples by
-    /// `MIN_SAMPLE_TIME` instead of a total measurement budget.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 
@@ -279,9 +273,7 @@ mod tests {
     fn groups_and_batched_iteration_work() {
         let mut c = Criterion::default();
         let mut group = c.benchmark_group("shim");
-        group
-            .sample_size(3)
-            .measurement_time(Duration::from_secs(1));
+        group.sample_size(3);
         group.bench_with_input(BenchmarkId::new("sum", 8), &8u64, |b, &n| {
             b.iter_batched(
                 || (0..n).collect::<Vec<u64>>(),

@@ -1,11 +1,10 @@
 //! Shared replication driver for every experiment sweep.
 //!
 //! All tables, figures, ablations and checkpoints funnel through
-//! [`run_points`] (or its single-point wrapper [`run_point`]), so one
-//! place decides how data points are executed: by default the
-//! campaign-level [`Sweep`] engine, which schedules every replication of
-//! every point across one work-stealing worker pool and memoizes
-//! completed points in a [`PointCache`].
+//! [`run_points`], so one place decides how data points are executed:
+//! by default the campaign-level [`Sweep`] engine, which schedules every
+//! replication of every point across one work-stealing worker pool and
+//! memoizes completed points in a [`PointCache`].
 //!
 //! # Common random numbers, campaign-wide
 //!
@@ -203,23 +202,6 @@ pub fn run_points(points: &[Point]) -> Vec<MultiRun> {
     current().run(points)
 }
 
-/// Runs one experiment data point: `reps` independent replications of
-/// `cfg` from `base_seed`. Prefer [`run_points`] for whole sweeps.
-///
-/// # Panics
-///
-/// Panics if the configuration fails validation.
-pub fn run_point(cfg: &SimConfig, base_seed: u64, reps: usize) -> MultiRun {
-    current()
-        .run(&[Point {
-            cfg: cfg.clone(),
-            seed: base_seed,
-            reps,
-        }])
-        .pop()
-        .expect("one point in, one result out")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,8 +215,13 @@ mod tests {
     }
 
     #[test]
-    fn run_point_uses_the_derived_seed_stream() {
-        let multi = run_point(&quick(), 42, 2);
+    fn run_points_uses_the_derived_seed_stream() {
+        let point = Point {
+            cfg: quick(),
+            seed: 42,
+            reps: 2,
+        };
+        let multi = &run_points(&[point])[0];
         assert_eq!(multi.runs().len(), 2);
         assert_eq!(
             multi.runs()[0].seed,
@@ -253,7 +240,7 @@ mod tests {
         let single = with_exec(Exec::sweep_uncached().with_jobs(1), || {
             points
                 .iter()
-                .map(|p| run_point(&p.cfg, p.seed, p.reps))
+                .flat_map(|p| run_points(std::slice::from_ref(p)))
                 .collect::<Vec<_>>()
         });
         for (a, b) in batched.iter().zip(&single) {
@@ -270,8 +257,8 @@ mod tests {
     #[test]
     fn with_exec_restores_the_previous_context() {
         let report = with_exec(Exec::sweep().with_jobs(1), || {
-            run_point(&quick(), 7, 2);
-            run_point(&quick(), 7, 2);
+            run_points(&[Point::new(quick(), 2)]);
+            run_points(&[Point::new(quick(), 2)]);
             cache_report().expect("sweep mode has a cache")
         });
         assert_eq!(report.misses, 1);

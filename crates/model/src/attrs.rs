@@ -22,9 +22,14 @@ use sda_simcore::SimTime;
 /// use sda_model::Attrs;
 /// use sda_simcore::SimTime;
 ///
-/// let a = Attrs::from_slack(SimTime::from(0.0), 4.0, 2.0, 4.0);
-/// assert_eq!(a.dl, SimTime::from(6.0)); // ar + ex + sl
-/// assert_eq!(a.slack(), 2.0);
+/// let a = Attrs {
+///     ar: SimTime::from(0.0),
+///     dl: SimTime::from(6.0),
+///     ex: 4.0,
+///     pex: 4.0,
+/// };
+/// assert_eq!(a.slack(), 2.0); // dl − ar − ex
+/// assert_eq!(a.window(), 6.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Attrs {
@@ -41,35 +46,6 @@ pub struct Attrs {
 }
 
 impl Attrs {
-    /// Builds attributes from arrival time, execution time, slack, and the
-    /// prediction, deriving the deadline as `ar + ex + sl`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ex` is negative.
-    pub fn from_slack(ar: SimTime, ex: f64, slack: f64, pex: f64) -> Attrs {
-        assert!(ex >= 0.0, "execution time must be non-negative, got {ex}");
-        Attrs {
-            ar,
-            dl: ar + (ex + slack),
-            ex,
-            pex,
-        }
-    }
-
-    /// Builds attributes with an explicitly given deadline.
-    ///
-    /// Used for global tasks whose deadline is derived from the *longest*
-    /// subtask (Equation 2) rather than from their own execution time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ex` is negative.
-    pub fn with_deadline(ar: SimTime, dl: SimTime, ex: f64, pex: f64) -> Attrs {
-        assert!(ex >= 0.0, "execution time must be non-negative, got {ex}");
-        Attrs { ar, dl, ex, pex }
-    }
-
     /// The slack `sl(X) = dl(X) − ar(X) − ex(X)`.
     ///
     /// May be negative if the deadline is infeasibly tight.
@@ -81,26 +57,6 @@ impl Attrs {
     pub fn window(&self) -> f64 {
         self.dl - self.ar
     }
-
-    /// Whether a task finishing at `finish` meets this deadline.
-    ///
-    /// The paper counts a task as on time when it completes no later than
-    /// its deadline.
-    pub fn met_by(&self, finish: SimTime) -> bool {
-        finish <= self.dl
-    }
-
-    /// Returns a copy with the deadline replaced by `virtual_dl`.
-    ///
-    /// This is the fundamental operation of every deadline-assignment
-    /// strategy: the subtask keeps its arrival, execution, and prediction,
-    /// but is *presented* to the local scheduler with an earlier deadline.
-    pub fn with_virtual_deadline(&self, virtual_dl: SimTime) -> Attrs {
-        Attrs {
-            dl: virtual_dl,
-            ..*self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,43 +67,25 @@ mod tests {
         SimTime::from(v)
     }
 
+    fn attrs(ar: f64, dl: f64, ex: f64) -> Attrs {
+        Attrs {
+            ar: t(ar),
+            dl: t(dl),
+            ex,
+            pex: ex,
+        }
+    }
+
     #[test]
     fn identity_dl_eq_ar_plus_ex_plus_sl() {
-        let a = Attrs::from_slack(t(10.0), 2.0, 3.0, 2.0);
-        assert_eq!(a.dl, t(15.0));
+        let a = attrs(10.0, 15.0, 2.0);
         assert!((a.slack() - 3.0).abs() < 1e-12);
         assert!((a.window() - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn explicit_deadline_slack_can_be_negative() {
-        let a = Attrs::with_deadline(t(0.0), t(1.0), 4.0, 4.0);
+        let a = attrs(0.0, 1.0, 4.0);
         assert!((a.slack() + 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn met_by_is_inclusive() {
-        let a = Attrs::from_slack(t(0.0), 1.0, 1.0, 1.0);
-        assert!(a.met_by(t(2.0)));
-        assert!(a.met_by(t(1.5)));
-        assert!(!a.met_by(t(2.0001)));
-    }
-
-    #[test]
-    fn virtual_deadline_preserves_other_fields() {
-        let a = Attrs::from_slack(t(0.0), 4.0, 2.0, 5.0);
-        let v = a.with_virtual_deadline(t(3.0));
-        assert_eq!(v.dl, t(3.0));
-        assert_eq!(v.ar, a.ar);
-        assert_eq!(v.ex, a.ex);
-        assert_eq!(v.pex, a.pex);
-        // Equation 3 intuition: shrinking the deadline shrinks the slack.
-        assert!(v.slack() < a.slack());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_execution_time_rejected() {
-        Attrs::from_slack(t(0.0), -1.0, 0.0, 0.0);
     }
 }

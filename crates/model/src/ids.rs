@@ -58,13 +58,6 @@ pub enum TaskClass {
     },
 }
 
-impl TaskClass {
-    /// True if this is the local-task class.
-    pub fn is_local(self) -> bool {
-        matches!(self, TaskClass::Local)
-    }
-}
-
 impl fmt::Display for TaskClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -90,8 +83,6 @@ mod tests {
     fn accessors() {
         assert_eq!(NodeId(2).index(), 2);
         assert_eq!(TaskId(9).value(), 9);
-        assert!(TaskClass::Local.is_local());
-        assert!(!TaskClass::Global { subtasks: 2 }.is_local());
     }
 
     #[test]

@@ -14,6 +14,11 @@ use std::fmt;
 
 use crate::spec::TaskSpec;
 
+/// The deepest bracket nesting [`parse_spec`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input from
+/// overflowing the stack; the paper's specs nest three levels at most.
+const MAX_DEPTH: usize = 1024;
+
 /// Error returned by [`parse_spec`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseSpecError {
@@ -32,6 +37,8 @@ pub enum ParseSpecError {
     UnexpectedChar(char),
     /// Extra input after a complete specification, e.g. `[T1] [T2]`.
     TrailingInput,
+    /// Brackets nested more than 1,024 levels deep.
+    TooDeep,
 }
 
 impl fmt::Display for ParseSpecError {
@@ -46,6 +53,9 @@ impl fmt::Display for ParseSpecError {
             ParseSpecError::DanglingSeparator => write!(f, "dangling `||` separator"),
             ParseSpecError::UnexpectedChar(c) => write!(f, "unexpected character {c:?}"),
             ParseSpecError::TrailingInput => write!(f, "trailing input after specification"),
+            ParseSpecError::TooDeep => {
+                write!(f, "brackets nested deeper than {MAX_DEPTH} levels")
+            }
         }
     }
 }
@@ -104,6 +114,8 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseSpecError> {
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Brackets open at the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -123,7 +135,15 @@ impl<'a> Parser<'a> {
     fn spec(&mut self) -> Result<TaskSpec, ParseSpecError> {
         match self.next() {
             Some(Token::Ident) => Ok(TaskSpec::Simple),
-            Some(Token::Open) => self.body(),
+            Some(Token::Open) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(ParseSpecError::TooDeep);
+                }
+                self.depth += 1;
+                let body = self.body();
+                self.depth -= 1;
+                body
+            }
             Some(Token::Close) => Err(ParseSpecError::Unbalanced),
             Some(Token::Par) => Err(ParseSpecError::DanglingSeparator),
             None => Err(ParseSpecError::Unbalanced),
@@ -203,7 +223,8 @@ impl<'a> Parser<'a> {
 ///
 /// Returns a [`ParseSpecError`] describing the first syntax problem: empty
 /// input, unbalanced brackets, mixed separators at one level, a dangling
-/// `||`, an unexpected character, or trailing input.
+/// `||`, an unexpected character, trailing input, or brackets nested
+/// more than 1,024 levels deep.
 pub fn parse_spec(input: &str) -> Result<TaskSpec, ParseSpecError> {
     let tokens = tokenize(input)?;
     if tokens.is_empty() {
@@ -212,6 +233,7 @@ pub fn parse_spec(input: &str) -> Result<TaskSpec, ParseSpecError> {
     let mut parser = Parser {
         tokens: &tokens,
         pos: 0,
+        depth: 0,
     };
     let spec = parser.spec()?;
     if parser.pos != tokens.len() {
@@ -379,5 +401,17 @@ mod tests {
         }
         let spec = parse_spec(&text).unwrap();
         assert_eq!(spec.depth(), 51);
+    }
+
+    #[test]
+    fn nesting_beyond_the_bound_is_an_error() {
+        let nested = |levels: usize| format!("{}T1{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse_spec(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse_spec(&nested(MAX_DEPTH + 1)),
+            Err(ParseSpecError::TooDeep)
+        );
+        // Far past the bound: an error, not a stack overflow.
+        assert_eq!(parse_spec(&nested(50_000)), Err(ParseSpecError::TooDeep));
     }
 }

@@ -421,23 +421,6 @@ impl<T> ReadyQueue<T> {
         }
         out
     }
-
-    /// Iterates over the waiting tasks' payloads in no particular (but
-    /// deterministic) order.
-    pub fn iter_items(&self) -> impl Iterator<Item = &T> {
-        self.heap
-            .iter()
-            .map(|e| (e.slot, e.seq))
-            .chain(self.fifo.iter().copied())
-            .filter_map(|(slot, seq)| {
-                let s = &self.slots[slot as usize];
-                if s.seq == seq {
-                    s.item.as_ref()
-                } else {
-                    None
-                }
-            })
-    }
 }
 
 impl<T> fmt::Debug for ReadyQueue<T> {
@@ -673,18 +656,6 @@ mod tests {
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn iter_items_sees_everything() {
-        let mut q = ReadyQueue::new(Policy::Edf);
-        q.push(entry(1.0, 1.0, 1));
-        q.push_keyed(9, entry(2.0, 1.0, 2));
-        q.remove_key(9);
-        q.push(entry(3.0, 1.0, 3));
-        let mut items: Vec<u32> = q.iter_items().copied().collect();
-        items.sort_unstable();
-        assert_eq!(items, vec![1, 3]);
     }
 
     #[test]

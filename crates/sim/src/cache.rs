@@ -677,16 +677,6 @@ impl CacheReport {
         self.hits() + self.misses
     }
 
-    /// Fraction of points resolved without simulation (1.0 when no
-    /// points were looked up).
-    pub fn hit_rate(&self) -> f64 {
-        if self.points() == 0 {
-            1.0
-        } else {
-            self.hits() as f64 / self.points() as f64
-        }
-    }
-
     /// Total IO/verification errors the cache degraded around.
     pub fn errors(&self) -> u64 {
         self.read_errors + self.write_errors + self.verify_errors
@@ -695,12 +685,18 @@ impl CacheReport {
 
 impl std::fmt::Display for CacheReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // No lookups at all reads as a 100% hit rate.
+        let hit_rate = if self.points() == 0 {
+            1.0
+        } else {
+            self.hits() as f64 / self.points() as f64
+        };
         write!(
             f,
             "cache: {}/{} points hit ({:.1}% — memory {}, disk {}), {} simulated",
             self.hits(),
             self.points(),
-            100.0 * self.hit_rate(),
+            100.0 * hit_rate,
             self.hits_memory,
             self.hits_disk,
             self.misses

@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use sda_model::TaskClass;
 use sda_simcore::stats::{Histogram, MissCounter, WeightedMiss, Welford};
 
 /// Response-time histogram resolution: quarter of a mean service time.
@@ -181,14 +180,6 @@ impl Metrics {
         self.global_md.get(&n).map_or(0.0, MissCounter::rate)
     }
 
-    /// The miss rate of a task class.
-    pub fn md_class(&self, class: TaskClass) -> f64 {
-        match class {
-            TaskClass::Local => self.md_local(),
-            TaskClass::Global { subtasks } => self.md_global_n(subtasks),
-        }
-    }
-
     /// Fraction of performed work that belonged to missed tasks (§6.1).
     pub fn missed_work_fraction(&self) -> f64 {
         self.missed_work.fraction()
@@ -268,8 +259,6 @@ mod tests {
         assert_eq!(m.local_count(), 2);
         assert_eq!(m.global_count(), 4);
         assert_eq!(m.total_missed_count(), 2);
-        assert_eq!(m.md_class(TaskClass::Local), 0.5);
-        assert_eq!(m.md_class(TaskClass::Global { subtasks: 2 }), 0.0);
     }
 
     #[test]

@@ -432,7 +432,7 @@ impl MultiRun {
 
     /// Applies `metric` to each run and returns the full descriptive
     /// summary (the `stats.json` record for one metric).
-    pub fn summary_of<F>(&self, metric: F) -> Summary
+    fn summary_of<F>(&self, metric: F) -> Summary
     where
         F: Fn(&RunResult) -> f64,
     {

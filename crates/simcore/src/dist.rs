@@ -2,9 +2,8 @@
 //!
 //! The paper's model needs exactly three continuous families — exponential
 //! (interarrival and execution times), uniform (slack), and constants (for
-//! deterministic ablations) — plus a discrete uniform for the
-//! non-homogeneous experiment of §7.4 where the number of subtasks of a
-//! global task is drawn from `[2..6]`.
+//! deterministic ablations). The discrete draw of §7.4, the number of
+//! subtasks of a global task from `[2..6]`, is [`Rng::next_range`].
 
 use crate::rng::Rng;
 
@@ -203,43 +202,6 @@ impl From<Constant> for Dist {
     }
 }
 
-/// A discrete uniform distribution over the integers `[lo, hi]`.
-///
-/// §7.4 draws the number of subtasks of a global task from `[2..6]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiscreteUniform {
-    lo: u64,
-    hi: u64,
-}
-
-impl DiscreteUniform {
-    /// Creates a discrete uniform distribution over `[lo, hi]` (inclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn new(lo: u64, hi: u64) -> DiscreteUniform {
-        assert!(lo <= hi, "invalid discrete uniform range [{lo}, {hi}]");
-        DiscreteUniform { lo, hi }
-    }
-
-    /// Draws one integer.
-    #[inline]
-    pub fn sample(&self, rng: &mut Rng) -> u64 {
-        rng.next_range(self.lo, self.hi)
-    }
-
-    /// The theoretical mean `(lo + hi) / 2`.
-    pub fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi) as f64
-    }
-
-    /// The inclusive bounds.
-    pub fn bounds(&self) -> (u64, u64) {
-        (self.lo, self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,24 +297,5 @@ mod tests {
         assert_eq!(u.mean(), 1.0);
         let c: Dist = Constant(3.0).into();
         assert_eq!(c.sample(&mut rng), 3.0);
-    }
-
-    #[test]
-    fn discrete_uniform_covers_paper_range() {
-        // §7.4 subtask-count distribution.
-        let d = DiscreteUniform::new(2, 6);
-        let mut rng = Rng::seed_from(7);
-        let mut counts = [0u32; 7];
-        for _ in 0..50_000 {
-            let v = d.sample(&mut rng);
-            assert!((2..=6).contains(&v));
-            counts[v as usize] += 1;
-        }
-        for (v, &count) in counts.iter().enumerate().take(7).skip(2) {
-            let frac = f64::from(count) / 50_000.0;
-            assert!((frac - 0.2).abs() < 0.02, "value {v} frac {frac}");
-        }
-        assert_eq!(d.mean(), 4.0);
-        assert_eq!(d.bounds(), (2, 6));
     }
 }

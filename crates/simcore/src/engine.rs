@@ -108,24 +108,6 @@ impl<E> Engine<E> {
         }
         self.processed - before
     }
-
-    /// Runs the model until the calendar is completely drained.
-    ///
-    /// Returns the number of events processed. Beware of models that always
-    /// reschedule (open workloads): they never drain — use
-    /// [`Engine::run_until`] for those.
-    pub fn run_to_completion<M>(&mut self, model: &mut M) -> u64
-    where
-        M: Model<Event = E>,
-    {
-        let before = self.processed;
-        while let Some((time, event)) = self.calendar.pop() {
-            self.now = time;
-            self.processed += 1;
-            model.handle(self, event);
-        }
-        self.processed - before
-    }
 }
 
 impl<E> Default for Engine<E> {
@@ -166,11 +148,11 @@ mod tests {
     }
 
     #[test]
-    fn run_to_completion_chains_events() {
+    fn run_until_chains_events() {
         let mut engine = Engine::new();
         let mut model = Recorder::default();
         engine.schedule(SimTime::from(0.5), Ev::Ping(1));
-        let n = engine.run_to_completion(&mut model);
+        let n = engine.run_until(&mut model, SimTime::INFINITY);
         assert_eq!(n, 3);
         assert_eq!(model.seen, vec![(0.5, 1), (1.5, 2), (2.5, 3)]);
         assert_eq!(engine.events_processed(), 3);
@@ -202,7 +184,7 @@ mod tests {
         let mut model = Recorder::default();
         let h = engine.schedule(SimTime::from(1.0), Ev::Stop);
         assert!(engine.cancel(h));
-        engine.run_to_completion(&mut model);
+        engine.run_until(&mut model, SimTime::INFINITY);
         assert!(!model.stopped);
     }
 
@@ -219,7 +201,7 @@ mod tests {
         }
         let mut engine = Engine::new();
         engine.schedule(SimTime::from(5.0), ());
-        engine.run_to_completion(&mut Bad);
+        engine.run_until(&mut Bad, SimTime::INFINITY);
     }
 
     #[test]
@@ -251,7 +233,7 @@ mod tests {
         for i in 0..50 {
             engine.schedule(SimTime::from(1.0), i);
         }
-        engine.run_to_completion(&mut model);
+        engine.run_until(&mut model, SimTime::INFINITY);
         assert_eq!(model.0, (0..50).collect::<Vec<_>>());
     }
 }

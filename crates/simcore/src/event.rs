@@ -310,9 +310,8 @@ impl<E> Calendar<E> {
     /// Removes and returns the earliest non-cancelled event, provided its
     /// time does not exceed `limit`; later events stay scheduled.
     ///
-    /// Equivalent to a [`Calendar::peek_time`] bounds check followed by
-    /// [`Calendar::pop`], but finds the front once — the engine's run
-    /// loop calls this once per event.
+    /// Finds the front once for both the bounds check and the removal —
+    /// the engine's run loop calls this once per event.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         let limit = time_key(limit);
         loop {
@@ -324,27 +323,6 @@ impl<E> Calendar<E> {
                 return Some((key_time(key), event));
             }
         }
-    }
-
-    /// The timestamp of the earliest pending (non-cancelled) event, without
-    /// removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Purge cancelled tombstones from the front so the peek is accurate.
-        loop {
-            let key = self.front()?;
-            if self.is_live(key) {
-                return Some(key_time(key));
-            }
-            self.take_front();
-        }
-    }
-
-    /// Number of pending entries, *including* not-yet-purged cancelled ones.
-    ///
-    /// This is an upper bound on the number of live events; it is exact when
-    /// nothing has been cancelled since the last pop of those entries.
-    pub fn len_upper_bound(&self) -> usize {
-        self.run.len() - self.head + self.heap.len()
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -368,7 +346,10 @@ impl<E> std::fmt::Debug for Calendar<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Calendar")
             .field("live", &self.live)
-            .field("tombstones", &(self.len_upper_bound() - self.live))
+            .field(
+                "tombstones",
+                &(self.run.len() - self.head + self.heap.len() - self.live),
+            )
             .field("next_seq", &self.next_seq)
             .finish()
     }
@@ -486,16 +467,6 @@ mod tests {
         assert_eq!(cal.len(), 1, "the later event stays scheduled");
         assert_eq!(cal.pop_before(t(5.0)), Some((t(5.0), 5)), "limit inclusive");
         assert_eq!(cal.pop_before(t(9.0)), None);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut cal = Calendar::new();
-        let h = cal.schedule(t(1.0), 1);
-        cal.schedule(t(2.0), 2);
-        assert_eq!(cal.peek_time(), Some(t(1.0)));
-        cal.cancel(h);
-        assert_eq!(cal.peek_time(), Some(t(2.0)));
     }
 
     #[test]

@@ -33,9 +33,6 @@ pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 /// `HashMap` keyed by trusted integer ids, hashed with [`FastHasher`].
 pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
-/// `HashSet` of trusted integer ids, hashed with [`FastHasher`].
-pub type FastHashSet<K> = std::collections::HashSet<K, FastBuildHasher>;
-
 /// The splitmix64 finalizer: a bijective full-avalanche mix on `u64`.
 #[inline]
 fn mix(mut z: u64) -> u64 {
@@ -133,9 +130,6 @@ mod tests {
         m.insert(u64::MAX, "max");
         assert_eq!(m.get(&3), Some(&"three"));
         assert_eq!(m.remove(&u64::MAX), Some("max"));
-        let mut s: FastHashSet<u64> = FastHashSet::default();
-        assert!(s.insert(9));
-        assert!(!s.insert(9));
     }
 
     #[test]

@@ -194,27 +194,14 @@ impl Rng {
     }
 
     /// Chooses `count` distinct indices uniformly from `[0, population)`,
-    /// in random order (a partial Fisher–Yates shuffle).
+    /// in random order (a partial Fisher–Yates shuffle, one
+    /// [`Rng::next_below`] per chosen item).
     ///
     /// The paper assigns the `n` parallel subtasks of a global task to `n`
-    /// *different* nodes; this is that draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > population`.
-    pub fn choose_distinct(&mut self, population: usize, count: usize) -> Vec<usize> {
-        let mut pool = Vec::new();
-        self.choose_distinct_into(population, count, &mut pool);
-        pool
-    }
-
-    /// [`Rng::choose_distinct`] into a caller-provided buffer, so a hot
-    /// loop can reuse one allocation across draws. `pool` is overwritten
-    /// and left holding exactly the `count` chosen indices.
-    ///
-    /// Draws the *same* random sequence as [`Rng::choose_distinct`]
-    /// (one [`Rng::next_below`] per chosen item), so the two are
-    /// interchangeable without disturbing downstream draws.
+    /// *different* nodes; this is that draw. The indices go into a
+    /// caller-provided buffer, so a hot loop can reuse one allocation
+    /// across draws: `pool` is overwritten and left holding exactly the
+    /// `count` chosen indices.
     ///
     /// # Panics
     ///
@@ -361,8 +348,9 @@ mod tests {
     #[test]
     fn choose_distinct_returns_distinct_in_bounds() {
         let mut rng = Rng::seed_from(11);
+        let mut picks = Vec::new();
         for _ in 0..200 {
-            let picks = rng.choose_distinct(6, 4);
+            rng.choose_distinct_into(6, 4, &mut picks);
             assert_eq!(picks.len(), 4);
             let mut sorted = picks.clone();
             sorted.sort_unstable();
@@ -375,7 +363,8 @@ mod tests {
     #[test]
     fn choose_distinct_full_population_is_permutation() {
         let mut rng = Rng::seed_from(11);
-        let mut picks = rng.choose_distinct(5, 5);
+        let mut picks = Vec::new();
+        rng.choose_distinct_into(5, 5, &mut picks);
         picks.sort_unstable();
         assert_eq!(picks, vec![0, 1, 2, 3, 4]);
     }
@@ -383,21 +372,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot choose")]
     fn choose_distinct_overdraw_panics() {
-        Rng::seed_from(0).choose_distinct(3, 4);
-    }
-
-    #[test]
-    fn choose_distinct_into_draws_the_same_sequence() {
-        // The buffered form must consume the generator identically, so
-        // swapping it in cannot shift any downstream draw.
-        let mut a = Rng::seed_from(99);
-        let mut b = Rng::seed_from(99);
-        let mut pool = Vec::new();
-        for (population, count) in [(6, 4), (10, 1), (5, 5), (3, 0)] {
-            b.choose_distinct_into(population, count, &mut pool);
-            assert_eq!(a.choose_distinct(population, count), pool);
-        }
-        assert_eq!(a.next_u64(), b.next_u64(), "generators stayed in step");
+        Rng::seed_from(0).choose_distinct_into(3, 4, &mut Vec::new());
     }
 
     #[test]
@@ -406,8 +381,10 @@ mod tests {
         let mut rng = Rng::seed_from(21);
         let trials = 30_000;
         let mut counts = [0u32; 6];
+        let mut picks = Vec::new();
         for _ in 0..trials {
-            for p in rng.choose_distinct(6, 4) {
+            rng.choose_distinct_into(6, 4, &mut picks);
+            for &p in &picks {
                 counts[p] += 1;
             }
         }

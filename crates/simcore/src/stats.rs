@@ -19,7 +19,7 @@
 ///     w.push(x);
 /// }
 /// assert_eq!(w.mean(), 5.0);
-/// assert_eq!(w.population_variance(), 4.0);
+/// assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
@@ -76,20 +76,6 @@ impl Welford {
         } else {
             self.m2 / (self.count - 1) as f64
         }
-    }
-
-    /// Population variance (n denominator); 0 if empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Smallest observation (+∞ if empty).
@@ -438,23 +424,27 @@ impl Replications {
     /// With a single replication the half-width is reported as 0 (unknown);
     /// with none, the estimate is 0 ± 0.
     pub fn estimate(&self) -> Estimate {
-        let n = self.values.len();
-        if n == 0 {
-            return Estimate::exact(0.0);
-        }
-        let mean = self.values.iter().sum::<f64>() / n as f64;
-        if n == 1 {
-            return Estimate::exact(mean);
-        }
-        let var = self
-            .values
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / (n - 1) as f64;
-        let half_width = t_critical_95((n - 1) as u64) * (var / n as f64).sqrt();
+        let (mean, _, half_width) = mean_var_half_width(&self.values);
         Estimate { mean, half_width }
     }
+}
+
+/// The mean, the sample (n−1) variance and the Student-t 95% half-width
+/// `t * sqrt(var / n)` of `values`: the one place a confidence interval
+/// is computed. The variance and half-width are 0 with fewer than two
+/// values; all three are 0 with none.
+fn mean_var_half_width(values: &[f64]) -> (f64, f64, f64) {
+    let n = values.len();
+    if n == 0 {
+        return (0.0, 0.0, 0.0);
+    }
+    let mean = values.iter().sum::<f64>() / n as f64;
+    if n == 1 {
+        return (mean, 0.0, 0.0);
+    }
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1) as f64;
+    let half_width = t_critical_95((n - 1) as u64) * (var / n as f64).sqrt();
+    (mean, var, half_width)
 }
 
 /// The full descriptive statistics of one metric across replications —
@@ -503,24 +493,12 @@ impl Summary {
                 ci_width_ratio: 0.0,
             };
         }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let (stddev, stderr) = if values.len() >= 2 {
-            let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-            (var.sqrt(), (var / n).sqrt())
-        } else {
-            (0.0, 0.0)
-        };
-        let half_width = if values.len() >= 2 {
-            t_critical_95(values.len() as u64 - 1) * stderr
-        } else {
-            0.0
-        };
+        let (mean, var, half_width) = mean_var_half_width(values);
         let est = Estimate { mean, half_width };
         Summary {
             mean,
-            stddev,
-            stderr,
+            stddev: var.sqrt(),
+            stderr: (var / values.len() as f64).sqrt(),
             min: values.iter().copied().fold(f64::INFINITY, f64::min),
             max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
             samples: values.len() as u64,
@@ -720,15 +698,6 @@ impl Histogram {
         self.count
     }
 
-    /// Fraction of observations that landed in the overflow bin.
-    pub fn overflow_fraction(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.overflow as f64 / self.count as f64
-        }
-    }
-
     /// The `q`-quantile (`0 < q <= 1`), linearly interpolated within the
     /// containing bin. Returns 0 for an empty histogram; quantiles that
     /// fall into the overflow bin return the histogram's upper bound (a
@@ -887,15 +856,6 @@ impl TimeWeighted {
             start,
         }
     }
-
-    /// Resets the window to begin at `at`, keeping the current value.
-    ///
-    /// Used to discard the warm-up transient.
-    pub fn reset(&mut self, at: crate::time::SimTime) {
-        self.area = 0.0;
-        self.start = at;
-        self.last_time = at;
-    }
 }
 
 /// Per-node observables of one simulation run: busy time, served count,
@@ -957,14 +917,6 @@ impl NodeStats {
     #[inline]
     pub fn observe_queue(&mut self, at: crate::time::SimTime, len: f64) {
         self.queue.update(at, len);
-    }
-
-    /// Discards everything observed before `at` (warm-up transient).
-    pub fn reset_window(&mut self, at: crate::time::SimTime) {
-        self.busy = 0.0;
-        self.served = 0;
-        self.local = MissCounter::new();
-        self.queue.reset(at);
     }
 
     /// Total busy time accumulated.
@@ -1043,7 +995,6 @@ mod tests {
         assert_eq!(w.count(), 5);
         assert!((w.mean() - 3.0).abs() < 1e-12);
         assert!((w.sample_variance() - 2.5).abs() < 1e-12);
-        assert!((w.population_variance() - 2.0).abs() < 1e-12);
         assert_eq!(w.min(), 1.0);
         assert_eq!(w.max(), 5.0);
     }
@@ -1325,7 +1276,6 @@ mod tests {
             h.record(i as f64 + 0.5);
         }
         assert_eq!(h.count(), 100);
-        assert_eq!(h.overflow_fraction(), 0.0);
         // Median of 0.5..99.5 should be near 50.
         assert!((h.quantile(0.5) - 50.0).abs() <= 1.0);
         assert!((h.quantile(0.95) - 95.0).abs() <= 1.0);
@@ -1339,7 +1289,6 @@ mod tests {
         h.record(5.0);
         h.record(500.0);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.overflow_fraction(), 0.5);
         assert_eq!(h.quantile(1.0), 10.0, "overflow quantile is the cap");
     }
 
@@ -1359,7 +1308,6 @@ mod tests {
         b.record(20.0);
         a.merge(&b);
         assert_eq!(a.count(), 3);
-        assert!((a.overflow_fraction() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1392,16 +1340,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_reset_discards_warmup() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 100.0);
-        tw.update(SimTime::from(10.0), 1.0);
-        tw.reset(SimTime::from(10.0));
-        tw.update(SimTime::from(20.0), 3.0);
-        // After reset: value 1 for 10 units, then 3 for 10 units.
-        assert!((tw.average(SimTime::from(30.0)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn time_weighted_empty_window_returns_current() {
         let tw = TimeWeighted::new(SimTime::from(5.0), 7.0);
         assert_eq!(tw.average(SimTime::from(5.0)), 7.0);
@@ -1426,21 +1364,5 @@ mod tests {
         assert!((n.mean_queue_len(SimTime::from(4.0)) - 1.5).abs() < 1e-12);
         assert!((n.local_miss_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(n.locals_finished(), 3);
-    }
-
-    #[test]
-    fn node_stats_reset_window_discards_warmup() {
-        let mut n = NodeStats::new(SimTime::ZERO);
-        n.add_busy(5.0);
-        n.record_service();
-        n.record_local(true);
-        n.observe_queue(SimTime::from(10.0), 4.0);
-        n.reset_window(SimTime::from(10.0));
-        assert_eq!(n.busy(), 0.0);
-        assert_eq!(n.served(), 0);
-        assert_eq!(n.locals_finished(), 0);
-        // Queue value carries across the reset (it is a level, not a count).
-        n.observe_queue(SimTime::from(20.0), 0.0);
-        assert!((n.mean_queue_len(SimTime::from(20.0)) - 4.0).abs() < 1e-12);
     }
 }

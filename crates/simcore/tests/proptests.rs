@@ -155,7 +155,8 @@ proptest! {
     ) {
         let count = ((population as f64) * take_frac) as usize;
         let mut rng = Rng::seed_from(seed);
-        let picks = rng.choose_distinct(population, count);
+        let mut picks = Vec::new();
+        rng.choose_distinct_into(population, count, &mut picks);
         prop_assert_eq!(picks.len(), count);
         let mut sorted = picks.clone();
         sorted.sort_unstable();
@@ -210,8 +211,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random interleavings of every calendar operation agree with the
-    /// reference model step for step: popped events, cancel results,
-    /// peeks and `len()`. The schedule-heavy mix grows the calendar past
+    /// reference model step for step: popped events, cancel results
+    /// and `len()`. The schedule-heavy mix grows the calendar past
     /// the sorted run's capacity, so both levels and the refills between
     /// them are exercised, and the final drain empties it again.
     #[test]
@@ -242,18 +243,13 @@ proptest! {
                     let expect = model.pop_before(SimTime::INFINITY);
                     prop_assert_eq!(cal.pop(), expect, "pop at step {}", step);
                 }
-                82..=93 => {
+                _ => {
                     let limit = if x % 5 == 0 { SimTime::INFINITY } else { time_of(x / 5) };
                     let expect = model.pop_before(limit);
                     prop_assert_eq!(cal.pop_before(limit), expect, "pop_before at step {}", step);
                 }
-                _ => {
-                    let expect = model.pending.first_key_value().map(|(&(t, _), _)| t);
-                    prop_assert_eq!(cal.peek_time(), expect, "peek_time at step {}", step);
-                }
             }
             prop_assert_eq!(cal.len(), model.pending.len(), "len after step {}", step);
-            prop_assert!(cal.len_upper_bound() >= cal.len());
         }
         while let Some(expect) = model.pop_before(SimTime::INFINITY) {
             prop_assert_eq!(cal.pop(), Some(expect));
