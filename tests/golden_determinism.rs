@@ -5,6 +5,11 @@
 //! re-runs the same small configurations and compares the rendered
 //! `stats.json` and the replication-0 trace JSONL byte for byte.
 //!
+//! The preemptive fault case and the SJF/LLF cases under `UD-GF` pin the
+//! paths the first fixtures never reach (preemption, crash requeues,
+//! stragglers, delayed hand-offs, and ranks other than the deadline);
+//! they also record each replication's integer counters.
+//!
 //! Throughput numbers (wall-clock derived) are deliberately excluded:
 //! they are nondeterministic even between two runs of the same binary.
 //! Everything simulation-derived is compared exactly.
@@ -20,7 +25,9 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use sda::prelude::*;
+use sda::sched::Policy;
 use sda::sim::trace::{JsonlSink, SharedSink};
+use sda::sim::{CrashPolicy, FaultConfig};
 
 /// A writer handing every byte to a shared buffer, so the test can read
 /// what the sink wrote after the runner consumed it.
@@ -96,6 +103,93 @@ fn section8_case() -> (String, String) {
     run_case(cfg, 4242)
 }
 
+/// The integer counters of every replication, one line each: the event
+/// count and the abort, preemption and fault tallies the stats report
+/// does not carry.
+fn counters_text(multi: &MultiRun) -> String {
+    let mut out = String::new();
+    for run in multi.runs() {
+        let m = &run.metrics;
+        out.push_str(&format!(
+            "seed={} events={} aborted_locals={} aborted_globals={} \
+             local_scheduler_aborts={} resubmissions={} preemptions={} \
+             node_crashes={} crash_aborts={} crash_requeues={} \
+             straggler_inflations={} comm_delays={}\n",
+            run.seed,
+            run.events,
+            m.aborted_locals,
+            m.aborted_globals,
+            m.local_scheduler_aborts,
+            m.resubmissions,
+            m.preemptions,
+            m.node_crashes,
+            m.crash_aborts,
+            m.crash_requeues,
+            m.straggler_inflations,
+            m.comm_delays
+        ));
+    }
+    out
+}
+
+/// Like [`run_case`], plus the per-replication counters.
+fn run_counted_case(cfg: SimConfig, seed: u64) -> (String, String, String) {
+    let (multi, trace) = run_traced(
+        Runner::new(cfg)
+            .seed(seed)
+            .jobs(2)
+            .stop(StopRule::FixedReps(3)),
+    );
+    (multi.stats().to_json(), trace, counters_text(&multi))
+}
+
+/// The Figure 14 pipeline under preemptive EDF, local-scheduler abortion
+/// with resubmission, and every fault class with crashed subtasks
+/// requeued: pins preemption, dispatch-time and in-service aborts,
+/// resubmission, crash requeues, stragglers and delayed hand-offs.
+fn preemptive_faults_case() -> (String, String, String) {
+    let cfg = SimConfig {
+        load: 0.7,
+        duration: 600.0,
+        warmup: 50.0,
+        strategy: SdaStrategy::eqf_div1(),
+        preemptive: true,
+        abort: AbortPolicy::LocalScheduler {
+            resubmit: ResubmitPolicy::OnceWithRealDeadline,
+        },
+        fault: FaultConfig {
+            mttf: 200.0,
+            mttr: 15.0,
+            crash_policy: CrashPolicy::RequeueSubtask,
+            straggler_prob: 0.05,
+            straggler_factor: 4.0,
+            comm_delay_prob: 0.10,
+            comm_delay_mean: 0.5,
+        },
+        ..SimConfig::section8()
+    };
+    run_counted_case(cfg, 1212)
+}
+
+/// The parallel baseline under `UD-GF` with service estimates off by up
+/// to a factor of 2, served by `policy`: SJF ranks by the noisy estimate,
+/// LLF by the GF-shifted (negative) virtual deadline minus it.
+fn ranked_gf_case(policy: Policy) -> (String, String, String) {
+    let cfg = SimConfig {
+        load: 0.7,
+        duration: 600.0,
+        warmup: 50.0,
+        strategy: SdaStrategy {
+            ssp: SspStrategy::Ud,
+            psp: PspStrategy::gf(),
+        },
+        scheduler: policy,
+        estimation: EstimationModel::UniformFactor { max_factor: 2.0 },
+        ..SimConfig::baseline()
+    };
+    run_counted_case(cfg, 5150)
+}
+
 fn fixture(name: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -132,6 +226,49 @@ fn section8_stats_and_trace_match_golden() {
     assert!(!trace.is_empty(), "the run must actually trace");
     check_or_regen("section8_stats.json", &stats);
     check_or_regen("section8_trace.jsonl", &trace);
+}
+
+/// Whether `trace` holds at least one record of kind `event`.
+fn traces(trace: &str, event: &str) -> bool {
+    trace.contains(&format!("\"event\":\"{event}\""))
+}
+
+#[test]
+fn preemptive_faults_stats_trace_and_counters_match_golden() {
+    let (stats, trace, counters) = preemptive_faults_case();
+    for event in ["preempted", "node_crashed", "node_recovered"] {
+        assert!(traces(&trace, event), "the case must trace {event}");
+    }
+    let first = format!("{}\n", counters.lines().next().expect("a replication"));
+    for counter in [
+        " local_scheduler_aborts=0 ",
+        " resubmissions=0 ",
+        " crash_requeues=0 ",
+        " straggler_inflations=0 ",
+        " comm_delays=0\n",
+    ] {
+        assert!(
+            !first.contains(counter),
+            "replication 0 must not have{counter}"
+        );
+    }
+    check_or_regen("preemptive_faults_stats.json", &stats);
+    check_or_regen("preemptive_faults_trace.jsonl", &trace);
+    check_or_regen("preemptive_faults_counters.txt", &counters);
+}
+
+#[test]
+fn sjf_and_llf_under_gf_stats_trace_and_counters_match_golden() {
+    for (policy, name) in [(Policy::Sjf, "sjf_gf"), (Policy::Llf, "llf_gf")] {
+        let (stats, trace, counters) = ranked_gf_case(policy);
+        assert!(
+            trace.contains("\"virtual_deadline\":-"),
+            "{name}: GF must present negative virtual deadlines"
+        );
+        check_or_regen(&format!("{name}_stats.json"), &stats);
+        check_or_regen(&format!("{name}_trace.jsonl"), &trace);
+        check_or_regen(&format!("{name}_counters.txt"), &counters);
+    }
 }
 
 /// A short Table 1 configuration for the stopping-rule cases.
