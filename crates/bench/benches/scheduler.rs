@@ -1,5 +1,6 @@
-//! Micro-benchmarks of the local ready queues: EDF/FCFS/SJF push–pop
-//! churn and the O(n) targeted removal used by abortion.
+//! Micro-benchmarks of the local ready queues: push–pop churn under every
+//! policy from a single waiting task to thousands, and the targeted
+//! removals used by abortion.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,8 +25,8 @@ fn filled_queue(policy: Policy, n: usize, seed: u64) -> ReadyQueue<u64> {
 /// Steady-state churn: push one, pop one, at a given queue depth.
 fn queue_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("queue_churn");
-    for policy in [Policy::Edf, Policy::Fcfs, Policy::Sjf] {
-        for depth in [16usize, 256] {
+    for policy in Policy::ALL {
+        for depth in [1usize, 16, 256, 4096] {
             group.bench_with_input(
                 BenchmarkId::new(policy.to_string(), depth),
                 &depth,

@@ -219,6 +219,24 @@ fn usage_errors_exit_2_and_name_the_setting() {
 }
 
 #[test]
+fn non_finite_horizons_and_rates_are_usage_errors() {
+    for (setting, needle) in [
+        ("duration=nan", "horizon"),
+        ("duration=inf", "horizon"),
+        ("warmup=nan", "horizon"),
+        ("mu_local=nan", "service rates"),
+        ("mu_subtask=nan", "service rates"),
+        ("mu_local=inf", "service rates"),
+    ] {
+        let out = sda(&["run", setting, "--reps", "1"]);
+        assert_eq!(out.status.code(), Some(2), "{setting}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{setting}: {err}");
+        assert!(!err.contains("panicked"), "{setting}: {err}");
+    }
+}
+
+#[test]
 fn faulty_run_produces_a_report() {
     let out = sda(&[
         "run",

@@ -1,10 +1,11 @@
 //! Ready-queue implementations.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use sda_simcore::hash::FastHashMap;
+use sda_simcore::time::order_key;
 use sda_simcore::SimTime;
 
 /// The local scheduling policy of a node.
@@ -73,6 +74,40 @@ impl<T> QueuedTask<T> {
 /// sequence numbers are issued counting up from zero.
 const SEQ_FREE: u64 = u64::MAX;
 
+/// Bits of an entry's tag that hold the slot; the sequence number takes
+/// the other 40.
+const SLOT_BITS: u32 = 24;
+
+/// Sequence numbers must fit in the tag above the slot.
+const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
+
+/// Slot numbers must fit in [`SLOT_BITS`].
+const SLOT_LIMIT: usize = 1 << SLOT_BITS;
+
+/// An ordering entry's tag: the push's sequence number above the slab
+/// slot holding its payload. Tags of a queue are unique (sequence numbers
+/// are), and their order is push order.
+#[inline]
+fn tag(seq: u64, slot: u32) -> u64 {
+    seq << SLOT_BITS | u64::from(slot)
+}
+
+/// The slab slot a tag points at.
+#[inline]
+fn tag_slot(tag: u64) -> u32 {
+    (tag & ((1 << SLOT_BITS) - 1)) as u32
+}
+
+/// The heap key of a ranked entry: the rank through [`order_key`] in the
+/// high half, the tag in the low half. Keys order as `(rank, seq)` with
+/// ranks compared as `f64` (so `-0.0` and `+0.0` tie and fall back to
+/// FIFO), which makes a min-heap of keys serve the smallest rank first
+/// and equal ranks in push order.
+#[inline]
+fn rank_key(rank: f64, tag: u64) -> u128 {
+    u128::from(order_key(rank)) << 64 | u128::from(tag)
+}
+
 /// The payload and metadata of one waiting task, owned by the slot slab.
 ///
 /// `seq` doubles as the slot's generation stamp: an ordering entry (which
@@ -98,43 +133,6 @@ impl<T> Slot<T> {
     }
 }
 
-/// Heap entry: the policy's ordering key, the insertion sequence number
-/// for FIFO tie-breaking, and the slab slot holding the payload. Removed
-/// tasks leave only a stale `OrderEntry` behind (its `seq` no longer
-/// matches the slot's), skipped lazily.
-struct OrderEntry {
-    rank: f64,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for OrderEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank == other.rank && self.seq == other.seq
-    }
-}
-
-impl Eq for OrderEntry {}
-
-impl PartialOrd for OrderEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed (min-heap behaviour on a max-heap): smaller rank first,
-        // then FIFO by sequence number. Ranks are never NaN (SimTime is
-        // NaN-free and service estimates are validated on push).
-        other
-            .rank
-            .partial_cmp(&self.rank)
-            .expect("queue ranks are never NaN")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// A ready queue with a pluggable service order.
 ///
 /// The queue does not model execution — it only decides *which waiting task
@@ -152,6 +150,14 @@ impl Ord for OrderEntry {
 ///
 /// # Hot-path layout
 ///
+/// Ordering entries are plain integers: for the ranked policies a `u128`
+/// heap key, the rank mapped through
+/// [`order_key`](sda_simcore::time::order_key) above a tag of sequence
+/// and slot number; for FCFS the bare `u64` tag in a FIFO. Ordering two
+/// entries is one integer comparison. Removed tasks leave only a stale
+/// entry behind (its tag's sequence number no longer matches the
+/// slot's), skipped lazily.
+///
 /// Payloads live in a generation-stamped `Vec` slab indexed directly by
 /// the slot number each ordering entry carries, so the steady-state
 /// push/pop cycle does no hashing; only the caller-key index (sparse ids)
@@ -159,8 +165,10 @@ impl Ord for OrderEntry {
 /// via a free list, bounding the slab by the queue's high-water mark.
 pub struct ReadyQueue<T> {
     policy: Policy,
-    heap: BinaryHeap<OrderEntry>,
-    fifo: VecDeque<(u32, u64)>,
+    /// Ranked policies: min-heap of [`rank_key`]s.
+    heap: BinaryHeap<Reverse<u128>>,
+    /// FCFS: tags in push order.
+    fifo: VecDeque<u64>,
     /// Slot slab: payloads plus generation stamps, reused via `free`.
     slots: Vec<Slot<T>>,
     /// Freed slot indices awaiting reuse.
@@ -203,20 +211,15 @@ impl<T> ReadyQueue<T> {
         self.live == 0
     }
 
-    /// Whether the ordering entry `(slot, seq)` still refers to a waiting
-    /// task (its slot has not been detached or reused since).
-    #[inline]
-    fn is_live(&self, slot: u32, seq: u64) -> bool {
-        self.slots[slot as usize].seq == seq
-    }
-
     /// Enqueues a task.
     ///
     /// # Panics
     ///
     /// Panics if `task.service_estimate` is NaN (it would poison the SJF
     /// order), or if the policy's rank is NaN: under LLF, an infinite
-    /// deadline with an estimate of the same infinity.
+    /// deadline with an estimate of the same infinity. Also panics after
+    /// 2^40 pushes, or with 2^24 tasks waiting at once: the ordering
+    /// entry has no room for larger sequence or slot numbers.
     pub fn push(&mut self, task: QueuedTask<T>) {
         self.push_with(None, task);
     }
@@ -238,6 +241,7 @@ impl<T> ReadyQueue<T> {
             "service estimate must not be NaN"
         );
         let seq = self.next_seq;
+        assert!(seq < SEQ_LIMIT, "ready-queue sequence numbers exhausted");
         self.next_seq += 1;
         let rank = match self.policy {
             Policy::Edf => task.deadline.value(),
@@ -267,6 +271,7 @@ impl<T> ReadyQueue<T> {
                 slot
             }
             None => {
+                assert!(self.slots.len() < SLOT_LIMIT, "too many waiting tasks");
                 self.slots.push(state);
                 (self.slots.len() - 1) as u32
             }
@@ -275,9 +280,10 @@ impl<T> ReadyQueue<T> {
             let prev = self.by_key.insert(key, slot);
             assert!(prev.is_none(), "duplicate queue key {key}");
         }
+        let tag = tag(seq, slot);
         match self.policy {
-            Policy::Fcfs => self.fifo.push_back((slot, seq)),
-            _ => self.heap.push(OrderEntry { rank, seq, slot }),
+            Policy::Fcfs => self.fifo.push_back(tag),
+            _ => self.heap.push(Reverse(rank_key(rank, tag))),
         }
         self.live += 1;
     }
@@ -298,21 +304,20 @@ impl<T> ReadyQueue<T> {
     fn settle(&mut self) {
         match self.policy {
             Policy::Fcfs => {
-                while let Some(&(slot, seq)) = self.fifo.front() {
-                    if self.is_live(slot, seq) {
+                while let Some(&tag) = self.fifo.front() {
+                    if is_live(&self.slots, tag) {
                         break;
                     }
                     self.fifo.pop_front();
                 }
                 if self.fifo.len() > 2 * self.live + 64 {
                     let slots = &self.slots;
-                    self.fifo
-                        .retain(|&(slot, seq)| slots[slot as usize].seq == seq);
+                    self.fifo.retain(|&tag| is_live(slots, tag));
                 }
             }
             _ => {
-                while let Some(top) = self.heap.peek() {
-                    if self.is_live(top.slot, top.seq) {
+                while let Some(&Reverse(key)) = self.heap.peek() {
+                    if is_live(&self.slots, key as u64) {
                         break;
                     }
                     self.heap.pop();
@@ -320,7 +325,7 @@ impl<T> ReadyQueue<T> {
                 if self.heap.len() > 2 * self.live + 64 {
                     let mut entries = std::mem::take(&mut self.heap).into_vec();
                     let slots = &self.slots;
-                    entries.retain(|e| slots[e.slot as usize].seq == e.seq);
+                    entries.retain(|&Reverse(key)| is_live(slots, key as u64));
                     self.heap = entries.into();
                 }
             }
@@ -346,15 +351,12 @@ impl<T> ReadyQueue<T> {
     /// Dequeues the next task to serve according to the policy.
     pub fn pop(&mut self) -> Option<QueuedTask<T>> {
         loop {
-            let (slot, seq) = match self.policy {
+            let tag = match self.policy {
                 Policy::Fcfs => self.fifo.pop_front()?,
-                _ => {
-                    let e = self.heap.pop()?;
-                    (e.slot, e.seq)
-                }
+                _ => self.heap.pop()?.0 as u64,
             };
-            if self.is_live(slot, seq) {
-                let task = self.detach(slot);
+            if is_live(&self.slots, tag) {
+                let task = self.detach(tag_slot(tag));
                 self.settle();
                 return Some(task);
             }
@@ -364,11 +366,11 @@ impl<T> ReadyQueue<T> {
     /// The deadline of the task that would be served next (None if empty).
     pub fn peek_deadline(&self) -> Option<SimTime> {
         // The head is always live (settled after every removal).
-        let slot = match self.policy {
-            Policy::Fcfs => self.fifo.front()?.0,
-            _ => self.heap.peek()?.slot,
+        let tag = match self.policy {
+            Policy::Fcfs => *self.fifo.front()?,
+            _ => self.heap.peek()?.0 as u64,
         };
-        Some(self.slots[slot as usize].deadline)
+        Some(self.slots[tag_slot(tag) as usize].deadline)
     }
 
     /// Removes the task pushed under `key` (via
@@ -392,23 +394,24 @@ impl<T> ReadyQueue<T> {
         F: FnMut(&T) -> bool,
     {
         let slots = &self.slots;
-        let mut check = |slot: u32, seq: u64| {
-            let s = &slots[slot as usize];
-            s.seq == seq && pred(s.item.as_ref().expect("live slot has a payload"))
+        let mut check = |&tag: &u64| {
+            is_live(slots, tag)
+                && pred(
+                    slots[tag_slot(tag) as usize]
+                        .item
+                        .as_ref()
+                        .expect("live slot has a payload"),
+                )
         };
-        let slot = match self.policy {
-            Policy::Fcfs => self
-                .fifo
-                .iter()
-                .find(|&&(slot, seq)| check(slot, seq))
-                .map(|&(slot, _)| slot),
+        let tag = match self.policy {
+            Policy::Fcfs => self.fifo.iter().copied().find(&mut check),
             _ => self
                 .heap
                 .iter()
-                .find(|e| check(e.slot, e.seq))
-                .map(|e| e.slot),
+                .map(|&Reverse(key)| key as u64)
+                .find(&mut check),
         }?;
-        let task = self.detach(slot);
+        let task = self.detach(tag_slot(tag));
         self.settle();
         Some(task)
     }
@@ -421,6 +424,14 @@ impl<T> ReadyQueue<T> {
         }
         out
     }
+}
+
+/// Whether the ordering entry tagged `tag` still refers to a waiting task
+/// in `slots`: its slot has not been detached or reused since, so the
+/// slot's generation stamp is still the tag's sequence number.
+#[inline]
+fn is_live<T>(slots: &[Slot<T>], tag: u64) -> bool {
+    slots[tag_slot(tag) as usize].seq == tag >> SLOT_BITS
 }
 
 impl<T> fmt::Debug for ReadyQueue<T> {
@@ -526,6 +537,29 @@ mod tests {
         q.push(entry(0.5, 1.0, 1)); // urgent local
         q.push(QueuedTask::new(t(3.0) - 1e9, 1.0, 2u32)); // GF subtask
         assert_eq!(q.pop().unwrap().item, 2);
+    }
+
+    #[test]
+    fn signed_zero_ranks_tie_and_break_fifo() {
+        // -0.0 == +0.0, so the two are one rank and push order decides.
+        let mut q = ReadyQueue::new(Policy::Edf);
+        q.push(entry(0.0, 1.0, 1));
+        q.push(entry(-0.0, 1.0, 2));
+        q.push(entry(0.0, 1.0, 3));
+        q.push(entry(-1e-300, 1.0, 4));
+        let order: Vec<u32> = q.drain_in_order().into_iter().map(|e| e.item).collect();
+        assert_eq!(order, vec![4, 1, 2, 3]);
+    }
+
+    #[test]
+    fn negative_and_infinite_ranks_order_numerically() {
+        let mut q = ReadyQueue::new(Policy::Edf);
+        let deadlines = [3.0, -1e9, f64::INFINITY, -2.5, f64::NEG_INFINITY, -1e9, 0.0];
+        for (id, &dl) in deadlines.iter().enumerate() {
+            q.push(entry(dl, 1.0, id as u32));
+        }
+        let order: Vec<u32> = q.drain_in_order().into_iter().map(|e| e.item).collect();
+        assert_eq!(order, vec![4, 1, 5, 3, 6, 0, 2]);
     }
 
     #[test]

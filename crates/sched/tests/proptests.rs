@@ -1,13 +1,60 @@
 //! Property-based tests of the ready queues.
 
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use sda_sched::{Policy, QueuedTask, ReadyQueue};
 use sda_simcore::SimTime;
 
+/// Deadlines across every region the simulator presents: ordinary
+/// positive times, GF's virtual deadlines shifted near −1e9, both signed
+/// zeros, both infinities, and a few exact values that collide often.
+fn deadline_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..1e4,
+        -1e4f64..1e4,
+        -1e9 - 50.0..-1e9 + 50.0,
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        (0u8..4).prop_map(f64::from),
+        (0u8..4).prop_map(|i| -1e9 - f64::from(i)),
+    ]
+}
+
+/// Service estimates: finite (an infinite one would make LLF's rank NaN
+/// against an infinite deadline), with signed zeros and exact ties.
+fn estimate_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..100.0,
+        Just(0.0),
+        Just(-0.0),
+        (0u8..4).prop_map(f64::from),
+    ]
+}
+
 fn tasks_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
     // (deadline, service estimate) pairs.
-    prop::collection::vec((0.0f64..1e4, 0.0f64..100.0), 1..200)
+    prop::collection::vec((deadline_strategy(), estimate_strategy()), 1..200)
+}
+
+/// The policy's rank of a task, with `-0.0` folded onto `+0.0`: the two
+/// compare equal, so the queue must tie them and fall back to FIFO.
+fn model_rank(policy: Policy, dl: f64, svc: f64) -> f64 {
+    let rank = match policy {
+        Policy::Edf => dl,
+        Policy::Fcfs => 0.0,
+        Policy::Sjf => svc,
+        Policy::Llf => dl - svc,
+    };
+    if rank == 0.0 {
+        0.0
+    } else {
+        rank
+    }
 }
 
 /// Reference model of the ready-queue semantics: the pop order is a
@@ -18,15 +65,7 @@ fn reference_order(policy: Policy, tasks: &[(f64, f64)]) -> Vec<usize> {
     let mut indexed: Vec<(f64, usize)> = tasks
         .iter()
         .enumerate()
-        .map(|(i, &(dl, svc))| {
-            let rank = match policy {
-                Policy::Edf => dl,
-                Policy::Fcfs => 0.0,
-                Policy::Sjf => svc,
-                Policy::Llf => dl - svc,
-            };
-            (rank, i)
-        })
+        .map(|(i, &(dl, svc))| (model_rank(policy, dl, svc), i))
         .collect();
     indexed.sort_by(|a, b| a.0.total_cmp(&b.0)); // stable: ties keep FIFO order
     indexed.into_iter().map(|(_, i)| i).collect()
@@ -221,5 +260,95 @@ proptest! {
         }
         let order: Vec<usize> = q.drain_in_order().into_iter().map(|e| e.item).collect();
         prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
+    }
+}
+
+/// A rank ordered by `f64::total_cmp`, for the model's `BTreeMap` key;
+/// the model folds `-0.0` before wrapping, so the order is the numeric one.
+#[derive(Debug, Clone, Copy)]
+struct Rank(f64);
+
+impl PartialEq for Rank {
+    fn eq(&self, other: &Rank) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Rank {}
+
+impl PartialOrd for Rank {
+    fn partial_cmp(&self, other: &Rank) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Rank {
+    fn cmp(&self, other: &Rank) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// One step of the interleaved differential test.
+#[derive(Debug, Clone)]
+enum Op {
+    Push(f64, f64),
+    Pop,
+    /// Remove the task pushed `n`-th (mod the pushes so far), if waiting.
+    RemoveBy(usize),
+}
+
+fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
+    let op = prop_oneof![
+        (deadline_strategy(), estimate_strategy()).prop_map(|(dl, svc)| Op::Push(dl, svc)),
+        (deadline_strategy(), estimate_strategy()).prop_map(|(dl, svc)| Op::Push(dl, svc)),
+        Just(Op::Pop),
+        (0usize..1000).prop_map(Op::RemoveBy),
+    ];
+    prop::collection::vec(op, 1..400)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn interleaved_ops_match_a_btreemap_model_under_every_policy(ops in ops_strategy()) {
+        for policy in Policy::ALL {
+            let mut q = ReadyQueue::new(policy);
+            // (rank, push index) -> (push index, deadline): the model's
+            // first entry is the next to serve.
+            let mut model: BTreeMap<(Rank, usize), (usize, f64)> = BTreeMap::new();
+            let mut pushed: Vec<(Rank, usize)> = Vec::new();
+            for op in &ops {
+                match *op {
+                    Op::Push(dl, svc) => {
+                        let id = pushed.len();
+                        let key = (Rank(model_rank(policy, dl, svc)), id);
+                        q.push(QueuedTask::new(SimTime::from(dl), svc, id));
+                        model.insert(key, (id, dl));
+                        pushed.push(key);
+                    }
+                    Op::Pop => {
+                        let got = q.pop().map(|t| (t.item, t.deadline.value()));
+                        let want = model.pop_first().map(|(_, v)| v);
+                        prop_assert_eq!(got.map(|g| g.0), want.map(|w| w.0), "{} pop", policy);
+                    }
+                    Op::RemoveBy(n) => {
+                        if pushed.is_empty() {
+                            continue;
+                        }
+                        let key = pushed[n % pushed.len()];
+                        let got = q.remove_by(|&id| id == key.1).map(|t| t.item);
+                        let want = model.remove(&key).map(|v| v.0);
+                        prop_assert_eq!(got, want, "{} remove_by", policy);
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                let head = model.values().next().map(|&(_, dl)| SimTime::from(dl));
+                prop_assert_eq!(q.peek_deadline(), head, "{} head", policy);
+            }
+            let rest: Vec<usize> = q.drain_in_order().into_iter().map(|t| t.item).collect();
+            let want: Vec<usize> = model.values().map(|&(id, _)| id).collect();
+            prop_assert_eq!(rest, want, "{} drain", policy);
+        }
     }
 }

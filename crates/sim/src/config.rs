@@ -414,7 +414,9 @@ impl SimConfig {
         if !(0.0..=1.0).contains(&self.frac_local) {
             return Err(ConfigError::BadFracLocal(self.frac_local));
         }
-        if self.mu_local <= 0.0 || self.mu_subtask <= 0.0 {
+        // Positive tests, so NaN fails them too.
+        let finite_positive = |x: f64| x.is_finite() && x > 0.0;
+        if !finite_positive(self.mu_local) || !finite_positive(self.mu_subtask) {
             return Err(ConfigError::BadServiceRate);
         }
         if self.preemptive && self.scheduler != Policy::Edf {
@@ -444,7 +446,8 @@ impl SimConfig {
                 }
             }
         }
-        if self.duration <= 0.0 || self.warmup < 0.0 || self.warmup >= self.duration {
+        let warmup_ok = self.warmup.is_finite() && self.warmup >= 0.0;
+        if !finite_positive(self.duration) || !warmup_ok || self.warmup >= self.duration {
             return Err(ConfigError::BadHorizon {
                 duration: self.duration,
                 warmup: self.warmup,
@@ -486,7 +489,7 @@ pub enum ConfigError {
     BadLoad(f64),
     /// `frac_local` outside `[0, 1]`.
     BadFracLocal(f64),
-    /// A non-positive service rate.
+    /// A service rate that is not finite and positive.
     BadServiceRate,
     /// `preemptive` set with a non-EDF scheduler.
     PreemptionNeedsEdf(Policy),
@@ -504,7 +507,8 @@ pub enum ConfigError {
         /// Its offered load.
         rho: f64,
     },
-    /// Non-positive duration or warm-up not inside the run.
+    /// A duration that is not finite and positive, or a warm-up that is
+    /// not finite, non-negative and shorter than the duration.
     BadHorizon {
         /// Configured duration.
         duration: f64,
@@ -529,7 +533,7 @@ impl fmt::Display for ConfigError {
             ConfigError::NoNodes => write!(f, "node count must be positive"),
             ConfigError::BadLoad(l) => write!(f, "load must be in [0, 1), got {l}"),
             ConfigError::BadFracLocal(x) => write!(f, "frac_local must be in [0, 1], got {x}"),
-            ConfigError::BadServiceRate => write!(f, "service rates must be positive"),
+            ConfigError::BadServiceRate => write!(f, "service rates must be finite and positive"),
             ConfigError::PreemptionNeedsEdf(policy) => {
                 write!(f, "preemption requires EDF, got {policy}")
             }

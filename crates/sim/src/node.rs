@@ -136,6 +136,13 @@ impl Node {
         self.current.is_none()
     }
 
+    /// Whether a newly arriving job would be served at once: the node is
+    /// up, idle and has nothing waiting, so pushing the job and
+    /// dispatching would pop it straight back.
+    pub fn can_start_directly(&self) -> bool {
+        self.up && self.current.is_none() && self.queue.is_empty()
+    }
+
     /// Waiting plus in-service count — the backlog least-loaded placement
     /// compares.
     pub fn backlog(&self) -> usize {

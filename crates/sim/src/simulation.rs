@@ -10,6 +10,7 @@
 //! and observability flows through a [`TraceSink`] ([`crate::trace`]).
 
 use sda_core::Release;
+use sda_sched::QueuedTask;
 use sda_simcore::rng::Rng;
 use sda_simcore::stats::NodeStats;
 use sda_simcore::{Engine, Model, SimTime};
@@ -441,6 +442,15 @@ impl Simulation {
         pex: f64,
         job: Job,
     ) {
+        if self.nodes[node].can_start_directly() {
+            // Pushed, the job would be popped straight back by dispatch:
+            // serve it directly. If the local scheduler aborts it instead,
+            // carry on as dispatch would with its next candidate.
+            if !self.start(engine, node, QueuedTask::new(presented_dl, pex, job)) {
+                self.dispatch(engine, node);
+            }
+            return;
+        }
         self.nodes[node].enqueue(presented_dl, pex, job);
         if self.nodes[node].is_idle() {
             self.dispatch(engine, node);
@@ -500,52 +510,60 @@ impl Simulation {
         if !self.nodes[node].up || !self.nodes[node].is_idle() {
             return;
         }
-        let local_abort = matches!(self.cfg.abort, AbortPolicy::LocalScheduler { .. });
         while let Some(entry) = self.nodes[node].queue.pop() {
-            let now = engine.now();
-            if local_abort && entry.deadline < now {
-                // Expired in the queue: abort without serving. Resubmission
-                // may re-enter dispatch and fill this server.
-                let prior_work = entry.item.ex() - entry.item.remaining();
-                self.local_scheduler_abort(engine, node, entry.item, prior_work);
-                if !self.nodes[node].is_idle() {
-                    return;
-                }
-                continue;
+            if self.start(engine, node, entry) {
+                return;
             }
-            let service_time = entry.item.remaining() / self.nodes[node].speed;
-            let completion_at = now + service_time;
-            let complete = engine.schedule(completion_at, Ev::ServiceComplete { node });
-            let abort_timer = (local_abort && entry.deadline > now).then(|| {
-                engine.schedule(
-                    entry.deadline,
-                    Ev::InServiceDeadline {
-                        node,
-                        job_id: entry.item.id(),
-                    },
-                )
-            });
-            if let Job::Subtask(sub) = &entry.item {
-                let g = self.pm.get_mut(sub.slot).expect("live global");
-                g.leaf_state[sub.leaf] = LeafState::InService;
-            }
-            self.emit(
-                now,
-                TraceEvent::ServiceStarted {
-                    node,
-                    job: entry.item.id(),
-                },
-            );
-            self.nodes[node].current = Some(InService {
-                job: entry.item,
-                start: now,
-                presented_dl: entry.deadline,
-                completion_at,
-                complete,
-                abort_timer,
-            });
-            return;
         }
+    }
+
+    /// Starts serving `entry` at the idle, up `node`, unless the local
+    /// scheduler aborts it at dispatch for an already-expired presented
+    /// deadline. Returns whether the node is busy afterwards: `false`
+    /// only after such an abort whose resubmission did not refill the
+    /// server, and the caller then moves on to its next candidate.
+    fn start(&mut self, engine: &mut Engine<Ev>, node: usize, entry: QueuedTask<Job>) -> bool {
+        let now = engine.now();
+        let local_abort = matches!(self.cfg.abort, AbortPolicy::LocalScheduler { .. });
+        if local_abort && entry.deadline < now {
+            // Expired while waiting: abort without serving. Resubmission
+            // may re-enter dispatch and fill this server.
+            let prior_work = entry.item.ex() - entry.item.remaining();
+            self.local_scheduler_abort(engine, node, entry.item, prior_work);
+            return !self.nodes[node].is_idle();
+        }
+        let service_time = entry.item.remaining() / self.nodes[node].speed;
+        let completion_at = now + service_time;
+        let complete = engine.schedule(completion_at, Ev::ServiceComplete { node });
+        let abort_timer = (local_abort && entry.deadline > now).then(|| {
+            engine.schedule(
+                entry.deadline,
+                Ev::InServiceDeadline {
+                    node,
+                    job_id: entry.item.id(),
+                },
+            )
+        });
+        if let Job::Subtask(sub) = &entry.item {
+            let g = self.pm.get_mut(sub.slot).expect("live global");
+            g.leaf_state[sub.leaf] = LeafState::InService;
+        }
+        self.emit(
+            now,
+            TraceEvent::ServiceStarted {
+                node,
+                job: entry.item.id(),
+            },
+        );
+        self.nodes[node].current = Some(InService {
+            job: entry.item,
+            start: now,
+            presented_dl: entry.deadline,
+            completion_at,
+            complete,
+            abort_timer,
+        });
+        true
     }
 
     fn on_service_complete(&mut self, engine: &mut Engine<Ev>, node: usize) {

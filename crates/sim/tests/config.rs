@@ -108,6 +108,47 @@ fn validation_rejects_bad_configs() {
         .validate(),
         Err(ConfigError::BadHorizon { .. })
     ));
+    // Non-finite values used to slip past negative comparisons: NaN
+    // panicked mid-replication and an infinite duration never ended.
+    for (mu_local, mu_subtask) in [
+        (f64::NAN, 1.0),
+        (1.0, f64::NAN),
+        (f64::INFINITY, 1.0),
+        (1.0, f64::INFINITY),
+        (-1.0, 1.0),
+    ] {
+        assert_eq!(
+            SimConfig {
+                mu_local,
+                mu_subtask,
+                ..base.clone()
+            }
+            .validate(),
+            Err(ConfigError::BadServiceRate),
+            "mu_local {mu_local}, mu_subtask {mu_subtask}"
+        );
+    }
+    for (duration, warmup) in [
+        (f64::NAN, 100.0),
+        (f64::INFINITY, 100.0),
+        (1_000.0, f64::NAN),
+        (1_000.0, f64::NEG_INFINITY),
+        (1_000.0, -1.0),
+        (0.0, 0.0),
+    ] {
+        assert!(
+            matches!(
+                SimConfig {
+                    duration,
+                    warmup,
+                    ..base.clone()
+                }
+                .validate(),
+                Err(ConfigError::BadHorizon { .. })
+            ),
+            "duration {duration}, warmup {warmup}"
+        );
+    }
     assert_eq!(
         SimConfig {
             shape: GlobalShape::ParallelFixed { n: 0 },

@@ -10,14 +10,15 @@
 //!   cancelled when the task completes on time).
 //!
 //! Each pending entry is one `u128` key that orders exactly as
-//! `(time, seq)` does: the time mapped to an order-preserving `u64` in the
-//! high half, the sequence number and the payload's slot in the low half.
-//! Ordering entries is then one integer comparison. The keys live in two
-//! levels: a short ascending run holding the earliest entries, popped by
-//! advancing a cursor, and a binary min-heap holding the rest. Every entry
-//! in the run is earlier than every entry in the heap, so the run's first
-//! entry is the calendar's earliest, and the run is refilled from the heap
-//! when it empties. A calendar of a few dozen pending events never leaves
+//! `(time, seq)` does: the time mapped to an order-preserving `u64` by
+//! [`crate::time::order_key`] in the high half, the sequence number and
+//! the payload's slot in the low half. Ordering entries is then one
+//! integer comparison. The keys live in two levels: a short ascending run
+//! holding the earliest entries, popped by advancing a cursor, and a
+//! binary min-heap holding the rest. Every entry in the run is earlier
+//! than every entry in the heap, so the run's first entry is the
+//! calendar's earliest, and the run is refilled from the heap when it
+//! empties. A calendar of a few dozen pending events never leaves
 //! the run; a large one costs O(log n) per operation, like a plain heap.
 //!
 //! Cancellation bookkeeping is a slab of per-slot states indexed directly
@@ -29,7 +30,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use crate::time::{order_key, SimTime};
 
 /// Marks a slab slot as free: no live handle can match it, because
 /// sequence numbers are issued counting up from zero.
@@ -71,24 +72,8 @@ impl EventHandle {
     }
 }
 
-/// Maps a time to a `u64` whose unsigned order is the time's order: the
-/// sign-flip transform of the IEEE-754 bits (set the sign bit of a
-/// non-negative value, invert every bit of a negative one). `-0.0` is
-/// folded onto `+0.0` first, because the two compare equal and must tie.
-/// Times are never NaN, so the order is total.
-#[inline]
-fn time_key(time: SimTime) -> u64 {
-    let value = time.value();
-    let bits = if value == 0.0 { 0 } else { value.to_bits() };
-    if bits >> 63 == 0 {
-        bits | 1 << 63
-    } else {
-        !bits
-    }
-}
-
-/// Inverts [`time_key`]; a time scheduled as `-0.0` comes back as `+0.0`,
-/// which it equals.
+/// Inverts [`order_key`] on a key's high half; a time scheduled as
+/// `-0.0` comes back as `+0.0`, which it equals.
 #[inline]
 fn key_time(key: u128) -> SimTime {
     let key = (key >> 64) as u64;
@@ -104,7 +89,7 @@ fn key_time(key: u128) -> SimTime {
 /// rides along, since `seq` is unique.
 #[inline]
 fn pack(time: SimTime, seq: u64, slot: u32) -> u128 {
-    (u128::from(time_key(time)) << 64) | u128::from(seq << SLOT_BITS | u64::from(slot))
+    (u128::from(order_key(time.value())) << 64) | u128::from(seq << SLOT_BITS | u64::from(slot))
 }
 
 /// The slot an entry's payload lives in.
@@ -313,7 +298,7 @@ impl<E> Calendar<E> {
     /// Finds the front once for both the bounds check and the removal —
     /// the engine's run loop calls this once per event.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let limit = time_key(limit);
+        let limit = order_key(limit.value());
         loop {
             let key = self.front()?;
             if (key >> 64) as u64 > limit && self.is_live(key) {

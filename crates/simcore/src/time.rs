@@ -161,6 +161,34 @@ impl Sub<f64> for SimTime {
     }
 }
 
+/// Maps a value to a `u64` whose unsigned order is the value's order:
+/// the sign-flip transform of the IEEE-754 bits (set the sign bit of a
+/// non-negative value, invert every bit of a negative one). `-0.0` is
+/// folded onto `+0.0` first, because the two compare equal and must tie.
+///
+/// The event calendar keys times by it and the ready queue its ranks, so
+/// ordering either is one integer comparison. The value must not be NaN,
+/// which has no place in the order: a [`SimTime`] cannot hold it, and the
+/// ready queue rejects a NaN rank at push.
+///
+/// ```
+/// use sda_simcore::time::order_key;
+/// assert!(order_key(-1e9) < order_key(-1.0));
+/// assert!(order_key(-1.0) < order_key(0.5));
+/// assert_eq!(order_key(-0.0), order_key(0.0));
+/// assert!(order_key(1e300) < order_key(f64::INFINITY));
+/// ```
+#[inline]
+pub fn order_key(value: f64) -> u64 {
+    debug_assert!(!value.is_nan(), "order_key of NaN");
+    let bits = if value == 0.0 { 0 } else { value.to_bits() };
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(&self.0, f)
@@ -215,6 +243,35 @@ mod tests {
         let b = SimTime::from(2.0);
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
+    }
+
+    #[test]
+    fn order_key_orders_as_partial_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1e9,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0,
+            1e9,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for &a in &values {
+            for &b in &values {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
     }
 
     #[test]
