@@ -1,6 +1,7 @@
 //! Running a sweep for the `sda` tool, and the two ways a command fails.
 
 use std::fmt;
+use std::sync::Arc;
 
 use sda_sim::{MultiRun, Sweep};
 
@@ -51,7 +52,7 @@ impl From<&str> for CliError {
 /// A configuration the sweep rejects is a [`CliError::Usage`]. A failed
 /// replication is a [`CliError::Run`] naming the first failed point (in
 /// point order), its replication and its seed.
-pub fn execute(sweep: &Sweep) -> Result<Vec<MultiRun>, CliError> {
+pub fn execute(sweep: &Sweep) -> Result<Vec<Arc<MultiRun>>, CliError> {
     sweep
         .try_execute()
         .map_err(|e| CliError::Usage(e.to_string()))?

@@ -90,7 +90,7 @@ impl RunOptions {
     /// Runs one point per configuration as a single sweep, returning the
     /// results in order. A trace records replication 0 of the first
     /// point (bytes independent of `--jobs`) and bypasses the cache.
-    fn execute(&self, cfgs: Vec<SimConfig>) -> Result<Vec<MultiRun>, CliError> {
+    fn execute(&self, cfgs: Vec<SimConfig>) -> Result<Vec<Arc<MultiRun>>, CliError> {
         let stop = match self.ci_target {
             Some(target) => StopRule::CiWidth(target),
             None => StopRule::FixedReps(self.reps),

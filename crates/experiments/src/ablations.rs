@@ -3,6 +3,8 @@
 //! Each ablation probes a claim the paper makes in prose but does not
 //! plot, or a design choice our implementation had to make.
 
+use std::sync::Arc;
+
 use sda_core::{EstimationModel, PspStrategy, SdaStrategy, SspStrategy};
 use sda_model::TaskSpec;
 use sda_sched::Policy;
@@ -18,7 +20,7 @@ use crate::table::Table;
 /// Runs a whole ablation grid as one batch (each configuration at the
 /// campaign seed and the scale's replication count), so the engine can
 /// interleave all cells across its worker pool.
-fn run_grid(cfgs: Vec<SimConfig>, scale: Scale) -> Vec<MultiRun> {
+fn run_grid(cfgs: Vec<SimConfig>, scale: Scale) -> Vec<Arc<MultiRun>> {
     let points: Vec<Point> = cfgs
         .into_iter()
         .map(|cfg| Point::new(cfg, scale.replications()))

@@ -124,7 +124,7 @@ impl Exec {
 
     /// Executes a batch of points as one sweep and returns their results
     /// in order.
-    fn run(&self, points: &[Point]) -> Vec<MultiRun> {
+    fn run(&self, points: &[Point]) -> Vec<Arc<MultiRun>> {
         let mut sweep = Sweep::new().jobs(self.jobs).points(
             points
                 .iter()
@@ -193,12 +193,14 @@ pub fn cache_report() -> Option<CacheReport> {
 /// table at once — and returns their results in point order. Batching a
 /// whole figure into one call lets the engine interleave replications of
 /// different points across workers instead of running point-by-point.
+/// Points with equal configurations, within the batch or across the
+/// campaign's cache, share one result.
 ///
 /// # Panics
 ///
 /// Panics if a configuration fails validation — experiment
 /// configurations are constructed by the harness and must be valid.
-pub fn run_points(points: &[Point]) -> Vec<MultiRun> {
+pub fn run_points(points: &[Point]) -> Vec<Arc<MultiRun>> {
     current().run(points)
 }
 

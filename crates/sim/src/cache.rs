@@ -36,7 +36,7 @@ use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use sda_core::{EstimationModel, PspStrategy, SspStrategy};
 use sda_simcore::stats::{
@@ -208,28 +208,22 @@ fn write_point(
     }
 }
 
-/// 64-bit FNV-1a over `text` from the given offset basis.
-fn fnv1a(text: &str, offset: u64) -> u64 {
-    let mut hash = offset;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// The stable 128-bit content address of a canonical point text,
-/// rendered as 32 hex digits. Two independent FNV-1a passes (the
-/// standard offset basis and a salted one) make accidental collisions
-/// negligible; the stored preimage makes even a real collision safe
-/// (it reads back as a miss).
+/// rendered as 32 hex digits. Two independent 64-bit FNV-1a lanes (the
+/// standard offset basis and a salted one), hashed in one pass over the
+/// text, make accidental collisions negligible; the stored preimage makes
+/// even a real collision safe (it reads back as a miss).
 ///
 /// This hash is implemented here — not with `std`'s `DefaultHasher` —
 /// because the key must be stable across processes, platforms, and Rust
 /// releases; `DefaultHasher` guarantees none of those.
 pub fn point_key_of(canonical: &str) -> String {
-    let lo = fnv1a(canonical, 0xCBF2_9CE4_8422_2325);
-    let hi = fnv1a(canonical, 0x6C62_272E_07BB_0142);
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let (mut lo, mut hi) = (0xCBF2_9CE4_8422_2325_u64, 0x6C62_272E_07BB_0142_u64);
+    for &byte in canonical.as_bytes() {
+        lo = (lo ^ u64::from(byte)).wrapping_mul(PRIME);
+        hi = (hi ^ u64::from(byte)).wrapping_mul(PRIME);
+    }
     format!("{hi:016x}{lo:016x}")
 }
 
@@ -438,16 +432,9 @@ impl Cursor<'_> {
 
     /// ` X`: an `f64` as exactly 16 lowercase hex digits of its bits.
     fn f64(&mut self) -> Option<f64> {
-        let digits = self.rest.strip_prefix(b" ")?;
-        let (field, rest) = digits.split_at_checked(16)?;
-        let bits = field.iter().try_fold(0u64, |acc, &d| {
-            let nibble = match d {
-                b'0'..=b'9' => d - b'0',
-                b'a'..=b'f' => d - b'a' + 10,
-                _ => return None,
-            };
-            Some((acc << 4) | u64::from(nibble))
-        })?;
+        let (high, rest) = self.rest.strip_prefix(b" ")?.split_first_chunk::<8>()?;
+        let (low, rest) = rest.split_first_chunk::<8>()?;
+        let bits = (u64::from(hex8(*high)?) << 32) | u64::from(hex8(*low)?);
         self.rest = rest;
         Some(f64::from_bits(bits))
     }
@@ -500,18 +487,48 @@ impl Cursor<'_> {
     /// ` width overflow count bin…`: a histogram with a finite positive
     /// bin width whose bins and overflow sum (without overflowing) to
     /// its count, checked as the bins are read.
+    ///
+    /// The bins run to the line end, and each takes at least two bytes,
+    /// so the vector is sized once from the line's length. Most bins are
+    /// zero or a single digit, so the bins are read eight bytes, four
+    /// fields, at a time where they can be: a run of ` 0 0 0 0` groups is
+    /// counted and filled at once, and a group of four ` d` fields is
+    /// decoded at once when the byte after it starts another field or
+    /// ends the line. Any other field is read alone by [`Cursor::u64`],
+    /// so every path accepts the same encodings.
     fn hist(&mut self) -> Option<Histogram> {
         let (bin_width, overflow, count) = (self.f64()?, self.u64()?, self.u64()?);
         if !(bin_width.is_finite() && bin_width > 0.0) {
             return None;
         }
-        let mut bins = Vec::new();
+        let (line, after) = self.rest.split_at(line_len(self.rest));
+        let mut bins = Vec::with_capacity(line.len() / 2);
         let mut sum = overflow;
-        while self.rest.first() == Some(&b' ') {
-            let bin = self.u64()?;
+        let mut fields = Cursor { rest: line };
+        while !fields.rest.is_empty() {
+            let zeros = fields
+                .rest
+                .chunks_exact(8)
+                .take_while(|group| *group == b" 0 0 0 0")
+                .count();
+            if zeros > 0 {
+                bins.resize(bins.len() + 4 * zeros, 0);
+                fields.rest = &fields.rest[8 * zeros..];
+                continue;
+            }
+            if let Some((group, tail)) = fields.rest.split_first_chunk::<8>() {
+                if let (Some(digits), None | Some(b' ')) = (single_digits(*group), tail.first()) {
+                    sum = sum.checked_add(digits.iter().sum())?;
+                    bins.extend_from_slice(&digits);
+                    fields.rest = tail;
+                    continue;
+                }
+            }
+            let bin = fields.u64()?;
             sum = sum.checked_add(bin)?;
             bins.push(bin);
         }
+        self.rest = after;
         (sum == count).then(|| Histogram::from_parts(bin_width, bins, overflow, count))
     }
 
@@ -587,6 +604,71 @@ impl Cursor<'_> {
             wall_secs,
         })
     }
+}
+
+// Word-at-a-time helpers for `Cursor`: each tests and decodes eight
+// bytes as the lanes of one `u64`, with no branch per byte.
+
+/// Ones in the low bit of each byte lane.
+const BYTE_LANES: u64 = 0x0101_0101_0101_0101;
+
+/// The length of the line `text` starts: the bytes before its first `\n`,
+/// or all of them.
+fn line_len(text: &[u8]) -> usize {
+    let (words, tail) = text.as_chunks::<8>();
+    for (i, &word) in words.iter().enumerate() {
+        // A lane is zero exactly where the byte is `\n`; the lowest lane
+        // this flags is the first zero lane (a borrow only flags lanes
+        // above a zero one).
+        let x = u64::from_le_bytes(word) ^ (u64::from(b'\n') * BYTE_LANES);
+        let zero = x.wrapping_sub(BYTE_LANES) & !x & (0x80 * BYTE_LANES);
+        if zero != 0 {
+            return 8 * i + zero.trailing_zeros() as usize / 8;
+        }
+    }
+    let len = 8 * words.len();
+    len + tail.iter().position(|&b| b == b'\n').unwrap_or(tail.len())
+}
+
+/// The value of eight lowercase hex digits, or `None` if the bytes are
+/// anything else. A digit's nibble is its low four bits, plus 9 for a
+/// letter (bit 6 set); the digits are valid exactly when those nibbles
+/// are below 16 and encode back to the input, `0x30 + n` below ten and
+/// `0x57 + n` above.
+fn hex8(digits: [u8; 8]) -> Option<u32> {
+    let word = u64::from_be_bytes(digits);
+    let nibbles = (word & (0x0F * BYTE_LANES)) + ((word >> 6) & BYTE_LANES) * 9;
+    let letters = ((nibbles + 0x06 * BYTE_LANES) >> 4) & BYTE_LANES;
+    let encoded = nibbles + 0x30 * BYTE_LANES + letters * 0x27;
+    if encoded != word || nibbles & (0xF0 * BYTE_LANES) != 0 {
+        return None;
+    }
+    // Pack the eight nibbles, most significant first: pairs into bytes,
+    // bytes into 16-bit halves, halves into the result.
+    let bytes = (nibbles | (nibbles >> 4)) & 0x00FF_00FF_00FF_00FF;
+    let halves = (bytes | (bytes >> 8)) & 0x0000_FFFF_0000_FFFF;
+    Some((halves | (halves >> 16)) as u32)
+}
+
+/// The values of four ` d` fields packed in eight bytes, or `None` if the
+/// bytes are anything else. The fields are the 16-bit lanes of one word:
+/// the low byte of each must be a space and the high byte a digit,
+/// `0x30..=0x39`, that is, a high nibble of 3 and a low nibble that does
+/// not carry past 15 when 6 is added.
+fn single_digits(group: [u8; 8]) -> Option<[u64; 4]> {
+    const LANES: u64 = 0x0001_0001_0001_0001;
+    let word = u64::from_le_bytes(group);
+    let digits = (word >> 8) & (0xFF * LANES);
+    let values = digits & (0x0F * LANES);
+    let valid = word & (0xFF * LANES) == 0x20 * LANES
+        && digits & (0xF0 * LANES) == 0x30 * LANES
+        && (values + 0x06 * LANES) & (0x10 * LANES) == 0;
+    valid.then_some([
+        values & 0xF,
+        (values >> 16) & 0xF,
+        (values >> 32) & 0xF,
+        values >> 48,
+    ])
 }
 
 /// Parses a cache file back into a [`MultiRun`], verifying that the
@@ -718,14 +800,16 @@ impl std::fmt::Display for CacheReport {
 /// A memoization layer for sweep points: an in-memory map, optionally
 /// backed by an on-disk content-addressed store.
 ///
-/// Thread-safe; share one handle (via [`std::sync::Arc`]) across sweeps
-/// to deduplicate identical points campaign-wide.
+/// Thread-safe; share one handle (via [`Arc`]) across sweeps to
+/// deduplicate identical points campaign-wide. Results are held and
+/// handed out as `Arc<MultiRun>`, so a hit shares the stored result
+/// instead of copying it.
 #[derive(Debug)]
 pub struct PointCache {
     dir: Option<PathBuf>,
     /// key → (preimage, result); the preimage is kept so even a memory
     /// hit verifies the full canonical text, not just its hash.
-    memory: Mutex<HashMap<String, (String, MultiRun)>>,
+    memory: Mutex<HashMap<String, (String, Arc<MultiRun>)>>,
     hits_memory: AtomicU64,
     hits_disk: AtomicU64,
     misses: AtomicU64,
@@ -785,11 +869,11 @@ impl PointCache {
 
     /// Looks up a point, counting a memory hit, a disk hit, or a miss.
     /// A disk hit is promoted into the memory layer.
-    pub fn lookup(&self, key: &str, preimage: &str) -> Option<MultiRun> {
+    pub fn lookup(&self, key: &str, preimage: &str) -> Option<Arc<MultiRun>> {
         if let Some((stored, found)) = self.memory.lock().expect("cache map").get(key) {
             if stored == preimage {
                 self.hits_memory.fetch_add(1, Ordering::Relaxed);
-                return Some(found.clone());
+                return Some(Arc::clone(found));
             }
         }
         if let Some(path) = self.file_of(key) {
@@ -797,10 +881,11 @@ impl PointCache {
                 Ok(text) => {
                     if let Some(multi) = parse_multi_run(&text, preimage) {
                         self.hits_disk.fetch_add(1, Ordering::Relaxed);
+                        let multi = Arc::new(multi);
                         self.memory
                             .lock()
                             .expect("cache map")
-                            .insert(key.to_string(), (preimage.to_string(), multi.clone()));
+                            .insert(key.to_string(), (preimage.to_string(), Arc::clone(&multi)));
                         return Some(multi);
                     }
                     // The file exists but is not a valid entry for this
@@ -838,11 +923,11 @@ impl PointCache {
     /// never fails the caller — a cache that cannot write degrades to
     /// recomputing — but it is counted in [`PointCache::report`] and
     /// warned about once.
-    pub fn store(&self, key: &str, preimage: &str, multi: &MultiRun) {
+    pub fn store(&self, key: &str, preimage: &str, multi: &Arc<MultiRun>) {
         self.memory
             .lock()
             .expect("cache map")
-            .insert(key.to_string(), (preimage.to_string(), multi.clone()));
+            .insert(key.to_string(), (preimage.to_string(), Arc::clone(multi)));
         if let Some(path) = self.file_of(key) {
             let text = serialize_multi_run(preimage, multi);
             let tmp = path.with_extension(format!("tmp{}", std::process::id()));
@@ -882,6 +967,48 @@ mod tests {
             duration: 2_000.0,
             warmup: 100.0,
             ..SimConfig::baseline()
+        }
+    }
+
+    /// The value of `digits` as lowercase hex, decoded one byte at a time.
+    fn hex_reference(digits: &[u8]) -> Option<u32> {
+        digits.iter().try_fold(0, |acc, &d| {
+            let nibble = match d {
+                b'0'..=b'9' => d - b'0',
+                b'a'..=b'f' => d - b'a' + 10,
+                _ => return None,
+            };
+            Some((acc << 4) | u32::from(nibble))
+        })
+    }
+
+    #[test]
+    fn word_helpers_match_a_byte_at_a_time_reference() {
+        // Every byte value in every position of each helper's input.
+        for at in 0..8 {
+            for byte in 0..=u8::MAX {
+                let mut hex = *b"09afe5c3";
+                hex[at] = byte;
+                assert_eq!(hex8(hex), hex_reference(&hex), "{hex:?}");
+
+                let mut group = *b" 7 0 9 1";
+                group[at] = byte;
+                let fields = [1, 3, 5, 7].map(|i| (group[i - 1], group[i]));
+                let expected = fields
+                    .iter()
+                    .all(|&(space, d)| space == b' ' && d.is_ascii_digit())
+                    .then(|| fields.map(|(_, d)| u64::from(d - b'0')));
+                assert_eq!(single_digits(group), expected, "{group:?}");
+            }
+        }
+        for len in 0..40 {
+            for at in 0..=len {
+                let mut text = vec![b'x'; len];
+                if at < len {
+                    text[at] = b'\n';
+                }
+                assert_eq!(line_len(&text), at);
+            }
         }
     }
 
@@ -1000,11 +1127,13 @@ mod tests {
         {
             let cache = PointCache::with_dir(&dir).unwrap();
             assert!(cache.lookup(&key, &preimage).is_none());
-            let multi = crate::Runner::new(cfg.clone())
-                .seed(5)
-                .stop(StopRule::FixedReps(2))
-                .execute()
-                .unwrap();
+            let multi = Arc::new(
+                crate::Runner::new(cfg.clone())
+                    .seed(5)
+                    .stop(StopRule::FixedReps(2))
+                    .execute()
+                    .unwrap(),
+            );
             cache.store(&key, &preimage, &multi);
             assert!(cache.lookup(&key, &preimage).is_some(), "memory hit");
             assert_eq!(
@@ -1045,7 +1174,7 @@ mod tests {
         let cache = PointCache::with_dir(&dir).unwrap();
         let preimage = canonical_point(&quick_cfg(), 5, &StopRule::FixedReps(2), 2, 64);
         let key = point_key_of(&preimage);
-        let multi = quick_multi(5);
+        let multi = Arc::new(quick_multi(5));
         // Yank the directory out from under the cache: the tmp-file
         // creation inside store() now fails.
         std::fs::remove_dir_all(&dir).unwrap();

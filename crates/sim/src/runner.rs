@@ -213,7 +213,9 @@ impl Runner {
     /// 0`).
     pub fn execute(&self) -> Result<MultiRun, ConfigError> {
         let mut results = self.sweep.clone().point(self.point.clone()).execute()?;
-        Ok(results.pop().expect("one point in, one result out"))
+        // A one-point sweep with no cache holds the only reference.
+        let multi = results.pop().expect("one point in, one result out");
+        Ok(Arc::unwrap_or_clone(multi))
     }
 }
 

@@ -30,7 +30,8 @@
 //!
 //! Identical points (same configuration, seed, and stop rule) are
 //! detected by their canonical content address ([`crate::cache`]) and
-//! simulated once per sweep; duplicates share the result. With a
+//! simulated once per sweep; duplicates share the result, one
+//! `Arc<MultiRun>` allocation, as do cache hits. With a
 //! [`PointCache`] attached, completed points are also memoized across
 //! sweeps — and, when the cache is disk-backed, across processes —
 //! making repeated reproductions incremental.
@@ -108,7 +109,7 @@ impl SweepPoint {
 /// How a point gets its result.
 enum Plan {
     /// Resolved from the cache before any simulation.
-    Cached(MultiRun),
+    Cached(Arc<MultiRun>),
     /// The result of the task at this index, which a duplicate point
     /// shares with the point that planned it.
     Task(usize),
@@ -371,6 +372,7 @@ impl Sweep {
     }
 
     /// Executes every point and returns their results in point order.
+    /// Duplicate points and cache hits share one allocation.
     ///
     /// # Errors
     ///
@@ -384,7 +386,7 @@ impl Sweep {
     /// non-positive CI target, or if any replication fails (panics or
     /// blows the event budget) — use [`Sweep::try_execute`] to degrade
     /// gracefully instead.
-    pub fn execute(&self) -> Result<Vec<MultiRun>, ConfigError> {
+    pub fn execute(&self) -> Result<Vec<Arc<MultiRun>>, ConfigError> {
         Ok(self
             .try_execute()?
             .into_iter()
@@ -411,7 +413,7 @@ impl Sweep {
     ///
     /// Panics if a point asks for zero replications or sets a
     /// non-positive CI target.
-    pub fn try_execute(&self) -> Result<Vec<Result<MultiRun, RunError>>, ConfigError> {
+    pub fn try_execute(&self) -> Result<Vec<Result<Arc<MultiRun>, RunError>>, ConfigError> {
         for point in &self.points {
             point.cfg.validate()?;
         }
@@ -496,7 +498,7 @@ impl Sweep {
 
         // Reassemble per task by replication index. A failed task is not
         // cached.
-        let computed: Vec<Result<MultiRun, RunError>> = tasks
+        let computed: Vec<Result<Arc<MultiRun>, RunError>> = tasks
             .into_iter()
             .map(|task| {
                 if let Some(error) = task.failure {
@@ -507,7 +509,7 @@ impl Sweep {
                     .into_iter()
                     .map(|run| run.expect("every replication ran"))
                     .collect();
-                let multi = MultiRun::from_parts(runs, task.batch);
+                let multi = Arc::new(MultiRun::from_parts(runs, task.batch));
                 if let (Some(cache), Some((key, preimage))) = (&self.cache, &task.address) {
                     cache.store(key, preimage, &multi);
                 }
@@ -522,7 +524,7 @@ impl Sweep {
             .map(|(point, plan)| match plan {
                 Plan::Cached(multi) => Ok(multi),
                 Plan::Task(task) => match &computed[task] {
-                    Ok(multi) => Ok(multi.clone()),
+                    Ok(multi) => Ok(Arc::clone(multi)),
                     Err(error) => Err(error.at_point(point)),
                 },
             })

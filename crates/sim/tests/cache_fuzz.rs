@@ -5,13 +5,18 @@
 //! are paired with foreign preimages. `parse_multi_run` must never
 //! panic, and it may accept a mutant only if `serialize_multi_run` gives
 //! the mutant back byte for byte: the decoder reads canonical encodings
-//! only.
+//! only. Histogram lines get targeted mutants too, because the decoder
+//! reads their bins four at a time where it can, and a differential test
+//! of random bin vectors pins that path to the one-field path.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use sda_sim::cache::{canonical_point, parse_multi_run, point_key_of, serialize_multi_run};
-use sda_sim::{FaultConfig, GlobalShape, PointCache, SimConfig, StopRule, Sweep, SweepPoint};
+use sda_sim::{
+    FaultConfig, GlobalShape, MultiRun, PointCache, SimConfig, StopRule, Sweep, SweepPoint,
+};
+use sda_simcore::stats::Histogram;
 
 /// A payload to mutate, with the preimage it was written for.
 struct Payload {
@@ -93,12 +98,16 @@ fn accepts(mutant: &str, preimage: &str) -> bool {
 struct Rng(u64);
 
 impl Rng {
-    fn below(&mut self, n: usize) -> usize {
+    fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % n as u64) as usize
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
     }
 }
 
@@ -353,4 +362,219 @@ fn corrupted_entry_is_recomputed_not_a_panic() {
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(parse_multi_run(&text, &p.preimage).is_some());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The payload with the first run's `local_hist` overflow, count and bin
+/// fields replaced; the bins are spelled as given.
+fn with_hist(p: &Payload, overflow: u64, count: u64, bins: &[String]) -> String {
+    edit_line(p, "local_hist", |t| {
+        t.truncate(2);
+        t.push(overflow.to_string());
+        t.push(count.to_string());
+        t.extend(bins.iter().cloned());
+    })
+}
+
+/// The first run's local histogram bins of `mutant`, if it is accepted.
+fn decoded_bins(mutant: &str, preimage: &str) -> Option<Vec<u64>> {
+    accepts(mutant, preimage).then(|| {
+        let multi = parse_multi_run(mutant, preimage).expect("accepted");
+        multi.runs()[0]
+            .metrics
+            .local_response_hist
+            .to_parts()
+            .1
+            .to_vec()
+    })
+}
+
+/// Six four-bin groups of single-digit bins, one of them all zeros, so
+/// every group is read by the bulk paths unless a mutant breaks it.
+const GROUPS: [u64; 24] = [
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 0, 0, 0, 0, 0, 0, 3, 1, 4, 1, 5, 9, 2, 6,
+];
+
+fn spelled(bins: &[u64]) -> Vec<String> {
+    bins.iter().map(u64::to_string).collect()
+}
+
+#[test]
+fn multi_digit_bins_decode_in_every_group_position() {
+    let p = fixture(42, StopRule::FixedReps(2));
+    for at in 0..GROUPS.len() {
+        for wide in [10, 17, 99, 123_456_789_012] {
+            let mut bins = GROUPS;
+            bins[at] = wide;
+            let text = with_hist(&p, 0, bins.iter().sum(), &spelled(&bins));
+            assert_eq!(
+                decoded_bins(&text, &p.preimage).as_deref(),
+                Some(&bins[..]),
+                "{wide} at bin {at}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_digit_right_after_a_group_extends_its_last_bin() {
+    let p = fixture(42, StopRule::FixedReps(2));
+    for group in 0..GROUPS.len() / 4 {
+        let last = 4 * group + 3;
+        let mut spelling = spelled(&GROUPS);
+        spelling[last].push('5');
+        let mut bins = GROUPS;
+        bins[last] = 10 * bins[last] + 5;
+        let text = with_hist(&p, 0, bins.iter().sum(), &spelling);
+        // `05` is not canonical; any other digit makes a two-digit bin.
+        let expected = (GROUPS[last] != 0).then_some(&bins[..]);
+        assert_eq!(
+            decoded_bins(&text, &p.preimage).as_deref(),
+            expected,
+            "group {group}"
+        );
+    }
+}
+
+#[test]
+fn leading_zeros_inside_a_group_are_rejected() {
+    let p = fixture(42, StopRule::FixedReps(2));
+    let count = GROUPS.iter().sum();
+    for at in 0..GROUPS.len() {
+        for zeros in ["0", "00"] {
+            let mut spelling = spelled(&GROUPS);
+            spelling[at].insert_str(0, zeros);
+            let text = with_hist(&p, 0, count, &spelling);
+            assert!(!accepts(&text, &p.preimage), "{} at bin {at}", spelling[at]);
+        }
+    }
+}
+
+#[test]
+fn groups_cut_by_a_line_end_or_the_text_end() {
+    let p = fixture(42, StopRule::FixedReps(2));
+    for cut in 0..=GROUPS.len() {
+        // A line that ends inside a group is a shorter histogram.
+        let (kept, moved) = GROUPS.split_at(cut);
+        let text = with_hist(&p, 0, kept.iter().sum(), &spelled(kept));
+        assert_eq!(decoded_bins(&text, &p.preimage).as_deref(), Some(kept));
+        if moved.is_empty() {
+            continue;
+        }
+        // The rest of the bins on a line of their own is no line at all.
+        let mut spelling = spelled(kept);
+        spelling.push(format!("\n{}", moved[0]));
+        spelling.extend(spelled(&moved[1..]));
+        let split = with_hist(&p, 0, GROUPS.iter().sum(), &spelling);
+        assert!(!accepts(&split, &p.preimage), "split after bin {cut}");
+        // So is a text that ends inside the line.
+        let whole = with_hist(&p, 0, GROUPS.iter().sum(), &spelled(&GROUPS));
+        let start = whole.find("\nlocal_hist ").expect("histogram line") + 1;
+        let field_end = start + whole[start..].match_indices(' ').nth(3 + cut).unwrap().0;
+        for end in [field_end, field_end + 1, field_end + 2] {
+            assert!(!accepts(&whole[..end], &p.preimage), "text cut at {end}");
+        }
+    }
+}
+
+#[test]
+fn bulk_bins_summing_past_u64_max_are_rejected() {
+    let p = fixture(42, StopRule::FixedReps(2));
+    let sum: u64 = GROUPS.iter().sum();
+    // Exactly `u64::MAX` adds up.
+    let full = with_hist(&p, u64::MAX - sum, u64::MAX, &spelled(&GROUPS));
+    assert_eq!(
+        decoded_bins(&full, &p.preimage).as_deref(),
+        Some(&GROUPS[..])
+    );
+    // One more wraps: whatever the wrapped sum, the line is rejected.
+    for wrapped in [sum - 1, 0, u64::MAX] {
+        let text = with_hist(&p, u64::MAX - sum + 1, wrapped, &spelled(&GROUPS));
+        assert!(!accepts(&text, &p.preimage), "count {wrapped}");
+    }
+}
+
+/// A random bin vector: runs of zeros, single digits, and multi-digit
+/// bins of up to twelve digits.
+fn random_bins(rng: &mut Rng, len: usize) -> Vec<u64> {
+    let mut bins = Vec::with_capacity(len);
+    while bins.len() < len {
+        let room = len - bins.len();
+        match rng.below(4) {
+            0 => bins.extend(std::iter::repeat_n(0, 1 + rng.below(room.min(12)))),
+            1 | 2 => bins.push(rng.next() % 10),
+            _ => bins.push(10 + rng.next() % 10u64.pow(1 + rng.below(12) as u32)),
+        }
+    }
+    bins
+}
+
+/// `p`'s payload re-encoded with the first run's local histogram holding
+/// `bins`.
+fn encode_with_bins(p: &Payload, base: &MultiRun, bins: Vec<u64>, overflow: u64) -> String {
+    let mut runs = base.runs().to_vec();
+    let count = overflow + bins.iter().sum::<u64>();
+    runs[0].metrics.local_response_hist = Histogram::from_parts(0.25, bins, overflow, count);
+    let multi = MultiRun::from_parts(runs, base.batch_means().cloned());
+    serialize_multi_run(&p.preimage, &multi)
+}
+
+/// `text` with its first `local_hist` line edited at one random byte of
+/// its bins, and its count set to what the bins' tokens add up to when
+/// they all read as numbers, so that most mutants fail only on their
+/// spelling.
+fn mutate_bins(rng: &mut Rng, text: &str) -> String {
+    let start = text.find("\nlocal_hist ").expect("histogram line") + 1;
+    let end = start + text[start..].find('\n').expect("line end");
+    let mut tokens: Vec<String> = text[start..end].split(' ').map(str::to_string).collect();
+    let mut bins = tokens.split_off(4).join(" ").into_bytes();
+    const BYTES: &[u8] = b"0123456789 \nx+";
+    let byte = BYTES[rng.below(BYTES.len())];
+    let at = rng.below(bins.len() + 1);
+    match rng.below(3) {
+        0 if at < bins.len() => bins[at] = byte,
+        1 if at < bins.len() => {
+            bins.remove(at);
+        }
+        _ => bins.insert(at, byte),
+    }
+    let bins = String::from_utf8(bins).expect("ASCII");
+    let sum = bins
+        .split(' ')
+        .map(|t| t.parse::<u64>().ok())
+        .try_fold(tokens[2].parse::<u64>().unwrap(), |sum, bin| {
+            sum.checked_add(bin?)
+        });
+    if let Some(sum) = sum {
+        tokens[3] = sum.to_string();
+    }
+    format!(
+        "{}{} {bins}{}",
+        &text[..start],
+        tokens[..4].join(" "),
+        &text[end..]
+    )
+}
+
+#[test]
+fn random_bin_vectors_round_trip_and_accepted_mutants_are_canonical() {
+    let p = fixture(42, StopRule::FixedReps(2));
+    let base = parse_multi_run(&p.text, &p.preimage).expect("fixture decodes");
+    let mut rng = Rng(4);
+    let mut accepted = 0;
+    for len in 0..=64 {
+        for _ in 0..4 {
+            let bins = random_bins(&mut rng, len);
+            let overflow = rng.next() % 1_000;
+            let text = encode_with_bins(&p, &base, bins.clone(), overflow);
+            assert_eq!(decoded_bins(&text, &p.preimage), Some(bins), "length {len}");
+            for _ in 0..16 {
+                let mutant = mutate_bins(&mut rng, &text);
+                accepted += usize::from(accepts(&mutant, &p.preimage));
+            }
+        }
+    }
+    assert!(
+        accepted > 0,
+        "some mutants with a re-derived count are canonical"
+    );
 }

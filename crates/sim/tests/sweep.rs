@@ -6,6 +6,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use sda_core::SdaStrategy;
+use sda_sim::cache::{canonical_point, point_key_of};
 use sda_sim::{
     CrashPolicy, FaultConfig, MultiRun, PointCache, RunError, SimConfig, StopRule, Sweep,
     SweepPoint,
@@ -79,6 +80,50 @@ fn duplicate_points_simulate_once() {
 }
 
 #[test]
+fn shared_points_are_one_allocation() {
+    let point = SweepPoint::new(quick(0.5), 11);
+    let preimage = canonical_point(&point.cfg, 11, &point.stop, 2, 64);
+    let key = point_key_of(&preimage);
+    let dir = std::env::temp_dir().join(format!("sda-sweep-share-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A duplicate point shares the computed result, and so does the
+    // cache's stored copy and a later memory hit.
+    let cache = Arc::new(PointCache::with_dir(&dir).unwrap());
+    let sweep = Sweep::new()
+        .points([point.clone(), point.clone()])
+        .jobs(2)
+        .cache(Arc::clone(&cache));
+    let cold = sweep.execute().unwrap();
+    assert!(Arc::ptr_eq(&cold[0], &cold[1]), "deduplicated point");
+    let report = cache.report();
+    assert_eq!((report.misses, report.hits_memory), (1, 1));
+    let again = sweep.execute().unwrap();
+    assert!(Arc::ptr_eq(&again[0], &cold[0]), "memory hit");
+    assert!(Arc::ptr_eq(&again[1], &cold[0]), "memory hit");
+    let stored = cache.lookup(&key, &preimage).expect("stored");
+    assert!(Arc::ptr_eq(&stored, &cold[0]), "stored result");
+    let report = cache.report();
+    assert_eq!((report.misses, report.hits_memory), (1, 4));
+
+    // A disk hit is decoded once and shared by the points after it.
+    let warm_cache = Arc::new(PointCache::with_dir(&dir).unwrap());
+    let warm = Sweep::new()
+        .points([point.clone(), point])
+        .cache(Arc::clone(&warm_cache))
+        .execute()
+        .unwrap();
+    assert!(Arc::ptr_eq(&warm[0], &warm[1]), "promoted disk hit");
+    assert_eq!(fingerprint(&warm[0]), fingerprint(&cold[0]));
+    let report = warm_cache.report();
+    assert_eq!(
+        (report.misses, report.hits_disk, report.hits_memory),
+        (0, 1, 1)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn disk_cache_makes_a_second_sweep_all_hits() {
     let dir = std::env::temp_dir().join(format!("sda-sweep-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -124,7 +169,7 @@ fn no_cache_still_deduplicates_within_a_sweep() {
         .jobs(1)
         .execute()
         .unwrap();
-    assert_eq!(fingerprint(&results[0]), fingerprint(&results[1]));
+    assert!(Arc::ptr_eq(&results[0], &results[1]));
 }
 
 /// Serializes the tests that arm the process-global panic hook, which

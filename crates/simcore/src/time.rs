@@ -99,10 +99,33 @@ impl SimTime {
 
 impl Eq for SimTime {}
 
+// The operators compare the `f64`s directly: with NaN excluded they
+// agree with `cmp` (±0.0 compare equal either way), and they skip the
+// `Ordering` round trip and its never-taken panic.
 impl PartialOrd for SimTime {
     #[inline]
     fn partial_cmp(&self, other: &SimTime) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+
+    #[inline]
+    fn lt(&self, other: &SimTime) -> bool {
+        self.0 < other.0
+    }
+
+    #[inline]
+    fn le(&self, other: &SimTime) -> bool {
+        self.0 <= other.0
+    }
+
+    #[inline]
+    fn gt(&self, other: &SimTime) -> bool {
+        self.0 > other.0
+    }
+
+    #[inline]
+    fn ge(&self, other: &SimTime) -> bool {
+        self.0 >= other.0
     }
 }
 

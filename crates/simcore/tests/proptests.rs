@@ -1,6 +1,7 @@
 //! Property-based tests of the engine substrate: calendar ordering,
 //! statistics algebra, and distribution invariants.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
@@ -10,6 +11,45 @@ use sda_simcore::event::{Calendar, EventHandle};
 use sda_simcore::rng::Rng;
 use sda_simcore::stats::{Histogram, Replications, Welford};
 use sda_simcore::SimTime;
+
+/// Any time a simulation can hold: arbitrary non-NaN bit patterns
+/// (subnormals and extremes included), ordinary values, ±0.0 and ±∞.
+fn any_time() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(|bits| {
+            let x = f64::from_bits(bits);
+            if x.is_nan() {
+                -0.0
+            } else {
+                x
+            }
+        }),
+        -10.0f64..10.0,
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn simtime_operators_agree_with_cmp(a in any_time(), b in any_time()) {
+        let (a, b) = (SimTime::from(a), SimTime::from(b));
+        // Both orders, an exact tie, and a against its negation (a ±0.0
+        // tie when a is zero).
+        for (x, y) in [(a, b), (b, a), (a, a), (a, SimTime::from(-a.value()))] {
+            let order = x.cmp(&y);
+            prop_assert_eq!(x < y, order == Ordering::Less);
+            prop_assert_eq!(x <= y, order != Ordering::Greater);
+            prop_assert_eq!(x > y, order == Ordering::Greater);
+            prop_assert_eq!(x >= y, order != Ordering::Less);
+            prop_assert_eq!(x.partial_cmp(&y), Some(order));
+        }
+    }
+}
 
 proptest! {
     #[test]
