@@ -1,11 +1,16 @@
-//! Ready-queue implementations.
+//! Ready queues: the service order of one node.
+//!
+//! A [`ReadyQueue`] is a policy layer over the event calendar
+//! ([`Calendar`]): each waiting task is filed at its policy's rank where
+//! the calendar files an event at its time. The calendar's
+//! `(rank, push order)` key then gives the service order — smallest rank
+//! first, ties FIFO, `-0.0` tying `+0.0` — and its handles give O(1)
+//! targeted removal.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
+use sda_simcore::event::{Calendar, EventHandle};
 use sda_simcore::hash::FastHashMap;
-use sda_simcore::time::order_key;
 use sda_simcore::SimTime;
 
 /// The local scheduling policy of a node.
@@ -70,67 +75,11 @@ impl<T> QueuedTask<T> {
     }
 }
 
-/// Marks a slab slot as free: no ordering entry can match it, because
-/// sequence numbers are issued counting up from zero.
-const SEQ_FREE: u64 = u64::MAX;
-
-/// Bits of an entry's tag that hold the slot; the sequence number takes
-/// the other 40.
-const SLOT_BITS: u32 = 24;
-
-/// Sequence numbers must fit in the tag above the slot.
-const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
-
-/// Slot numbers must fit in [`SLOT_BITS`].
-const SLOT_LIMIT: usize = 1 << SLOT_BITS;
-
-/// An ordering entry's tag: the push's sequence number above the slab
-/// slot holding its payload. Tags of a queue are unique (sequence numbers
-/// are), and their order is push order.
-#[inline]
-fn tag(seq: u64, slot: u32) -> u64 {
-    seq << SLOT_BITS | u64::from(slot)
-}
-
-/// The slab slot a tag points at.
-#[inline]
-fn tag_slot(tag: u64) -> u32 {
-    (tag & ((1 << SLOT_BITS) - 1)) as u32
-}
-
-/// The heap key of a ranked entry: the rank through [`order_key`] in the
-/// high half, the tag in the low half. Keys order as `(rank, seq)` with
-/// ranks compared as `f64` (so `-0.0` and `+0.0` tie and fall back to
-/// FIFO), which makes a min-heap of keys serve the smallest rank first
-/// and equal ranks in push order.
-#[inline]
-fn rank_key(rank: f64, tag: u64) -> u128 {
-    u128::from(order_key(rank)) << 64 | u128::from(tag)
-}
-
-/// The payload and metadata of one waiting task, owned by the slot slab.
-///
-/// `seq` doubles as the slot's generation stamp: an ordering entry (which
-/// records the `(slot, seq)` pair it was issued for) is stale exactly when
-/// the slot's current `seq` differs — the task was popped or removed, and
-/// the slot possibly reused. [`SEQ_FREE`] marks a vacant slot.
-struct Slot<T> {
-    seq: u64,
-    deadline: SimTime,
-    service_estimate: f64,
+/// A waiting task as the calendar holds it.
+struct Entry<T> {
+    task: QueuedTask<T>,
     /// The caller-supplied removal key, if the task was pushed keyed.
     key: Option<u64>,
-    item: Option<T>,
-}
-
-impl<T> Slot<T> {
-    fn into_task(deadline: SimTime, service_estimate: f64, item: T) -> QueuedTask<T> {
-        QueuedTask {
-            deadline,
-            service_estimate,
-            item,
-        }
-    }
 }
 
 /// A ready queue with a pluggable service order.
@@ -142,43 +91,17 @@ impl<T> Slot<T> {
 ///
 /// Abortion (§7.3) pulls specific tasks out of the middle of a queue.
 /// Tasks pushed with [`ReadyQueue::push_keyed`] can be removed by key in
-/// O(1) via [`ReadyQueue::remove_key`]: the payload lives in a slot slab,
-/// so removal only detaches the payload and leaves a stale ordering entry
-/// behind, which `pop` skips lazily (amortized O(log n)). The predicate
-/// form [`ReadyQueue::remove_by`] remains available for callers without a
-/// key, at O(n) scan cost.
-///
-/// # Hot-path layout
-///
-/// Ordering entries are plain integers: for the ranked policies a `u128`
-/// heap key, the rank mapped through
-/// [`order_key`](sda_simcore::time::order_key) above a tag of sequence
-/// and slot number; for FCFS the bare `u64` tag in a FIFO. Ordering two
-/// entries is one integer comparison. Removed tasks leave only a stale
-/// entry behind (its tag's sequence number no longer matches the
-/// slot's), skipped lazily.
-///
-/// Payloads live in a generation-stamped `Vec` slab indexed directly by
-/// the slot number each ordering entry carries, so the steady-state
-/// push/pop cycle does no hashing; only the caller-key index (sparse ids)
-/// is a hash map, touched for keyed pushes alone. Freed slots are reused
-/// via a free list, bounding the slab by the queue's high-water mark.
+/// O(1) via [`ReadyQueue::remove_key`]: the key maps to the task's
+/// calendar handle, and the calendar skips the removed task's stale entry
+/// when it reaches the front. The predicate form [`ReadyQueue::remove_by`]
+/// remains available for callers without a key, at O(n) scan cost.
 pub struct ReadyQueue<T> {
     policy: Policy,
-    /// Ranked policies: min-heap of [`rank_key`]s.
-    heap: BinaryHeap<Reverse<u128>>,
-    /// FCFS: tags in push order.
-    fifo: VecDeque<u64>,
-    /// Slot slab: payloads plus generation stamps, reused via `free`.
-    slots: Vec<Slot<T>>,
-    /// Freed slot indices awaiting reuse.
-    free: Vec<u32>,
-    /// Caller key → slab slot, for O(1) targeted removal. Only live
-    /// keyed tasks are present (detaching removes the entry eagerly).
-    by_key: FastHashMap<u64, u32>,
-    /// Number of waiting (live) tasks.
-    live: usize,
-    next_seq: u64,
+    /// Waiting tasks, each filed at its policy's rank.
+    tasks: Calendar<Entry<T>>,
+    /// Caller key → calendar handle, for O(1) targeted removal. Only live
+    /// keyed tasks are present.
+    by_key: FastHashMap<u64, EventHandle>,
 }
 
 impl<T> ReadyQueue<T> {
@@ -186,29 +109,19 @@ impl<T> ReadyQueue<T> {
     pub fn new(policy: Policy) -> ReadyQueue<T> {
         ReadyQueue {
             policy,
-            heap: BinaryHeap::new(),
-            fifo: VecDeque::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            tasks: Calendar::new(),
             by_key: FastHashMap::default(),
-            live: 0,
-            next_seq: 0,
         }
-    }
-
-    /// The queue's scheduling policy.
-    pub fn policy(&self) -> Policy {
-        self.policy
     }
 
     /// Number of waiting tasks.
     pub fn len(&self) -> usize {
-        self.live
+        self.tasks.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.tasks.is_empty()
     }
 
     /// Enqueues a task.
@@ -218,8 +131,8 @@ impl<T> ReadyQueue<T> {
     /// Panics if `task.service_estimate` is NaN (it would poison the SJF
     /// order), or if the policy's rank is NaN: under LLF, an infinite
     /// deadline with an estimate of the same infinity. Also panics after
-    /// 2^40 pushes, or with 2^24 tasks waiting at once: the ordering
-    /// entry has no room for larger sequence or slot numbers.
+    /// 2^40 pushes, or with 2^24 tasks waiting at once: the calendar's
+    /// key has no room for larger sequence or slot numbers.
     pub fn push(&mut self, task: QueuedTask<T>) {
         self.push_with(None, task);
     }
@@ -240,12 +153,9 @@ impl<T> ReadyQueue<T> {
             !task.service_estimate.is_nan(),
             "service estimate must not be NaN"
         );
-        let seq = self.next_seq;
-        assert!(seq < SEQ_LIMIT, "ready-queue sequence numbers exhausted");
-        self.next_seq += 1;
         let rank = match self.policy {
             Policy::Edf => task.deadline.value(),
-            Policy::Fcfs => 0.0, // unused; the VecDeque keeps order
+            Policy::Fcfs => 0.0,
             Policy::Sjf => task.service_estimate,
             Policy::Llf => task.deadline.value() - task.service_estimate,
         };
@@ -258,129 +168,36 @@ impl<T> ReadyQueue<T> {
             task.deadline,
             task.service_estimate
         );
-        let state = Slot {
-            seq,
-            deadline: task.deadline,
-            service_estimate: task.service_estimate,
-            key,
-            item: Some(task.item),
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = state;
-                slot
-            }
-            None => {
-                assert!(self.slots.len() < SLOT_LIMIT, "too many waiting tasks");
-                self.slots.push(state);
-                (self.slots.len() - 1) as u32
-            }
-        };
+        let handle = self.tasks.schedule(SimTime::new(rank), Entry { task, key });
         if let Some(key) = key {
-            let prev = self.by_key.insert(key, slot);
+            let prev = self.by_key.insert(key, handle);
             assert!(prev.is_none(), "duplicate queue key {key}");
         }
-        let tag = tag(seq, slot);
-        match self.policy {
-            Policy::Fcfs => self.fifo.push_back(tag),
-            _ => self.heap.push(Reverse(rank_key(rank, tag))),
-        }
-        self.live += 1;
     }
 
-    /// Discards stale ordering entries at the head so the head is always
-    /// a live task (keeps [`ReadyQueue::peek_deadline`] O(1) and
-    /// borrow-free), and rebuilds the order structure when stale entries
-    /// outnumber live ones (bounds memory after removal storms).
-    ///
-    /// Steady-state allocation audit: neither arm allocates. The head
-    /// discard loop only pops; `VecDeque::retain` compacts in place; and
-    /// the heap rebuild round-trips the *existing* backing `Vec` through
-    /// `mem::take(..).into_vec()` / `retain` / `.into()` (heapify), all
-    /// of which reuse the allocation. After the warmup transient grows
-    /// the containers to their high-water marks, `settle` runs
-    /// allocation-free — asserted end to end by the `steady_state_alloc`
-    /// test in `sda-bench`.
-    fn settle(&mut self) {
-        match self.policy {
-            Policy::Fcfs => {
-                while let Some(&tag) = self.fifo.front() {
-                    if is_live(&self.slots, tag) {
-                        break;
-                    }
-                    self.fifo.pop_front();
-                }
-                if self.fifo.len() > 2 * self.live + 64 {
-                    let slots = &self.slots;
-                    self.fifo.retain(|&tag| is_live(slots, tag));
-                }
-            }
-            _ => {
-                while let Some(&Reverse(key)) = self.heap.peek() {
-                    if is_live(&self.slots, key as u64) {
-                        break;
-                    }
-                    self.heap.pop();
-                }
-                if self.heap.len() > 2 * self.live + 64 {
-                    let mut entries = std::mem::take(&mut self.heap).into_vec();
-                    let slots = &self.slots;
-                    entries.retain(|&Reverse(key)| is_live(slots, key as u64));
-                    self.heap = entries.into();
-                }
-            }
-        }
-    }
-
-    /// Detaches a live slot: takes the payload, frees the slot (stamping
-    /// it so outstanding ordering entries read as stale), and fixes the
-    /// key index.
-    fn detach(&mut self, slot: u32) -> QueuedTask<T> {
-        let state = &mut self.slots[slot as usize];
-        state.seq = SEQ_FREE;
-        let item = state.item.take().expect("detach requires a live slot");
-        let task = Slot::into_task(state.deadline, state.service_estimate, item);
-        if let Some(key) = state.key {
+    /// Drops a task leaving the queue from the key index.
+    fn unkey(&mut self, entry: Entry<T>) -> QueuedTask<T> {
+        if let Some(key) = entry.key {
             self.by_key.remove(&key);
         }
-        self.free.push(slot);
-        self.live -= 1;
-        task
+        entry.task
     }
 
     /// Dequeues the next task to serve according to the policy.
     pub fn pop(&mut self) -> Option<QueuedTask<T>> {
-        loop {
-            let tag = match self.policy {
-                Policy::Fcfs => self.fifo.pop_front()?,
-                _ => self.heap.pop()?.0 as u64,
-            };
-            if is_live(&self.slots, tag) {
-                let task = self.detach(tag_slot(tag));
-                self.settle();
-                return Some(task);
-            }
-        }
-    }
-
-    /// The deadline of the task that would be served next (None if empty).
-    pub fn peek_deadline(&self) -> Option<SimTime> {
-        // The head is always live (settled after every removal).
-        let tag = match self.policy {
-            Policy::Fcfs => *self.fifo.front()?,
-            _ => self.heap.peek()?.0 as u64,
-        };
-        Some(self.slots[tag_slot(tag) as usize].deadline)
+        let (_, entry) = self.tasks.pop()?;
+        Some(self.unkey(entry))
     }
 
     /// Removes the task pushed under `key` (via
-    /// [`ReadyQueue::push_keyed`]) and returns it. O(1); the stale
-    /// ordering entry is skipped lazily by later pops.
+    /// [`ReadyQueue::push_keyed`]) and returns it. O(1).
     pub fn remove_key(&mut self, key: u64) -> Option<QueuedTask<T>> {
-        let slot = self.by_key.remove(&key)?;
-        let task = self.detach(slot);
-        self.settle();
-        Some(task)
+        let handle = self.by_key.remove(&key)?;
+        let entry = self
+            .tasks
+            .remove(handle)
+            .expect("a keyed task waits until popped or removed");
+        Some(entry.task)
     }
 
     /// Removes the first waiting task whose payload satisfies `pred` and
@@ -393,27 +210,8 @@ impl<T> ReadyQueue<T> {
     where
         F: FnMut(&T) -> bool,
     {
-        let slots = &self.slots;
-        let mut check = |&tag: &u64| {
-            is_live(slots, tag)
-                && pred(
-                    slots[tag_slot(tag) as usize]
-                        .item
-                        .as_ref()
-                        .expect("live slot has a payload"),
-                )
-        };
-        let tag = match self.policy {
-            Policy::Fcfs => self.fifo.iter().copied().find(&mut check),
-            _ => self
-                .heap
-                .iter()
-                .map(|&Reverse(key)| key as u64)
-                .find(&mut check),
-        }?;
-        let task = self.detach(tag_slot(tag));
-        self.settle();
-        Some(task)
+        let entry = self.tasks.remove_where(|entry| pred(&entry.task.item))?;
+        Some(self.unkey(entry))
     }
 
     /// Drains the queue, returning the remaining tasks in service order.
@@ -424,14 +222,6 @@ impl<T> ReadyQueue<T> {
         }
         out
     }
-}
-
-/// Whether the ordering entry tagged `tag` still refers to a waiting task
-/// in `slots`: its slot has not been detached or reused since, so the
-/// slot's generation stamp is still the tag's sequence number.
-#[inline]
-fn is_live<T>(slots: &[Slot<T>], tag: u64) -> bool {
-    slots[tag_slot(tag) as usize].seq == tag >> SLOT_BITS
 }
 
 impl<T> fmt::Debug for ReadyQueue<T> {
@@ -648,8 +438,7 @@ mod tests {
     #[test]
     fn removal_storm_keeps_order_and_bounds_memory() {
         // Remove most of a large queue by key, then check the survivors
-        // still drain in EDF order (stale entries are skipped and the
-        // heap is compacted along the way).
+        // still drain in EDF order (stale entries are skipped).
         let mut q = ReadyQueue::new(Policy::Edf);
         for id in 0..1000u64 {
             q.push_keyed(id, entry((id % 97) as f64, 1.0, id as u32));
@@ -660,25 +449,12 @@ mod tests {
             }
         }
         assert_eq!(q.len(), 200);
-        assert_eq!(q.peek_deadline(), Some(t(0.0)));
         let drained = q.drain_in_order();
         assert_eq!(drained.len(), 200);
+        assert_eq!(drained[0].deadline, t(0.0));
         for pair in drained.windows(2) {
             assert!(pair[0].deadline <= pair[1].deadline);
         }
-    }
-
-    #[test]
-    fn peek_deadline_matches_pop() {
-        let mut q = ReadyQueue::new(Policy::Edf);
-        assert_eq!(q.peek_deadline(), None);
-        q.push(entry(7.0, 1.0, 1));
-        q.push_keyed(2, entry(3.0, 1.0, 2));
-        assert_eq!(q.peek_deadline(), Some(t(3.0)));
-        // Removing the head must re-settle so peek stays truthful.
-        q.remove_key(2);
-        assert_eq!(q.peek_deadline(), Some(t(7.0)));
-        assert_eq!(q.pop().unwrap().deadline, t(7.0));
     }
 
     #[test]

@@ -191,7 +191,6 @@ proptest! {
             let b = scanned.remove_by(|&id| id == target).map(|e| e.item);
             prop_assert_eq!(a, b);
             prop_assert_eq!(keyed.len(), scanned.len());
-            prop_assert_eq!(keyed.peek_deadline(), scanned.peek_deadline());
         }
         let ka: Vec<usize> = keyed.drain_in_order().into_iter().map(|e| e.item).collect();
         let kb: Vec<usize> = scanned.drain_in_order().into_iter().map(|e| e.item).collect();
@@ -229,17 +228,19 @@ proptest! {
         tasks in tasks_strategy(),
         pop_every in 2usize..6,
     ) {
-        // Interleave pushes with pops: already-popped deadlines never
-        // exceed a later pop *of an element that was present at the time*,
-        // so here we just check each drain segment is internally monotone
-        // and ≥ the queue minimum at pop time.
+        // Interleave pushes with pops: each pop serves the least deadline
+        // waiting at the time, and the final drain is monotone.
         let mut q = ReadyQueue::new(Policy::Edf);
+        let mut waiting: Vec<SimTime> = Vec::new();
         for (i, &(dl, svc)) in tasks.iter().enumerate() {
             q.push(QueuedTask::new(SimTime::from(dl), svc, i));
+            waiting.push(SimTime::from(dl));
             if i % pop_every == 0 {
-                let head = q.peek_deadline().unwrap();
+                let least = (0..waiting.len())
+                    .min_by(|&a, &b| waiting[a].partial_cmp(&waiting[b]).expect("no NaN"))
+                    .expect("just pushed");
                 let popped = q.pop().unwrap();
-                prop_assert_eq!(popped.deadline, head);
+                prop_assert_eq!(popped.deadline, waiting.swap_remove(least));
             }
         }
         let drained = q.drain_in_order();
@@ -292,17 +293,25 @@ impl Ord for Rank {
 #[derive(Debug, Clone)]
 enum Op {
     Push(f64, f64),
+    /// Push under a removal key; skipped while the key is waiting, so the
+    /// few keys are reused after pops and removals.
+    PushKeyed(f64, f64, u64),
     Pop,
     /// Remove the task pushed `n`-th (mod the pushes so far), if waiting.
     RemoveBy(usize),
+    /// Remove the task pushed under the key, if waiting.
+    RemoveKey(u64),
 }
 
 fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     let op = prop_oneof![
         (deadline_strategy(), estimate_strategy()).prop_map(|(dl, svc)| Op::Push(dl, svc)),
         (deadline_strategy(), estimate_strategy()).prop_map(|(dl, svc)| Op::Push(dl, svc)),
+        (deadline_strategy(), estimate_strategy(), 0u64..8)
+            .prop_map(|(dl, svc, key)| Op::PushKeyed(dl, svc, key)),
         Just(Op::Pop),
         (0usize..1000).prop_map(Op::RemoveBy),
+        (0u64..8).prop_map(Op::RemoveKey),
     ];
     prop::collection::vec(op, 1..400)
 }
@@ -314,40 +323,69 @@ proptest! {
     fn interleaved_ops_match_a_btreemap_model_under_every_policy(ops in ops_strategy()) {
         for policy in Policy::ALL {
             let mut q = ReadyQueue::new(policy);
-            // (rank, push index) -> (push index, deadline): the model's
-            // first entry is the next to serve.
-            let mut model: BTreeMap<(Rank, usize), (usize, f64)> = BTreeMap::new();
+            // (rank, push index) -> removal key: the model's first entry
+            // is the next to serve.
+            let mut model: BTreeMap<(Rank, usize), Option<u64>> = BTreeMap::new();
             let mut pushed: Vec<(Rank, usize)> = Vec::new();
+            // Removal key -> model entry, for the keyed tasks waiting.
+            let mut keyed: BTreeMap<u64, (Rank, usize)> = BTreeMap::new();
             for op in &ops {
                 match *op {
                     Op::Push(dl, svc) => {
                         let id = pushed.len();
-                        let key = (Rank(model_rank(policy, dl, svc)), id);
+                        let entry = (Rank(model_rank(policy, dl, svc)), id);
                         q.push(QueuedTask::new(SimTime::from(dl), svc, id));
-                        model.insert(key, (id, dl));
-                        pushed.push(key);
+                        model.insert(entry, None);
+                        pushed.push(entry);
+                    }
+                    Op::PushKeyed(dl, svc, key) => {
+                        if keyed.contains_key(&key) {
+                            continue;
+                        }
+                        let id = pushed.len();
+                        let entry = (Rank(model_rank(policy, dl, svc)), id);
+                        q.push_keyed(key, QueuedTask::new(SimTime::from(dl), svc, id));
+                        model.insert(entry, Some(key));
+                        keyed.insert(key, entry);
+                        pushed.push(entry);
                     }
                     Op::Pop => {
-                        let got = q.pop().map(|t| (t.item, t.deadline.value()));
-                        let want = model.pop_first().map(|(_, v)| v);
-                        prop_assert_eq!(got.map(|g| g.0), want.map(|w| w.0), "{} pop", policy);
+                        let got = q.pop().map(|t| t.item);
+                        let want = model.pop_first().map(|((_, id), key)| {
+                            if let Some(key) = key {
+                                keyed.remove(&key);
+                            }
+                            id
+                        });
+                        prop_assert_eq!(got, want, "{} pop", policy);
                     }
                     Op::RemoveBy(n) => {
                         if pushed.is_empty() {
                             continue;
                         }
-                        let key = pushed[n % pushed.len()];
-                        let got = q.remove_by(|&id| id == key.1).map(|t| t.item);
-                        let want = model.remove(&key).map(|v| v.0);
+                        let entry = pushed[n % pushed.len()];
+                        let got = q.remove_by(|&id| id == entry.1).map(|t| t.item);
+                        let want = model.remove(&entry).map(|key| {
+                            if let Some(key) = key {
+                                keyed.remove(&key);
+                            }
+                            entry.1
+                        });
                         prop_assert_eq!(got, want, "{} remove_by", policy);
+                    }
+                    Op::RemoveKey(key) => {
+                        let got = q.remove_key(key).map(|t| t.item);
+                        let want = keyed.remove(&key).map(|entry| {
+                            model.remove(&entry);
+                            entry.1
+                        });
+                        prop_assert_eq!(got, want, "{} remove_key", policy);
                     }
                 }
                 prop_assert_eq!(q.len(), model.len());
-                let head = model.values().next().map(|&(_, dl)| SimTime::from(dl));
-                prop_assert_eq!(q.peek_deadline(), head, "{} head", policy);
             }
             let rest: Vec<usize> = q.drain_in_order().into_iter().map(|t| t.item).collect();
-            let want: Vec<usize> = model.values().map(|&(id, _)| id).collect();
+            let want: Vec<usize> = model.keys().map(|&(_, id)| id).collect();
             prop_assert_eq!(rest, want, "{} drain", policy);
         }
     }

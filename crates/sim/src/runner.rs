@@ -234,12 +234,12 @@ pub(crate) struct BudgetExceeded {
 /// (flushed at the end of the run), under an optional event-count
 /// watchdog.
 ///
-/// With `budget: None` the engine runs the horizon in one call. With a
-/// budget, the horizon is run in 256 equal time chunks (chunked
-/// [`Engine::run_until`] calls process the identical event sequence, so
-/// results are bit-identical either way), checking the event count
-/// between chunks; a runaway replication comes back as
-/// `Err(BudgetExceeded)` instead of looping forever.
+/// The horizon is run in 256 equal time chunks (chunked
+/// [`Engine::run_until`] calls process the identical event sequence that
+/// one call would, so results do not depend on the chunking). With a
+/// budget, the event count is checked between chunks; a runaway
+/// replication comes back as `Err(BudgetExceeded)` instead of looping
+/// forever.
 pub(crate) fn run_single_with_budget(
     cfg: &SimConfig,
     seed: u64,
@@ -254,22 +254,15 @@ pub(crate) fn run_single_with_budget(
     let mut engine = Engine::new();
     sim.prime(&mut engine);
     let started = std::time::Instant::now();
-    match budget {
-        None => {
-            engine.run_until(&mut sim, SimTime::from(cfg.duration));
-        }
-        Some(limit) => {
-            const CHUNKS: u32 = 256;
-            for chunk in 1..=CHUNKS {
-                let until = cfg.duration * f64::from(chunk) / f64::from(CHUNKS);
-                engine.run_until(&mut sim, SimTime::from(until));
-                if engine.events_processed() > limit {
-                    return Err(BudgetExceeded {
-                        events: engine.events_processed(),
-                        budget: limit,
-                    });
-                }
-            }
+    const CHUNKS: u32 = 256;
+    for chunk in 1..=CHUNKS {
+        let until = cfg.duration * f64::from(chunk) / f64::from(CHUNKS);
+        engine.run_until(&mut sim, SimTime::from(until));
+        if let Some(limit) = budget.filter(|&limit| engine.events_processed() > limit) {
+            return Err(BudgetExceeded {
+                events: engine.events_processed(),
+                budget: limit,
+            });
         }
     }
     let wall_secs = started.elapsed().as_secs_f64();

@@ -1,11 +1,10 @@
 //! A deterministic, fast hasher for integer keys on the event hot path.
 //!
-//! The calendar's lazy-deletion sets and the ready queue's key maps hash
-//! small `u64` identifiers (event sequence numbers, job keys) on every
-//! event. The standard library's default SipHash is keyed for HashDoS
-//! resistance, which these internal, non-adversarial maps do not need —
-//! and its per-lookup cost is measurable at millions of events per
-//! second.
+//! The ready queue's key map hashes small `u64` identifiers (job keys)
+//! on every keyed push and removal. The standard library's default
+//! SipHash is keyed for HashDoS resistance, which such internal,
+//! non-adversarial maps do not need — and its per-lookup cost is
+//! measurable at millions of events per second.
 //!
 //! [`FastHasher`] instead runs the written words through the splitmix64
 //! finalizer (Steele, Lea & Flood's `mix` constants), a full-avalanche
@@ -16,7 +15,7 @@
 //!   the simulator iterates these maps (order never leaks into results),
 //!   but determinism still keeps memory layout and rehash points
 //!   reproducible run-to-run, which keeps benchmarks honest;
-//! * **avalanche** — sequence numbers are consecutive integers; the
+//! * **avalanche** — job keys are consecutive integers; the
 //!   finalizer spreads them uniformly across buckets, so the quadratic
 //!   blow-ups that plague identity-hash maps with stride patterns cannot
 //!   occur.

@@ -19,7 +19,8 @@
 ///     w.push(x);
 /// }
 /// assert_eq!(w.mean(), 5.0);
-/// assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
+/// let (_, _, m2, _, _) = w.to_parts();
+/// assert!((m2 - 32.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
@@ -65,16 +66,6 @@ impl Welford {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Unbiased sample variance (n−1 denominator); 0 with fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
         }
     }
 
@@ -994,7 +985,10 @@ mod tests {
         }
         assert_eq!(w.count(), 5);
         assert!((w.mean() - 3.0).abs() < 1e-12);
-        assert!((w.sample_variance() - 2.5).abs() < 1e-12);
+        assert!(
+            (w.to_parts().2 - 10.0).abs() < 1e-12,
+            "sum of squared deviations"
+        );
         assert_eq!(w.min(), 1.0);
         assert_eq!(w.max(), 5.0);
     }
@@ -1003,7 +997,7 @@ mod tests {
     fn welford_empty_is_benign() {
         let w = Welford::new();
         assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
+        assert_eq!(w.to_parts().2, 0.0);
         assert_eq!(w.count(), 0);
     }
 
@@ -1025,7 +1019,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.sample_variance() - whole.sample_variance()).abs() < 1e-10);
+        assert!((a.to_parts().2 - whole.to_parts().2).abs() < 1e-8);
     }
 
     #[test]

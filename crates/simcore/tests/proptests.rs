@@ -118,7 +118,8 @@ proptest! {
         ba.merge(&fill(&a));
         prop_assert_eq!(ab.count(), ba.count());
         prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-        prop_assert!((ab.sample_variance() - ba.sample_variance()).abs() < 1e-7);
+        let n = (ab.count() - 1) as f64;
+        prop_assert!((ab.to_parts().2 - ba.to_parts().2).abs() < 1e-7 * n);
         // And equals the sequential fill.
         let joint: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
         let whole = fill(&joint);
@@ -251,19 +252,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random interleavings of every calendar operation agree with the
-    /// reference model step for step: popped events, cancel results
-    /// and `len()`. The schedule-heavy mix grows the calendar past
-    /// the sorted run's capacity, so both levels and the refills between
-    /// them are exercised, and the final drain empties it again.
+    /// reference model step for step: popped events, cancel results,
+    /// removed payloads (each returned once, then `None` like a popped
+    /// or cancelled entry's) and `len()`. The schedule-heavy mix grows
+    /// the calendar past the sorted run's capacity, so both levels and
+    /// the refills between them are exercised, and the final drain
+    /// empties it again.
     #[test]
     fn calendar_matches_a_btreemap_reference(
         ops in prop::collection::vec((0u8..100, 0usize..4096), 1..900),
     ) {
         let mut cal = Calendar::new();
         let mut model = Model::default();
-        // Every handle ever issued, with its model key: cancels pick
-        // from these, so they hit live, popped, cancelled (double) and
-        // slot-reused handles alike.
+        // Every handle ever issued, with its model key: cancels and
+        // removals pick from these, so they hit live, popped, cancelled
+        // (double) and slot-reused handles alike.
         let mut handles: Vec<(EventHandle, (SimTime, u64))> = Vec::new();
         for (step, &(kind, x)) in ops.iter().enumerate() {
             match kind {
@@ -274,10 +277,21 @@ proptest! {
                     model.pending.insert((time, payload as u64), payload);
                     handles.push((handle, (time, payload as u64)));
                 }
-                55..=69 if !handles.is_empty() => {
+                55..=61 if !handles.is_empty() => {
                     let (handle, key) = handles[x % handles.len()];
                     let expect = model.pending.remove(&key).is_some();
                     prop_assert_eq!(cal.cancel(handle), expect, "cancel at step {}", step);
+                }
+                62..=65 if !handles.is_empty() => {
+                    let (handle, key) = handles[x % handles.len()];
+                    let expect = model.pending.remove(&key);
+                    prop_assert_eq!(cal.remove(handle), expect, "remove at step {}", step);
+                }
+                66..=69 if !handles.is_empty() => {
+                    let (_, key) = handles[x % handles.len()];
+                    let expect = model.pending.remove(&key);
+                    let got = cal.remove_where(|&payload| payload as u64 == key.1);
+                    prop_assert_eq!(got, expect, "remove_where at step {}", step);
                 }
                 70..=81 => {
                     let expect = model.pop_before(SimTime::INFINITY);
