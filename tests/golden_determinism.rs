@@ -5,10 +5,10 @@
 //! re-runs the same small configurations and compares the rendered
 //! `stats.json` and the replication-0 trace JSONL byte for byte.
 //!
-//! The preemptive fault case and the SJF/LLF cases under `UD-GF` pin the
-//! paths the first fixtures never reach (preemption, crash requeues,
-//! stragglers, delayed hand-offs, and ranks other than the deadline);
-//! they also record each replication's integer counters.
+//! The two fault cases and the SJF/LLF cases under `UD-GF` pin the paths
+//! the first fixtures never reach (preemption, crash requeues and crash
+//! aborts, stragglers, delayed hand-offs, and ranks other than the
+//! deadline); they also record each replication's integer counters.
 //!
 //! Throughput numbers (wall-clock derived) are deliberately excluded:
 //! they are nondeterministic even between two runs of the same binary.
@@ -171,6 +171,31 @@ fn preemptive_faults_case() -> (String, String, String) {
     run_counted_case(cfg, 1212)
 }
 
+/// The Figure 14 pipeline under process-manager abortion and every fault
+/// class with crashed work aborted (`CrashPolicy::AbortTask`, the default
+/// policy): pins crash aborts of locals and subtasks, the teardown of
+/// their globals, and the queued work an outage kills.
+fn abort_task_faults_case() -> (String, String, String) {
+    let cfg = SimConfig {
+        load: 0.7,
+        duration: 600.0,
+        warmup: 50.0,
+        strategy: SdaStrategy::eqf_div1(),
+        abort: AbortPolicy::ProcessManager,
+        fault: FaultConfig {
+            mttf: 200.0,
+            mttr: 15.0,
+            crash_policy: CrashPolicy::AbortTask,
+            straggler_prob: 0.05,
+            straggler_factor: 4.0,
+            comm_delay_prob: 0.10,
+            comm_delay_mean: 0.5,
+        },
+        ..SimConfig::section8()
+    };
+    run_counted_case(cfg, 3434)
+}
+
 /// The parallel baseline under `UD-GF` with service estimates off by up
 /// to a factor of 2, served by `policy`: SJF ranks by the noisy estimate,
 /// LLF by the GF-shifted (negative) virtual deadline minus it.
@@ -255,6 +280,29 @@ fn preemptive_faults_stats_trace_and_counters_match_golden() {
     check_or_regen("preemptive_faults_stats.json", &stats);
     check_or_regen("preemptive_faults_trace.jsonl", &trace);
     check_or_regen("preemptive_faults_counters.txt", &counters);
+}
+
+#[test]
+fn abort_task_faults_stats_trace_and_counters_match_golden() {
+    let (stats, trace, counters) = abort_task_faults_case();
+    assert!(
+        traces(&trace, "node_crashed"),
+        "the case must trace node_crashed"
+    );
+    let first = format!("{}\n", counters.lines().next().expect("a replication"));
+    for counter in [
+        " crash_aborts=0 ",
+        " aborted_locals=0 ",
+        " aborted_globals=0 ",
+    ] {
+        assert!(
+            !first.contains(counter),
+            "replication 0 must not have{counter}"
+        );
+    }
+    check_or_regen("abort_task_faults_stats.json", &stats);
+    check_or_regen("abort_task_faults_trace.jsonl", &trace);
+    check_or_regen("abort_task_faults_counters.txt", &counters);
 }
 
 #[test]
