@@ -1,6 +1,7 @@
 //! Rendering run results as a human-readable report.
 
 use sda_sim::{MultiRun, SimConfig};
+use sda_simcore::SimTime;
 
 /// Renders a replication set as a multi-line report: configuration
 /// summary, per-class miss rates with confidence intervals, missed work,
@@ -73,7 +74,15 @@ pub fn render_report(cfg: &SimConfig, multi: &MultiRun) -> String {
     let _ = writeln!(out, "  utilization {}", multi.utilization());
     let mean_q: f64 = runs
         .iter()
-        .map(|r| r.mean_queue_len.iter().sum::<f64>() / r.mean_queue_len.len().max(1) as f64)
+        .map(|r| {
+            let span = SimTime::from(r.duration);
+            let total = r
+                .node_stats
+                .iter()
+                .map(|s| s.mean_queue_len(span))
+                .sum::<f64>();
+            total / r.node_stats.len().max(1) as f64
+        })
         .sum::<f64>()
         / runs.len() as f64;
     let _ = writeln!(out, "  mean queue length {mean_q:.3}");

@@ -564,14 +564,6 @@ impl Cursor<'_> {
         for _ in 0..nodes {
             node_stats.push(self.line("node", Self::node)?);
         }
-        // `busy` and `mean_queue_len` are derived from the node
-        // accumulators exactly as the runner derives them after a live
-        // run, so a cache hit reproduces them bit-for-bit.
-        let busy = node_stats.iter().map(NodeStats::busy).collect();
-        let mean_queue_len = node_stats
-            .iter()
-            .map(|s| s.mean_queue_len(duration))
-            .collect();
         Some(RunResult {
             metrics: Metrics {
                 local_md,
@@ -596,8 +588,6 @@ impl Cursor<'_> {
                 comm_delays,
             },
             events,
-            busy,
-            mean_queue_len,
             node_stats,
             duration: duration.value(),
             seed,
@@ -1079,8 +1069,12 @@ mod tests {
                 a.metrics.local_response_quantile(0.99).to_bits(),
                 b.metrics.local_response_quantile(0.99).to_bits()
             );
-            for (x, y) in a.mean_queue_len.iter().zip(&b.mean_queue_len) {
-                assert_eq!(x.to_bits(), y.to_bits());
+            let span = SimTime::from(a.duration);
+            for (x, y) in a.node_stats.iter().zip(&b.node_stats) {
+                assert_eq!(
+                    x.mean_queue_len(span).to_bits(),
+                    y.mean_queue_len(span).to_bits()
+                );
             }
         }
         assert!(

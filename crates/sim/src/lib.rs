@@ -64,6 +64,6 @@ pub use runner::{BatchEstimates, MultiRun, NodeSummary, RunResult, Runner, Stats
 pub use simulation::{Ev, Simulation};
 pub use sweep::{RunError, Sweep, SweepPoint};
 pub use trace::{
-    parse_jsonl, CountingHandle, CountingSink, FanoutSink, JsonlSink, NoopSink, RingBufferHandle,
+    parse_jsonl, CountingHandle, CountingSink, FanoutSink, JsonlSink, RingBufferHandle,
     RingBufferSink, SharedSink, TraceCounts, TraceEvent, TraceRecord, TraceSink,
 };

@@ -136,6 +136,13 @@ impl Node {
         self.current.is_none()
     }
 
+    /// Whether job `job_id` is the one in service.
+    pub fn serves(&self, job_id: u64) -> bool {
+        self.current
+            .as_ref()
+            .is_some_and(|serving| serving.job.id() == job_id)
+    }
+
     /// Whether a newly arriving job would be served at once: the node is
     /// up, idle and has nothing waiting, so pushing the job and
     /// dispatching would pop it straight back.

@@ -44,7 +44,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use sda_simcore::stats::{BatchMeans, Estimate, NodeStats, Replications, Summary};
+use sda_simcore::stats::{BatchMeans, Estimate, NodeStats, Summary};
 use sda_simcore::{Engine, SimTime};
 
 use crate::config::{ConfigError, SimConfig};
@@ -60,13 +60,8 @@ pub struct RunResult {
     pub metrics: Metrics,
     /// Events processed by the engine.
     pub events: u64,
-    /// Per-node busy time (derived from `node_stats`; kept for direct
-    /// access).
-    pub busy: Vec<f64>,
-    /// Per-node time-weighted mean ready-queue length (waiting tasks).
-    pub mean_queue_len: Vec<f64>,
-    /// Per-node statistics: busy time, services, local misses, queue
-    /// length.
+    /// Per-node statistics: busy time, services, local misses, and the
+    /// time-weighted ready-queue length (waiting tasks).
     pub node_stats: Vec<NodeStats>,
     /// The simulated horizon (the configured duration).
     pub duration: f64,
@@ -83,10 +78,11 @@ pub struct RunResult {
 impl RunResult {
     /// Mean server utilization across nodes.
     pub fn utilization(&self) -> f64 {
-        if self.busy.is_empty() || self.duration <= 0.0 {
+        if self.node_stats.is_empty() || self.duration <= 0.0 {
             return 0.0;
         }
-        self.busy.iter().sum::<f64>() / (self.busy.len() as f64 * self.duration)
+        let busy = self.node_stats.iter().map(NodeStats::busy).sum::<f64>();
+        busy / (self.node_stats.len() as f64 * self.duration)
     }
 
     /// Events processed per wall-clock second (0 if the run was too
@@ -272,16 +268,9 @@ pub(crate) fn run_single_with_budget(
     let events = engine.events_processed();
     let duration = cfg.duration;
     let (metrics, node_stats) = sim.into_results();
-    let busy = node_stats.iter().map(|s| s.busy()).collect();
-    let mean_queue_len = node_stats
-        .iter()
-        .map(|s| s.mean_queue_len(SimTime::from(duration)))
-        .collect();
     Ok(RunResult {
         metrics,
         events,
-        busy,
-        mean_queue_len,
         node_stats,
         duration,
         seed,
@@ -418,11 +407,8 @@ impl MultiRun {
     where
         F: Fn(&RunResult) -> f64,
     {
-        self.runs
-            .iter()
-            .map(metric)
-            .collect::<Replications>()
-            .estimate()
+        let values: Vec<f64> = self.runs.iter().map(metric).collect();
+        Estimate::from_values(&values)
     }
 
     /// Applies `metric` to each run and returns the full descriptive
@@ -496,7 +482,8 @@ impl MultiRun {
             .map(|i| NodeSummary {
                 node: i,
                 utilization: self.summary_of(|r| r.node_stats[i].utilization(r.duration)),
-                mean_queue_len: self.summary_of(|r| r.mean_queue_len[i]),
+                mean_queue_len: self
+                    .summary_of(|r| r.node_stats[i].mean_queue_len(SimTime::from(r.duration))),
                 local_miss_rate: self.summary_of(|r| r.node_stats[i].local_miss_rate()),
             })
             .collect();

@@ -19,7 +19,7 @@ use crate::config::{AbortPolicy, ConfigError, ResubmitPolicy, SimConfig};
 use crate::fault::FaultState;
 use crate::metrics::Metrics;
 use crate::node::{InService, Job, LocalJob, Node, SubtaskJob};
-use crate::pm::{LeafState, ProcessManager};
+use crate::pm::{GlobalInstance, LeafState, ProcessManager};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::workload::Workload;
 
@@ -470,8 +470,8 @@ impl Simulation {
     /// queue with its remaining work, freeing the server.
     fn preempt(&mut self, engine: &mut Engine<Ev>, node: usize) {
         let now = engine.now();
-        let serving = self.nodes[node]
-            .detach_current(now)
+        let serving = self
+            .interrupt(engine, node)
             .expect("preempting an idle node");
         self.metrics.preemptions += 1;
         self.emit(
@@ -481,10 +481,6 @@ impl Simulation {
                 job: serving.job.id(),
             },
         );
-        engine.cancel(serving.complete);
-        if let Some(timer) = serving.abort_timer {
-            engine.cancel(timer);
-        }
         let speed = self.nodes[node].speed;
         let remaining = serving.work_remaining(now, speed).max(0.0);
         let mut job = serving.job;
@@ -566,15 +562,27 @@ impl Simulation {
         true
     }
 
-    fn on_service_complete(&mut self, engine: &mut Engine<Ev>, node: usize) {
-        let now = engine.now();
-        let served = self.nodes[node]
-            .detach_current(now)
-            .expect("service completion with idle node");
-        self.nodes[node].stats.record_service();
-        if let Some(timer) = served.abort_timer {
+    /// Takes the job in service off `node`'s server, if there is one,
+    /// and cancels its completion and abort timers: the first step of
+    /// every way a service burst ends. Cancelling the timer being handled
+    /// is a no-op.
+    // Always inlined, like the two below: as calls they slow the completion path.
+    #[inline(always)]
+    fn interrupt(&mut self, engine: &mut Engine<Ev>, node: usize) -> Option<InService> {
+        let serving = self.nodes[node].detach_current(engine.now())?;
+        engine.cancel(serving.complete);
+        if let Some(timer) = serving.abort_timer {
             engine.cancel(timer);
         }
+        Some(serving)
+    }
+
+    fn on_service_complete(&mut self, engine: &mut Engine<Ev>, node: usize) {
+        let now = engine.now();
+        let served = self
+            .interrupt(engine, node)
+            .expect("service completion with idle node");
+        self.nodes[node].stats.record_service();
         self.emit(
             now,
             TraceEvent::ServiceCompleted {
@@ -583,31 +591,81 @@ impl Simulation {
             },
         );
         match served.job {
-            Job::Local(job) => {
-                if let Some(timer) = job.timer {
-                    engine.cancel(timer);
-                }
-                let missed = now > job.dl;
-                if job.counted {
-                    self.metrics.record_local(missed, job.ex, now - job.ar);
-                    self.nodes[node].stats.record_local(missed);
-                    if missed {
-                        self.metrics.record_local_tardiness(now - job.dl);
-                    }
-                }
-                self.emit(
-                    now,
-                    TraceEvent::LocalFinished {
-                        job: job.id,
-                        missed,
-                    },
-                );
-            }
-            Job::Subtask(job) => {
-                self.on_subtask_complete(engine, job, now);
-            }
+            Job::Local(job) => self.finish_local(engine, node, job, false, job.ex),
+            Job::Subtask(job) => self.on_subtask_complete(engine, job, now),
         }
         self.dispatch(engine, node);
+    }
+
+    /// Ends local task `job` of `node`, completed or `aborted` with
+    /// `work` performed on it: the one place a local task finishes. An
+    /// aborted task counts as missed; only a late completion has a
+    /// tardiness.
+    #[inline(always)]
+    fn finish_local(
+        &mut self,
+        engine: &mut Engine<Ev>,
+        node: usize,
+        job: LocalJob,
+        aborted: bool,
+        work: f64,
+    ) {
+        let now = engine.now();
+        if let Some(timer) = job.timer {
+            engine.cancel(timer);
+        }
+        let missed = aborted || now > job.dl;
+        if aborted {
+            self.metrics.aborted_locals += 1;
+        }
+        if job.counted {
+            self.metrics.record_local(missed, work, now - job.ar);
+            self.nodes[node].stats.record_local(missed);
+            if missed && !aborted {
+                self.metrics.record_local_tardiness(now - job.dl);
+            }
+        }
+        self.emit(
+            now,
+            TraceEvent::LocalFinished {
+                job: job.id,
+                missed,
+            },
+        );
+    }
+
+    /// Ends global task `g`, already taken out of `slot`, completed or
+    /// `aborted`: the one place a global task finishes. An aborted task
+    /// counts as missed; only a late completion has a tardiness.
+    #[inline(always)]
+    fn close_global(
+        &mut self,
+        engine: &mut Engine<Ev>,
+        slot: usize,
+        g: GlobalInstance,
+        aborted: bool,
+    ) {
+        let now = engine.now();
+        if let Some(timer) = g.pm_timer {
+            engine.cancel(timer);
+        }
+        let missed = aborted || now > g.dl;
+        if aborted {
+            self.metrics.aborted_globals += 1;
+        }
+        if g.counted {
+            self.metrics.record_global(
+                g.decomp.leaf_count() as u32,
+                missed,
+                g.work_done,
+                now - g.ar,
+            );
+            if missed && !aborted {
+                self.metrics.record_global_tardiness(now - g.dl);
+            }
+        }
+        self.emit(now, TraceEvent::GlobalFinished { slot, missed });
+        self.pm.recycle(g);
     }
 
     fn on_subtask_complete(&mut self, engine: &mut Engine<Ev>, job: SubtaskJob, now: SimTime) {
@@ -630,29 +688,7 @@ impl Simulation {
         self.scratch.releases = releases;
         if finished {
             let g = self.pm.finish(job.slot);
-            if let Some(timer) = g.pm_timer {
-                engine.cancel(timer);
-            }
-            let missed = now > g.dl;
-            if g.counted {
-                self.metrics.record_global(
-                    g.decomp.leaf_count() as u32,
-                    missed,
-                    g.work_done,
-                    now - g.ar,
-                );
-                if missed {
-                    self.metrics.record_global_tardiness(now - g.dl);
-                }
-            }
-            self.emit(
-                now,
-                TraceEvent::GlobalFinished {
-                    slot: job.slot,
-                    missed,
-                },
-            );
-            self.pm.recycle(g);
+            self.close_global(engine, job.slot, g, false);
         }
     }
 }

@@ -12,58 +12,26 @@ impl Simulation {
 
     pub(super) fn on_pm_abort_local(&mut self, engine: &mut Engine<Ev>, node: usize, job_id: u64) {
         let now = engine.now();
-        // In service?
-        let in_service = self.nodes[node]
-            .current
-            .as_ref()
-            .is_some_and(|serving| serving.job.id() == job_id);
-        if in_service {
-            let serving = self.nodes[node].detach_current(now).expect("checked above");
-            engine.cancel(serving.complete);
-            if let Some(timer) = serving.abort_timer {
-                engine.cancel(timer);
-            }
+        let in_service = self.nodes[node].serves(job_id);
+        let (job, work) = if in_service {
+            let serving = self.interrupt(engine, node).expect("checked above");
             let work = serving.work_performed(now, self.nodes[node].speed);
-            if let Job::Local(job) = serving.job {
-                self.metrics.aborted_locals += 1;
-                if job.counted {
-                    self.metrics.record_local(true, work, now - job.ar);
-                    self.nodes[node].stats.record_local(true);
-                }
-                self.emit(
-                    now,
-                    TraceEvent::LocalFinished {
-                        job: job.id,
-                        missed: true,
-                    },
-                );
-            } else {
-                unreachable!("PmAbortLocal timer armed for a subtask");
-            }
-            self.dispatch(engine, node);
+            (serving.job, work)
+        } else if let Some(entry) = self.nodes[node].remove_job(job_id) {
+            // Work done in earlier bursts, if it was ever preempted.
+            (entry.item, entry.item.ex() - entry.item.remaining())
+        } else {
+            // The task completed and its timer was cancelled; a
+            // same-instant race is benign.
             return;
+        };
+        let Job::Local(job) = job else {
+            unreachable!("PmAbortLocal timer armed for a subtask");
+        };
+        self.finish_local(engine, node, job, true, work);
+        if in_service {
+            self.dispatch(engine, node);
         }
-        // Still queued?
-        if let Some(entry) = self.nodes[node].remove_job(job_id) {
-            if let Job::Local(job) = entry.item {
-                self.metrics.aborted_locals += 1;
-                if job.counted {
-                    // Work done in earlier bursts, if it was ever preempted.
-                    let work = job.ex - job.remaining;
-                    self.metrics.record_local(true, work, now - job.ar);
-                    self.nodes[node].stats.record_local(true);
-                }
-                self.emit(
-                    now,
-                    TraceEvent::LocalFinished {
-                        job: job.id,
-                        missed: true,
-                    },
-                );
-            }
-        }
-        // Otherwise the task completed and its timer was cancelled; a
-        // same-instant race is benign.
     }
 
     pub(super) fn on_pm_abort_global(&mut self, engine: &mut Engine<Ev>, slot: usize) {
@@ -79,66 +47,79 @@ impl Simulation {
     pub(super) fn abort_global(&mut self, engine: &mut Engine<Ev>, slot: usize) {
         let now = engine.now();
         let mut g = self.pm.finish(slot);
-        if let Some(timer) = g.pm_timer.take() {
-            engine.cancel(timer);
-        }
         // Taken, not borrowed: the dispatch loop below can abort another
         // global re-entrantly, which would need this buffer again.
         let mut idle_nodes = std::mem::take(&mut self.scratch.idle_nodes);
         idle_nodes.clear();
         for leaf in 0..g.leaves() {
+            let node = g.leaf_node[leaf];
             match g.leaf_state[leaf] {
-                LeafState::Done | LeafState::Failed => {}
+                LeafState::Done | LeafState::Failed => continue,
                 LeafState::Unreleased => {
                     g.leaf_state[leaf] = LeafState::Failed;
+                    continue;
                 }
                 LeafState::Queued => {
-                    let node = g.leaf_node[leaf];
                     let removed = self.nodes[node].remove_job(g.leaf_job[leaf]);
                     debug_assert!(removed.is_some(), "queued leaf must be in its queue");
                     if let Some(entry) = removed {
                         // Preemption may have left partial work behind.
                         g.work_done += entry.item.ex() - entry.item.remaining();
                     }
-                    g.leaf_state[leaf] = LeafState::Failed;
-                    if g.counted {
-                        self.metrics.record_subtask(true);
-                    }
                 }
                 LeafState::InService => {
-                    let node = g.leaf_node[leaf];
-                    let serving = self.nodes[node]
-                        .detach_current(now)
+                    let serving = self
+                        .interrupt(engine, node)
                         .expect("in-service leaf must be serving");
                     debug_assert!(
                         matches!(serving.job, Job::Subtask(s) if s.slot == slot && s.leaf == leaf),
                         "in-service leaf mismatch"
                     );
-                    engine.cancel(serving.complete);
-                    if let Some(timer) = serving.abort_timer {
-                        engine.cancel(timer);
-                    }
                     g.work_done += serving.work_performed(now, self.nodes[node].speed);
-                    g.leaf_state[leaf] = LeafState::Failed;
-                    if g.counted {
-                        self.metrics.record_subtask(true);
-                    }
                     idle_nodes.push(node);
                 }
             }
+            g.leaf_state[leaf] = LeafState::Failed;
+            if g.counted {
+                self.metrics.record_subtask(true);
+            }
         }
-        self.metrics.aborted_globals += 1;
-        if g.counted {
-            self.metrics
-                .record_global(g.decomp.leaf_count() as u32, true, g.work_done, now - g.ar);
-        }
-        self.emit(now, TraceEvent::GlobalFinished { slot, missed: true });
-        self.pm.recycle(g);
+        self.close_global(engine, slot, g, true);
         for &node in &idle_nodes {
             self.dispatch(engine, node);
         }
         idle_nodes.clear();
         self.scratch.idle_nodes = idle_nodes;
+    }
+
+    /// Ends `job`, already taken off `node`'s server or queue, as missed
+    /// with `partial` work (in work units, across all service bursts)
+    /// wasted on it: a local task finishes; a subtask fails its leaf and
+    /// tears down its whole global task.
+    pub(super) fn abort_job(
+        &mut self,
+        engine: &mut Engine<Ev>,
+        node: usize,
+        job: Job,
+        partial: f64,
+    ) {
+        match job {
+            Job::Local(local) => self.finish_local(engine, node, local, true, partial),
+            Job::Subtask(sub) => {
+                // The slot is necessarily live: a task holds at most one
+                // active leaf per node, and a dead task's queued leaves
+                // were already removed from every queue.
+                let g = self.pm.get_mut(sub.slot).expect("live global");
+                g.work_done += partial;
+                // Fail this leaf first so the teardown skips it (it is
+                // already out of the queue or server).
+                g.leaf_state[sub.leaf] = LeafState::Failed;
+                if g.counted {
+                    self.metrics.record_subtask(true);
+                }
+                self.abort_global(engine, sub.slot);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -152,15 +133,10 @@ impl Simulation {
         job_id: u64,
     ) {
         let now = engine.now();
-        let current_matches = self.nodes[node]
-            .current
-            .as_ref()
-            .is_some_and(|serving| serving.job.id() == job_id);
-        if !current_matches {
+        if !self.nodes[node].serves(job_id) {
             return; // the job finished, or a different job is serving now
         }
-        let serving = self.nodes[node].detach_current(now).expect("checked above");
-        engine.cancel(serving.complete);
+        let serving = self.interrupt(engine, node).expect("checked above");
         let work = serving.work_performed(now, self.nodes[node].speed);
         self.local_scheduler_abort(engine, node, serving.job, work);
         self.dispatch(engine, node);
@@ -179,64 +155,39 @@ impl Simulation {
     ) {
         let now = engine.now();
         self.metrics.local_scheduler_aborts += 1;
-        match job {
-            Job::Local(local) => {
-                // A local's presented deadline is its real deadline: the
-                // task has definitively missed. No resubmission.
-                self.metrics.aborted_locals += 1;
-                if local.counted {
-                    self.metrics.record_local(true, partial, now - local.ar);
-                    self.nodes[node].stats.record_local(true);
-                }
-                self.emit(
-                    now,
-                    TraceEvent::LocalFinished {
-                        job: local.id,
-                        missed: true,
-                    },
-                );
-            }
-            Job::Subtask(sub) => {
-                let resubmit = match self.cfg.abort {
-                    AbortPolicy::LocalScheduler { resubmit } => resubmit,
-                    _ => unreachable!("local abort outside LocalScheduler mode"),
-                };
-                let (can_resubmit, real_dl, pex, node_of_leaf) = {
-                    let g = self.pm.get_mut(sub.slot).expect("live global");
-                    g.work_done += partial;
-                    let can = matches!(resubmit, ResubmitPolicy::OnceWithRealDeadline)
-                        && !g.leaf_resubmitted[sub.leaf]
-                        && now < g.dl;
-                    (can, g.dl, g.leaf_pex[sub.leaf], g.leaf_node[sub.leaf])
-                };
-                if can_resubmit {
-                    let id = self.fresh_job_id();
-                    let g = self.pm.get_mut(sub.slot).expect("live global");
-                    g.leaf_resubmitted[sub.leaf] = true;
-                    g.leaf_state[sub.leaf] = LeafState::Queued;
-                    g.leaf_job[sub.leaf] = id;
-                    self.metrics.resubmissions += 1;
-                    // Resubmitted with the real end-to-end deadline: most
-                    // of the slack is gone (§7.3), but the subtask gets one
-                    // more chance. It restarts from scratch — whatever was
-                    // executed before the abort is wasted.
-                    let job = Job::Subtask(SubtaskJob {
-                        id,
-                        remaining: sub.ex,
-                        ..sub
-                    });
-                    self.enqueue(engine, node_of_leaf, real_dl, pex, job);
-                } else {
-                    // The subtask is dropped; the global task can never
-                    // complete — the process manager tears it down.
-                    let g = self.pm.get_mut(sub.slot).expect("live global");
-                    g.leaf_state[sub.leaf] = LeafState::Failed;
-                    if g.counted {
-                        self.metrics.record_subtask(true);
-                    }
-                    self.abort_global(engine, sub.slot);
-                }
-            }
+        let AbortPolicy::LocalScheduler { resubmit } = self.cfg.abort else {
+            unreachable!("local abort outside LocalScheduler mode");
+        };
+        // A local's presented deadline is its real deadline: the task has
+        // definitively missed. No resubmission.
+        let Job::Subtask(sub) = job else {
+            return self.abort_job(engine, node, job, partial);
+        };
+        let g = self.pm.get_mut(sub.slot).expect("live global");
+        let can_resubmit = matches!(resubmit, ResubmitPolicy::OnceWithRealDeadline)
+            && !g.leaf_resubmitted[sub.leaf]
+            && now < g.dl;
+        if !can_resubmit {
+            // The subtask is dropped; the global task can never complete —
+            // the process manager tears it down.
+            return self.abort_job(engine, node, job, partial);
         }
+        let id = self.fresh_job_id();
+        let g = self.pm.get_mut(sub.slot).expect("live global");
+        g.work_done += partial;
+        g.leaf_resubmitted[sub.leaf] = true;
+        g.leaf_state[sub.leaf] = LeafState::Queued;
+        g.leaf_job[sub.leaf] = id;
+        let (real_dl, pex, node_of_leaf) = (g.dl, g.leaf_pex[sub.leaf], g.leaf_node[sub.leaf]);
+        self.metrics.resubmissions += 1;
+        // Resubmitted with the real end-to-end deadline: most of the slack
+        // is gone (§7.3), but the subtask gets one more chance. It restarts
+        // from scratch — whatever was executed before the abort is wasted.
+        let job = Job::Subtask(SubtaskJob {
+            id,
+            remaining: sub.ex,
+            ..sub
+        });
+        self.enqueue(engine, node_of_leaf, real_dl, pex, job);
     }
 }

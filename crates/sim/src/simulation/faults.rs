@@ -24,18 +24,14 @@ impl Simulation {
         self.emit(now, TraceEvent::NodeCrashed { node });
 
         // The job in service (if any) is interrupted mid-burst.
-        if let Some(serving) = self.nodes[node].detach_current(now) {
-            engine.cancel(serving.complete);
-            if let Some(timer) = serving.abort_timer {
-                engine.cancel(timer);
-            }
-            let partial = serving.work_performed(now, self.nodes[node].speed).max(0.0);
-            match self.faults.cfg.crash_policy {
-                CrashPolicy::RequeueSubtask => {
-                    // Restart from scratch on the same node with the same
-                    // presented deadline and job id (any armed
-                    // process-manager timer stays valid); the partial work
-                    // is simply lost.
+        let interrupted = self.interrupt(engine, node);
+        match self.faults.cfg.crash_policy {
+            CrashPolicy::RequeueSubtask => {
+                // Restart from scratch on the same node with the same
+                // presented deadline and job id (any armed process-manager
+                // timer stays valid); the partial work is simply lost.
+                // Queued work just waits the outage out.
+                if let Some(serving) = interrupted {
                     let mut job = serving.job;
                     job.set_remaining(job.ex());
                     if let Job::Subtask(sub) = &job {
@@ -45,19 +41,21 @@ impl Simulation {
                     self.metrics.crash_requeues += 1;
                     self.nodes[node].enqueue(serving.presented_dl, job.ex(), job);
                 }
-                CrashPolicy::AbortTask => {
-                    self.crash_abort_job(engine, node, serving.job, partial);
-                }
             }
-        }
-
-        // Under AbortTask the outage also kills everything waiting at the
-        // node; under RequeueSubtask queued work just waits it out.
-        if self.faults.cfg.crash_policy == CrashPolicy::AbortTask {
-            while let Some(entry) = self.nodes[node].queue.pop() {
-                // Preemption may have left partial work behind.
-                let partial = entry.item.ex() - entry.item.remaining();
-                self.crash_abort_job(engine, node, entry.item, partial);
+            CrashPolicy::AbortTask => {
+                // The outage kills the job in service and everything
+                // waiting at the node.
+                if let Some(serving) = interrupted {
+                    let partial = serving.work_performed(now, self.nodes[node].speed).max(0.0);
+                    self.metrics.crash_aborts += 1;
+                    self.abort_job(engine, node, serving.job, partial);
+                }
+                while let Some(entry) = self.nodes[node].queue.pop() {
+                    // Preemption may have left partial work behind.
+                    let partial = entry.item.ex() - entry.item.remaining();
+                    self.metrics.crash_aborts += 1;
+                    self.abort_job(engine, node, entry.item, partial);
+                }
             }
         }
     }
@@ -69,47 +67,6 @@ impl Simulation {
         engine.schedule_after(gap, Ev::NodeCrash { node });
         self.emit(now, TraceEvent::NodeRecovered { node });
         self.dispatch(engine, node);
-    }
-
-    /// Aborts one job resident on a crashing node (AbortTask policy):
-    /// a local task records as missed; a subtask fails and tears down its
-    /// whole global task.
-    fn crash_abort_job(&mut self, engine: &mut Engine<Ev>, node: usize, job: Job, partial: f64) {
-        let now = engine.now();
-        self.metrics.crash_aborts += 1;
-        match job {
-            Job::Local(local) => {
-                if let Some(timer) = local.timer {
-                    engine.cancel(timer);
-                }
-                self.metrics.aborted_locals += 1;
-                if local.counted {
-                    self.metrics.record_local(true, partial, now - local.ar);
-                    self.nodes[node].stats.record_local(true);
-                }
-                self.emit(
-                    now,
-                    TraceEvent::LocalFinished {
-                        job: local.id,
-                        missed: true,
-                    },
-                );
-            }
-            Job::Subtask(sub) => {
-                // The slot is necessarily live: a task holds at most one
-                // active leaf per node, and a dead task's queued leaves
-                // were already removed from every queue.
-                let g = self.pm.get_mut(sub.slot).expect("live global");
-                g.work_done += partial;
-                // Fail this leaf first so the teardown below skips it
-                // (it is already out of the queue/server).
-                g.leaf_state[sub.leaf] = LeafState::Failed;
-                if g.counted {
-                    self.metrics.record_subtask(true);
-                }
-                self.abort_global(engine, sub.slot);
-            }
-        }
     }
 
     // ------------------------------------------------------------------

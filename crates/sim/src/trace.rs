@@ -354,15 +354,6 @@ impl<F: FnMut(SimTime, &TraceEvent) + Send> TraceSink for F {
     }
 }
 
-/// A sink that discards everything (attach-a-sink code paths without the
-/// `Option` dance).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _now: SimTime, _event: &TraceEvent) {}
-}
-
 /// A bounded in-memory buffer of the most recent records, shared with a
 /// [`RingBufferHandle`] that outlives the simulation.
 #[derive(Debug)]

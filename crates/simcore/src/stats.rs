@@ -5,7 +5,7 @@
 //! one-million-time-unit runs with a 95% confidence interval of ±0.35
 //! percentage points on miss rates. We reproduce the methodology:
 //! per-replication point estimates are combined with a Student-t interval
-//! in [`Replications`].
+//! by [`Estimate::from_values`].
 
 /// Welford's online algorithm for mean and variance.
 ///
@@ -324,6 +324,24 @@ impl Estimate {
         }
     }
 
+    /// Combines per-replication point estimates into their mean ± 95%
+    /// Student-t half-width: the paper's methodology, where each data
+    /// point averages independent simulation runs.
+    ///
+    /// With a single value the half-width is reported as 0 (unknown);
+    /// with none, the estimate is 0 ± 0.
+    ///
+    /// ```
+    /// use sda_simcore::stats::Estimate;
+    /// let e = Estimate::from_values(&[0.24, 0.26]);
+    /// assert!((e.mean - 0.25).abs() < 1e-12);
+    /// assert!(e.half_width > 0.0);
+    /// ```
+    pub fn from_values(values: &[f64]) -> Estimate {
+        let (mean, _, half_width) = mean_var_half_width(values);
+        Estimate { mean, half_width }
+    }
+
     /// Whether `other` lies inside this estimate's confidence interval.
     pub fn covers(&self, other: f64) -> bool {
         (other - self.mean).abs() <= self.half_width
@@ -349,74 +367,6 @@ impl Estimate {
 impl std::fmt::Display for Estimate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:.4} ± {:.4}", self.mean, self.half_width)
-    }
-}
-
-/// Combines per-replication point estimates into a mean ± 95% CI.
-///
-/// This is the paper's methodology: each experiment data point is the
-/// average over independent simulation runs, with a Student-t interval.
-///
-/// ```
-/// use sda_simcore::stats::Replications;
-/// let mut reps = Replications::new();
-/// reps.push(0.24);
-/// reps.push(0.26);
-/// let e = reps.estimate();
-/// assert!((e.mean - 0.25).abs() < 1e-12);
-/// assert!(e.half_width > 0.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Replications {
-    values: Vec<f64>,
-}
-
-impl Replications {
-    /// Creates an empty set of replications.
-    pub fn new() -> Replications {
-        Replications::default()
-    }
-
-    /// Adds one replication's point estimate.
-    pub fn push(&mut self, value: f64) {
-        self.values.push(value);
-    }
-
-    /// Number of replications recorded.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether no replications have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The per-replication values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Merges another set of replications into this one (incremental
-    /// estimates pooled across rounds or workers; order-independent up
-    /// to the recorded sequence).
-    pub fn merge(&mut self, other: &Replications) {
-        self.values.extend_from_slice(&other.values);
-    }
-
-    /// The full descriptive summary across replications — the
-    /// `stats.json` record for one metric.
-    pub fn summary(&self) -> Summary {
-        Summary::from_values(&self.values)
-    }
-
-    /// Mean ± 95% half-width across replications.
-    ///
-    /// With a single replication the half-width is reported as 0 (unknown);
-    /// with none, the estimate is 0 ± 0.
-    pub fn estimate(&self) -> Estimate {
-        let (mean, _, half_width) = mean_var_half_width(&self.values);
-        Estimate { mean, half_width }
     }
 }
 
@@ -541,20 +491,6 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-impl FromIterator<f64> for Replications {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Replications {
-        Replications {
-            values: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<f64> for Replications {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        self.values.extend(iter);
-    }
-}
-
 /// The method of batch means: a 95% confidence interval from a *single*
 /// long run, by cutting the observation stream into contiguous batches
 /// and treating the batch means as (approximately) independent samples.
@@ -579,7 +515,8 @@ pub struct BatchMeans {
     batch_size: u64,
     in_batch: u64,
     batch_sum: f64,
-    batches: Replications,
+    /// The means of the completed batches.
+    batches: Vec<f64>,
 }
 
 impl BatchMeans {
@@ -594,7 +531,7 @@ impl BatchMeans {
             batch_size,
             in_batch: 0,
             batch_sum: 0.0,
-            batches: Replications::new(),
+            batches: Vec::new(),
         }
     }
 
@@ -618,7 +555,7 @@ impl BatchMeans {
     /// Mean ± 95% CI over the completed batches (the partial batch in
     /// progress is excluded).
     pub fn estimate(&self) -> Estimate {
-        self.batches.estimate()
+        Estimate::from_values(&self.batches)
     }
 }
 
@@ -1089,52 +1026,21 @@ mod tests {
     }
 
     #[test]
-    fn replications_two_runs_matches_hand_computation() {
+    fn estimate_from_values_matches_hand_computation() {
         // Two replications x1, x2: hw = t(1) * s / sqrt(2),
         // s = |x1 - x2| / sqrt(2)  =>  hw = 12.706 * |x1-x2| / 2.
-        let reps: Replications = [0.10, 0.14].into_iter().collect();
-        let e = reps.estimate();
+        let e = Estimate::from_values(&[0.10, 0.14]);
         assert!((e.mean - 0.12).abs() < 1e-12);
         assert!((e.half_width - 12.706 * 0.04 / 2.0).abs() < 1e-9);
         assert!(e.covers(0.12));
-    }
-
-    #[test]
-    fn replications_single_run_has_zero_width() {
-        let mut reps = Replications::new();
-        reps.push(0.3);
-        let e = reps.estimate();
-        assert_eq!(e.mean, 0.3);
-        assert_eq!(e.half_width, 0.0);
-    }
-
-    #[test]
-    fn replications_empty() {
-        let reps = Replications::new();
-        assert!(reps.is_empty());
-        assert_eq!(reps.estimate(), Estimate::exact(0.0));
-    }
-
-    #[test]
-    fn replications_extend_and_values() {
-        let mut reps = Replications::new();
-        reps.extend([1.0, 2.0, 3.0]);
-        assert_eq!(reps.len(), 3);
-        assert_eq!(reps.values(), &[1.0, 2.0, 3.0]);
-        let e = reps.estimate();
+        let e = Estimate::from_values(&[1.0, 2.0, 3.0]);
         assert!((e.mean - 2.0).abs() < 1e-12);
     }
 
     #[test]
-    fn replications_merge_pools_values() {
-        let mut a: Replications = [0.1, 0.2].into_iter().collect();
-        let b: Replications = [0.3, 0.4].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.values(), &[0.1, 0.2, 0.3, 0.4]);
-        assert!((a.estimate().mean - 0.25).abs() < 1e-12);
-        a.merge(&Replications::new());
-        assert_eq!(a.len(), 4);
+    fn estimate_from_one_or_no_values_has_zero_width() {
+        assert_eq!(Estimate::from_values(&[0.3]), Estimate::exact(0.3));
+        assert_eq!(Estimate::from_values(&[]), Estimate::exact(0.0));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sda_simcore::dist::{Exp, Sample, Uniform};
 use sda_simcore::event::{Calendar, EventHandle};
 use sda_simcore::rng::Rng;
-use sda_simcore::stats::{Histogram, Replications, Welford};
+use sda_simcore::stats::{Estimate, Histogram, Welford};
 use sda_simcore::SimTime;
 
 /// Any time a simulation can hold: arbitrary non-NaN bit patterns
@@ -146,8 +146,7 @@ proptest! {
     fn replication_interval_covers_the_mean_of_its_inputs(
         values in prop::collection::vec(0.0f64..1.0, 2..20),
     ) {
-        let reps: Replications = values.iter().copied().collect();
-        let e = reps.estimate();
+        let e = Estimate::from_values(&values);
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         prop_assert!((e.mean - mean).abs() < 1e-12);
         prop_assert!(e.covers(mean));

@@ -58,16 +58,12 @@ fn pm_abort_equals_miss_for_globals() {
 #[test]
 fn work_is_conserved_across_abort_modes() {
     // Total busy time can only go down when tardy work is cancelled.
-    let none: f64 = run(&cfg(0.8, AbortPolicy::None), 3)
-        .unwrap()
-        .busy
-        .iter()
-        .sum();
-    let pm: f64 = run(&cfg(0.8, AbortPolicy::ProcessManager), 3)
-        .unwrap()
-        .busy
-        .iter()
-        .sum();
+    let busy = |abort| -> f64 {
+        let result = run(&cfg(0.8, abort), 3).unwrap();
+        result.node_stats.iter().map(|s| s.busy()).sum()
+    };
+    let none = busy(AbortPolicy::None);
+    let pm = busy(AbortPolicy::ProcessManager);
     assert!(pm < none, "abortion must shed load: {pm} vs {none}");
     // And the shed work is meaningful at this load.
     assert!(pm < 0.97 * none);

@@ -1,11 +1,17 @@
 //! Fuzzing the simulator: random valid configurations must run to their
 //! horizon without panicking, and the accounting invariants must hold
 //! whatever combination of strategy, shape, scheduler, abortion,
-//! placement, speeds, and burstiness is active.
+//! placement, speeds, burstiness and injected faults is active.
+
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use sda::prelude::*;
+use sda::sim::trace::TraceEvent;
+use sda::sim::{CrashPolicy, FaultConfig, Simulation};
+use sda::simcore::Engine;
 
 /// Single-replication run through the [`Runner`], with the replication's
 /// seed given explicitly (shadows the deprecated free function).
@@ -152,12 +158,12 @@ proptest! {
         prop_assert!(m.subtask_md.missed() <= m.subtask_md.total());
         prop_assert!(m.total_missed_count() <= m.local_count() + m.global_count());
         // Busy time per node never exceeds the horizon.
-        for (i, &busy) in result.busy.iter().enumerate() {
+        for (i, node) in result.node_stats.iter().enumerate() {
+            let busy = node.busy();
             prop_assert!(busy <= result.duration * 1.0001, "node {i} busy {busy}");
             prop_assert!(busy >= 0.0);
-        }
-        // Queue lengths are non-negative and finite.
-        for &q in &result.mean_queue_len {
+            // Queue lengths are non-negative and finite.
+            let q = node.mean_queue_len(SimTime::from(result.duration));
             prop_assert!(q.is_finite() && q >= 0.0);
         }
         // Response times can't be negative.
@@ -167,5 +173,106 @@ proptest! {
         let again = run(&cfg, seed).expect("validated above");
         prop_assert_eq!(again.metrics.local_md, m.local_md);
         prop_assert_eq!(again.events, result.events);
+    }
+}
+
+/// Each fault class on or off with random rates, crossed with both crash
+/// policies.
+fn arb_faults() -> impl Strategy<Value = FaultConfig> {
+    (
+        (any::<bool>(), 50.0f64..400.0, 1.0f64..40.0),
+        prop_oneof![
+            Just(CrashPolicy::AbortTask),
+            Just(CrashPolicy::RequeueSubtask)
+        ],
+        (any::<bool>(), 0.01f64..0.3, 1.0f64..5.0),
+        (any::<bool>(), 0.01f64..0.5, 0.1f64..3.0),
+    )
+        .prop_map(|(crash, crash_policy, slow, delay)| {
+            let mut fault = FaultConfig {
+                crash_policy,
+                ..FaultConfig::disabled()
+            };
+            if let (true, mttf, mttr) = crash {
+                (fault.mttf, fault.mttr) = (mttf, mttr);
+            }
+            if let (true, prob, factor) = slow {
+                (fault.straggler_prob, fault.straggler_factor) = (prob, factor);
+            }
+            if let (true, prob, mean) = delay {
+                (fault.comm_delay_prob, fault.comm_delay_mean) = (prob, mean);
+            }
+            fault
+        })
+}
+
+/// How a run's tasks ended, rebuilt from its trace: every local task
+/// finishes at most once and only after it arrived, and each slot
+/// alternates between a global arrival and that task's finish.
+#[derive(Default)]
+struct Endings {
+    /// Local jobs that arrived and have not finished.
+    open_locals: HashSet<u64>,
+    /// Slots holding a global task that arrived and has not finished.
+    live_slots: HashSet<usize>,
+    arrived_globals: usize,
+    finished_globals: usize,
+    /// The first violation, with its time.
+    violation: Option<String>,
+}
+
+impl Endings {
+    fn record(&mut self, now: SimTime, event: &TraceEvent) {
+        let problem = match *event {
+            TraceEvent::LocalArrived { job, .. } => {
+                (!self.open_locals.insert(job)).then(|| format!("local {job} arrived twice"))
+            }
+            TraceEvent::LocalFinished { job, .. } => (!self.open_locals.remove(&job))
+                .then(|| format!("local {job} finished twice or never arrived")),
+            TraceEvent::GlobalArrived { slot, .. } => {
+                self.arrived_globals += 1;
+                (!self.live_slots.insert(slot))
+                    .then(|| format!("slot {slot} took a global before the last one finished"))
+            }
+            TraceEvent::GlobalFinished { slot, .. } => {
+                self.finished_globals += 1;
+                (!self.live_slots.remove(&slot))
+                    .then(|| format!("slot {slot} finished a global that was not live"))
+            }
+            _ => None,
+        };
+        if let Some(problem) = problem {
+            self.violation.get_or_insert(format!("t={now}: {problem}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fault_injected_runs_finish_every_task_once(
+        cfg in arb_config(),
+        fault in arb_faults(),
+        seed in 0u64..1_000,
+    ) {
+        let cfg = SimConfig { fault, ..cfg };
+        let Ok(mut sim) = Simulation::new(cfg.clone(), seed) else { return Ok(()) };
+        let endings = Arc::new(Mutex::new(Endings::default()));
+        let ledger = Arc::clone(&endings);
+        sim.set_sink(Box::new(move |now: SimTime, event: &TraceEvent| {
+            ledger.lock().unwrap().record(now, event);
+        }));
+        let mut engine = Engine::new();
+        sim.prime(&mut engine);
+        engine.run_until(&mut sim, SimTime::from(cfg.duration));
+
+        let endings = endings.lock().unwrap();
+        if let Some(violation) = &endings.violation {
+            return Err(TestCaseError::fail(violation.clone()));
+        }
+        let in_flight = endings.arrived_globals - endings.finished_globals;
+        prop_assert_eq!(in_flight, sim.active_globals());
+        prop_assert_eq!(in_flight, endings.live_slots.len());
     }
 }
