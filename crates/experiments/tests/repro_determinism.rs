@@ -2,6 +2,15 @@
 //! sweep engine executes them: sequentially, on a work-stealing pool, or
 //! replayed from a warm disk cache. This is the repo's end-to-end pin on
 //! the engine's determinism contract.
+//!
+//! The sequential render is also compared with a committed copy,
+//! `tests/golden/quick_artifacts.txt`, so a change to the harness that
+//! moves any cell fails here and the diff names the cell. To regenerate
+//! after an *intentional* change to what the artifacts report:
+//!
+//! ```text
+//! SDA_REGEN_GOLDEN=1 cargo test -p sda-experiments --test repro_determinism
+//! ```
 
 use sda_experiments::repro::artifacts;
 use sda_experiments::run::{with_exec, Exec};
@@ -22,6 +31,27 @@ fn render_all() -> String {
     out
 }
 
+/// Compares `actual` with the committed quick-artifact golden, or
+/// rewrites the golden when `SDA_REGEN_GOLDEN` is set.
+fn check_or_regen_golden(actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("quick_artifacts.txt");
+    if std::env::var_os("SDA_REGEN_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir tests/golden");
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e}); see module docs", path.display()));
+    assert_eq!(
+        expected, actual,
+        "quick artifacts drifted from the golden: the same configurations and \
+         seeds must render byte-identical reports"
+    );
+}
+
 #[test]
 fn quick_artifacts_are_identical_across_jobs_and_cache_state() {
     let dir = std::env::temp_dir().join(format!("sda-repro-determinism-{}", std::process::id()));
@@ -29,6 +59,7 @@ fn quick_artifacts_are_identical_across_jobs_and_cache_state() {
 
     // Sequential, no cross-point memoization at all.
     let sequential = with_exec(Exec::sweep_uncached().with_jobs(1), render_all);
+    check_or_regen_golden(&sequential);
 
     // Work-stealing pool, cold disk cache: every simulated point lands in
     // `dir` as it completes.
