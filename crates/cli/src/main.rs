@@ -471,7 +471,7 @@ fn print_help(topic: Option<&str>) {
              \x20 burst = none|PERIOD,ON_FRACTION,BOOST  (ON/OFF arrival bursts)\n\
              \x20 abort = none|pm|local|local-drop\n\
              \x20 estimation = exact|factor:F|bias:F|mean:M\n\
-             fault injection (all off by default; see also `repro faults`):\n\
+             fault injection (all off by default; see also `repro --only f1_faults`):\n\
              \x20 fault_mttf = T            mean time to node failure (0 = never)\n\
              \x20 fault_mttr = T            mean time to repair\n\
              \x20 fault_crash = abort|requeue   fate of work on a crashed node\n\

@@ -27,6 +27,10 @@ fn help_config_lists_keys() {
     for key in ["frac_local", "strategy", "abort", "service_shape"] {
         assert!(text.contains(key), "missing {key}");
     }
+    // The fault-injection pointer names the registry artifact, which is
+    // how `repro` runs it.
+    assert!(text.contains("repro --only f1_faults"), "{text}");
+    assert!(!text.contains("repro faults"), "{text}");
 }
 
 #[test]

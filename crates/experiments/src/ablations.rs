@@ -3,29 +3,24 @@
 //! Each ablation probes a claim the paper makes in prose but does not
 //! plot, or a design choice our implementation had to make.
 
-use std::sync::Arc;
-
 use sda_core::{EstimationModel, PspStrategy, SdaStrategy, SspStrategy};
 use sda_model::TaskSpec;
 use sda_sched::Policy;
-use sda_sim::{AbortPolicy, GlobalShape, ResubmitPolicy, ServiceShape, SimConfig};
+use sda_sim::{AbortPolicy, GlobalShape, MultiRun, ResubmitPolicy, ServiceShape, SimConfig};
 
-use sda_sim::MultiRun;
-
-use crate::pct;
-use crate::run::{run_points, Point};
+use crate::run::{run_configs, run_grid};
 use crate::scale::Scale;
 use crate::table::Table;
+use crate::{pct, ud_div1_gf};
 
-/// Runs a whole ablation grid as one batch (each configuration at the
-/// campaign seed and the scale's replication count), so the engine can
-/// interleave all cells across its worker pool.
-fn run_grid(cfgs: Vec<SimConfig>, scale: Scale) -> Vec<Arc<MultiRun>> {
-    let points: Vec<Point> = cfgs
-        .into_iter()
-        .map(|cfg| Point::new(cfg, scale.replications()))
-        .collect();
-    run_points(&points)
+/// Adds one row to `table`: `labels`, the cell's `MD_local` and
+/// `MD_global`, then `extra` if any.
+fn md_row(table: &mut Table, labels: &[&str], multi: &MultiRun, extra: Option<String>) {
+    let mut row: Vec<String> = labels.iter().map(|label| label.to_string()).collect();
+    row.push(pct(multi.md_local()));
+    row.push(pct(multi.md_global()));
+    row.extend(extra);
+    table.row(&row);
 }
 
 /// **A1** — local-scheduler abortion (§7.3's "results not shown"):
@@ -62,34 +57,24 @@ pub fn local_abort(scale: Scale) -> Table {
             },
         ),
     ];
-    let cells: Vec<(&str, &str, SimConfig)> = strategies
-        .iter()
-        .flat_map(|(s_label, strategy)| {
-            modes.iter().map(|(m_label, abort)| {
-                (
-                    *s_label,
-                    *m_label,
-                    scale
-                        .apply(SimConfig {
-                            abort: *abort,
-                            load: 0.7,
-                            ..SimConfig::baseline()
-                        })
-                        .with_strategy(*strategy),
-                )
-            })
-        })
-        .collect();
-    let results = run_grid(cells.iter().map(|c| c.2.clone()).collect(), scale);
-    for ((s_label, m_label, _), multi) in cells.iter().zip(&results) {
-        let resub: u64 = multi.runs().iter().map(|r| r.metrics.resubmissions).sum();
-        table.row(&[
-            (*s_label).to_string(),
-            (*m_label).to_string(),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-            resub.to_string(),
-        ]);
+    let results = run_grid(scale, &strategies, &modes, |(_, strategy), (_, abort)| {
+        SimConfig {
+            abort: *abort,
+            load: 0.7,
+            ..SimConfig::baseline()
+        }
+        .with_strategy(*strategy)
+    });
+    for ((s_label, _), row) in strategies.iter().zip(&results) {
+        for ((m_label, _), multi) in modes.iter().zip(row) {
+            let resub: u64 = multi.runs().iter().map(|r| r.metrics.resubmissions).sum();
+            md_row(
+                &mut table,
+                &[s_label, m_label],
+                multi,
+                Some(resub.to_string()),
+            );
+        }
     }
     table
 }
@@ -107,31 +92,22 @@ pub fn sched_policies(scale: Scale) -> Table {
         ("UD", SdaStrategy::ud_ud()),
         ("DIV-1", SdaStrategy::ud_div1()),
     ];
-    let cells: Vec<(Policy, &str, SimConfig)> = Policy::ALL
-        .into_iter()
-        .flat_map(|scheduler| {
-            strategies.iter().map(move |(label, strategy)| {
-                (
-                    scheduler,
-                    *label,
-                    scale
-                        .apply(SimConfig {
-                            scheduler,
-                            ..SimConfig::baseline()
-                        })
-                        .with_strategy(*strategy),
-                )
-            })
-        })
-        .collect();
-    let results = run_grid(cells.iter().map(|c| c.2.clone()).collect(), scale);
-    for ((scheduler, label, _), multi) in cells.iter().zip(&results) {
-        table.row(&[
-            scheduler.to_string(),
-            (*label).to_string(),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-        ]);
+    let results = run_grid(
+        scale,
+        &Policy::ALL,
+        &strategies,
+        |&scheduler, (_, strategy)| {
+            SimConfig {
+                scheduler,
+                ..SimConfig::baseline()
+            }
+            .with_strategy(*strategy)
+        },
+    );
+    for (scheduler, row) in Policy::ALL.iter().zip(&results) {
+        for ((label, _), multi) in strategies.iter().zip(row) {
+            md_row(&mut table, &[&scheduler.to_string(), label], multi, None);
+        }
     }
     table
 }
@@ -149,22 +125,17 @@ pub fn ssp_family(scale: Scale) -> Table {
         global_slack: SimConfig::baseline().local_slack.scaled(5.0),
         ..SimConfig::baseline()
     };
-    let cfgs: Vec<SimConfig> = SspStrategy::ALL
+    let cfgs = SspStrategy::ALL
         .into_iter()
         .map(|ssp| {
-            scale.apply(base.clone()).with_strategy(SdaStrategy {
+            base.clone().with_strategy(SdaStrategy {
                 ssp,
                 psp: PspStrategy::Ud,
             })
         })
         .collect();
-    let results = run_grid(cfgs, scale);
-    for (ssp, multi) in SspStrategy::ALL.into_iter().zip(&results) {
-        table.row(&[
-            ssp.label().to_string(),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-        ]);
+    for (ssp, multi) in SspStrategy::ALL.into_iter().zip(&run_configs(scale, cfgs)) {
+        md_row(&mut table, &[ssp.label()], multi, None);
     }
     table
 }
@@ -184,24 +155,18 @@ pub fn pex_error(scale: Scale) -> Table {
         ("bias 2x over", EstimationModel::bias(2.0)),
         ("class mean only", EstimationModel::ClassMean { mean: 1.0 }),
     ];
-    let cfgs: Vec<SimConfig> = models
+    let cfgs = models
         .iter()
         .map(|(_, estimation)| {
-            scale
-                .apply(SimConfig {
-                    estimation: *estimation,
-                    ..SimConfig::section8()
-                })
-                .with_strategy(SdaStrategy::eqf_div1())
+            SimConfig {
+                estimation: *estimation,
+                ..SimConfig::section8()
+            }
+            .with_strategy(SdaStrategy::eqf_div1())
         })
         .collect();
-    let results = run_grid(cfgs, scale);
-    for ((label, _), multi) in models.iter().zip(&results) {
-        table.row(&[
-            (*label).to_string(),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-        ]);
+    for ((label, _), multi) in models.iter().zip(&run_configs(scale, cfgs)) {
+        md_row(&mut table, &[label], multi, None);
     }
     table
 }
@@ -215,27 +180,19 @@ pub fn gf_delta(scale: Scale) -> Table {
         &["delta", "MD_local", "MD_global"],
     );
     let deltas = [1.0, 10.0, 1.0e3, 1.0e9];
-    let cfgs: Vec<SimConfig> = deltas
+    let cfgs = deltas
         .iter()
         .map(|&delta| {
-            scale
-                .apply(SimConfig {
-                    load: 0.7,
-                    ..SimConfig::baseline()
-                })
+            SimConfig::baseline()
+                .with_load(0.7)
                 .with_strategy(SdaStrategy {
                     ssp: SspStrategy::Ud,
                     psp: PspStrategy::Gf { delta },
                 })
         })
         .collect();
-    let results = run_grid(cfgs, scale);
-    for (delta, multi) in deltas.iter().zip(&results) {
-        table.row(&[
-            format!("{delta:.0e}"),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-        ]);
+    for (delta, multi) in deltas.iter().zip(&run_configs(scale, cfgs)) {
+        md_row(&mut table, &[&format!("{delta:.0e}")], multi, None);
     }
     table
 }
@@ -249,45 +206,28 @@ pub fn heterogeneous_nodes(scale: Scale) -> Table {
         "A6: heterogeneous node speeds (total capacity fixed, load 0.5)",
         &["speeds", "strategy", "MD_local", "MD_global"],
     );
-    let gf = SdaStrategy {
-        ssp: SspStrategy::Ud,
-        psp: PspStrategy::gf(),
-    };
     let speed_sets: [(&str, Vec<f64>); 3] = [
         ("uniform 1x", vec![]),
         ("2:1 split", vec![1.5, 1.5, 1.5, 0.5, 0.5, 0.5]),
         ("7:1 split", vec![1.75, 1.75, 1.75, 0.25, 0.25, 0.25]),
     ];
-    let strategies = [
-        ("UD", SdaStrategy::ud_ud()),
-        ("DIV-1", SdaStrategy::ud_div1()),
-        ("GF", gf),
-    ];
-    let cells: Vec<(&str, &str, SimConfig)> = speed_sets
-        .iter()
-        .flat_map(|(label, node_speeds)| {
-            strategies.iter().map(|(s_label, strategy)| {
-                (
-                    *label,
-                    *s_label,
-                    scale
-                        .apply(SimConfig {
-                            node_speeds: node_speeds.clone(),
-                            ..SimConfig::baseline()
-                        })
-                        .with_strategy(*strategy),
-                )
-            })
-        })
-        .collect();
-    let results = run_grid(cells.iter().map(|c| c.2.clone()).collect(), scale);
-    for ((label, s_label, _), multi) in cells.iter().zip(&results) {
-        table.row(&[
-            (*label).to_string(),
-            (*s_label).to_string(),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-        ]);
+    let strategies = ud_div1_gf();
+    let results = run_grid(
+        scale,
+        &speed_sets,
+        &strategies,
+        |(_, node_speeds), (_, strategy)| {
+            SimConfig {
+                node_speeds: node_speeds.clone(),
+                ..SimConfig::baseline()
+            }
+            .with_strategy(*strategy)
+        },
+    );
+    for ((label, _), row) in speed_sets.iter().zip(&results) {
+        for ((s_label, _), multi) in strategies.iter().zip(row) {
+            md_row(&mut table, &[label, s_label], multi, None);
+        }
     }
     table
 }
@@ -304,34 +244,29 @@ pub fn preemption(scale: Scale) -> Table {
         ("UD", SdaStrategy::ud_ud()),
         ("DIV-1", SdaStrategy::ud_div1()),
     ];
-    let cells: Vec<(&str, &str, SimConfig)> = modes
-        .iter()
-        .flat_map(|(m_label, preemptive)| {
-            strategies.iter().map(|(s_label, strategy)| {
-                (
-                    *m_label,
-                    *s_label,
-                    scale
-                        .apply(SimConfig {
-                            preemptive: *preemptive,
-                            load: 0.7,
-                            ..SimConfig::baseline()
-                        })
-                        .with_strategy(*strategy),
-                )
-            })
-        })
-        .collect();
-    let results = run_grid(cells.iter().map(|c| c.2.clone()).collect(), scale);
-    for ((m_label, s_label, _), multi) in cells.iter().zip(&results) {
-        let preemptions: u64 = multi.runs().iter().map(|r| r.metrics.preemptions).sum();
-        table.row(&[
-            (*m_label).to_string(),
-            (*s_label).to_string(),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-            preemptions.to_string(),
-        ]);
+    let results = run_grid(
+        scale,
+        &modes,
+        &strategies,
+        |(_, preemptive), (_, strategy)| {
+            SimConfig {
+                preemptive: *preemptive,
+                load: 0.7,
+                ..SimConfig::baseline()
+            }
+            .with_strategy(*strategy)
+        },
+    );
+    for ((m_label, _), row) in modes.iter().zip(&results) {
+        for ((s_label, _), multi) in strategies.iter().zip(row) {
+            let preemptions: u64 = multi.runs().iter().map(|r| r.metrics.preemptions).sum();
+            md_row(
+                &mut table,
+                &[m_label, s_label],
+                multi,
+                Some(preemptions.to_string()),
+            );
+        }
     }
     table
 }
@@ -349,25 +284,21 @@ pub fn service_shapes(scale: Scale) -> Table {
         ("uniform ±50%", ServiceShape::UniformSpread),
         ("deterministic", ServiceShape::Deterministic),
     ];
-    let cfgs: Vec<SimConfig> = shapes
+    let cfgs = shapes
         .iter()
-        .map(|(_, service_shape)| {
-            scale.apply(SimConfig {
-                service_shape: *service_shape,
-                ..SimConfig::baseline()
-            })
+        .map(|(_, service_shape)| SimConfig {
+            service_shape: *service_shape,
+            ..SimConfig::baseline()
         })
         .collect();
-    let results = run_grid(cfgs, scale);
-    for ((label, _), multi) in shapes.iter().zip(&results) {
-        let local = multi.md_local().mean;
-        let global = multi.md_global().mean;
-        table.row(&[
-            (*label).to_string(),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-            format!("{:.2}x", global / local.max(1e-9)),
-        ]);
+    for ((label, _), multi) in shapes.iter().zip(&run_configs(scale, cfgs)) {
+        let amplification = multi.md_global().mean / multi.md_local().mean.max(1e-9);
+        md_row(
+            &mut table,
+            &[label],
+            multi,
+            Some(format!("{amplification:.2}x")),
+        );
     }
     table
 }
@@ -383,45 +314,28 @@ pub fn placement(scale: Scale) -> Table {
         "A9: subtask placement policy x deadline assignment (load 0.7)",
         &["placement", "strategy", "MD_local", "MD_global"],
     );
-    let gf = SdaStrategy {
-        ssp: SspStrategy::Ud,
-        psp: PspStrategy::gf(),
-    };
     let placements = [
         ("random distinct", Placement::RandomDistinct),
         ("least loaded", Placement::LeastLoaded),
     ];
-    let strategies = [
-        ("UD", SdaStrategy::ud_ud()),
-        ("DIV-1", SdaStrategy::ud_div1()),
-        ("GF", gf),
-    ];
-    let cells: Vec<(&str, &str, SimConfig)> = placements
-        .iter()
-        .flat_map(|(p_label, placement)| {
-            strategies.iter().map(|(s_label, strategy)| {
-                (
-                    *p_label,
-                    *s_label,
-                    scale
-                        .apply(SimConfig {
-                            placement: *placement,
-                            load: 0.7,
-                            ..SimConfig::baseline()
-                        })
-                        .with_strategy(*strategy),
-                )
-            })
-        })
-        .collect();
-    let results = run_grid(cells.iter().map(|c| c.2.clone()).collect(), scale);
-    for ((p_label, s_label, _), multi) in cells.iter().zip(&results) {
-        table.row(&[
-            (*p_label).to_string(),
-            (*s_label).to_string(),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-        ]);
+    let strategies = ud_div1_gf();
+    let results = run_grid(
+        scale,
+        &placements,
+        &strategies,
+        |(_, placement), (_, strategy)| {
+            SimConfig {
+                placement: *placement,
+                load: 0.7,
+                ..SimConfig::baseline()
+            }
+            .with_strategy(*strategy)
+        },
+    );
+    for ((p_label, _), row) in placements.iter().zip(&results) {
+        for ((s_label, _), multi) in strategies.iter().zip(row) {
+            md_row(&mut table, &[p_label, s_label], multi, None);
+        }
     }
     table
 }
@@ -437,59 +351,30 @@ pub fn burstiness(scale: Scale) -> Table {
         "A10: transient overload — ON/OFF arrival bursts (load 0.5)",
         &["burst boost", "strategy", "MD_local", "MD_global"],
     );
-    let gf = SdaStrategy {
-        ssp: SspStrategy::Ud,
-        psp: PspStrategy::gf(),
-    };
-    let bursts: [(&str, Option<Burst>); 3] = [
-        ("none (paper)", None),
-        (
-            "2x",
-            Some(Burst {
-                period: 50.0,
-                on_fraction: 0.2,
-                boost: 2.0,
-            }),
-        ),
-        (
-            "4x",
-            Some(Burst {
-                period: 50.0,
-                on_fraction: 0.2,
-                boost: 4.0,
-            }),
-        ),
-    ];
-    let strategies = [
-        ("UD", SdaStrategy::ud_ud()),
-        ("DIV-1", SdaStrategy::ud_div1()),
-        ("GF", gf),
-    ];
-    let cells: Vec<(&str, &str, SimConfig)> = bursts
-        .iter()
-        .flat_map(|(b_label, burst)| {
-            strategies.iter().map(|(s_label, strategy)| {
-                (
-                    *b_label,
-                    *s_label,
-                    scale
-                        .apply(SimConfig {
-                            burst: *burst,
-                            ..SimConfig::baseline()
-                        })
-                        .with_strategy(*strategy),
-                )
-            })
+    let burst = |boost| {
+        Some(Burst {
+            period: 50.0,
+            on_fraction: 0.2,
+            boost,
         })
-        .collect();
-    let results = run_grid(cells.iter().map(|c| c.2.clone()).collect(), scale);
-    for ((b_label, s_label, _), multi) in cells.iter().zip(&results) {
-        table.row(&[
-            (*b_label).to_string(),
-            (*s_label).to_string(),
-            pct(multi.md_local()),
-            pct(multi.md_global()),
-        ]);
+    };
+    let bursts = [
+        ("none (paper)", None),
+        ("2x", burst(2.0)),
+        ("4x", burst(4.0)),
+    ];
+    let strategies = ud_div1_gf();
+    let results = run_grid(scale, &bursts, &strategies, |(_, burst), (_, strategy)| {
+        SimConfig {
+            burst: *burst,
+            ..SimConfig::baseline()
+        }
+        .with_strategy(*strategy)
+    });
+    for ((b_label, _), row) in bursts.iter().zip(&results) {
+        for ((s_label, _), multi) in strategies.iter().zip(row) {
+            md_row(&mut table, &[b_label, s_label], multi, None);
+        }
     }
     table
 }

@@ -9,7 +9,7 @@ use sda_core::analysis::global_miss_probability;
 use sda_core::SdaStrategy;
 use sda_sim::{AbortPolicy, SimConfig};
 
-use crate::run::{run_points, Point};
+use crate::run::run_configs;
 use crate::scale::Scale;
 use crate::table::Table;
 
@@ -39,28 +39,21 @@ pub fn run(scale: Scale) -> (Table, Vec<Checkpoint>) {
     // replication seeds) across all four configurations. All four points
     // re-measure cells that also appear in figures 5–7 and 11, so under
     // the sweep engine's cache they usually resolve without simulating.
-    let reps = scale.replications().max(2);
     let abort_cfg = SimConfig {
         abort: AbortPolicy::ProcessManager,
         ..SimConfig::baseline()
     };
-    let results = run_points(&[
-        // §6.1, UD at load 0.5.
-        Point::new(scale.apply(SimConfig::baseline()), reps),
-        // §6.1, DIV-1 at load 0.5.
-        Point::new(
-            scale
-                .apply(SimConfig::baseline())
-                .with_strategy(SdaStrategy::ud_div1()),
-            reps,
-        ),
-        // §7.3, process-manager abortion at load 0.5.
-        Point::new(scale.apply(abort_cfg.clone()), reps),
-        Point::new(
-            scale.apply(abort_cfg).with_strategy(SdaStrategy::ud_div1()),
-            reps,
-        ),
-    ]);
+    let results = run_configs(
+        scale,
+        vec![
+            // §6.1, UD and DIV-1 at load 0.5.
+            SimConfig::baseline(),
+            SimConfig::baseline().with_strategy(SdaStrategy::ud_div1()),
+            // §7.3, the same with process-manager abortion.
+            abort_cfg.clone(),
+            abort_cfg.with_strategy(SdaStrategy::ud_div1()),
+        ],
+    );
     let [ud, div1, ud_abort, div1_abort]: [_; 4] =
         results.try_into().expect("four points in, four out");
 

@@ -111,9 +111,10 @@ fn fig6_claims(fig: &FigureResult, out: &mut Vec<ClaimResult>) {
 }
 
 fn fig7_claims(fig: &FigureResult, out: &mut Vec<ClaimResult>) {
-    let (ud, div1, gf) = (&fig.series[0], &fig.series[1], &fig.series[2]);
+    let (div1, gf) = (&fig.series[1], &fig.series[2]);
     let g = |s: &figures::Series, l: f64| s.at_load(l).expect("load in sweep").md_global.mean;
     let l = |s: &figures::Series, l: f64| s.at_load(l).expect("load in sweep").md_local.mean;
+    let local_gaps = [0.5, 0.6, 0.7, 0.8].map(|load| (l(gf, load) - l(div1, load)).abs());
     check(
         out,
         "fig7/gf-wins-high-load",
@@ -129,34 +130,12 @@ fn fig7_claims(fig: &FigureResult, out: &mut Vec<ClaimResult>) {
         out,
         "fig7/gf-free-for-locals",
         "GF and DIV-1 miss approximately the same number of local tasks (§6.1)",
-        (0.5..=0.8).step_check(|load| (l(gf, load) - l(div1, load)).abs() < 0.02),
+        local_gaps.iter().all(|&gap| gap < 0.02),
         format!(
             "max local gap {:.3}",
-            [0.5, 0.6, 0.7, 0.8]
-                .iter()
-                .map(|&x| (l(gf, x) - l(div1, x)).abs())
-                .fold(0.0, f64::max)
+            local_gaps.iter().copied().fold(0.0, f64::max)
         ),
     );
-    let _ = ud;
-}
-
-/// Tiny helper trait so the claim above reads naturally.
-trait StepCheck {
-    fn step_check(&self, f: impl Fn(f64) -> bool) -> bool;
-}
-
-impl StepCheck for std::ops::RangeInclusive<f64> {
-    fn step_check(&self, f: impl Fn(f64) -> bool) -> bool {
-        let mut x = *self.start();
-        while x <= *self.end() + 1e-9 {
-            if !f(x) {
-                return false;
-            }
-            x += 0.1;
-        }
-        true
-    }
 }
 
 fn fig9_claims(fig: &FigureResult, out: &mut Vec<ClaimResult>) {

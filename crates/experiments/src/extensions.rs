@@ -14,15 +14,19 @@ use sda_sim::{GlobalShape, SimConfig};
 use sda_simcore::dist::Uniform;
 
 use crate::pct;
-use crate::run::{run_points, Point};
+use crate::run::run_grid;
 use crate::scale::Scale;
 use crate::table::Table;
 
-fn eqf() -> SdaStrategy {
-    SdaStrategy {
-        ssp: SspStrategy::Eqf,
-        psp: PspStrategy::Ud,
-    }
+/// The two strategies each E1/E2 row compares: UD, then EQF (PSP = UD).
+fn ud_and_eqf() -> [SdaStrategy; 2] {
+    [
+        SdaStrategy::ud_ud(),
+        SdaStrategy {
+            ssp: SspStrategy::Eqf,
+            psp: PspStrategy::Ud,
+        },
+    ]
 }
 
 /// A serial pipeline of `stages` stages with slack scaled by the stage
@@ -47,19 +51,11 @@ pub fn stage_sweep(scale: Scale) -> (Table, Vec<f64>) {
         "E1: EQF gain vs number of serial stages (load 0.5, slack scaled by stages)",
         &["stages", "MD_global[UD]", "MD_global[EQF]", "gain (pp)"],
     );
-    let grid: Vec<Point> = E1_STAGES
-        .iter()
-        .flat_map(|&stages| {
-            let base = pipeline_config(stages, 1.0);
-            [
-                Point::new(scale.apply(base.clone()), scale.replications()),
-                Point::new(scale.apply(base).with_strategy(eqf()), scale.replications()),
-            ]
-        })
-        .collect();
-    let results = run_points(&grid);
+    let results = run_grid(scale, &E1_STAGES, &ud_and_eqf(), |&stages, s| {
+        pipeline_config(stages, 1.0).with_strategy(*s)
+    });
     let mut gains = Vec::new();
-    for (&stages, pair) in E1_STAGES.iter().zip(results.chunks(2)) {
+    for (&stages, pair) in E1_STAGES.iter().zip(&results) {
         let (ud, eqf_run) = (&pair[0], &pair[1]);
         let gain = ud.md_global().mean - eqf_run.md_global().mean;
         gains.push(gain);
@@ -90,22 +86,13 @@ pub fn slack_sweep(scale: Scale) -> (Table, Vec<(f64, f64)>) {
             "gain (pp)",
         ],
     );
-    let grid: Vec<Point> = E2_TIGHTNESS
-        .iter()
-        .flat_map(|&tightness| {
-            let base = SimConfig {
-                load: 0.6,
-                ..pipeline_config(5, tightness)
-            };
-            [
-                Point::new(scale.apply(base.clone()), scale.replications()),
-                Point::new(scale.apply(base).with_strategy(eqf()), scale.replications()),
-            ]
-        })
-        .collect();
-    let results = run_points(&grid);
+    let results = run_grid(scale, &E2_TIGHTNESS, &ud_and_eqf(), |&tightness, s| {
+        pipeline_config(5, tightness)
+            .with_load(0.6)
+            .with_strategy(*s)
+    });
     let mut points = Vec::new();
-    for (&tightness, pair) in E2_TIGHTNESS.iter().zip(results.chunks(2)) {
+    for (&tightness, pair) in E2_TIGHTNESS.iter().zip(&results) {
         let (ud, eqf_run) = (&pair[0], &pair[1]);
         let md_ud = ud.md_global().mean;
         let gain = md_ud - eqf_run.md_global().mean;

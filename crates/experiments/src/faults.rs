@@ -18,7 +18,7 @@ use sda_sim::{CrashPolicy, FaultConfig, GlobalShape, SimConfig};
 use sda_simcore::dist::Uniform;
 
 use crate::pct;
-use crate::run::{run_points, Point};
+use crate::run::run_grid;
 use crate::scale::Scale;
 use crate::table::Table;
 
@@ -92,21 +92,12 @@ pub fn mttf_sweep(scale: Scale) -> (Table, Vec<F1Row>) {
             "MD_global[EQF]",
         ],
     );
-    let grid: Vec<Point> = F1_MTTF
-        .iter()
-        .flat_map(|&mttf| {
-            F1_SSPS.map(|ssp| {
-                let cfg = SimConfig {
-                    fault: fault_config(mttf),
-                    ..pipeline_base().with_strategy(strategy(ssp))
-                };
-                Point::new(scale.apply(cfg), scale.replications())
-            })
-        })
-        .collect();
-    let results = run_points(&grid);
+    let results = run_grid(scale, &F1_MTTF, &F1_SSPS, |&mttf, &ssp| SimConfig {
+        fault: fault_config(mttf),
+        ..pipeline_base().with_strategy(strategy(ssp))
+    });
     let mut data = Vec::new();
-    for (&mttf, row) in F1_MTTF.iter().zip(results.chunks(F1_SSPS.len())) {
+    for (&mttf, row) in F1_MTTF.iter().zip(&results) {
         let crashes: u64 = row
             .iter()
             .flat_map(|multi| multi.runs())

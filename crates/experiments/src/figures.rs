@@ -9,10 +9,10 @@ use sda_core::{PspStrategy, SdaStrategy, SspStrategy};
 use sda_sim::{AbortPolicy, GlobalShape, SimConfig};
 use sda_simcore::stats::Estimate;
 
-use crate::run::{run_points, Point};
+use crate::run::{run_configs, run_grid};
 use crate::scale::Scale;
 use crate::table::Table;
-use crate::{pct, LOAD_SWEEP};
+use crate::{pct, ud_div1_gf, LOAD_SWEEP};
 
 /// One data point of a load–MD curve.
 #[derive(Debug, Clone, Copy)]
@@ -81,41 +81,27 @@ impl FigureResult {
     }
 }
 
-/// Runs a (strategy × load) sweep over a base configuration as one
-/// batch, so the engine schedules every replication of every cell across
-/// its worker pool. All cells use the campaign seed (common random
-/// numbers), so strategy comparisons are paired.
-fn sweep(
-    base: &SimConfig,
-    strategies: &[(&str, SdaStrategy)],
-    loads: &[f64],
+/// Runs one labelled row per entry of `rows` across the x axis `xs` as a
+/// single grid, so the engine schedules every replication of every cell
+/// across its worker pool; cell `(row, x)` simulates `cell(row, x)`. All
+/// cells use the campaign seed (common random numbers), so row
+/// comparisons are paired. Each point's `load` carries its x value.
+fn sweep<R>(
     scale: Scale,
+    rows: &[(&str, R)],
+    xs: &[f64],
+    cell: impl Fn(&R, f64) -> SimConfig,
 ) -> Vec<Series> {
-    let grid: Vec<Point> = strategies
-        .iter()
-        .flat_map(|(_, strategy)| {
-            loads.iter().map(|&load| {
-                Point::new(
-                    scale
-                        .apply(base.clone())
-                        .with_load(load)
-                        .with_strategy(*strategy),
-                    scale.replications(),
-                )
-            })
-        })
-        .collect();
-    let results = run_points(&grid);
-    strategies
-        .iter()
-        .zip(results.chunks(loads.len()))
-        .map(|((label, _), row)| Series {
+    let grid = run_grid(scale, rows, xs, |(_, row), &x| cell(row, x));
+    rows.iter()
+        .zip(grid)
+        .map(|((label, _), results)| Series {
             label: (*label).to_string(),
-            points: loads
+            points: xs
                 .iter()
-                .zip(row)
-                .map(|(&load, multi)| LoadPoint {
-                    load,
+                .zip(results)
+                .map(|(&x, multi)| LoadPoint {
+                    load: x,
                     md_local: multi.md_local(),
                     md_subtask: multi.md_subtask(),
                     md_global: multi.md_global(),
@@ -125,13 +111,24 @@ fn sweep(
         .collect()
 }
 
-fn load_table(title: &str, series: &[Series], with_subtask: bool) -> Table {
-    let mut headers = vec!["load".to_string()];
+/// A (strategy × load) [`sweep`] over a base configuration.
+fn load_sweep(
+    scale: Scale,
+    base: &SimConfig,
+    strategies: &[(&str, SdaStrategy)],
+    loads: &[f64],
+) -> Vec<Series> {
+    sweep(scale, strategies, loads, |strategy, load| {
+        base.clone().with_load(load).with_strategy(*strategy)
+    })
+}
+
+/// Renders one row per x value: the x value, then `MD_local` and
+/// `MD_global` of every series.
+fn load_table(title: &str, x_header: &str, series: &[Series]) -> Table {
+    let mut headers = vec![x_header.to_string()];
     for s in series {
         headers.push(format!("MD_local[{}]", s.label));
-        if with_subtask {
-            headers.push(format!("MD_subtask[{}]", s.label));
-        }
         headers.push(format!("MD_global[{}]", s.label));
     }
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
@@ -139,12 +136,8 @@ fn load_table(title: &str, series: &[Series], with_subtask: bool) -> Table {
     for (i, point) in series[0].points.iter().enumerate() {
         let mut row = vec![format!("{:.2}", point.load)];
         for s in series {
-            let p = &s.points[i];
-            row.push(pct(p.md_local));
-            if with_subtask {
-                row.push(pct(p.md_subtask));
-            }
-            row.push(pct(p.md_global));
+            row.push(pct(s.points[i].md_local));
+            row.push(pct(s.points[i].md_global));
         }
         table.row(&row);
     }
@@ -156,8 +149,12 @@ fn load_table(title: &str, series: &[Series], with_subtask: bool) -> Table {
 /// independence-model prediction `1 − (1 − MD_subtask)^4` next to the
 /// measured `MD_global` (the §6.1 cross-check).
 pub fn fig5(scale: Scale) -> FigureResult {
-    let base = SimConfig::baseline();
-    let series = sweep(&base, &[("UD", SdaStrategy::ud_ud())], &LOAD_SWEEP, scale);
+    let series = load_sweep(
+        scale,
+        &SimConfig::baseline(),
+        &[("UD", SdaStrategy::ud_ud())],
+        &LOAD_SWEEP,
+    );
     let mut table = Table::new(
         "Figure 5: UD in the baseline experiment (k=6, n=4, frac_local=0.75)",
         &[
@@ -196,33 +193,22 @@ pub fn fig6(scale: Scale) -> FigureResult {
             },
         ),
     ];
-    let series = sweep(&SimConfig::baseline(), &strategies, &LOAD_SWEEP, scale);
+    let series = load_sweep(scale, &SimConfig::baseline(), &strategies, &LOAD_SWEEP);
     let table = load_table(
         "Figure 6: UD vs DIV-x in the baseline experiment",
+        "load",
         &series,
-        false,
     );
     FigureResult { table, series }
 }
 
 /// **Figure 7** — UD, DIV-1, and GF at the baseline setting.
 pub fn fig7(scale: Scale) -> FigureResult {
-    let strategies = [
-        ("UD", SdaStrategy::ud_ud()),
-        ("DIV-1", SdaStrategy::ud_div1()),
-        (
-            "GF",
-            SdaStrategy {
-                ssp: SspStrategy::Ud,
-                psp: PspStrategy::gf(),
-            },
-        ),
-    ];
-    let series = sweep(&SimConfig::baseline(), &strategies, &LOAD_SWEEP, scale);
+    let series = load_sweep(scale, &SimConfig::baseline(), &ud_div1_gf(), &LOAD_SWEEP);
     let table = load_table(
         "Figure 7: UD, DIV-1, and GF in the baseline experiment",
+        "load",
         &series,
-        false,
     );
     FigureResult { table, series }
 }
@@ -234,67 +220,22 @@ pub const FIG9_X: [f64; 7] = [0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0];
 /// load 0.5. Series come back in order n=2, n=4, n=6, with `point.load`
 /// reused to carry the x value.
 pub fn fig9(scale: Scale) -> FigureResult {
-    let fanouts = [2usize, 4, 6];
-    let grid: Vec<Point> = fanouts
-        .iter()
-        .flat_map(|&n| {
-            FIG9_X.iter().map(move |&x| {
-                let base = SimConfig {
-                    shape: GlobalShape::ParallelFixed { n },
-                    ..SimConfig::baseline()
-                };
-                let strategy = SdaStrategy {
-                    ssp: SspStrategy::Ud,
-                    psp: PspStrategy::div(x),
-                };
-                Point::new(
-                    scale.apply(base).with_strategy(strategy),
-                    scale.replications(),
-                )
-            })
+    let fanouts = [("n=2", 2), ("n=4", 4), ("n=6", 6)];
+    let series = sweep(scale, &fanouts, &FIG9_X, |&n, x| {
+        SimConfig {
+            shape: GlobalShape::ParallelFixed { n },
+            ..SimConfig::baseline()
+        }
+        .with_strategy(SdaStrategy {
+            ssp: SspStrategy::Ud,
+            psp: PspStrategy::div(x),
         })
-        .collect();
-    let results = run_points(&grid);
-    let series: Vec<Series> = fanouts
-        .iter()
-        .zip(results.chunks(FIG9_X.len()))
-        .map(|(&n, row)| Series {
-            label: format!("n={n}"),
-            points: FIG9_X
-                .iter()
-                .zip(row)
-                .map(|(&x, multi)| LoadPoint {
-                    load: x, // x value, not load: the sweep variable
-                    md_local: multi.md_local(),
-                    md_subtask: multi.md_subtask(),
-                    md_global: multi.md_global(),
-                })
-                .collect(),
-        })
-        .collect();
-    let mut table = Table::new(
+    });
+    let table = load_table(
         "Figure 9: MD under DIV-x as a function of x (load 0.5)",
-        &[
-            "x",
-            "MD_local[n=2]",
-            "MD_global[n=2]",
-            "MD_local[n=4]",
-            "MD_global[n=4]",
-            "MD_local[n=6]",
-            "MD_global[n=6]",
-        ],
+        "x",
+        &series,
     );
-    for (i, &x) in FIG9_X.iter().enumerate() {
-        table.row(&[
-            format!("{x:.2}"),
-            pct(series[0].points[i].md_local),
-            pct(series[0].points[i].md_global),
-            pct(series[1].points[i].md_local),
-            pct(series[1].points[i].md_global),
-            pct(series[2].points[i].md_local),
-            pct(series[2].points[i].md_global),
-        ]);
-    }
     FigureResult { table, series }
 }
 
@@ -305,51 +246,13 @@ pub const FIG10_FRAC: [f64; 7] = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9];
 /// `frac_local` at load 0.5, with UD for comparison. `point.load` carries
 /// the frac_local value.
 pub fn fig10(scale: Scale) -> FigureResult {
-    let strategies = [
-        ("UD", SdaStrategy::ud_ud()),
-        ("DIV-1", SdaStrategy::ud_div1()),
-        (
-            "GF",
-            SdaStrategy {
-                ssp: SspStrategy::Ud,
-                psp: PspStrategy::gf(),
-            },
-        ),
-    ];
-    let grid: Vec<Point> = strategies
-        .iter()
-        .flat_map(|(_, strategy)| {
-            FIG10_FRAC.iter().map(|&frac| {
-                let cfg = Scale::apply(
-                    scale,
-                    SimConfig {
-                        frac_local: frac,
-                        ..SimConfig::baseline()
-                    },
-                )
-                .with_strategy(*strategy);
-                Point::new(cfg, scale.replications())
-            })
-        })
-        .collect();
-    let results = run_points(&grid);
-    let series: Vec<Series> = strategies
-        .iter()
-        .zip(results.chunks(FIG10_FRAC.len()))
-        .map(|((label, _), row)| Series {
-            label: (*label).to_string(),
-            points: FIG10_FRAC
-                .iter()
-                .zip(row)
-                .map(|(&frac, multi)| LoadPoint {
-                    load: frac, // the sweep variable
-                    md_local: multi.md_local(),
-                    md_subtask: multi.md_subtask(),
-                    md_global: multi.md_global(),
-                })
-                .collect(),
-        })
-        .collect();
+    let series = sweep(scale, &ud_div1_gf(), &FIG10_FRAC, |strategy, frac| {
+        SimConfig {
+            frac_local: frac,
+            ..SimConfig::baseline()
+        }
+        .with_strategy(*strategy)
+    });
     let mut table = Table::new(
         "Figure 10: DIV-1 (a) and GF (b) vs frac_local (load 0.5; UD for reference)",
         &[
@@ -374,7 +277,6 @@ pub fn fig10(scale: Scale) -> FigureResult {
             });
             row.push(pct(p.md_global));
         }
-        // Row layout: frac, then local/global per strategy.
         table.row(&row);
     }
     FigureResult { table, series }
@@ -383,26 +285,15 @@ pub fn fig10(scale: Scale) -> FigureResult {
 /// **Figure 11** — UD and DIV-1 (plus GF, which the paper says overlaps
 /// DIV-1) with process-manager abortion.
 pub fn fig11(scale: Scale) -> FigureResult {
-    let strategies = [
-        ("UD", SdaStrategy::ud_ud()),
-        ("DIV-1", SdaStrategy::ud_div1()),
-        (
-            "GF",
-            SdaStrategy {
-                ssp: SspStrategy::Ud,
-                psp: PspStrategy::gf(),
-            },
-        ),
-    ];
     let base = SimConfig {
         abort: AbortPolicy::ProcessManager,
         ..SimConfig::baseline()
     };
-    let series = sweep(&base, &strategies, &LOAD_SWEEP, scale);
+    let series = load_sweep(scale, &base, &ud_div1_gf(), &LOAD_SWEEP);
     let table = load_table(
         "Figure 11: UD and DIV-1 with process-manager abortion (GF shown too)",
+        "load",
         &series,
-        false,
     );
     FigureResult { table, series }
 }
@@ -411,53 +302,37 @@ pub fn fig11(scale: Scale) -> FigureResult {
 /// uniformly) under UD, DIV-1, and GF at load 0.5. Series are strategies;
 /// `point.load` carries the class (0 = local, else n).
 pub fn fig12(scale: Scale) -> FigureResult {
-    let strategies = [
-        ("UD", SdaStrategy::ud_ud()),
-        ("DIV-1", SdaStrategy::ud_div1()),
-        (
-            "GF",
-            SdaStrategy {
-                ssp: SspStrategy::Ud,
-                psp: PspStrategy::gf(),
-            },
-        ),
-    ];
+    let strategies = ud_div1_gf();
     let base = SimConfig {
         shape: GlobalShape::ParallelUniform { lo: 2, hi: 6 },
         ..SimConfig::baseline()
     };
-    let grid: Vec<Point> = strategies
+    let results = run_configs(
+        scale,
+        strategies
+            .iter()
+            .map(|(_, strategy)| base.clone().with_strategy(*strategy))
+            .collect(),
+    );
+    let series: Vec<Series> = strategies
         .iter()
-        .map(|(_, strategy)| {
-            Point::new(
-                scale.apply(base.clone()).with_strategy(*strategy),
-                scale.replications(),
-            )
-        })
-        .collect();
-    let results = run_points(&grid);
-    let mut series = Vec::new();
-    for ((label, _), multi) in strategies.iter().zip(&results) {
-        let mut points = vec![LoadPoint {
-            load: 0.0, // class: local
-            md_local: multi.md_local(),
-            md_subtask: multi.md_subtask(),
-            md_global: multi.md_local(),
-        }];
-        for n in 2..=6u32 {
-            let e = multi.md_global_n(n);
-            points.push(LoadPoint {
-                load: f64::from(n), // class: global with n subtasks
+        .zip(&results)
+        .map(|((label, _), multi)| {
+            // Class 0 is the locals; class n the globals with n subtasks.
+            let class = |load: f64, md_global: Estimate| LoadPoint {
+                load,
                 md_local: multi.md_local(),
                 md_subtask: multi.md_subtask(),
-                md_global: e,
-            });
-        }
-        series.push(Series {
-            label: label.to_string(),
-            points,
-        });
-    }
+                md_global,
+            };
+            let mut points = vec![class(0.0, multi.md_local())];
+            points.extend((2..=6u32).map(|n| class(f64::from(n), multi.md_global_n(n))));
+            Series {
+                label: (*label).to_string(),
+                points,
+            }
+        })
+        .collect();
     let mut table = Table::new(
         "Figure 12: per-class MD with n ~ U[2..6] (load 0.5)",
         &["class", "MD[UD]", "MD[DIV-1]", "MD[GF]"],
@@ -494,11 +369,11 @@ pub fn fig15(scale: Scale) -> FigureResult {
         ("EQF-UD", SdaStrategy::eqf_ud()),
         ("EQF-DIV1", SdaStrategy::eqf_div1()),
     ];
-    let series = sweep(&SimConfig::section8(), &strategies, &FIG15_LOADS, scale);
+    let series = load_sweep(scale, &SimConfig::section8(), &strategies, &FIG15_LOADS);
     let table = load_table(
         "Figure 15: SDA strategy combinations on the Figure 14 task graph",
+        "load",
         &series,
-        false,
     );
     FigureResult { table, series }
 }

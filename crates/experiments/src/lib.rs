@@ -2,9 +2,11 @@
 //!
 //! One function per table and figure of Kao & Garcia-Molina (ICDCS
 //! 1994), plus the in-text numeric checkpoints and the ablations listed
-//! in `DESIGN.md`. Each function runs the simulator at a chosen [`Scale`]
-//! and returns both the raw series (for tests and benches) and a rendered
-//! [`Table`] matching the rows/series the paper plots.
+//! in `DESIGN.md`. Each function builds its configurations, runs them at
+//! a chosen [`Scale`] through [`run::run_configs`] or [`run::run_grid`]
+//! (the one entry point, which applies the scale), and returns both the
+//! raw series (for tests and benches) and a rendered [`Table`] matching
+//! the rows/series the paper plots.
 //!
 //! | Paper artifact | Function | `repro --only` |
 //! |---|---|---|
@@ -49,6 +51,23 @@ pub use table::Table;
 
 /// The standard load sweep the paper's load–MD figures use.
 pub const LOAD_SWEEP: [f64; 9] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
+
+/// The three PSP strategies of Figures 7 and 10–12, labelled as in the
+/// paper's legends: UD, DIV-1 and GF (each with SSP = UD).
+pub(crate) fn ud_div1_gf() -> [(&'static str, sda_core::SdaStrategy); 3] {
+    use sda_core::{PspStrategy, SdaStrategy, SspStrategy};
+    [
+        ("UD", SdaStrategy::ud_ud()),
+        ("DIV-1", SdaStrategy::ud_div1()),
+        (
+            "GF",
+            SdaStrategy {
+                ssp: SspStrategy::Ud,
+                psp: PspStrategy::gf(),
+            },
+        ),
+    ]
+}
 
 /// Formats an [`sda_simcore::stats::Estimate`] of a rate as a percentage
 /// with its 95% half-width.

@@ -1,10 +1,13 @@
 //! Shared replication driver for every experiment sweep.
 //!
 //! All tables, figures, ablations and checkpoints funnel through
-//! [`run_points`], so one place decides how data points are executed:
-//! by default the campaign-level [`Sweep`] engine, which schedules every
-//! replication of every point across one work-stealing worker pool and
-//! memoizes completed points in a [`PointCache`].
+//! [`run_configs`] (or [`run_grid`], which runs a two-dimensional grid
+//! as one [`run_configs`] call), so one place decides how data points
+//! are executed and at what size: each configuration gets the [`Scale`]'s
+//! horizon, its replication count and the campaign seed here and nowhere
+//! else. By default the campaign-level [`Sweep`] engine then schedules
+//! every replication of every point across one work-stealing worker pool
+//! and memoizes completed points in a [`PointCache`].
 //!
 //! # Common random numbers, campaign-wide
 //!
@@ -29,6 +32,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use sda_sim::{CacheReport, MultiRun, PointCache, SimConfig, StopRule, Sweep, SweepPoint};
 
+use crate::scale::Scale;
+
 /// The single base seed shared by the whole campaign (see the
 /// [module docs](self)).
 pub const CAMPAIGN_SEED: u64 = 42;
@@ -44,29 +49,6 @@ pub fn jobs() -> usize {
             .and_then(|v| v.parse().ok())
             .unwrap_or(0)
     })
-}
-
-/// One experiment data point: a configuration, its base seed, and a
-/// fixed replication count.
-#[derive(Debug, Clone)]
-pub struct Point {
-    /// The configuration to simulate.
-    pub cfg: SimConfig,
-    /// Base seed of the derived replication seed stream.
-    pub seed: u64,
-    /// Number of replications.
-    pub reps: usize,
-}
-
-impl Point {
-    /// A point at the campaign seed.
-    pub fn new(cfg: SimConfig, reps: usize) -> Point {
-        Point {
-            cfg,
-            seed: CAMPAIGN_SEED,
-            reps,
-        }
-    }
 }
 
 /// An execution context for experiment sweeps: a worker count and the
@@ -103,7 +85,7 @@ impl Exec {
 
     /// The sweep engine with no cache at all: no cross-figure
     /// memoization, no disk. Points duplicated *within* one
-    /// [`run_points`] call are still deduplicated by the engine.
+    /// [`run_configs`] call are still deduplicated by the engine.
     pub fn sweep_uncached() -> Exec {
         Exec {
             jobs: jobs(),
@@ -122,15 +104,17 @@ impl Exec {
         self.cache.as_ref().map(|c| c.report())
     }
 
-    /// Executes a batch of points as one sweep and returns their results
-    /// in order.
-    fn run(&self, points: &[Point]) -> Vec<Arc<MultiRun>> {
-        let mut sweep = Sweep::new().jobs(self.jobs).points(
-            points
-                .iter()
-                .map(|p| SweepPoint::new(p.cfg.clone(), p.seed).stop(StopRule::FixedReps(p.reps)))
-                .collect::<Vec<_>>(),
-        );
+    /// Executes a batch of configurations at `scale` as one sweep and
+    /// returns their results in order.
+    fn run(&self, scale: Scale, cfgs: Vec<SimConfig>) -> Vec<Arc<MultiRun>> {
+        let points: Vec<SweepPoint> = cfgs
+            .into_iter()
+            .map(|cfg| {
+                SweepPoint::new(scale.apply(cfg), CAMPAIGN_SEED)
+                    .stop(StopRule::FixedReps(scale.replications()))
+            })
+            .collect();
+        let mut sweep = Sweep::new().jobs(self.jobs).points(points);
         if let Some(cache) = &self.cache {
             sweep = sweep.cache(Arc::clone(cache));
         }
@@ -189,60 +173,73 @@ pub fn cache_report() -> Option<CacheReport> {
     current().cache_report()
 }
 
-/// Runs a batch of experiment data points — all points of a figure or
-/// table at once — and returns their results in point order. Batching a
-/// whole figure into one call lets the engine interleave replications of
-/// different points across workers instead of running point-by-point.
-/// Points with equal configurations, within the batch or across the
-/// campaign's cache, share one result.
+/// Runs a batch of experiment configurations — all points of a figure
+/// or table at once — at `scale` and returns their results in order.
+/// Each configuration gets the scale's duration and warm-up, its
+/// replication count and [`CAMPAIGN_SEED`]. Batching a whole figure into
+/// one call lets the engine interleave replications of different points
+/// across workers instead of running point-by-point. Points with equal
+/// configurations, within the batch or across the campaign's cache,
+/// share one result.
 ///
 /// # Panics
 ///
 /// Panics if a configuration fails validation — experiment
 /// configurations are constructed by the harness and must be valid.
-pub fn run_points(points: &[Point]) -> Vec<Arc<MultiRun>> {
-    current().run(points)
+pub fn run_configs(scale: Scale, cfgs: Vec<SimConfig>) -> Vec<Arc<MultiRun>> {
+    current().run(scale, cfgs)
+}
+
+/// Runs the `rows` × `cols` grid whose cell `(row, col)` is
+/// `cell(row, col)` as one [`run_configs`] sweep and returns the
+/// results row by row: `grid[i][j]` belongs to `rows[i]` and `cols[j]`.
+///
+/// # Panics
+///
+/// As [`run_configs`].
+pub fn run_grid<R, C>(
+    scale: Scale,
+    rows: &[R],
+    cols: &[C],
+    cell: impl Fn(&R, &C) -> SimConfig,
+) -> Vec<Vec<Arc<MultiRun>>> {
+    let cfgs = rows
+        .iter()
+        .flat_map(|row| cols.iter().map(|col| cell(row, col)))
+        .collect();
+    let mut results = run_configs(scale, cfgs).into_iter();
+    rows.iter()
+        .map(|_| results.by_ref().take(cols.len()).collect())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use sda_core::SdaStrategy;
+
     use super::*;
 
-    fn quick() -> SimConfig {
-        SimConfig {
-            duration: 2_000.0,
-            warmup: 100.0,
-            ..SimConfig::baseline()
-        }
-    }
-
     #[test]
-    fn run_points_uses_the_derived_seed_stream() {
-        let point = Point {
-            cfg: quick(),
-            seed: 42,
-            reps: 2,
-        };
-        let multi = &run_points(&[point])[0];
-        assert_eq!(multi.runs().len(), 2);
+    fn run_configs_uses_the_campaign_seed_stream_and_scale() {
+        let multi = &run_configs(Scale::Quick, vec![SimConfig::baseline()])[0];
+        assert_eq!(multi.runs().len(), Scale::Quick.replications());
         assert_eq!(
             multi.runs()[0].seed,
-            sda_simcore::rng::derive_seed(42, 0),
+            sda_simcore::rng::derive_seed(CAMPAIGN_SEED, 0),
             "common-random-numbers contract: seeds depend only on (base, i)"
         );
+        assert_eq!(multi.runs()[0].duration, Scale::Quick.duration());
     }
 
     #[test]
     fn a_batch_matches_its_points_run_one_at_a_time() {
-        let points = [
-            Point::new(quick(), 2),
-            Point::new(quick().with_load(0.7), 2),
-        ];
-        let batched = with_exec(Exec::sweep().with_jobs(3), || run_points(&points));
+        let cfgs = vec![SimConfig::baseline(), SimConfig::baseline().with_load(0.7)];
+        let batched = with_exec(Exec::sweep().with_jobs(3), || {
+            run_configs(Scale::Quick, cfgs.clone())
+        });
         let single = with_exec(Exec::sweep_uncached().with_jobs(1), || {
-            points
-                .iter()
-                .flat_map(|p| run_points(std::slice::from_ref(p)))
+            cfgs.iter()
+                .flat_map(|cfg| run_configs(Scale::Quick, vec![cfg.clone()]))
                 .collect::<Vec<_>>()
         });
         for (a, b) in batched.iter().zip(&single) {
@@ -259,8 +256,8 @@ mod tests {
     #[test]
     fn with_exec_restores_the_previous_context() {
         let report = with_exec(Exec::sweep().with_jobs(1), || {
-            run_points(&[Point::new(quick(), 2)]);
-            run_points(&[Point::new(quick(), 2)]);
+            run_configs(Scale::Quick, vec![SimConfig::baseline()]);
+            run_configs(Scale::Quick, vec![SimConfig::baseline()]);
             cache_report().expect("sweep mode has a cache")
         });
         assert_eq!(report.misses, 1);
@@ -270,5 +267,27 @@ mod tests {
         );
         // An uncached context reports no cache.
         assert_eq!(with_exec(Exec::sweep_uncached(), cache_report), None);
+    }
+
+    #[test]
+    fn run_grid_returns_cells_row_by_row() {
+        let strategies = [SdaStrategy::ud_ud(), SdaStrategy::ud_div1()];
+        let loads = [0.3, 0.5, 0.7];
+        let cell =
+            |s: &SdaStrategy, &load: &f64| SimConfig::baseline().with_load(load).with_strategy(*s);
+        with_exec(Exec::sweep().with_jobs(2), || {
+            let grid = run_grid(Scale::Quick, &strategies, &loads, cell);
+            assert_eq!(grid.len(), strategies.len());
+            let simulated = cache_report().expect("sweep mode has a cache").misses;
+            for (s, row) in strategies.iter().zip(&grid) {
+                assert_eq!(row.len(), loads.len());
+                for (load, multi) in loads.iter().zip(row) {
+                    let alone = &run_configs(Scale::Quick, vec![cell(s, load)])[0];
+                    assert!(Arc::ptr_eq(multi, alone), "{s:?} at load {load}");
+                }
+            }
+            let report = cache_report().expect("sweep mode has a cache");
+            assert_eq!(report.misses, simulated, "the lookups simulate nothing");
+        });
     }
 }
