@@ -10,6 +10,10 @@
 //! aborts, stragglers, delayed hand-offs, and ranks other than the
 //! deadline); they also record each replication's integer counters.
 //!
+//! `response_quantiles.txt` pins the response-time histograms of the
+//! same six cases: every percentile of every replication and of the
+//! pooled metrics, as exact `f64` bits.
+//!
 //! Throughput numbers (wall-clock derived) are deliberately excluded:
 //! they are nondeterministic even between two runs of the same binary.
 //! Everything simulation-derived is compared exactly.
@@ -59,23 +63,26 @@ fn run_traced(runner: Runner) -> (MultiRun, String) {
     (multi, trace)
 }
 
-/// Runs `cfg` under the Runner exactly as the CLI would (3 replications,
-/// 2 worker threads, trace on replication 0) and returns
+/// The runner every case runs under, exactly as the CLI would: 3
+/// replications on 2 worker threads.
+fn case_runner((cfg, seed): (SimConfig, u64)) -> Runner {
+    Runner::new(cfg)
+        .seed(seed)
+        .jobs(2)
+        .stop(StopRule::FixedReps(3))
+}
+
+/// Runs a case with a trace on replication 0 and returns
 /// (deterministic stats.json bytes, trace JSONL bytes).
-fn run_case(cfg: SimConfig, seed: u64) -> (String, String) {
-    let (multi, trace) = run_traced(
-        Runner::new(cfg)
-            .seed(seed)
-            .jobs(2)
-            .stop(StopRule::FixedReps(3)),
-    );
+fn run_case(case: (SimConfig, u64)) -> (String, String) {
+    let (multi, trace) = run_traced(case_runner(case));
     (multi.stats().to_json(), trace)
 }
 
 /// The Figure-5 shape with the paper's winning strategy and
 /// process-manager abortion: exercises parallel decomposition, pooled
 /// slots, placement, and the PM teardown path.
-fn baseline_case() -> (String, String) {
+fn baseline_case() -> (SimConfig, u64) {
     let cfg = SimConfig {
         duration: 2_000.0,
         warmup: 100.0,
@@ -83,14 +90,14 @@ fn baseline_case() -> (String, String) {
         abort: AbortPolicy::ProcessManager,
         ..SimConfig::baseline()
     };
-    run_case(cfg, 777)
+    (cfg, 777)
 }
 
 /// The §8 serial-parallel shape (Figure 14 task graph) with
 /// local-scheduler abortion and resubmission: exercises serial-stage
 /// activation (EQF prefix sums), in-service deadline timers, and the
 /// resubmission path.
-fn section8_case() -> (String, String) {
+fn section8_case() -> (SimConfig, u64) {
     let cfg = SimConfig {
         duration: 2_000.0,
         warmup: 100.0,
@@ -100,7 +107,7 @@ fn section8_case() -> (String, String) {
         },
         ..SimConfig::section8()
     };
-    run_case(cfg, 4242)
+    (cfg, 4242)
 }
 
 /// The integer counters of every replication, one line each: the event
@@ -133,13 +140,8 @@ fn counters_text(multi: &MultiRun) -> String {
 }
 
 /// Like [`run_case`], plus the per-replication counters.
-fn run_counted_case(cfg: SimConfig, seed: u64) -> (String, String, String) {
-    let (multi, trace) = run_traced(
-        Runner::new(cfg)
-            .seed(seed)
-            .jobs(2)
-            .stop(StopRule::FixedReps(3)),
-    );
+fn run_counted_case(case: (SimConfig, u64)) -> (String, String, String) {
+    let (multi, trace) = run_traced(case_runner(case));
     (multi.stats().to_json(), trace, counters_text(&multi))
 }
 
@@ -147,7 +149,7 @@ fn run_counted_case(cfg: SimConfig, seed: u64) -> (String, String, String) {
 /// with resubmission, and every fault class with crashed subtasks
 /// requeued: pins preemption, dispatch-time and in-service aborts,
 /// resubmission, crash requeues, stragglers and delayed hand-offs.
-fn preemptive_faults_case() -> (String, String, String) {
+fn preemptive_faults_case() -> (SimConfig, u64) {
     let cfg = SimConfig {
         load: 0.7,
         duration: 600.0,
@@ -168,14 +170,14 @@ fn preemptive_faults_case() -> (String, String, String) {
         },
         ..SimConfig::section8()
     };
-    run_counted_case(cfg, 1212)
+    (cfg, 1212)
 }
 
 /// The Figure 14 pipeline under process-manager abortion and every fault
 /// class with crashed work aborted (`CrashPolicy::AbortTask`, the default
 /// policy): pins crash aborts of locals and subtasks, the teardown of
 /// their globals, and the queued work an outage kills.
-fn abort_task_faults_case() -> (String, String, String) {
+fn abort_task_faults_case() -> (SimConfig, u64) {
     let cfg = SimConfig {
         load: 0.7,
         duration: 600.0,
@@ -193,13 +195,13 @@ fn abort_task_faults_case() -> (String, String, String) {
         },
         ..SimConfig::section8()
     };
-    run_counted_case(cfg, 3434)
+    (cfg, 3434)
 }
 
 /// The parallel baseline under `UD-GF` with service estimates off by up
 /// to a factor of 2, served by `policy`: SJF ranks by the noisy estimate,
 /// LLF by the GF-shifted (negative) virtual deadline minus it.
-fn ranked_gf_case(policy: Policy) -> (String, String, String) {
+fn ranked_gf_case(policy: Policy) -> (SimConfig, u64) {
     let cfg = SimConfig {
         load: 0.7,
         duration: 600.0,
@@ -212,7 +214,7 @@ fn ranked_gf_case(policy: Policy) -> (String, String, String) {
         estimation: EstimationModel::UniformFactor { max_factor: 2.0 },
         ..SimConfig::baseline()
     };
-    run_counted_case(cfg, 5150)
+    (cfg, 5150)
 }
 
 fn fixture(name: &str) -> std::path::PathBuf {
@@ -239,7 +241,7 @@ fn check_or_regen(name: &str, actual: &str) {
 
 #[test]
 fn baseline_stats_and_trace_match_golden() {
-    let (stats, trace) = baseline_case();
+    let (stats, trace) = run_case(baseline_case());
     assert!(!trace.is_empty(), "the run must actually trace");
     check_or_regen("baseline_stats.json", &stats);
     check_or_regen("baseline_trace.jsonl", &trace);
@@ -247,7 +249,7 @@ fn baseline_stats_and_trace_match_golden() {
 
 #[test]
 fn section8_stats_and_trace_match_golden() {
-    let (stats, trace) = section8_case();
+    let (stats, trace) = run_case(section8_case());
     assert!(!trace.is_empty(), "the run must actually trace");
     check_or_regen("section8_stats.json", &stats);
     check_or_regen("section8_trace.jsonl", &trace);
@@ -260,7 +262,7 @@ fn traces(trace: &str, event: &str) -> bool {
 
 #[test]
 fn preemptive_faults_stats_trace_and_counters_match_golden() {
-    let (stats, trace, counters) = preemptive_faults_case();
+    let (stats, trace, counters) = run_counted_case(preemptive_faults_case());
     for event in ["preempted", "node_crashed", "node_recovered"] {
         assert!(traces(&trace, event), "the case must trace {event}");
     }
@@ -284,7 +286,7 @@ fn preemptive_faults_stats_trace_and_counters_match_golden() {
 
 #[test]
 fn abort_task_faults_stats_trace_and_counters_match_golden() {
-    let (stats, trace, counters) = abort_task_faults_case();
+    let (stats, trace, counters) = run_counted_case(abort_task_faults_case());
     assert!(
         traces(&trace, "node_crashed"),
         "the case must trace node_crashed"
@@ -308,7 +310,7 @@ fn abort_task_faults_stats_trace_and_counters_match_golden() {
 #[test]
 fn sjf_and_llf_under_gf_stats_trace_and_counters_match_golden() {
     for (policy, name) in [(Policy::Sjf, "sjf_gf"), (Policy::Llf, "llf_gf")] {
-        let (stats, trace, counters) = ranked_gf_case(policy);
+        let (stats, trace, counters) = run_counted_case(ranked_gf_case(policy));
         assert!(
             trace.contains("\"virtual_deadline\":-"),
             "{name}: GF must present negative virtual deadlines"
@@ -317,6 +319,56 @@ fn sjf_and_llf_under_gf_stats_trace_and_counters_match_golden() {
         check_or_regen(&format!("{name}_trace.jsonl"), &trace);
         check_or_regen(&format!("{name}_counters.txt"), &counters);
     }
+}
+
+/// Every response-time quantile the histograms can answer, bit for bit:
+/// for each replication and for the pooled metrics, the local and
+/// global observation counts and `quantile(k / 100)` for k = 1..=100 as
+/// `f64` hex bits. The stats reports carry no quantiles, so this is the
+/// pin on the histograms themselves.
+fn quantiles_text(name: &str, multi: &MultiRun) -> String {
+    let mut out = String::new();
+    let pooled = multi.pooled_metrics();
+    let runs = multi
+        .runs()
+        .iter()
+        .map(|run| (format!("seed={}", run.seed), &run.metrics));
+    for (label, m) in runs.chain([("pooled".to_string(), &pooled)]) {
+        for (class, hist) in [
+            ("local", &m.local_response_hist),
+            ("global", &m.global_response_hist),
+        ] {
+            out.push_str(&format!("{name} {label} {class} count={}", hist.count()));
+            for k in 1..=100 {
+                out.push_str(&format!(
+                    " {:016x}",
+                    hist.quantile(f64::from(k) / 100.0).to_bits()
+                ));
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[test]
+fn response_quantiles_match_golden() {
+    let cases = [
+        ("baseline", baseline_case()),
+        ("section8", section8_case()),
+        ("preemptive_faults", preemptive_faults_case()),
+        ("abort_task_faults", abort_task_faults_case()),
+        ("sjf_gf", ranked_gf_case(Policy::Sjf)),
+        ("llf_gf", ranked_gf_case(Policy::Llf)),
+    ];
+    let mut text = String::new();
+    for (name, case) in cases {
+        let multi = case_runner(case)
+            .execute()
+            .expect("golden configs validate");
+        text.push_str(&quantiles_text(name, &multi));
+    }
+    check_or_regen("response_quantiles.txt", &text);
 }
 
 /// A short Table 1 configuration for the stopping-rule cases.
