@@ -316,3 +316,56 @@ fn trace_out_is_run_only() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("only supported by `sda run`"));
 }
+
+#[test]
+fn foreign_histogram_shape_in_the_cache_is_recomputed() {
+    let dir = std::env::temp_dir().join(format!("sda-cli-hist-shape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let args = [
+        "run",
+        "duration=2000",
+        "warmup=100",
+        "--cache-dir",
+        dir.to_str().unwrap(),
+    ];
+    let cold = sda(&args);
+    assert!(cold.status.success());
+    assert!(String::from_utf8_lossy(&cold.stderr).contains(", 1 simulated"));
+    // Give the entry's first local histogram 400 bins instead of 800:
+    // its first 400 bins stay, the rest move to the overflow bin, so the
+    // line still adds up and only its shape is foreign.
+    let entry = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "sdacache"))
+        .expect("a cache entry");
+    let text = std::fs::read_to_string(&entry).unwrap();
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("local_hist "))
+        .expect("a histogram line");
+    let t: Vec<&str> = line.split(' ').collect();
+    let bins: Vec<u64> = t[5..].iter().map(|b| b.parse().unwrap()).collect();
+    let (kept, cut) = bins.split_at(bins.len().min(400));
+    let overflow = t[3].parse::<u64>().unwrap() + cut.iter().sum::<u64>();
+    let used = kept.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    let mut foreign = format!("local_hist {} 400 {overflow} {}", t[1], t[4]);
+    for bin in &kept[..used] {
+        foreign.push_str(&format!(" {bin}"));
+    }
+    std::fs::write(&entry, text.replacen(line, &foreign, 1)).unwrap();
+
+    let replay = sda(&args);
+    assert!(
+        replay.status.success(),
+        "{}",
+        String::from_utf8_lossy(&replay.stderr)
+    );
+    let log = String::from_utf8_lossy(&replay.stderr);
+    assert!(
+        log.contains(", 1 simulated; 1 cache errors (read 0, write 0, verify 1)"),
+        "{log}"
+    );
+    assert_eq!(replay.stdout, cold.stdout, "the recomputed report");
+    let _ = std::fs::remove_dir_all(&dir);
+}

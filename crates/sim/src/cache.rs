@@ -45,12 +45,12 @@ use sda_simcore::stats::{
 use sda_simcore::SimTime;
 
 use crate::config::{AbortPolicy, GlobalShape, Placement, ResubmitPolicy, ServiceShape, SimConfig};
-use crate::metrics::Metrics;
+use crate::metrics::{response_histogram, Metrics};
 use crate::runner::{BatchEstimates, MultiRun, RunResult, StopRule};
 
 /// Version of both the canonical point text and the on-disk value
 /// format. Part of every key: bumping it invalidates all prior entries.
-pub const CACHE_SCHEMA_VERSION: u32 = 2;
+pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
 // Canonical serialization and stable hashing
@@ -279,8 +279,8 @@ impl Encoder {
     }
 
     fn hist(&mut self, h: &Histogram) -> &mut Encoder {
-        let (bin_width, bins, overflow, count) = h.to_parts();
-        self.f64(bin_width).u64(overflow).u64(count);
+        let (bin_width, len, bins, overflow, count) = h.to_parts();
+        self.f64(bin_width).u64(len as u64).u64(overflow).u64(count);
         for &bin in bins {
             self.u64(bin);
         }
@@ -484,38 +484,33 @@ impl Cursor<'_> {
         ))
     }
 
-    /// ` width overflow count bin…`: a histogram with a finite positive
-    /// bin width whose bins and overflow sum (without overflowing) to
-    /// its count, checked as the bins are read.
+    /// ` width len overflow count bin…`: a response-time histogram in the
+    /// exact shape [`Metrics`] records into (its bin width, bit for bit,
+    /// and its bin count `len`), holding its used prefix: at most `len`
+    /// bins, the last of them non-zero. The bins and the overflow must
+    /// sum (without overflowing) to the count, checked as the bins are
+    /// read. Any other shape would read as a result whose replications
+    /// cannot be pooled.
     ///
     /// The bins run to the line end, and each takes at least two bytes,
-    /// so the vector is sized once from the line's length. Most bins are
-    /// zero or a single digit, so the bins are read eight bytes, four
-    /// fields, at a time where they can be: a run of ` 0 0 0 0` groups is
-    /// counted and filled at once, and a group of four ` d` fields is
-    /// decoded at once when the byte after it starts another field or
-    /// ends the line. Any other field is read alone by [`Cursor::u64`],
-    /// so every path accepts the same encodings.
+    /// so the vector is sized once from the line's length (capped at
+    /// `len`). Most bins are a single digit, so the bins are read eight
+    /// bytes, four fields, at a time where they can be: a group of four
+    /// ` d` fields is decoded at once when the byte after it starts
+    /// another field or ends the line. Any other field is read alone by
+    /// [`Cursor::u64`], so both paths accept the same encodings.
     fn hist(&mut self) -> Option<Histogram> {
-        let (bin_width, overflow, count) = (self.f64()?, self.u64()?, self.u64()?);
-        if !(bin_width.is_finite() && bin_width > 0.0) {
+        let (bin_width, len, overflow, count) =
+            (self.f64()?, self.u64()?, self.u64()?, self.u64()?);
+        let (shape_width, shape_len, ..) = response_histogram().to_parts();
+        if bin_width.to_bits() != shape_width.to_bits() || len != shape_len as u64 {
             return None;
         }
         let (line, after) = self.rest.split_at(line_len(self.rest));
-        let mut bins = Vec::with_capacity(line.len() / 2);
+        let mut bins = Vec::with_capacity((line.len() / 2).min(shape_len));
         let mut sum = overflow;
         let mut fields = Cursor { rest: line };
         while !fields.rest.is_empty() {
-            let zeros = fields
-                .rest
-                .chunks_exact(8)
-                .take_while(|group| *group == b" 0 0 0 0")
-                .count();
-            if zeros > 0 {
-                bins.resize(bins.len() + 4 * zeros, 0);
-                fields.rest = &fields.rest[8 * zeros..];
-                continue;
-            }
             if let Some((group, tail)) = fields.rest.split_first_chunk::<8>() {
                 if let (Some(digits), None | Some(b' ')) = (single_digits(*group), tail.first()) {
                     sum = sum.checked_add(digits.iter().sum())?;
@@ -529,7 +524,8 @@ impl Cursor<'_> {
             bins.push(bin);
         }
         self.rest = after;
-        (sum == count).then(|| Histogram::from_parts(bin_width, bins, overflow, count))
+        (sum == count && bins.len() <= shape_len && bins.last() != Some(&0))
+            .then(|| Histogram::from_parts(bin_width, shape_len, bins, overflow, count))
     }
 
     /// ` busy served missed total area last_time last_value start`.
@@ -1042,7 +1038,7 @@ mod tests {
             2,
             64,
         ));
-        assert_eq!(key, "e02b39b0339bbac90e578a5e78895be2");
+        assert_eq!(key, "84ef8ff2d58a24626993341bd69af249");
     }
 
     #[test]

@@ -71,6 +71,12 @@ pub struct Metrics {
     pub comm_delays: u64,
 }
 
+/// An empty response-time histogram, in the shape every run records
+/// into.
+pub(crate) fn response_histogram() -> Histogram {
+    Histogram::new(RESPONSE_BIN, RESPONSE_MAX)
+}
+
 impl Default for Metrics {
     fn default() -> Metrics {
         Metrics {
@@ -80,8 +86,8 @@ impl Default for Metrics {
             missed_work: WeightedMiss::new(),
             local_response: Welford::new(),
             global_response: Welford::new(),
-            local_response_hist: Histogram::new(RESPONSE_BIN, RESPONSE_MAX),
-            global_response_hist: Histogram::new(RESPONSE_BIN, RESPONSE_MAX),
+            local_response_hist: response_histogram(),
+            global_response_hist: response_histogram(),
             local_tardiness: Welford::new(),
             global_tardiness: Welford::new(),
             aborted_locals: 0,

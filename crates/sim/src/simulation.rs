@@ -219,7 +219,10 @@ impl Simulation {
 
     /// Consumes the simulation, returning its metrics and per-node
     /// statistics (busy time, services, local misses, queue length).
-    pub fn into_results(self) -> (Metrics, Vec<NodeStats>) {
+    /// The response-time histograms give back the bins they never used.
+    pub fn into_results(mut self) -> (Metrics, Vec<NodeStats>) {
+        self.metrics.local_response_hist.shrink_to_fit();
+        self.metrics.global_response_hist.shrink_to_fit();
         (
             self.metrics,
             self.nodes.into_iter().map(|n| n.stats).collect(),

@@ -1,9 +1,14 @@
 //! Format pins for the on-disk point cache: entries written by an
 //! earlier build of the cache codec, committed under
-//! `tests/fixtures/cache-v2/` (one file per point, named by its key).
+//! `tests/fixtures/cache-v3/` (one file per point, named by its key).
 //! Each must still decode, re-encode to the same bytes, and hit when a
 //! cache is opened over that directory — so cache directories written
 //! before a codec change keep hitting after it.
+//!
+//! `tests/fixtures/cache-v2/` holds the same two points as schema 2
+//! wrote them, with every histogram bin stored. Schema 3 never reads
+//! them: their keys are not the current ones, and a v2 file found under
+//! a current key fails verification instead of hitting.
 
 use std::path::PathBuf;
 
@@ -13,8 +18,10 @@ use sda_sim::cache::{
 use sda_sim::runner::StopRule;
 use sda_sim::{PointCache, SimConfig};
 
-fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cache-v2")
+fn fixture_dir(schema: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(schema)
 }
 
 /// The quick baseline configuration the fixtures were simulated with.
@@ -33,23 +40,23 @@ fn pinned_points() -> [(u64, StopRule, &'static str); 2] {
         (
             42,
             StopRule::FixedReps(2),
-            "e02b39b0339bbac90e578a5e78895be2",
+            "84ef8ff2d58a24626993341bd69af249",
         ),
         (
             3,
             StopRule::BatchMeans { batch_size: 64 },
-            "b7b0598d256e2a2cfbd4bd128edee251",
+            "300ace1938b16bd1837a48867b9ba0ac",
         ),
     ]
 }
 
 #[test]
 fn committed_entries_decode_and_reencode_byte_for_byte() {
-    assert_eq!(CACHE_SCHEMA_VERSION, 2);
+    assert_eq!(CACHE_SCHEMA_VERSION, 3);
     for (seed, stop, key) in pinned_points() {
         let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
         assert_eq!(point_key_of(&preimage), key, "key drifted for {stop:?}");
-        let path = fixture_dir().join(format!("{key}.sdacache"));
+        let path = fixture_dir("cache-v3").join(format!("{key}.sdacache"));
         let text = std::fs::read_to_string(&path).expect("fixture present");
         let multi = parse_multi_run(&text, &preimage).expect("fixture decodes");
         assert_eq!(
@@ -66,7 +73,7 @@ fn committed_entries_decode_and_reencode_byte_for_byte() {
 
 #[test]
 fn committed_directory_serves_disk_hits() {
-    let cache = PointCache::with_dir(fixture_dir()).expect("fixture dir opens");
+    let cache = PointCache::with_dir(fixture_dir("cache-v3")).expect("fixture dir opens");
     for (seed, stop, key) in pinned_points() {
         let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
         assert!(cache.lookup(key, &preimage).is_some(), "{key} misses");
@@ -76,4 +83,48 @@ fn committed_directory_serves_disk_hits() {
         (report.hits_disk, report.misses, report.errors()),
         (2, 0, 0)
     );
+}
+
+/// The keys schema 2 filed the pinned points under, in
+/// [`pinned_points`] order.
+const V2_KEYS: [&str; 2] = [
+    "e02b39b0339bbac90e578a5e78895be2",
+    "b7b0598d256e2a2cfbd4bd128edee251",
+];
+
+#[test]
+fn schema_2_directory_misses_without_errors() {
+    let cache = PointCache::with_dir(fixture_dir("cache-v2")).expect("fixture dir opens");
+    for (seed, stop, key) in pinned_points() {
+        let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+        assert!(cache.lookup(key, &preimage).is_none(), "{key} hits");
+    }
+    let report = cache.report();
+    assert_eq!(
+        (report.hits_disk, report.misses, report.errors()),
+        (0, 2, 0)
+    );
+}
+
+#[test]
+fn schema_2_entry_under_a_current_key_fails_verification() {
+    let dir = std::env::temp_dir().join(format!("sda-cache-v2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for ((seed, stop, key), v2_key) in pinned_points().into_iter().zip(V2_KEYS) {
+        std::fs::copy(
+            fixture_dir("cache-v2").join(format!("{v2_key}.sdacache")),
+            dir.join(format!("{key}.sdacache")),
+        )
+        .expect("copy the v2 entry");
+        let cache = PointCache::with_dir(&dir).unwrap();
+        let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+        assert!(cache.lookup(key, &preimage).is_none(), "{key} hits");
+        let report = cache.report();
+        assert_eq!(
+            (report.hits_disk, report.misses, report.verify_errors),
+            (0, 1, 1)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,7 +7,10 @@
 //! the mutant back byte for byte: the decoder reads canonical encodings
 //! only. Histogram lines get targeted mutants too, because the decoder
 //! reads their bins four at a time where it can, and a differential test
-//! of random bin vectors pins that path to the one-field path.
+//! of random bin vectors pins that path to the one-field path. A
+//! histogram must also have the exact shape the simulator records into:
+//! any other bin width or bin count, or bins that are not a used prefix,
+//! reads as a miss rather than as a result that cannot be pooled.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -35,7 +38,7 @@ fn quick_cfg() -> SimConfig {
 fn fixture(seed: u64, stop: StopRule) -> Payload {
     let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/cache-v2")
+        .join("tests/fixtures/cache-v3")
         .join(format!("{}.sdacache", point_key_of(&preimage)));
     let text = std::fs::read_to_string(&path).expect("fixture present");
     Payload { preimage, text }
@@ -279,9 +282,9 @@ fn values_the_results_cannot_hold_are_rejected() {
         edit_line(&p, "global_hist", |t| t[1] = nan.into()),
         // Bins whose sum overflows a u64 and, wrapped, equals the count.
         edit_line(&p, "local_hist", |t| {
-            let (count, first): (u64, u64) = (t[3].parse().unwrap(), t[4].parse().unwrap());
-            t[3] = (count - first - 1).to_string();
-            t[4] = u64::MAX.to_string();
+            let (count, first): (u64, u64) = (t[4].parse().unwrap(), t[5].parse().unwrap());
+            t[4] = (count - first - 1).to_string();
+            t[5] = u64::MAX.to_string();
         }),
         // A miss counter with more misses than outcomes.
         edit_line(&p, "local_md", |t| t[1] = (u64::MAX - 1).to_string()),
@@ -298,6 +301,54 @@ fn values_the_results_cannot_hold_are_rejected() {
         assert_ne!(*mutant, p.text, "mutant {i} changed nothing");
         assert!(!accepts(mutant, &p.preimage), "mutant {i} was accepted");
     }
+}
+
+/// The first run's local histogram bins and overflow of `p`.
+fn local_hist_parts(p: &Payload) -> (Vec<u64>, u64) {
+    let multi = parse_multi_run(&p.text, &p.preimage).expect("payload decodes");
+    let (_, _, bins, overflow, _) = multi.runs()[0].metrics.local_response_hist.to_parts();
+    (bins.to_vec(), overflow)
+}
+
+#[test]
+fn foreign_histogram_shapes_are_rejected() {
+    let p = fixture(42, StopRule::FixedReps(2));
+    let (bins, overflow) = local_hist_parts(&p);
+    assert!(bins.len() > 2 && bins.len() < 400, "a short used prefix");
+    let count = overflow + bins.iter().sum::<u64>();
+    // Every count below is consistent with its bins, so only the shape
+    // can reject the line.
+    let mut past_len = bins.clone();
+    past_len.resize(801, 0);
+    past_len.push(1);
+    let mut trailing_zero = bins.clone();
+    trailing_zero.push(0);
+    let rejected = [
+        // A bin width of 0.5 instead of 0.25, and the next float up.
+        edit_line(&p, "local_hist", |t| t[1] = "3fe0000000000000".into()),
+        edit_line(&p, "local_hist", |t| t[1] = "3fd0000000000001".into()),
+        // Bin counts other than 800: the prefix still fits in 400.
+        edit_line(&p, "local_hist", |t| t[2] = "400".into()),
+        edit_line(&p, "global_hist", |t| t[2] = "801".into()),
+        edit_line(&p, "local_hist", |t| t[2] = u64::MAX.to_string()),
+        edit_line(&p, "local_hist", |t| t[2] = "18446744073709551616".into()),
+        // A prefix longer than its 800 bins, and one ending in a zero bin.
+        with_hist(&p, overflow, count + 1, &spelled(&past_len)),
+        with_hist(&p, overflow, count, &spelled(&trailing_zero)),
+        with_hist(&p, overflow, overflow, &spelled(&[0])),
+    ];
+    for (i, mutant) in rejected.iter().enumerate() {
+        assert_ne!(*mutant, p.text, "mutant {i} changed nothing");
+        assert!(!accepts(mutant, &p.preimage), "mutant {i} was accepted");
+    }
+    // The same bins under the right shape decode.
+    assert_eq!(
+        decoded_bins(
+            &with_hist(&p, overflow, count, &spelled(&bins)),
+            &p.preimage
+        ),
+        Some(bins)
+    );
 }
 
 #[test]
@@ -368,7 +419,7 @@ fn corrupted_entry_is_recomputed_not_a_panic() {
 /// fields replaced; the bins are spelled as given.
 fn with_hist(p: &Payload, overflow: u64, count: u64, bins: &[String]) -> String {
     edit_line(p, "local_hist", |t| {
-        t.truncate(2);
+        t.truncate(3);
         t.push(overflow.to_string());
         t.push(count.to_string());
         t.extend(bins.iter().cloned());
@@ -383,7 +434,7 @@ fn decoded_bins(mutant: &str, preimage: &str) -> Option<Vec<u64>> {
             .metrics
             .local_response_hist
             .to_parts()
-            .1
+            .2
             .to_vec()
     })
 }
@@ -453,10 +504,12 @@ fn leading_zeros_inside_a_group_are_rejected() {
 fn groups_cut_by_a_line_end_or_the_text_end() {
     let p = fixture(42, StopRule::FixedReps(2));
     for cut in 0..=GROUPS.len() {
-        // A line that ends inside a group is a shorter histogram.
+        // A line that ends inside a group is a shorter histogram, unless
+        // its last bin is a zero one.
         let (kept, moved) = GROUPS.split_at(cut);
         let text = with_hist(&p, 0, kept.iter().sum(), &spelled(kept));
-        assert_eq!(decoded_bins(&text, &p.preimage).as_deref(), Some(kept));
+        let expected = (kept.last() != Some(&0)).then_some(kept);
+        assert_eq!(decoded_bins(&text, &p.preimage).as_deref(), expected);
         if moved.is_empty() {
             continue;
         }
@@ -469,7 +522,7 @@ fn groups_cut_by_a_line_end_or_the_text_end() {
         // So is a text that ends inside the line.
         let whole = with_hist(&p, 0, GROUPS.iter().sum(), &spelled(&GROUPS));
         let start = whole.find("\nlocal_hist ").expect("histogram line") + 1;
-        let field_end = start + whole[start..].match_indices(' ').nth(3 + cut).unwrap().0;
+        let field_end = start + whole[start..].match_indices(' ').nth(4 + cut).unwrap().0;
         for end in [field_end, field_end + 1, field_end + 2] {
             assert!(!accepts(&whole[..end], &p.preimage), "text cut at {end}");
         }
@@ -493,8 +546,8 @@ fn bulk_bins_summing_past_u64_max_are_rejected() {
     }
 }
 
-/// A random bin vector: runs of zeros, single digits, and multi-digit
-/// bins of up to twelve digits.
+/// A random used prefix of bins: runs of zeros, single digits, and
+/// multi-digit bins of up to twelve digits, ending in a non-zero bin.
 fn random_bins(rng: &mut Rng, len: usize) -> Vec<u64> {
     let mut bins = Vec::with_capacity(len);
     while bins.len() < len {
@@ -505,6 +558,9 @@ fn random_bins(rng: &mut Rng, len: usize) -> Vec<u64> {
             _ => bins.push(10 + rng.next() % 10u64.pow(1 + rng.below(12) as u32)),
         }
     }
+    if let Some(last @ 0) = bins.last_mut() {
+        *last = 1 + rng.next() % 9;
+    }
     bins
 }
 
@@ -513,7 +569,7 @@ fn random_bins(rng: &mut Rng, len: usize) -> Vec<u64> {
 fn encode_with_bins(p: &Payload, base: &MultiRun, bins: Vec<u64>, overflow: u64) -> String {
     let mut runs = base.runs().to_vec();
     let count = overflow + bins.iter().sum::<u64>();
-    runs[0].metrics.local_response_hist = Histogram::from_parts(0.25, bins, overflow, count);
+    runs[0].metrics.local_response_hist = Histogram::from_parts(0.25, 800, bins, overflow, count);
     let multi = MultiRun::from_parts(runs, base.batch_means().cloned());
     serialize_multi_run(&p.preimage, &multi)
 }
@@ -526,7 +582,7 @@ fn mutate_bins(rng: &mut Rng, text: &str) -> String {
     let start = text.find("\nlocal_hist ").expect("histogram line") + 1;
     let end = start + text[start..].find('\n').expect("line end");
     let mut tokens: Vec<String> = text[start..end].split(' ').map(str::to_string).collect();
-    let mut bins = tokens.split_off(4).join(" ").into_bytes();
+    let mut bins = tokens.split_off(5).join(" ").into_bytes();
     const BYTES: &[u8] = b"0123456789 \nx+";
     let byte = BYTES[rng.below(BYTES.len())];
     let at = rng.below(bins.len() + 1);
@@ -541,16 +597,16 @@ fn mutate_bins(rng: &mut Rng, text: &str) -> String {
     let sum = bins
         .split(' ')
         .map(|t| t.parse::<u64>().ok())
-        .try_fold(tokens[2].parse::<u64>().unwrap(), |sum, bin| {
+        .try_fold(tokens[3].parse::<u64>().unwrap(), |sum, bin| {
             sum.checked_add(bin?)
         });
     if let Some(sum) = sum {
-        tokens[3] = sum.to_string();
+        tokens[4] = sum.to_string();
     }
     format!(
         "{}{} {bins}{}",
         &text[..start],
-        tokens[..4].join(" "),
+        tokens[..5].join(" "),
         &text[end..]
     )
 }

@@ -351,3 +351,107 @@ proptest! {
         prop_assert_eq!(cal.pop(), None);
     }
 }
+
+/// The reference histogram: every bin of `[0, len × width)` stored,
+/// zeros included.
+#[derive(Clone)]
+struct DenseHistogram {
+    width: f64,
+    bins: Vec<u64>,
+    overflow: u64,
+    count: u64,
+}
+
+impl DenseHistogram {
+    fn new(width: f64, len: usize) -> DenseHistogram {
+        DenseHistogram {
+            width,
+            bins: vec![0; len],
+            overflow: 0,
+            count: 0,
+        }
+    }
+
+    fn record(&mut self, x: f64) {
+        match self.bins.get_mut((x / self.width) as usize) {
+            Some(bin) => *bin += 1,
+            None => self.overflow += 1,
+        }
+        self.count += 1;
+    }
+
+    fn merge(&mut self, other: &DenseHistogram) {
+        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
+            *a += b;
+        }
+        self.overflow += other.overflow;
+        self.count += other.count;
+    }
+
+    fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let target = (q * self.count as f64).ceil() as u64;
+        let mut seen = 0u64;
+        for (i, &c) in self.bins.iter().enumerate() {
+            if seen + c >= target {
+                let into = (target - seen) as f64 / c.max(1) as f64;
+                return (i as f64 + into) * self.width;
+            }
+            seen += c;
+        }
+        self.bins.len() as f64 * self.width
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random sequences of records and merges give a prefix histogram
+    /// that answers exactly like a dense one: the same counts, overflow
+    /// and used bins, and every percentile bit for bit. Its parts never
+    /// end in a zero bin and rebuild an equal histogram.
+    #[test]
+    fn prefix_histogram_matches_a_dense_reference(
+        steps in prop::collection::vec(
+            (0u8..4, prop::collection::vec(0.0f64..12.0, 0..16)),
+            1..24,
+        ),
+    ) {
+        // 20 bins of 0.5 over [0, 10): observations up to 12 overflow.
+        let (width, max, len) = (0.5, 10.0, 20);
+        let mut h = Histogram::new(width, max);
+        let mut dense = DenseHistogram::new(width, len);
+        for (kind, xs) in &steps {
+            if *kind == 0 {
+                // Merge a histogram filled separately.
+                let mut other = Histogram::new(width, max);
+                let mut other_dense = DenseHistogram::new(width, len);
+                for &x in xs {
+                    other.record(x);
+                    other_dense.record(x);
+                }
+                h.merge(&other);
+                dense.merge(&other_dense);
+            } else {
+                for &x in xs {
+                    h.record(x);
+                    dense.record(x);
+                }
+            }
+            let (bin_width, parts_len, bins, overflow, count) = h.to_parts();
+            prop_assert_eq!((bin_width, parts_len), (width, len));
+            prop_assert_eq!((overflow, count), (dense.overflow, dense.count));
+            prop_assert!(bins.last() != Some(&0), "prefix ends in a zero bin: {:?}", bins);
+            let used = dense.bins.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
+            prop_assert_eq!(bins, &dense.bins[..used]);
+            for k in 1..=100 {
+                let q = f64::from(k) / 100.0;
+                prop_assert_eq!(h.quantile(q).to_bits(), dense.quantile(q).to_bits());
+            }
+            let back = Histogram::from_parts(bin_width, parts_len, bins.to_vec(), overflow, count);
+            prop_assert_eq!(&back, &h);
+        }
+    }
+}
