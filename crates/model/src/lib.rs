@@ -4,11 +4,7 @@
 //!
 //! * [`TaskSpec`] — the recursive class of serial-parallel global tasks
 //!   (rules GT1–GT3), with a parser and printer for the paper's bracket
-//!   notation, e.g. `"[T1 [T2 || [T3 T4 T5]] [T6 || T7] T8]"` (Figure 1);
-//! * [`Attrs`] — the per-task real-time attributes `ar`, `dl`, `sl`, `ex`,
-//!   `pex`, related by `dl(X) = ar(X) + ex(X) + sl(X)`;
-//! * [`NodeId`] / [`TaskId`] / [`TaskClass`] — identities used by the
-//!   simulator and the metrics.
+//!   notation, e.g. `"[T1 [T2 || [T3 T4 T5]] [T6 || T7] T8]"` (Figure 1).
 //!
 //! ```
 //! use sda_model::TaskSpec;
@@ -23,12 +19,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod attrs;
-mod ids;
 mod parse;
 mod spec;
 
-pub use attrs::Attrs;
-pub use ids::{NodeId, TaskClass, TaskId};
 pub use parse::{parse_spec, ParseSpecError};
 pub use spec::{SpecValidationError, TaskSpec};

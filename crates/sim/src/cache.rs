@@ -39,18 +39,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sda_core::{EstimationModel, PspStrategy, SspStrategy};
-use sda_simcore::stats::{
-    Estimate, Histogram, MissCounter, NodeStats, TimeWeighted, WeightedMiss, Welford,
-};
+use sda_simcore::stats::{Histogram, MissCounter, NodeStats, TimeWeighted, WeightedMiss, Welford};
 use sda_simcore::SimTime;
 
 use crate::config::{AbortPolicy, GlobalShape, Placement, ResubmitPolicy, ServiceShape, SimConfig};
 use crate::metrics::{response_histogram, Metrics};
-use crate::runner::{BatchEstimates, MultiRun, RunResult, StopRule};
+use crate::runner::{MultiRun, RunResult, StopRule};
 
 /// Version of both the canonical point text and the on-disk value
 /// format. Part of every key: bumping it invalidates all prior entries.
-pub const CACHE_SCHEMA_VERSION: u32 = 3;
+pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------
 // Canonical serialization and stable hashing
@@ -204,7 +202,6 @@ fn write_point(
                 "stop=ci:target={target:?},min={min_reps},max={max_reps}"
             )
         }
-        StopRule::BatchMeans { batch_size } => writeln!(out, "stop=batch:size={batch_size}"),
     }
 }
 
@@ -305,18 +302,6 @@ pub fn serialize_multi_run(preimage: &str, multi: &MultiRun) -> String {
     e.tag("preimage").u64(preimage.lines().count() as u64).end();
     e.out.push_str(preimage);
     e.tag("payload").end();
-    match multi.batch_means() {
-        None => e.tag("batch none").end(),
-        Some(b) => e
-            .tag("batch")
-            .f64(b.md_local.mean)
-            .f64(b.md_local.half_width)
-            .f64(b.md_global.mean)
-            .f64(b.md_global.half_width)
-            .u64(b.batches.0 as u64)
-            .u64(b.batches.1 as u64)
-            .end(),
-    }
     e.tag("runs").u64(multi.runs().len() as u64).end();
     for run in multi.runs() {
         let m = &run.metrics;
@@ -424,10 +409,6 @@ impl Cursor<'_> {
         }
         self.rest = rest;
         Some(value)
-    }
-
-    fn usize(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
     }
 
     /// ` X`: an `f64` as exactly 16 lowercase hex digits of its bits.
@@ -680,22 +661,6 @@ pub fn parse_multi_run(text: &str, expected_preimage: &str) -> Option<MultiRun> 
     }
     c.eat(expected_preimage)?;
     c.eat("payload\n")?;
-    let batch = match c.eat("batch none\n") {
-        Some(()) => None,
-        None => Some(c.line("batch", |c| {
-            Some(BatchEstimates {
-                md_local: Estimate {
-                    mean: c.f64()?,
-                    half_width: c.f64()?,
-                },
-                md_global: Estimate {
-                    mean: c.f64()?,
-                    half_width: c.f64()?,
-                },
-                batches: (c.usize()?, c.usize()?),
-            })
-        })?),
-    };
     let count = c.count("runs")?;
     if count == 0 {
         return None;
@@ -704,7 +669,7 @@ pub fn parse_multi_run(text: &str, expected_preimage: &str) -> Option<MultiRun> 
     for _ in 0..count {
         runs.push(c.run()?);
     }
-    c.rest.is_empty().then(|| MultiRun::from_parts(runs, batch))
+    c.rest.is_empty().then(|| MultiRun::from_parts(runs))
 }
 
 // ---------------------------------------------------------------------
@@ -1038,7 +1003,7 @@ mod tests {
             2,
             64,
         ));
-        assert_eq!(key, "84ef8ff2d58a24626993341bd69af249");
+        assert_eq!(key, "04e422d4861b80b36486be121572ac1c");
     }
 
     #[test]
@@ -1077,34 +1042,6 @@ mod tests {
             parse_multi_run(&text, "tampered").is_none(),
             "preimage mismatch must read as a miss"
         );
-    }
-
-    #[test]
-    fn batch_means_round_trips() {
-        let multi = crate::Runner::new(quick_cfg())
-            .seed(3)
-            .stop(StopRule::BatchMeans { batch_size: 64 })
-            .execute()
-            .unwrap();
-        let preimage = canonical_point(
-            &quick_cfg(),
-            3,
-            &StopRule::BatchMeans { batch_size: 64 },
-            2,
-            64,
-        );
-        let text = serialize_multi_run(&preimage, &multi);
-        let back = parse_multi_run(&text, &preimage).expect("parses");
-        let (a, b) = (
-            multi.batch_means().expect("batch estimates"),
-            back.batch_means().expect("batch estimates"),
-        );
-        assert_eq!(a.md_local.mean.to_bits(), b.md_local.mean.to_bits());
-        assert_eq!(
-            a.md_global.half_width.to_bits(),
-            b.md_global.half_width.to_bits()
-        );
-        assert_eq!(a.batches, b.batches);
     }
 
     #[test]

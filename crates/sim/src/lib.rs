@@ -60,10 +60,10 @@ pub use config::{
 };
 pub use fault::{CrashPolicy, FaultConfig};
 pub use metrics::Metrics;
-pub use runner::{BatchEstimates, MultiRun, NodeSummary, RunResult, Runner, StatsReport, StopRule};
+pub use runner::{MultiRun, NodeSummary, RunResult, Runner, StatsReport, StopRule};
 pub use simulation::{Ev, Simulation};
 pub use sweep::{RunError, Sweep, SweepPoint};
 pub use trace::{
-    parse_jsonl, CountingHandle, CountingSink, FanoutSink, JsonlSink, RingBufferHandle,
-    RingBufferSink, SharedSink, TraceCounts, TraceEvent, TraceRecord, TraceSink,
+    parse_jsonl, CountingHandle, CountingSink, JsonlSink, RingBufferHandle, RingBufferSink,
+    SharedSink, TraceCounts, TraceEvent, TraceRecord, TraceSink,
 };

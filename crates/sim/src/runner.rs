@@ -1,7 +1,7 @@
 //! Running simulations: the [`Runner`] builder describes independent
-//! replications of one configuration, with fixed-count, adaptive
-//! (CI-width) or batch-means stopping, and renders per-metric statistics
-//! as a machine-readable `stats.json` record.
+//! replications of one configuration, with fixed-count or adaptive
+//! (CI-width) stopping, and renders per-metric statistics as a
+//! machine-readable `stats.json` record.
 //!
 //! The paper's methodology (§5): each data point is the average of
 //! independent one-million-time-unit runs, reported with a 95%
@@ -42,16 +42,16 @@
 //! println!("{}", multi.stats().to_json());
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use sda_simcore::stats::{BatchMeans, Estimate, NodeStats, Summary};
+use sda_simcore::stats::{Estimate, NodeStats, Summary};
 use sda_simcore::{Engine, SimTime};
 
 use crate::config::{ConfigError, SimConfig};
 use crate::metrics::Metrics;
 use crate::simulation::Simulation;
 use crate::sweep::{Sweep, SweepPoint};
-use crate::trace::{SharedSink, TraceEvent, TraceSink};
+use crate::trace::{SharedSink, TraceSink};
 
 /// The outcome of one simulation run.
 #[derive(Debug, Clone)]
@@ -109,13 +109,6 @@ pub enum StopRule {
     /// absolute width for means at zero — see
     /// [`Estimate::width_ratio`](sda_simcore::stats::Estimate::width_ratio).
     CiWidth(f64),
-    /// One long run; confidence intervals by the method of batch means
-    /// over contiguous batches of per-task miss indicators.
-    BatchMeans {
-        /// Tasks per batch (choose much larger than the queueing
-        /// correlation length; thousands at moderate load).
-        batch_size: u64,
-    },
 }
 
 /// Builds and executes a set of simulation replications.
@@ -205,8 +198,7 @@ impl Runner {
     ///
     /// Panics if the rule asks for zero replications (explicit empty
     /// seed list, `FixedReps(0)`), if the CI target is not positive, or
-    /// if a replication panics (including on `BatchMeans.batch_size ==
-    /// 0`).
+    /// if a replication panics.
     pub fn execute(&self) -> Result<MultiRun, ConfigError> {
         let mut results = self.sweep.clone().point(self.point.clone()).execute()?;
         // A one-point sweep with no cache holds the only reference.
@@ -309,73 +301,11 @@ pub mod test_hooks {
     }
 }
 
-/// Batch-means estimates attached to a single-run [`MultiRun`].
-#[derive(Debug, Clone)]
-pub struct BatchEstimates {
-    /// `MD_local` with a 95% CI from batches of local-task outcomes.
-    pub md_local: Estimate,
-    /// `MD_global` with a 95% CI from batches of global-task outcomes.
-    pub md_global: Estimate,
-    /// Completed batches backing each interval (locals, globals).
-    pub batches: (usize, usize),
-}
-
-/// The batch-means observer: a trace sink cutting post-warm-up miss
-/// indicators into contiguous batches, one accumulator per task class.
-/// Clones share the accumulators, so the executor keeps one handle while
-/// the simulation owns another.
-#[derive(Clone)]
-pub(crate) struct BatchCutter {
-    warmup: f64,
-    acc: Arc<Mutex<(BatchMeans, BatchMeans)>>,
-}
-
-impl BatchCutter {
-    pub(crate) fn new(batch_size: u64, warmup: f64) -> BatchCutter {
-        BatchCutter {
-            warmup,
-            acc: Arc::new(Mutex::new((
-                BatchMeans::new(batch_size),
-                BatchMeans::new(batch_size),
-            ))),
-        }
-    }
-
-    /// The intervals from the batches completed so far.
-    pub(crate) fn estimates(&self) -> BatchEstimates {
-        let acc = self.acc.lock().expect("batch accumulator");
-        BatchEstimates {
-            md_local: acc.0.estimate(),
-            md_global: acc.1.estimate(),
-            batches: (acc.0.completed_batches(), acc.1.completed_batches()),
-        }
-    }
-}
-
-impl TraceSink for BatchCutter {
-    fn record(&mut self, now: SimTime, event: &TraceEvent) {
-        if now.value() < self.warmup {
-            return;
-        }
-        let mut acc = self.acc.lock().expect("batch accumulator");
-        match event {
-            TraceEvent::LocalFinished { missed, .. } => {
-                acc.0.push(if *missed { 1.0 } else { 0.0 });
-            }
-            TraceEvent::GlobalFinished { missed, .. } => {
-                acc.1.push(if *missed { 1.0 } else { 0.0 });
-            }
-            _ => {}
-        }
-    }
-}
-
 /// A set of replications of the same configuration, with per-metric
 /// confidence intervals.
 #[derive(Debug, Clone)]
 pub struct MultiRun {
     runs: Vec<RunResult>,
-    batch: Option<BatchEstimates>,
 }
 
 impl MultiRun {
@@ -385,20 +315,14 @@ impl MultiRun {
     /// determinism contract to hold. Used by the sweep to recombine
     /// the replications it scheduled, and by the result cache to
     /// reconstruct a deserialized run set.
-    pub fn from_parts(runs: Vec<RunResult>, batch: Option<BatchEstimates>) -> MultiRun {
+    pub fn from_parts(runs: Vec<RunResult>) -> MultiRun {
         assert!(!runs.is_empty(), "a run set needs at least one run");
-        MultiRun { runs, batch }
+        MultiRun { runs }
     }
 
     /// The individual runs.
     pub fn runs(&self) -> &[RunResult] {
         &self.runs
-    }
-
-    /// Batch-means estimates, when executed with
-    /// [`StopRule::BatchMeans`].
-    pub fn batch_means(&self) -> Option<&BatchEstimates> {
-        self.batch.as_ref()
     }
 
     /// Applies `metric` to each run and combines the values into a mean
@@ -420,13 +344,9 @@ impl MultiRun {
         Summary::from_values(&self.runs.iter().map(metric).collect::<Vec<_>>())
     }
 
-    /// `MD_local` across replications (batch-means interval when run
-    /// under [`StopRule::BatchMeans`]).
+    /// `MD_local` across replications.
     pub fn md_local(&self) -> Estimate {
-        match &self.batch {
-            Some(b) => b.md_local,
-            None => self.estimate(|r| r.metrics.md_local()),
-        }
+        self.estimate(|r| r.metrics.md_local())
     }
 
     /// `MD_subtask` across replications.
@@ -434,13 +354,9 @@ impl MultiRun {
         self.estimate(|r| r.metrics.md_subtask())
     }
 
-    /// `MD_global` (all global classes) across replications
-    /// (batch-means interval when run under [`StopRule::BatchMeans`]).
+    /// `MD_global` (all global classes) across replications.
     pub fn md_global(&self) -> Estimate {
-        match &self.batch {
-            Some(b) => b.md_global,
-            None => self.estimate(|r| r.metrics.md_global()),
-        }
+        self.estimate(|r| r.metrics.md_global())
     }
 
     /// `MD_global` for the class with exactly `n` subtasks.

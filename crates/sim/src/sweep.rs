@@ -8,10 +8,9 @@
 //! campaign without ever waiting at a point boundary. Running one
 //! configuration on its own is a one-point sweep.
 //!
-//! A [`StopRule::FixedReps`]`(n)` point is `n` units, and a
-//! [`StopRule::BatchMeans`] point one unit whose batches a trace sink
-//! cuts. A [`StopRule::CiWidth`] point runs in rounds, each one pass of
-//! the pool shared with every point still running: first its floor, then
+//! A [`StopRule::FixedReps`]`(n)` point is `n` units. A
+//! [`StopRule::CiWidth`] point runs in rounds, each one pass of the pool
+//! shared with every point still running: first its floor, then
 //! `(len / 2).max(2)` more replications per round until its metrics
 //! converge or it reaches its cap.
 //!
@@ -47,10 +46,8 @@ use sda_simcore::stats::Summary;
 use crate::cache::{canonical_point, point_key_of, PointCache};
 use crate::config::{ConfigError, SimConfig};
 use crate::metrics::Metrics;
-use crate::runner::{
-    run_single_with_budget, BatchCutter, BatchEstimates, MultiRun, RunResult, StopRule,
-};
-use crate::trace::{FanoutSink, SharedSink, TraceSink};
+use crate::runner::{run_single_with_budget, MultiRun, RunResult, StopRule};
+use crate::trace::{SharedSink, TraceSink};
 
 /// One data point of a sweep: a configuration, the base seed its
 /// replication seeds derive from, and the stopping rule.
@@ -128,8 +125,6 @@ struct Task {
     cap: usize,
     /// Results by replication index; each round appends empty slots.
     runs: Vec<Option<RunResult>>,
-    /// Batch-means estimates, for a [`StopRule::BatchMeans`] task.
-    batch: Option<BatchEstimates>,
     /// The lowest failed replication; a failed task runs no more rounds.
     failure: Option<RunError>,
 }
@@ -180,7 +175,7 @@ struct Unit {
 struct Outcome {
     task: usize,
     rep: usize,
-    result: Result<(RunResult, Option<BatchEstimates>), RunError>,
+    result: Result<RunResult, RunError>,
 }
 
 /// Why a point of a [`Sweep`] failed — returned per point by
@@ -364,7 +359,6 @@ impl Sweep {
                 assert!(target > 0.0, "CI width target must be positive");
                 (self.min_reps, self.max_reps.max(self.min_reps))
             }
-            StopRule::BatchMeans { .. } => (1, 1),
         };
         // An explicit seed list caps both.
         let budget = |n: usize| point.seeds.as_ref().map_or(n, |list| n.min(list.len()));
@@ -460,7 +454,6 @@ impl Sweep {
                 first,
                 cap,
                 runs: Vec::new(),
-                batch: None,
                 failure: None,
             });
         }
@@ -480,10 +473,7 @@ impl Sweep {
             for Outcome { task, rep, result } in self.run_units(&tasks, round) {
                 let task = &mut tasks[task];
                 match result {
-                    Ok((run, batch)) => {
-                        task.runs[rep] = Some(run);
-                        task.batch = batch;
-                    }
+                    Ok(run) => task.runs[rep] = Some(run),
                     // Outcomes arrive in worker-completion order; keep the
                     // lowest failing replication so the error is the same
                     // at any jobs level.
@@ -509,7 +499,7 @@ impl Sweep {
                     .into_iter()
                     .map(|run| run.expect("every replication ran"))
                     .collect();
-                let multi = Arc::new(MultiRun::from_parts(runs, task.batch));
+                let multi = Arc::new(MultiRun::from_parts(runs));
                 if let (Some(cache), Some((key, preimage))) = (&self.cache, &task.address) {
                     cache.store(key, preimage, &multi);
                 }
@@ -582,36 +572,17 @@ impl Sweep {
 /// with [`std::panic::catch_unwind`] so a poisoned replication (a model
 /// bug, a fault-injection edge case) degrades into a [`RunError`]
 /// instead of tearing down the worker pool.
-fn run_unit(
-    point: &SweepPoint,
-    rep: usize,
-    budget: Option<u64>,
-) -> Result<(RunResult, Option<BatchEstimates>), RunError> {
+fn run_unit(point: &SweepPoint, rep: usize, budget: Option<u64>) -> Result<RunResult, RunError> {
     let seed = point.seed_of(rep);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let cutter = match point.stop {
-            StopRule::BatchMeans { batch_size } => {
-                Some(BatchCutter::new(batch_size, point.cfg.warmup))
-            }
+        let sink = match (rep, &point.trace) {
+            (0, Some(user)) => Some(Box::new(user.clone()) as Box<dyn TraceSink>),
             _ => None,
         };
-        let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-        if let Some(cutter) = &cutter {
-            sinks.push(Box::new(cutter.clone()));
-        }
-        if let (0, Some(user)) = (rep, &point.trace) {
-            sinks.push(Box::new(user.clone()));
-        }
-        let sink: Option<Box<dyn TraceSink>> = if sinks.len() > 1 {
-            Some(Box::new(FanoutSink::new(sinks)))
-        } else {
-            sinks.pop()
-        };
         run_single_with_budget(&point.cfg, seed, sink, budget)
-            .map(|run| (run, cutter.map(|c| c.estimates())))
     }));
     match caught {
-        Ok(Ok(done)) => Ok(done),
+        Ok(Ok(run)) => Ok(run),
         // `point` is filled in when the task's error is attributed.
         Ok(Err(exceeded)) => Err(RunError::Budget {
             point: 0,

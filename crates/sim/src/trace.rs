@@ -1,6 +1,5 @@
 //! Structured observability: trace events, the [`TraceSink`] trait, and
-//! the stock sinks (no-op, bounded ring buffer, JSONL writer, counting,
-//! fan-out, shared).
+//! the stock sinks (bounded ring buffer, JSONL writer, counting, shared).
 //!
 //! The simulator emits a [`TraceEvent`] at every observable lifecycle
 //! step. A sink decides what to do with it — collect it, count it, write
@@ -114,18 +113,7 @@ impl TraceEvent {
     /// The snake_case name of this event kind, as used in the JSONL
     /// encoding's `"event"` field.
     pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::LocalArrived { .. } => "local_arrived",
-            TraceEvent::GlobalArrived { .. } => "global_arrived",
-            TraceEvent::SubtaskSubmitted { .. } => "subtask_submitted",
-            TraceEvent::ServiceStarted { .. } => "service_started",
-            TraceEvent::ServiceCompleted { .. } => "service_completed",
-            TraceEvent::Preempted { .. } => "preempted",
-            TraceEvent::LocalFinished { .. } => "local_finished",
-            TraceEvent::GlobalFinished { .. } => "global_finished",
-            TraceEvent::NodeCrashed { .. } => "node_crashed",
-            TraceEvent::NodeRecovered { .. } => "node_recovered",
-        }
+        Self::KINDS[self.kind_index()]
     }
 
     /// All event-kind names, in declaration order (the [`CountingSink`]
@@ -511,41 +499,6 @@ impl CountingHandle {
     /// A snapshot of the counts so far.
     pub fn counts(&self) -> TraceCounts {
         *self.counts.lock().expect("counter lock")
-    }
-}
-
-/// A sink that forwards every event to each of its children in order —
-/// composition (e.g. count *and* write JSONL in one run).
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl FanoutSink {
-    /// Creates a fan-out over `sinks`.
-    pub fn new(sinks: Vec<Box<dyn TraceSink>>) -> FanoutSink {
-        FanoutSink { sinks }
-    }
-}
-
-impl std::fmt::Debug for FanoutSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl TraceSink for FanoutSink {
-    fn record(&mut self, now: SimTime, event: &TraceEvent) {
-        for sink in &mut self.sinks {
-            sink.record(now, event);
-        }
-    }
-
-    fn flush(&mut self) {
-        for sink in &mut self.sinks {
-            sink.flush();
-        }
     }
 }
 

@@ -1,14 +1,15 @@
 //! Format pins for the on-disk point cache: entries written by an
 //! earlier build of the cache codec, committed under
-//! `tests/fixtures/cache-v3/` (one file per point, named by its key).
+//! `tests/fixtures/cache-v4/` (one file per point, named by its key).
 //! Each must still decode, re-encode to the same bytes, and hit when a
 //! cache is opened over that directory — so cache directories written
 //! before a codec change keep hitting after it.
 //!
-//! `tests/fixtures/cache-v2/` holds the same two points as schema 2
-//! wrote them, with every histogram bin stored. Schema 3 never reads
-//! them: their keys are not the current ones, and a v2 file found under
-//! a current key fails verification instead of hitting.
+//! `tests/fixtures/cache-v3/` and `tests/fixtures/cache-v2/` hold
+//! entries as schemas 3 and 2 wrote them: the same fixed-count point,
+//! and a batch-means point of a stop rule that no longer exists. Schema
+//! 4 never reads them: their keys are not the current ones, and a stale
+//! file found under a current key fails verification instead of hitting.
 
 use std::path::PathBuf;
 
@@ -40,29 +41,25 @@ fn pinned_points() -> [(u64, StopRule, &'static str); 2] {
         (
             42,
             StopRule::FixedReps(2),
-            "84ef8ff2d58a24626993341bd69af249",
+            "04e422d4861b80b36486be121572ac1c",
         ),
         (
             3,
-            StopRule::BatchMeans { batch_size: 64 },
-            "300ace1938b16bd1837a48867b9ba0ac",
+            StopRule::CiWidth(0.5),
+            "d998ee8433876def271b245b43aa0af4",
         ),
     ]
 }
 
 #[test]
 fn committed_entries_decode_and_reencode_byte_for_byte() {
-    assert_eq!(CACHE_SCHEMA_VERSION, 3);
+    assert_eq!(CACHE_SCHEMA_VERSION, 4);
     for (seed, stop, key) in pinned_points() {
         let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
         assert_eq!(point_key_of(&preimage), key, "key drifted for {stop:?}");
-        let path = fixture_dir("cache-v3").join(format!("{key}.sdacache"));
+        let path = fixture_dir("cache-v4").join(format!("{key}.sdacache"));
         let text = std::fs::read_to_string(&path).expect("fixture present");
         let multi = parse_multi_run(&text, &preimage).expect("fixture decodes");
-        assert_eq!(
-            multi.batch_means().is_some(),
-            matches!(stop, StopRule::BatchMeans { .. })
-        );
         assert!(
             serialize_multi_run(&preimage, &multi) == text,
             "{} does not re-encode to the same bytes",
@@ -73,7 +70,7 @@ fn committed_entries_decode_and_reencode_byte_for_byte() {
 
 #[test]
 fn committed_directory_serves_disk_hits() {
-    let cache = PointCache::with_dir(fixture_dir("cache-v3")).expect("fixture dir opens");
+    let cache = PointCache::with_dir(fixture_dir("cache-v4")).expect("fixture dir opens");
     for (seed, stop, key) in pinned_points() {
         let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
         assert!(cache.lookup(key, &preimage).is_some(), "{key} misses");
@@ -85,46 +82,71 @@ fn committed_directory_serves_disk_hits() {
     );
 }
 
-/// The keys schema 2 filed the pinned points under, in
-/// [`pinned_points`] order.
-const V2_KEYS: [&str; 2] = [
-    "e02b39b0339bbac90e578a5e78895be2",
-    "b7b0598d256e2a2cfbd4bd128edee251",
+/// The stale fixture directories and the keys their schemas filed the
+/// fixed-count point and the batch-means point under; each stale entry
+/// stands in for the [`pinned_points`] entry at its position.
+const STALE: [(&str, [&str; 2]); 2] = [
+    (
+        "cache-v2",
+        [
+            "e02b39b0339bbac90e578a5e78895be2",
+            "b7b0598d256e2a2cfbd4bd128edee251",
+        ],
+    ),
+    (
+        "cache-v3",
+        [
+            "84ef8ff2d58a24626993341bd69af249",
+            "300ace1938b16bd1837a48867b9ba0ac",
+        ],
+    ),
 ];
 
 #[test]
-fn schema_2_directory_misses_without_errors() {
-    let cache = PointCache::with_dir(fixture_dir("cache-v2")).expect("fixture dir opens");
-    for (seed, stop, key) in pinned_points() {
-        let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
-        assert!(cache.lookup(key, &preimage).is_none(), "{key} hits");
+fn stale_directories_miss_without_errors() {
+    for (schema, _) in STALE {
+        let cache = PointCache::with_dir(fixture_dir(schema)).expect("fixture dir opens");
+        for (seed, stop, key) in pinned_points() {
+            let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+            assert!(
+                cache.lookup(key, &preimage).is_none(),
+                "{schema}: {key} hits"
+            );
+        }
+        let report = cache.report();
+        assert_eq!(
+            (report.hits_disk, report.misses, report.errors()),
+            (0, 2, 0),
+            "{schema}"
+        );
     }
-    let report = cache.report();
-    assert_eq!(
-        (report.hits_disk, report.misses, report.errors()),
-        (0, 2, 0)
-    );
 }
 
 #[test]
-fn schema_2_entry_under_a_current_key_fails_verification() {
-    let dir = std::env::temp_dir().join(format!("sda-cache-v2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    for ((seed, stop, key), v2_key) in pinned_points().into_iter().zip(V2_KEYS) {
-        std::fs::copy(
-            fixture_dir("cache-v2").join(format!("{v2_key}.sdacache")),
-            dir.join(format!("{key}.sdacache")),
-        )
-        .expect("copy the v2 entry");
-        let cache = PointCache::with_dir(&dir).unwrap();
-        let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
-        assert!(cache.lookup(key, &preimage).is_none(), "{key} hits");
-        let report = cache.report();
-        assert_eq!(
-            (report.hits_disk, report.misses, report.verify_errors),
-            (0, 1, 1)
-        );
+fn stale_entry_under_a_current_key_fails_verification() {
+    let dir = std::env::temp_dir().join(format!("sda-cache-stale-{}", std::process::id()));
+    for (schema, stale_keys) in STALE {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for ((seed, stop, key), stale_key) in pinned_points().into_iter().zip(stale_keys) {
+            std::fs::copy(
+                fixture_dir(schema).join(format!("{stale_key}.sdacache")),
+                dir.join(format!("{key}.sdacache")),
+            )
+            .expect("copy the stale entry");
+            let cache = PointCache::with_dir(&dir).unwrap();
+            let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+            assert!(
+                cache.lookup(key, &preimage).is_none(),
+                "{schema}: {key} hits"
+            );
+            let report = cache.report();
+            assert_eq!(
+                (report.hits_disk, report.misses, report.verify_errors),
+                (0, 1, 1),
+                "{schema}"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

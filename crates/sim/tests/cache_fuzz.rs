@@ -38,7 +38,7 @@ fn quick_cfg() -> SimConfig {
 fn fixture(seed: u64, stop: StopRule) -> Payload {
     let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/cache-v3")
+        .join("tests/fixtures/cache-v4")
         .join(format!("{}.sdacache", point_key_of(&preimage)));
     let text = std::fs::read_to_string(&path).expect("fixture present");
     Payload { preimage, text }
@@ -78,7 +78,7 @@ fn multi_class() -> Payload {
 fn payloads() -> Vec<Payload> {
     vec![
         fixture(42, StopRule::FixedReps(2)),
-        fixture(3, StopRule::BatchMeans { batch_size: 64 }),
+        fixture(3, StopRule::CiWidth(0.5)),
         multi_class(),
     ]
 }
@@ -570,7 +570,7 @@ fn encode_with_bins(p: &Payload, base: &MultiRun, bins: Vec<u64>, overflow: u64)
     let mut runs = base.runs().to_vec();
     let count = overflow + bins.iter().sum::<u64>();
     runs[0].metrics.local_response_hist = Histogram::from_parts(0.25, 800, bins, overflow, count);
-    let multi = MultiRun::from_parts(runs, base.batch_means().cloned());
+    let multi = MultiRun::from_parts(runs);
     serialize_multi_run(&p.preimage, &multi)
 }
 

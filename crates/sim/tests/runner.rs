@@ -2,8 +2,9 @@
 //! stats.json schema, and the trace threading of replication 0.
 
 use sda_sim::trace::{CountingSink, RingBufferSink, SharedSink};
-use sda_sim::{RunResult, Runner, SimConfig, Simulation, StopRule};
+use sda_sim::{MultiRun, RunResult, Runner, SimConfig, Simulation, StopRule};
 use sda_simcore::rng::{derive_seed, derive_seeds};
+use sda_simcore::stats::Estimate;
 use sda_simcore::{Engine, SimTime};
 
 fn quick() -> SimConfig {
@@ -159,29 +160,52 @@ fn estimates_have_uncertainty_with_two_runs() {
 
 #[test]
 fn stats_report_covers_schema() {
-    let multi = Runner::new(quick())
+    let fixed = Runner::new(quick())
         .seed(1)
         .stop(StopRule::FixedReps(2))
         .execute()
         .unwrap();
-    let stats = multi.stats();
-    for name in [
-        "md_local",
-        "md_subtask",
-        "md_global",
-        "missed_work",
-        "utilization",
-    ] {
-        let s = stats.get(name).unwrap_or_else(|| panic!("missing {name}"));
-        assert_eq!(s.samples, 2);
+    // An unattainable target runs rounds of 2, 2 and 1 up to the cap.
+    let adaptive = Runner::new(quick())
+        .seed(7)
+        .stop(StopRule::CiWidth(1e-9))
+        .max_reps(5)
+        .execute()
+        .unwrap();
+    let seeded = Runner::new(quick())
+        .with_seeds(vec![3, 9, 27])
+        .stop(StopRule::FixedReps(3))
+        .execute()
+        .unwrap();
+    for (multi, reps) in [(&fixed, 2), (&adaptive, 5), (&seeded, 3)] {
+        assert_eq!(multi.runs().len(), reps);
+        let stats = multi.stats();
+        // Each stats.json entry reports the same interval as the
+        // matching MultiRun estimator.
+        for (name, estimator) in [
+            ("md_local", MultiRun::md_local as fn(&MultiRun) -> Estimate),
+            ("md_subtask", MultiRun::md_subtask),
+            ("md_global", MultiRun::md_global),
+            ("missed_work", MultiRun::missed_work),
+            ("utilization", MultiRun::utilization),
+        ] {
+            let s = stats.get(name).unwrap_or_else(|| panic!("missing {name}"));
+            assert_eq!(s.samples, reps as u64, "{name}");
+            let (reported, direct) = (s.estimate(), estimator(multi));
+            assert!(
+                (reported.mean - direct.mean).abs() <= 1e-12
+                    && (reported.half_width - direct.half_width).abs() <= 1e-12,
+                "{name}: stats {reported:?} vs estimator {direct:?}"
+            );
+        }
+        assert_eq!(stats.per_node().len(), 6);
+        for n in stats.per_node() {
+            assert!(n.utilization.mean > 0.0 && n.utilization.mean < 1.0);
+            assert!(n.mean_queue_len.mean >= 0.0);
+            assert_eq!(n.local_miss_rate.samples, reps as u64);
+        }
     }
-    assert_eq!(stats.per_node().len(), 6);
-    for n in stats.per_node() {
-        assert!(n.utilization.mean > 0.0 && n.utilization.mean < 1.0);
-        assert!(n.mean_queue_len.mean >= 0.0);
-        assert_eq!(n.local_miss_rate.samples, 2);
-    }
-    let json = stats.to_json();
+    let json = fixed.stats().to_json();
     assert!(json.contains("\"md_local\": {\"mean\":"));
     assert!(json.contains("\"confidence_interval_95\": ["));
     assert!(json.contains("\"per_node\": ["));
@@ -207,87 +231,6 @@ fn empty_seed_list_panics() {
         .with_seeds(vec![])
         .stop(StopRule::FixedReps(2))
         .execute();
-}
-
-#[test]
-fn batch_means_agrees_with_replications() {
-    let cfg = SimConfig {
-        duration: 40_000.0,
-        warmup: 400.0,
-        ..SimConfig::baseline()
-    };
-    let bm = Runner::new(cfg.clone())
-        .with_seeds(vec![9])
-        .stop(StopRule::BatchMeans { batch_size: 2_000 })
-        .execute()
-        .unwrap();
-    let batch = bm.batch_means().expect("batch estimates present").clone();
-    assert!(batch.batches.0 >= 10, "locals batches: {:?}", batch.batches);
-    assert!(batch.batches.1 >= 2);
-    assert!(batch.md_local.half_width > 0.0);
-    // The point estimates agree with the run's own counters (batch
-    // truncation loses at most one partial batch).
-    let counter_md = bm.runs()[0].metrics.md_local();
-    assert!(
-        (batch.md_local.mean - counter_md).abs() < 0.01,
-        "batch mean {} vs counter {}",
-        batch.md_local.mean,
-        counter_md
-    );
-    // And a replications estimate from different seeds lands inside a
-    // few half-widths.
-    let multi = Runner::new(cfg)
-        .with_seeds(derive_seeds(100, 2))
-        .stop(StopRule::FixedReps(2))
-        .execute()
-        .unwrap();
-    let gap = (batch.md_local.mean - multi.md_local().mean).abs();
-    assert!(
-        gap < 0.02,
-        "batch-means {} vs replications {}",
-        batch.md_local.mean,
-        multi.md_local().mean
-    );
-}
-
-#[test]
-fn runner_batch_means_mode_attaches_estimates() {
-    let cfg = SimConfig {
-        duration: 20_000.0,
-        warmup: 400.0,
-        ..SimConfig::baseline()
-    };
-    let multi = Runner::new(cfg)
-        .seed(9)
-        .stop(StopRule::BatchMeans { batch_size: 1_000 })
-        .execute()
-        .unwrap();
-    assert_eq!(multi.runs().len(), 1);
-    let batch = multi.batch_means().expect("batch estimates present");
-    assert!(batch.batches.0 >= 5);
-    // md_local()/md_global() answer from the batch interval.
-    assert_eq!(multi.md_local().mean, batch.md_local.mean);
-    assert!(
-        multi.md_local().half_width > 0.0,
-        "single run still has a CI"
-    );
-}
-
-#[test]
-fn batch_means_counts_tasks_after_warmup_only() {
-    let cfg = quick();
-    let bm = Runner::new(cfg)
-        .with_seeds(vec![10])
-        .stop(StopRule::BatchMeans { batch_size: 100 })
-        .execute()
-        .unwrap();
-    let batch = bm.batch_means().expect("batch estimates present");
-    let batched = (batch.batches.0 as u64) * 100;
-    // Batched observations can't exceed counted completions by much
-    // (trace counts completion-time >= warmup; metrics count
-    // arrival-time >= warmup — the boundary band is small).
-    let counted = bm.runs()[0].metrics.local_count();
-    assert!(batched <= counted + 200, "{batched} vs {counted}");
 }
 
 #[test]
@@ -356,19 +299,6 @@ fn tracing_does_not_change_results() {
             b.metrics.md_local().to_bits()
         );
     }
-}
-
-#[test]
-fn batch_means_user_trace_rides_along() {
-    let (sink, handle) = CountingSink::with_handle();
-    let multi = Runner::new(quick())
-        .seed(13)
-        .stop(StopRule::BatchMeans { batch_size: 500 })
-        .trace(SharedSink::new(Box::new(sink)))
-        .execute()
-        .unwrap();
-    assert!(multi.batch_means().is_some());
-    assert!(handle.counts().total() > 0, "user sink still sees events");
 }
 
 #[test]

@@ -24,14 +24,12 @@ fn quick(load: f64) -> SimConfig {
 /// A small campaign mixing fixed-rep points, strategies, and an
 /// adaptive point.
 fn campaign() -> Vec<SweepPoint> {
-    let mut points = vec![
+    vec![
         SweepPoint::new(quick(0.3), 42),
         SweepPoint::new(quick(0.5), 42).stop(StopRule::FixedReps(3)),
         SweepPoint::new(quick(0.5).with_strategy(SdaStrategy::ud_div1()), 42),
         SweepPoint::new(quick(0.7), 42).stop(StopRule::CiWidth(0.9)),
-    ];
-    points.push(SweepPoint::new(quick(0.7), 42).stop(StopRule::BatchMeans { batch_size: 128 }));
-    points
+    ]
 }
 
 /// Every float in the report, bit-for-bit.
@@ -59,7 +57,6 @@ fn sweep_is_bit_identical_at_any_jobs_level() {
     for (point, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
         assert_eq!(fingerprint(a), fingerprint(b), "point {point} diverged");
     }
-    assert!(sequential[4].batch_means().is_some(), "batch-means point");
 }
 
 #[test]
@@ -381,12 +378,12 @@ fn adaptive_points_fail_at_the_real_replication_and_seed() {
         }
     }
 
-    // The event budget now covers adaptive and batch-means points too,
+    // The event budget covers adaptive and fixed-count points alike,
     // and names the replication's own seed rather than the base seed.
     let results = Sweep::new()
         .points([
             SweepPoint::new(quick(0.5), 42).stop(StopRule::CiWidth(0.5)),
-            SweepPoint::new(quick(0.5), 42).stop(StopRule::BatchMeans { batch_size: 64 }),
+            SweepPoint::new(quick(0.5), 42).stop(StopRule::FixedReps(1)),
         ])
         .jobs(2)
         .event_budget(500)

@@ -1,8 +1,8 @@
 //! Trace pipeline tests: JSONL round-trips and the sink zoo.
 
 use sda_sim::trace::{
-    parse_jsonl, CountingSink, FanoutSink, JsonlSink, RingBufferSink, SharedSink, TraceEvent,
-    TraceRecord, TraceSink,
+    parse_jsonl, CountingSink, JsonlSink, RingBufferSink, SharedSink, TraceEvent, TraceRecord,
+    TraceSink,
 };
 use sda_simcore::SimTime;
 
@@ -176,19 +176,6 @@ fn jsonl_sink_writes_parseable_lines() {
     let text = String::from_utf8(sink.into_inner()).unwrap();
     assert_eq!(text.lines().count(), samples().len());
     assert_eq!(parse_jsonl(&text), samples());
-}
-
-#[test]
-fn fanout_feeds_every_child() {
-    let (count_a, ha) = CountingSink::with_handle();
-    let (count_b, hb) = CountingSink::with_handle();
-    let mut fan = FanoutSink::new(vec![Box::new(count_a), Box::new(count_b)]);
-    for rec in samples() {
-        fan.record(rec.time, &rec.event);
-    }
-    fan.flush();
-    assert_eq!(ha.counts(), hb.counts());
-    assert_eq!(ha.counts().total(), 10);
 }
 
 #[test]

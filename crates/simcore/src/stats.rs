@@ -491,74 +491,6 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-/// The method of batch means: a 95% confidence interval from a *single*
-/// long run, by cutting the observation stream into contiguous batches
-/// and treating the batch means as (approximately) independent samples.
-///
-/// This is the classic alternative to independent replications for
-/// steady-state simulation output analysis; it avoids re-paying the
-/// warm-up per replication. Observations accumulate into the current
-/// batch until `batch_size` of them arrive, then the batch closes.
-///
-/// ```
-/// use sda_simcore::stats::BatchMeans;
-/// let mut bm = BatchMeans::new(100);
-/// for i in 0..1000 {
-///     bm.push((i % 7) as f64);
-/// }
-/// assert_eq!(bm.completed_batches(), 10);
-/// let e = bm.estimate();
-/// assert!(e.covers(3.0)); // mean of 0..7 is 3
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchMeans {
-    batch_size: u64,
-    in_batch: u64,
-    batch_sum: f64,
-    /// The means of the completed batches.
-    batches: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Creates an accumulator with the given batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn new(batch_size: u64) -> BatchMeans {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            in_batch: 0,
-            batch_sum: 0.0,
-            batches: Vec::new(),
-        }
-    }
-
-    /// Adds one observation.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.batch_sum += x;
-        self.in_batch += 1;
-        if self.in_batch == self.batch_size {
-            self.batches.push(self.batch_sum / self.batch_size as f64);
-            self.batch_sum = 0.0;
-            self.in_batch = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn completed_batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// Mean ± 95% CI over the completed batches (the partial batch in
-    /// progress is excluded).
-    pub fn estimate(&self) -> Estimate {
-        Estimate::from_values(&self.batches)
-    }
-}
-
 /// A fixed-bin histogram over `[0, max)` with an overflow bin, for
 /// response-time tails.
 ///
@@ -1186,42 +1118,6 @@ mod tests {
             half_width: 0.0035,
         };
         assert_eq!(format!("{e}"), "0.2500 ± 0.0035");
-    }
-
-    #[test]
-    fn batch_means_covers_true_mean_of_iid_stream() {
-        // Deterministic pseudo-random stream with known mean 0.5.
-        let mut state = 1u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut bm = BatchMeans::new(500);
-        for _ in 0..20_000 {
-            bm.push(next());
-        }
-        assert_eq!(bm.completed_batches(), 40);
-        let e = bm.estimate();
-        assert!((e.mean - 0.5).abs() < 0.02, "mean {}", e.mean);
-        assert!(e.half_width > 0.0 && e.half_width < 0.05);
-    }
-
-    #[test]
-    fn batch_means_excludes_partial_batch() {
-        let mut bm = BatchMeans::new(10);
-        for _ in 0..25 {
-            bm.push(1.0);
-        }
-        assert_eq!(bm.completed_batches(), 2);
-        assert_eq!(bm.estimate().mean, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn batch_means_zero_size_panics() {
-        BatchMeans::new(0);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub mod prelude {
         DecompTemplate, Decomposition, EstimationModel, PspStrategy, Release, SdaStrategy,
         SspStrategy,
     };
-    pub use sda_model::{parse_spec, Attrs, NodeId, TaskClass, TaskId, TaskSpec};
+    pub use sda_model::{parse_spec, TaskSpec};
     pub use sda_sim::{
         AbortPolicy, GlobalShape, Metrics, MultiRun, ResubmitPolicy, RunResult, Runner, SimConfig,
         StatsReport, StopRule,

@@ -400,43 +400,11 @@ fn ci_width_case(jobs: usize) -> String {
     multi.stats().to_json()
 }
 
-/// The batch-means intervals, bit for bit, with their batch counts.
-fn batch_estimates_text(multi: &MultiRun) -> String {
-    let batch = multi.batch_means().expect("batch-means run");
-    let mut out = String::new();
-    for (name, e) in [("md_local", batch.md_local), ("md_global", batch.md_global)] {
-        out.push_str(&format!(
-            "{name} mean={:016x} half_width={:016x}\n",
-            e.mean.to_bits(),
-            e.half_width.to_bits()
-        ));
-    }
-    out.push_str(&format!(
-        "batches local={} global={}\n",
-        batch.batches.0, batch.batches.1
-    ));
-    out
-}
-
 #[test]
 fn ci_width_stats_match_golden_at_any_jobs_level() {
     for jobs in [1, 4] {
         check_or_regen("ci_width_stats.json", &ci_width_case(jobs));
     }
-}
-
-#[test]
-fn batch_means_stats_estimates_and_trace_match_golden() {
-    let (multi, trace) = run_traced(
-        Runner::new(short())
-            .seed(99)
-            .jobs(2)
-            .stop(StopRule::BatchMeans { batch_size: 64 }),
-    );
-    assert!(!trace.is_empty(), "the run must actually trace");
-    check_or_regen("batch_means_stats.json", &multi.stats().to_json());
-    check_or_regen("batch_means_estimates.txt", &batch_estimates_text(&multi));
-    check_or_regen("batch_means_trace.jsonl", &trace);
 }
 
 #[test]
