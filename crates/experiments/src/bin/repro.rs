@@ -39,18 +39,19 @@ fn main() -> ExitCode {
 
     println!("# SDA reproduction report (scale: {})\n", options.scale);
     let mut artifacts = Vec::new();
-    for &(name, artifact) in &repro::REGISTRY {
-        if !options.selects(name) {
-            continue;
-        }
-        eprintln!("running {name}...");
-        let (table, chart) = artifact.build(name, options.scale, options.plot);
-        println!("{table}");
-        if let Some(chart) = chart {
-            println!("{chart}");
-        }
-        artifacts.push((name, table));
-    }
+    repro::build(
+        options.scale,
+        options.plot,
+        |name| options.selects(name),
+        |name| eprintln!("running {name}..."),
+        |name, table, chart| {
+            println!("{table}");
+            if let Some(chart) = chart {
+                println!("{chart}");
+            }
+            artifacts.push((name, table));
+        },
+    );
     if let Some(dir) = &options.out {
         if let Err(message) = repro::write_csvs(dir, &artifacts) {
             eprintln!("repro: {message}");

@@ -52,6 +52,9 @@ pub struct FigureResult {
     pub series: Vec<Series>,
 }
 
+/// The function that builds one figure at a scale.
+pub type FigureFn = fn(Scale) -> FigureResult;
+
 impl FigureResult {
     /// Renders the `MD_global` curves (and the first series' `MD_local`
     /// for reference, as in the paper's dotted lines) as an ASCII chart.

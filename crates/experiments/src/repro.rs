@@ -1,10 +1,12 @@
 //! The reproduction as a library: the registry of every artifact the
-//! report holds and the `repro` binary's argument parsing, shared with
-//! the determinism test and the sweep benchmark.
+//! report holds, the one loop that builds them ([`build`]), and the
+//! `repro` binary's argument parsing, shared with the determinism test
+//! and the sweep benchmark.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use crate::figures::FigureResult;
+use crate::figures::{FigureFn, Series};
 use crate::run::{install, Exec};
 use crate::table::Table;
 use crate::{ablations, checkpoints, claims, extensions, faults, figures, tables, Scale};
@@ -15,22 +17,12 @@ pub enum Artifact {
     /// A table.
     Table(fn(Scale) -> Table),
     /// A figure, with the x-axis label of its `--plot` chart.
-    Figure(fn(Scale) -> FigureResult, &'static str),
-}
-
-impl Artifact {
-    /// Builds the artifact at `scale`. With `plot`, a figure also
-    /// renders its ASCII chart, titled `name`.
-    pub fn build(self, name: &str, scale: Scale, plot: bool) -> (Table, Option<String>) {
-        match self {
-            Artifact::Table(build) => (build(scale), None),
-            Artifact::Figure(build, x_label) => {
-                let result = build(scale);
-                let chart = plot.then(|| result.plot(name, x_label));
-                (result.table, chart)
-            }
-        }
-    }
+    Figure(FigureFn, &'static str),
+    /// The in-text checkpoints ([`checkpoints::run`]).
+    Checkpoints,
+    /// The claim checks ([`claims::check`]), run against the figures and
+    /// checkpoints built before them.
+    Claims,
 }
 
 /// Every artifact of the report, in report order. The names are the
@@ -49,7 +41,7 @@ pub const REGISTRY: [(&str, Artifact); 25] = [
         Artifact::Figure(figures::fig12, "task class (0 = local, else n)"),
     ),
     ("fig15", Artifact::Figure(figures::fig15, "load")),
-    ("checkpoints", Artifact::Table(|s| checkpoints::run(s).0)),
+    ("checkpoints", Artifact::Checkpoints),
     ("a1_local_abort", Artifact::Table(ablations::local_abort)),
     ("a2_sched", Artifact::Table(ablations::sched_policies)),
     ("a3_ssp", Artifact::Table(ablations::ssp_family)),
@@ -75,13 +67,10 @@ pub const REGISTRY: [(&str, Artifact); 25] = [
         Artifact::Table(|s| extensions::slack_sweep(s).0),
     ),
     ("f1_faults", Artifact::Table(|s| faults::mttf_sweep(s).0)),
-    // The claim checks re-measure cells from the figures and checkpoints
-    // above, so under the sweep engine's cache they render without
-    // simulating anything new.
-    (
-        "claims",
-        Artifact::Table(|s| claims::render(&claims::validate(s))),
-    ),
+    // The claim checks read the figures and checkpoints above as the
+    // build loop built them; only those `--only` skipped are built for
+    // them, unprinted.
+    ("claims", Artifact::Claims),
 ];
 
 /// Parsed `repro` command line.
@@ -204,13 +193,71 @@ pub fn install_exec(options: &Options) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs every table, figure, checkpoint, ablation, and extension at the
-/// given scale, returning the named artifacts in report order.
+/// The one build loop of the report, shared by [`artifacts`] and the
+/// `repro` binary: builds every artifact `selects` picks, in report
+/// order. `start` gets each one's name before it builds, `emit` its
+/// table and, with `plot`, a figure's chart after.
+///
+/// The loop keeps the series of every figure it builds and the
+/// checkpoint list, and the claim checks read those instead of measuring
+/// them again. A figure or the checkpoints the claims need but `selects`
+/// skipped are built when the claims run, and never emitted.
+pub fn build(
+    scale: Scale,
+    plot: bool,
+    selects: impl Fn(&str) -> bool,
+    mut start: impl FnMut(&'static str),
+    mut emit: impl FnMut(&'static str, Table, Option<String>),
+) {
+    let mut kept_figures: BTreeMap<&str, Vec<Series>> = BTreeMap::new();
+    let mut kept_checkpoints = None;
+    for &(name, artifact) in &REGISTRY {
+        if !selects(name) {
+            continue;
+        }
+        start(name);
+        let (table, chart) = match artifact {
+            Artifact::Table(build) => (build(scale), None),
+            Artifact::Figure(build, x_label) => {
+                let result = build(scale);
+                let chart = plot.then(|| result.plot(name, x_label));
+                kept_figures.insert(name, result.series);
+                (result.table, chart)
+            }
+            Artifact::Checkpoints => {
+                let (table, list) = checkpoints::run(scale);
+                kept_checkpoints = Some(list);
+                (table, None)
+            }
+            Artifact::Claims => {
+                let figures = claims::FIGURES.map(|(figure, build)| {
+                    kept_figures
+                        .remove(figure)
+                        .unwrap_or_else(|| build(scale).series)
+                });
+                let checkpoints = kept_checkpoints
+                    .take()
+                    .unwrap_or_else(|| checkpoints::run(scale).1);
+                (claims::render(&claims::check(&figures, &checkpoints)), None)
+            }
+        };
+        emit(name, table, chart);
+    }
+}
+
+/// Runs every table, figure, checkpoint, ablation, extension, and claim
+/// check at the given scale, returning the named artifacts in report
+/// order.
 pub fn artifacts(scale: Scale) -> Vec<(&'static str, Table)> {
-    REGISTRY
-        .iter()
-        .map(|&(name, artifact)| (name, artifact.build(name, scale, false).0))
-        .collect()
+    let mut out = Vec::with_capacity(REGISTRY.len());
+    build(
+        scale,
+        false,
+        |_| true,
+        |_| {},
+        |name, table, _| out.push((name, table)),
+    );
+    out
 }
 
 /// Writes each artifact to `DIR/<name>.csv`.

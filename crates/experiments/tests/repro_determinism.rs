@@ -1,7 +1,10 @@
 //! The umbrella reproduction's artifacts are byte-identical however the
 //! sweep engine executes them: sequentially, on a work-stealing pool, or
 //! replayed from a warm disk cache. This is the repo's end-to-end pin on
-//! the engine's determinism contract.
+//! the engine's determinism contract. The warm replay also pins how many
+//! points the report resolves: the claim checks read the figures and
+//! checkpoints the report built, and the standalone
+//! [`claims::validate`] renders the same claims table.
 //!
 //! The sequential render is also compared with a committed copy,
 //! `tests/golden/quick_artifacts.txt`, so a change to the harness that
@@ -12,15 +15,21 @@
 //! SDA_REGEN_GOLDEN=1 cargo test -p sda-experiments --test repro_determinism
 //! ```
 
+use sda_experiments::claims;
 use sda_experiments::repro::artifacts;
 use sda_experiments::run::{with_exec, Exec};
-use sda_experiments::Scale;
+use sda_experiments::{Scale, Table};
 
 /// Renders every quick-scale artifact (display form plus CSV bytes) into
 /// one string.
 fn render_all() -> String {
+    render(&artifacts(Scale::Quick))
+}
+
+/// Renders `artifacts` (display form plus CSV bytes) into one string.
+fn render(artifacts: &[(&str, Table)]) -> String {
     let mut out = String::new();
-    for (name, table) in artifacts(Scale::Quick) {
+    for (name, table) in artifacts {
         out.push_str(name);
         out.push('\n');
         out.push_str(&format!("{table}"));
@@ -77,9 +86,10 @@ fn quick_artifacts_are_identical_across_jobs_and_cache_state() {
     // A fresh execution context over the same directory: everything must
     // replay from disk without simulating, still byte-identical.
     let warm_exec = Exec::sweep_with_dir(&dir).expect("reopen cache dir");
-    let warm = with_exec(warm_exec.clone(), render_all);
+    let warm_artifacts = with_exec(warm_exec.clone(), || artifacts(Scale::Quick));
     assert_eq!(
-        sequential, warm,
+        sequential,
+        render(&warm_artifacts),
         "a warm cache replay must render byte-identical artifacts"
     );
     let report = warm_exec
@@ -87,6 +97,26 @@ fn quick_artifacts_are_identical_across_jobs_and_cache_state() {
         .expect("cached execution has a report");
     assert_eq!(report.misses, 0, "warm run must not simulate: {report}");
     assert!(report.hits() > 0, "warm run must actually hit: {report}");
+    assert_eq!(
+        (report.points(), report.hits_disk, report.hits_memory),
+        (265, 207, 58),
+        "the warm report must resolve each point once: claims must reuse \
+         the report's figures and checkpoints, not measure them again: {report}"
+    );
+
+    // The standalone claim check builds its own inputs and runs the same
+    // checker: it must render the claims table the report built.
+    let standalone = with_exec(warm_exec, || {
+        claims::render(&claims::validate(Scale::Quick))
+    });
+    let (_, reused) = warm_artifacts
+        .iter()
+        .find(|(name, _)| *name == "claims")
+        .expect("the report has a claims artifact");
+    assert_eq!(
+        &standalone, reused,
+        "claims::validate must render the claims table of the report"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

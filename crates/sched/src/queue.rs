@@ -35,16 +35,22 @@ pub enum Policy {
 impl Policy {
     /// All policies, in presentation order.
     pub const ALL: [Policy; 4] = [Policy::Edf, Policy::Fcfs, Policy::Sjf, Policy::Llf];
+
+    /// Stable uppercase label (used by `Display` and canonical cache
+    /// text).
+    pub fn label(self) -> &'static str {
+        match self {
+            Policy::Edf => "EDF",
+            Policy::Fcfs => "FCFS",
+            Policy::Sjf => "SJF",
+            Policy::Llf => "LLF",
+        }
+    }
 }
 
 impl fmt::Display for Policy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Policy::Edf => write!(f, "EDF"),
-            Policy::Fcfs => write!(f, "FCFS"),
-            Policy::Sjf => write!(f, "SJF"),
-            Policy::Llf => write!(f, "LLF"),
-        }
+        f.write_str(self.label())
     }
 }
 

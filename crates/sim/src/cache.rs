@@ -32,7 +32,7 @@
 //! directory can be wiped at any time.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,115 +54,209 @@ pub const CACHE_SCHEMA_VERSION: u32 = 4;
 // Canonical serialization and stable hashing
 // ---------------------------------------------------------------------
 
+/// Appends `n` in decimal, as `{}` writes it.
+fn push_u64(out: &mut String, mut n: u64) {
+    // Most histogram bins are single digits, most of them 0.
+    if n < 10 {
+        out.push(char::from(b'0' + n as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `x` exactly as `{:?}` writes it: the shortest decimal that
+/// reads back as `x`.
+///
+/// Configuration floats are short decimals (`0.5`, `20000.0`), so for
+/// finite `x` in `[1e-4, 1e15)` — where `{:?}` never uses an exponent —
+/// this takes the smallest `d ≤ 8` for which `n = round(x·10^d)` is below
+/// 2^50 and `n / 10^d == x`, and prints `n` with `d` fractional digits.
+/// Both `n` and `10^d` are exact in an `f64`, so the quotient is the
+/// correctly rounded value of the decimal, which therefore reads back as
+/// `x`; no shorter decimal does, or a smaller `d` would have matched. Any
+/// other `x` goes through `{:?}`.
+fn push_f64(out: &mut String, x: f64) {
+    const POW10: [f64; 9] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8];
+    const LIMIT: f64 = (1u64 << 50) as f64;
+    if (1e-4..1e15).contains(&x) {
+        for (d, &scale) in POW10.iter().enumerate() {
+            let n = (x * scale).round();
+            if n >= LIMIT {
+                break;
+            }
+            if n / scale == x {
+                push_fixed(out, n as u64, d as u32);
+                return;
+            }
+        }
+    }
+    // Formatting into a `String` cannot fail.
+    let _ = write!(out, "{x:?}");
+}
+
+/// Appends `n / 10^d` with exactly `d` fractional digits (`.0` when
+/// `d = 0`).
+fn push_fixed(out: &mut String, n: u64, d: u32) {
+    let scale = 10u64.pow(d);
+    push_u64(out, n / scale);
+    out.push('.');
+    if d == 0 {
+        out.push('0');
+        return;
+    }
+    let frac = n % scale;
+    let mut place = scale / 10;
+    while place > 0 {
+        out.push(char::from(b'0' + (frac / place % 10) as u8));
+        place /= 10;
+    }
+}
+
+/// Appends `name=` and `x` as [`push_f64`] writes it, ending the line.
+fn push_f64_line(out: &mut String, name: &str, x: f64) {
+    out.push_str(name);
+    push_f64(out, x);
+    out.push('\n');
+}
+
 /// Writes the canonical text of a configuration: one `name=value` line
 /// per simulated parameter, in fixed order. Two configurations write
-/// identically if and only if they compare equal. Floats use `{:?}`,
-/// the shortest decimal that round-trips, so distinct values produce
-/// distinct text.
-fn write_config(out: &mut String, cfg: &SimConfig) -> fmt::Result {
-    writeln!(out, "nodes={}", cfg.nodes)?;
-    writeln!(out, "load={:?}", cfg.load)?;
-    writeln!(out, "frac_local={:?}", cfg.frac_local)?;
-    writeln!(out, "mu_local={:?}", cfg.mu_local)?;
-    writeln!(out, "mu_subtask={:?}", cfg.mu_subtask)?;
-    let (local, global) = (&cfg.local_slack, &cfg.global_slack);
-    writeln!(
-        out,
-        "local_slack=uniform[{:?},{:?}]",
-        local.lo(),
-        local.hi()
-    )?;
-    writeln!(
-        out,
-        "global_slack=uniform[{:?},{:?}]",
-        global.lo(),
-        global.hi()
-    )?;
+/// identically if and only if they compare equal. Floats are written as
+/// `{:?}` writes them ([`push_f64`]), the shortest decimal that
+/// round-trips, so distinct values produce distinct text.
+fn write_config(out: &mut String, cfg: &SimConfig) {
+    out.push_str("nodes=");
+    push_u64(out, cfg.nodes as u64);
+    out.push('\n');
+    push_f64_line(out, "load=", cfg.load);
+    push_f64_line(out, "frac_local=", cfg.frac_local);
+    push_f64_line(out, "mu_local=", cfg.mu_local);
+    push_f64_line(out, "mu_subtask=", cfg.mu_subtask);
+    for (name, slack) in [
+        ("local_slack=uniform[", &cfg.local_slack),
+        ("global_slack=uniform[", &cfg.global_slack),
+    ] {
+        out.push_str(name);
+        push_f64(out, slack.lo());
+        out.push(',');
+        push_f64(out, slack.hi());
+        out.push_str("]\n");
+    }
     match &cfg.shape {
-        GlobalShape::ParallelFixed { n } => writeln!(out, "shape=parallel_fixed:{n}"),
-        GlobalShape::ParallelUniform { lo, hi } => {
-            writeln!(out, "shape=parallel_uniform:{lo}..{hi}")
+        GlobalShape::ParallelFixed { n } => {
+            out.push_str("shape=parallel_fixed:");
+            push_u64(out, *n as u64);
         }
-        GlobalShape::Spec(spec) => writeln!(out, "shape=spec:{spec}"),
-    }?;
-    let ssp = match cfg.strategy.ssp {
-        SspStrategy::Ud => "ud",
-        SspStrategy::Ed => "ed",
-        SspStrategy::Eqs => "eqs",
-        SspStrategy::Eqf => "eqf",
-    };
-    writeln!(out, "ssp={ssp}")?;
-    match cfg.strategy.psp {
-        PspStrategy::Ud => writeln!(out, "psp=ud"),
-        PspStrategy::DivX { x } => writeln!(out, "psp=div:{x:?}"),
-        PspStrategy::Gf { delta } => writeln!(out, "psp=gf:{delta:?}"),
-    }?;
-    writeln!(out, "scheduler={}", cfg.scheduler)?;
-    writeln!(out, "preemptive={}", cfg.preemptive)?;
-    out.push_str("node_speeds=");
-    for (i, speed) in cfg.node_speeds.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        write!(out, "{sep}{speed:?}")?;
+        GlobalShape::ParallelUniform { lo, hi } => {
+            out.push_str("shape=parallel_uniform:");
+            push_u64(out, *lo as u64);
+            out.push_str("..");
+            push_u64(out, *hi as u64);
+        }
+        GlobalShape::Spec(spec) => {
+            // Formatting into a `String` cannot fail.
+            let _ = write!(out, "shape=spec:{spec}");
+        }
     }
     out.push('\n');
-    let service_shape = match cfg.service_shape {
-        ServiceShape::Exponential => "exponential",
-        ServiceShape::Deterministic => "deterministic",
-        ServiceShape::UniformSpread => "uniform_spread",
-    };
-    writeln!(out, "service_shape={service_shape}")?;
-    let placement = match cfg.placement {
-        Placement::RandomDistinct => "random_distinct",
-        Placement::LeastLoaded => "least_loaded",
-    };
-    writeln!(out, "placement={placement}")?;
+    out.push_str(match cfg.strategy.ssp {
+        SspStrategy::Ud => "ssp=ud\n",
+        SspStrategy::Ed => "ssp=ed\n",
+        SspStrategy::Eqs => "ssp=eqs\n",
+        SspStrategy::Eqf => "ssp=eqf\n",
+    });
+    match cfg.strategy.psp {
+        PspStrategy::Ud => out.push_str("psp=ud\n"),
+        PspStrategy::DivX { x } => push_f64_line(out, "psp=div:", x),
+        PspStrategy::Gf { delta } => push_f64_line(out, "psp=gf:", delta),
+    }
+    out.push_str("scheduler=");
+    out.push_str(cfg.scheduler.label());
+    out.push('\n');
+    out.push_str(if cfg.preemptive {
+        "preemptive=true\n"
+    } else {
+        "preemptive=false\n"
+    });
+    out.push_str("node_speeds=");
+    for (i, &speed) in cfg.node_speeds.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_f64(out, speed);
+    }
+    out.push('\n');
+    out.push_str(match cfg.service_shape {
+        ServiceShape::Exponential => "service_shape=exponential\n",
+        ServiceShape::Deterministic => "service_shape=deterministic\n",
+        ServiceShape::UniformSpread => "service_shape=uniform_spread\n",
+    });
+    out.push_str(match cfg.placement {
+        Placement::RandomDistinct => "placement=random_distinct\n",
+        Placement::LeastLoaded => "placement=least_loaded\n",
+    });
     match &cfg.burst {
-        None => writeln!(out, "burst=none"),
-        Some(b) => writeln!(
-            out,
-            "burst=period:{:?},on:{:?},boost:{:?}",
-            b.period, b.on_fraction, b.boost
-        ),
-    }?;
-    let abort = match cfg.abort {
-        AbortPolicy::None => "none",
-        AbortPolicy::ProcessManager => "process_manager",
+        None => out.push_str("burst=none\n"),
+        Some(b) => {
+            out.push_str("burst=period:");
+            push_f64(out, b.period);
+            out.push_str(",on:");
+            push_f64(out, b.on_fraction);
+            push_f64_line(out, ",boost:", b.boost);
+        }
+    }
+    out.push_str(match cfg.abort {
+        AbortPolicy::None => "abort=none\n",
+        AbortPolicy::ProcessManager => "abort=process_manager\n",
         AbortPolicy::LocalScheduler {
             resubmit: ResubmitPolicy::Never,
-        } => "local_scheduler:never",
+        } => "abort=local_scheduler:never\n",
         AbortPolicy::LocalScheduler {
             resubmit: ResubmitPolicy::OnceWithRealDeadline,
-        } => "local_scheduler:once_real_deadline",
-    };
-    writeln!(out, "abort={abort}")?;
+        } => "abort=local_scheduler:once_real_deadline\n",
+    });
     match cfg.estimation {
-        EstimationModel::Exact => writeln!(out, "estimation=exact"),
+        EstimationModel::Exact => out.push_str("estimation=exact\n"),
         EstimationModel::UniformFactor { max_factor } => {
-            writeln!(out, "estimation=uniform_factor:{max_factor:?}")
+            push_f64_line(out, "estimation=uniform_factor:", max_factor);
         }
-        EstimationModel::Bias { factor } => writeln!(out, "estimation=bias:{factor:?}"),
-        EstimationModel::ClassMean { mean } => writeln!(out, "estimation=class_mean:{mean:?}"),
-    }?;
+        EstimationModel::Bias { factor } => push_f64_line(out, "estimation=bias:", factor),
+        EstimationModel::ClassMean { mean } => push_f64_line(out, "estimation=class_mean:", mean),
+    }
     let fault = &cfg.fault;
     if fault.any_enabled() {
-        writeln!(
-            out,
-            "fault=mttf:{:?},mttr:{:?},crash:{},straggler:{:?}x{:?},comm:{:?}~{:?}",
-            fault.mttf,
-            fault.mttr,
-            fault.crash_policy.label(),
-            fault.straggler_prob,
-            fault.straggler_factor,
-            fault.comm_delay_prob,
-            fault.comm_delay_mean
-        )?;
+        out.push_str("fault=mttf:");
+        push_f64(out, fault.mttf);
+        out.push_str(",mttr:");
+        push_f64(out, fault.mttr);
+        out.push_str(",crash:");
+        out.push_str(fault.crash_policy.label());
+        out.push_str(",straggler:");
+        push_f64(out, fault.straggler_prob);
+        out.push('x');
+        push_f64(out, fault.straggler_factor);
+        out.push_str(",comm:");
+        push_f64(out, fault.comm_delay_prob);
+        out.push('~');
+        push_f64(out, fault.comm_delay_mean);
+        out.push('\n');
     } else {
         // Every disabled fault configuration simulates identically (no
         // fault stream is ever drawn), so they all share one key.
-        writeln!(out, "fault=none")?;
+        out.push_str("fault=none\n");
     }
-    writeln!(out, "duration={:?}", cfg.duration)?;
-    writeln!(out, "warmup={:?}", cfg.warmup)
+    push_f64_line(out, "duration=", cfg.duration);
+    push_f64_line(out, "warmup=", cfg.warmup);
 }
 
 /// The canonical text of a full data point: schema version, the
@@ -178,31 +272,28 @@ pub fn canonical_point(
     max_reps: usize,
 ) -> String {
     let mut out = String::with_capacity(768);
-    // Formatting into a `String` cannot fail.
-    let _ = write_point(&mut out, cfg, seed, stop, min_reps, max_reps);
-    out
-}
-
-fn write_point(
-    out: &mut String,
-    cfg: &SimConfig,
-    seed: u64,
-    stop: &StopRule,
-    min_reps: usize,
-    max_reps: usize,
-) -> fmt::Result {
-    writeln!(out, "schema={CACHE_SCHEMA_VERSION}")?;
-    write_config(out, cfg)?;
-    writeln!(out, "seed={seed}")?;
+    out.push_str("schema=");
+    push_u64(&mut out, u64::from(CACHE_SCHEMA_VERSION));
+    out.push('\n');
+    write_config(&mut out, cfg);
+    out.push_str("seed=");
+    push_u64(&mut out, seed);
     match stop {
-        StopRule::FixedReps(n) => writeln!(out, "stop=fixed:{n}"),
+        StopRule::FixedReps(n) => {
+            out.push_str("\nstop=fixed:");
+            push_u64(&mut out, *n as u64);
+        }
         StopRule::CiWidth(target) => {
-            writeln!(
-                out,
-                "stop=ci:target={target:?},min={min_reps},max={max_reps}"
-            )
+            out.push_str("\nstop=ci:target=");
+            push_f64(&mut out, *target);
+            out.push_str(",min=");
+            push_u64(&mut out, min_reps as u64);
+            out.push_str(",max=");
+            push_u64(&mut out, max_reps as u64);
         }
     }
+    out.push('\n');
+    out
 }
 
 /// The stable 128-bit content address of a canonical point text,
@@ -248,14 +339,8 @@ impl Encoder {
 
     /// Appends ` N` in decimal.
     fn u64(&mut self, x: u64) -> &mut Encoder {
-        // Most histogram bins are single digits, most of them 0.
-        if x < 10 {
-            self.out.push(' ');
-            self.out.push(char::from(b'0' + x as u8));
-        } else {
-            // Formatting into a `String` cannot fail.
-            let _ = write!(self.out, " {x}");
-        }
+        self.out.push(' ');
+        push_u64(&mut self.out, x);
         self
     }
 

@@ -2,13 +2,23 @@
 //! therefore the content address) is a pure function of the simulated
 //! parameters — identical however the configuration was constructed, and
 //! different whenever any simulated parameter differs.
+//!
+//! The preimage is written without `core::fmt`. Differential tests hold
+//! it to a `writeln!`-based reference writer, kept here as the oracle,
+//! and its float writer to `format!("{x:?}")`, so every key (and every
+//! cache file on disk) stays what the formatting machinery wrote.
+
+use std::fmt::{self, Write as _};
 
 use proptest::prelude::*;
 use sda_core::{EstimationModel, PspStrategy, SdaStrategy, SspStrategy};
+use sda_model::parse_spec;
+use sda_sched::Policy;
 use sda_sim::cache::{canonical_point, point_key_of};
 use sda_sim::runner::StopRule;
 use sda_sim::{
-    AbortPolicy, Burst, GlobalShape, Placement, ResubmitPolicy, ServiceShape, SimConfig,
+    AbortPolicy, Burst, CrashPolicy, FaultConfig, GlobalShape, Placement, ResubmitPolicy,
+    ServiceShape, SimConfig, CACHE_SCHEMA_VERSION,
 };
 use sda_simcore::dist::Uniform;
 
@@ -242,5 +252,345 @@ proptest! {
         {
             prop_assert_ne!(key(&cfg, 1), key(&other, 1));
         }
+    }
+}
+
+/// The reference preimage writer: the configuration lines written with
+/// `writeln!` and `{:?}`, as the cache wrote them before the direct
+/// writer replaced it.
+fn reference_config(out: &mut String, cfg: &SimConfig) -> fmt::Result {
+    writeln!(out, "nodes={}", cfg.nodes)?;
+    writeln!(out, "load={:?}", cfg.load)?;
+    writeln!(out, "frac_local={:?}", cfg.frac_local)?;
+    writeln!(out, "mu_local={:?}", cfg.mu_local)?;
+    writeln!(out, "mu_subtask={:?}", cfg.mu_subtask)?;
+    let (local, global) = (&cfg.local_slack, &cfg.global_slack);
+    writeln!(
+        out,
+        "local_slack=uniform[{:?},{:?}]",
+        local.lo(),
+        local.hi()
+    )?;
+    writeln!(
+        out,
+        "global_slack=uniform[{:?},{:?}]",
+        global.lo(),
+        global.hi()
+    )?;
+    match &cfg.shape {
+        GlobalShape::ParallelFixed { n } => writeln!(out, "shape=parallel_fixed:{n}"),
+        GlobalShape::ParallelUniform { lo, hi } => {
+            writeln!(out, "shape=parallel_uniform:{lo}..{hi}")
+        }
+        GlobalShape::Spec(spec) => writeln!(out, "shape=spec:{spec}"),
+    }?;
+    let ssp = match cfg.strategy.ssp {
+        SspStrategy::Ud => "ud",
+        SspStrategy::Ed => "ed",
+        SspStrategy::Eqs => "eqs",
+        SspStrategy::Eqf => "eqf",
+    };
+    writeln!(out, "ssp={ssp}")?;
+    match cfg.strategy.psp {
+        PspStrategy::Ud => writeln!(out, "psp=ud"),
+        PspStrategy::DivX { x } => writeln!(out, "psp=div:{x:?}"),
+        PspStrategy::Gf { delta } => writeln!(out, "psp=gf:{delta:?}"),
+    }?;
+    writeln!(out, "scheduler={}", cfg.scheduler)?;
+    writeln!(out, "preemptive={}", cfg.preemptive)?;
+    out.push_str("node_speeds=");
+    for (i, speed) in cfg.node_speeds.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        write!(out, "{sep}{speed:?}")?;
+    }
+    out.push('\n');
+    let service_shape = match cfg.service_shape {
+        ServiceShape::Exponential => "exponential",
+        ServiceShape::Deterministic => "deterministic",
+        ServiceShape::UniformSpread => "uniform_spread",
+    };
+    writeln!(out, "service_shape={service_shape}")?;
+    let placement = match cfg.placement {
+        Placement::RandomDistinct => "random_distinct",
+        Placement::LeastLoaded => "least_loaded",
+    };
+    writeln!(out, "placement={placement}")?;
+    match &cfg.burst {
+        None => writeln!(out, "burst=none"),
+        Some(b) => writeln!(
+            out,
+            "burst=period:{:?},on:{:?},boost:{:?}",
+            b.period, b.on_fraction, b.boost
+        ),
+    }?;
+    let abort = match cfg.abort {
+        AbortPolicy::None => "none",
+        AbortPolicy::ProcessManager => "process_manager",
+        AbortPolicy::LocalScheduler {
+            resubmit: ResubmitPolicy::Never,
+        } => "local_scheduler:never",
+        AbortPolicy::LocalScheduler {
+            resubmit: ResubmitPolicy::OnceWithRealDeadline,
+        } => "local_scheduler:once_real_deadline",
+    };
+    writeln!(out, "abort={abort}")?;
+    match cfg.estimation {
+        EstimationModel::Exact => writeln!(out, "estimation=exact"),
+        EstimationModel::UniformFactor { max_factor } => {
+            writeln!(out, "estimation=uniform_factor:{max_factor:?}")
+        }
+        EstimationModel::Bias { factor } => writeln!(out, "estimation=bias:{factor:?}"),
+        EstimationModel::ClassMean { mean } => writeln!(out, "estimation=class_mean:{mean:?}"),
+    }?;
+    let fault = &cfg.fault;
+    if fault.any_enabled() {
+        writeln!(
+            out,
+            "fault=mttf:{:?},mttr:{:?},crash:{},straggler:{:?}x{:?},comm:{:?}~{:?}",
+            fault.mttf,
+            fault.mttr,
+            fault.crash_policy.label(),
+            fault.straggler_prob,
+            fault.straggler_factor,
+            fault.comm_delay_prob,
+            fault.comm_delay_mean
+        )?;
+    } else {
+        writeln!(out, "fault=none")?;
+    }
+    writeln!(out, "duration={:?}", cfg.duration)?;
+    writeln!(out, "warmup={:?}", cfg.warmup)
+}
+
+/// The reference canonical point text (see [`reference_config`]).
+fn reference_point(
+    cfg: &SimConfig,
+    seed: u64,
+    stop: &StopRule,
+    min_reps: usize,
+    max_reps: usize,
+) -> String {
+    let mut out = String::new();
+    let written = (|| {
+        writeln!(out, "schema={CACHE_SCHEMA_VERSION}")?;
+        reference_config(&mut out, cfg)?;
+        writeln!(out, "seed={seed}")?;
+        match stop {
+            StopRule::FixedReps(n) => writeln!(out, "stop=fixed:{n}"),
+            StopRule::CiWidth(target) => {
+                writeln!(
+                    out,
+                    "stop=ci:target={target:?},min={min_reps},max={max_reps}"
+                )
+            }
+        }
+    })();
+    written.expect("formatting into a String cannot fail");
+    out
+}
+
+/// Asserts that the direct writer and the reference agree on `cfg` under
+/// both stop rules.
+fn assert_matches_reference(cfg: &SimConfig, seed: u64) {
+    for (stop, min, max) in [
+        (StopRule::FixedReps(2), 2, 64),
+        (StopRule::FixedReps(137), 2, 64),
+        (StopRule::CiWidth(0.05), 3, 48),
+        (StopRule::CiWidth(1.0 / 3.0), 10, 1_000),
+    ] {
+        assert_eq!(
+            canonical_point(cfg, seed, &stop, min, max),
+            reference_point(cfg, seed, &stop, min, max),
+            "{cfg:?} under {stop:?}"
+        );
+    }
+}
+
+/// The floats of `values` as the preimage writes them: they ride in
+/// `node_speeds`, which the canonical text lists comma-separated.
+fn written_floats(values: &[f64]) -> Vec<String> {
+    let cfg = SimConfig {
+        node_speeds: values.to_vec(),
+        ..SimConfig::baseline()
+    };
+    let text = canonical_point(&cfg, 1, &StopRule::FixedReps(2), 2, 64);
+    let line = text
+        .lines()
+        .find_map(|line| line.strip_prefix("node_speeds="))
+        .expect("a node_speeds line");
+    line.split(',').map(str::to_string).collect()
+}
+
+/// Asserts that every value of `values` is written as `{:?}` writes it.
+fn assert_floats_match_debug(values: &[f64]) {
+    for chunk in values.chunks(1_000) {
+        for (&x, written) in chunk.iter().zip(written_floats(chunk)) {
+            assert_eq!(written, format!("{x:?}"), "bits {:#018x}", x.to_bits());
+        }
+    }
+}
+
+/// SplitMix64: a self-contained stream of test inputs.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn float_writer_matches_debug_on_edge_cases() {
+    let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+    let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+    let two_50 = (1u64 << 50) as f64;
+    assert_floats_match_debug(&[
+        0.0,
+        -0.0,
+        1e-4,
+        below(1e-4),
+        above(1e-4),
+        1e15,
+        below(1e15),
+        above(1e15),
+        1e16,
+        two_50,
+        below(two_50),
+        above(two_50),
+        two_50 / 1e8,
+        f64::from_bits(1),
+        f64::MIN_POSITIVE,
+        below(f64::MIN_POSITIVE),
+        f64::MIN_POSITIVE / 3.0,
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.1 + 0.2,
+        1.0 / 3.0,
+        0.5,
+        1.0,
+        -1.0,
+        1.25,
+        20_000.0,
+        0.000_123_456_78,
+        0.000_123_456_789,
+        99_999_999.999_999_99,
+        123_456_789.123_456_78,
+        0.999_999_999_9,
+        9.5,
+        0.05,
+        2.5e-3,
+    ]);
+}
+
+#[test]
+fn float_writer_matches_debug_on_short_decimals() {
+    // n / 10^d for up to 8 fractional digits and magnitudes from 1e-8 to
+    // beyond 1e15, on both sides of every range the writer tests.
+    let mut state = 0x5DA_C0DE;
+    let values: Vec<f64> = (0..200_000)
+        .map(|_| {
+            let digits = splitmix(&mut state) % 17;
+            let n = splitmix(&mut state) % 10u64.pow(digits as u32).max(2);
+            let d = (splitmix(&mut state) % 9) as i32;
+            let x = n as f64 / 10f64.powi(d);
+            if splitmix(&mut state).is_multiple_of(8) {
+                -x
+            } else {
+                x
+            }
+        })
+        .collect();
+    assert_floats_match_debug(&values);
+}
+
+#[test]
+fn float_writer_matches_debug_on_random_bit_patterns() {
+    let mut state = 0xB175;
+    let mut values: Vec<f64> = (0..100_000)
+        .map(|_| f64::from_bits(splitmix(&mut state)))
+        .collect();
+    // Uniform bit patterns rarely land in the short-decimal range, so
+    // add as many drawn inside it: a random exponent between 2^-14 and
+    // 2^50 and a random mantissa.
+    values.extend((0..100_000).map(|_| {
+        let exponent = 1023 - 14 + splitmix(&mut state) % 64;
+        let mantissa = splitmix(&mut state) >> 12;
+        f64::from_bits((exponent << 52) | mantissa)
+    }));
+    assert_floats_match_debug(&values);
+}
+
+#[test]
+fn canonical_point_matches_the_reference_on_named_configs() {
+    let fault_on = SimConfig {
+        fault: FaultConfig {
+            mttf: 500.0,
+            mttr: 25.0,
+            crash_policy: CrashPolicy::RequeueSubtask,
+            straggler_prob: 0.05,
+            straggler_factor: 4.0,
+            comm_delay_prob: 0.1,
+            comm_delay_mean: 0.5,
+        },
+        abort: AbortPolicy::ProcessManager,
+        scheduler: Policy::Sjf,
+        ..SimConfig::section8().with_strategy(SdaStrategy {
+            ssp: SspStrategy::Eqf,
+            psp: PspStrategy::div(1.0),
+        })
+    };
+    let burst = SimConfig {
+        burst: Some(Burst {
+            period: 50.0,
+            on_fraction: 0.25,
+            boost: 3.0,
+        }),
+        node_speeds: vec![1.0, 2.0, 0.5, 1.5, 1.0, 0.75],
+        estimation: EstimationModel::ClassMean { mean: 1.0 },
+        scheduler: Policy::Fcfs,
+        ..SimConfig::baseline().with_load(0.7)
+    };
+    let bracket = SimConfig {
+        shape: GlobalShape::Spec(
+            parse_spec("[T1 [T2 || [T3 T4 T5]] [T6 || T7] T8]").expect("a valid spec"),
+        ),
+        scheduler: Policy::Llf,
+        ..SimConfig::baseline()
+    };
+    let uniform_shape = SimConfig {
+        shape: GlobalShape::ParallelUniform { lo: 2, hi: 6 },
+        preemptive: true,
+        ..SimConfig::baseline().with_strategy(SdaStrategy::ud_div1())
+    };
+    for cfg in [
+        SimConfig::baseline(),
+        SimConfig::section8(),
+        bracket,
+        burst,
+        fault_on,
+        uniform_shape,
+    ] {
+        assert_matches_reference(&cfg, 42);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The direct writer and the reference agree on every generated
+    /// configuration.
+    #[test]
+    fn canonical_point_matches_the_reference(k in knobs(), seed in any::<u64>()) {
+        let cfg = build(&k);
+        prop_assert_eq!(
+            canonical_point(&cfg, seed, &StopRule::FixedReps(2), 2, 64),
+            reference_point(&cfg, seed, &StopRule::FixedReps(2), 2, 64)
+        );
+        assert_matches_reference(&cfg, seed);
     }
 }

@@ -316,14 +316,6 @@ pub struct Estimate {
 }
 
 impl Estimate {
-    /// An exact value with zero uncertainty.
-    pub fn exact(mean: f64) -> Estimate {
-        Estimate {
-            mean,
-            half_width: 0.0,
-        }
-    }
-
     /// Combines per-replication point estimates into their mean ± 95%
     /// Student-t half-width: the paper's methodology, where each data
     /// point averages independent simulation runs.
@@ -340,11 +332,6 @@ impl Estimate {
     pub fn from_values(values: &[f64]) -> Estimate {
         let (mean, _, half_width) = mean_var_half_width(values);
         Estimate { mean, half_width }
-    }
-
-    /// Whether `other` lies inside this estimate's confidence interval.
-    pub fn covers(&self, other: f64) -> bool {
-        (other - self.mean).abs() <= self.half_width
     }
 
     /// The CI width relative to the mean: `(hi - lo) / |mean|`.
@@ -1019,15 +1006,27 @@ mod tests {
         let e = Estimate::from_values(&[0.10, 0.14]);
         assert!((e.mean - 0.12).abs() < 1e-12);
         assert!((e.half_width - 12.706 * 0.04 / 2.0).abs() < 1e-9);
-        assert!(e.covers(0.12));
+        assert!((0.12 - e.mean).abs() <= e.half_width);
         let e = Estimate::from_values(&[1.0, 2.0, 3.0]);
         assert!((e.mean - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn estimate_from_one_or_no_values_has_zero_width() {
-        assert_eq!(Estimate::from_values(&[0.3]), Estimate::exact(0.3));
-        assert_eq!(Estimate::from_values(&[]), Estimate::exact(0.0));
+        assert_eq!(
+            Estimate::from_values(&[0.3]),
+            Estimate {
+                mean: 0.3,
+                half_width: 0.0
+            }
+        );
+        assert_eq!(
+            Estimate::from_values(&[]),
+            Estimate {
+                mean: 0.0,
+                half_width: 0.0
+            }
+        );
     }
 
     #[test]
