@@ -188,6 +188,15 @@ impl Simulation {
             remaining: sub.ex,
             ..sub
         });
+        self.emit(
+            now,
+            TraceEvent::SubtaskSubmitted {
+                slot: sub.slot,
+                leaf: sub.leaf,
+                node: node_of_leaf,
+                virtual_deadline: real_dl,
+            },
+        );
         self.enqueue(engine, node_of_leaf, real_dl, pex, job);
     }
 }
