@@ -26,8 +26,10 @@ use sda_simcore::SimTime;
 ///   same slack-to-execution-time ratio (the §8 formula):
 ///   `dl(Ti) = ar(Ti) + pex(Ti) + [dl(T) − ar(Ti) − Σ_{j≥i} pex(Tj)] · pex(Ti)/Σ_{j≥i} pex(Tj)`.
 ///
-/// All four strategies assign the *real* deadline to the last stage, and
-/// all recompute from the actual stage start time, so estimation error in
+/// For the last stage, UD and ED return the *real* deadline exactly; EQS
+/// and EQF compute `now + pex + slack_left`, which equals it only up to
+/// floating-point rounding and can land an ulp above it. All four
+/// recompute from the actual stage start time, so estimation error in
 /// earlier stages is absorbed rather than compounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SspStrategy {

@@ -397,8 +397,7 @@ impl Simulation {
                     continue;
                 }
             }
-            let id = self.next_job_id;
-            self.next_job_id += 1;
+            let id = self.fresh_job_id();
             let g = self.pm.get_mut(slot).expect("slot checked live above");
             g.leaf_state[release.leaf] = LeafState::Queued;
             g.leaf_job[release.leaf] = id;

@@ -1,5 +1,7 @@
-//! Structured observability: trace events, the [`TraceSink`] trait, and
-//! the stock sinks (bounded ring buffer, JSONL writer, counting, shared).
+//! Structured observability: trace events, the [`TraceSink`] trait, the
+//! stock sinks (bounded ring buffer, JSONL writer, counting, shared), and
+//! [`Replay`], which folds a run's records back into node and task state
+//! and rejects the first record the model cannot produce.
 //!
 //! The simulator emits a [`TraceEvent`] at every observable lifecycle
 //! step. A sink decides what to do with it — collect it, count it, write
@@ -25,12 +27,25 @@ use std::sync::{Arc, Mutex};
 
 use sda_simcore::SimTime;
 
+mod replay;
+
+pub use replay::{Job, NodeState, Owner, Replay, SlotState, Violation};
+
 /// A trace record emitted by the simulator when tracing is enabled
 /// ([`crate::Simulation::set_sink`]): the observable lifecycle of tasks
 /// and servers, for debugging and visualization.
 ///
 /// Slot numbers identify global tasks *while they are alive*; slots are
 /// recycled after completion/abortion.
+///
+/// Job ids are handed out in announcement order, from 0: a
+/// `LocalArrived` record carries its id, and each `SubtaskSubmitted` (a
+/// first submission or a resubmission after a local-scheduler abort)
+/// takes the next one. So a reader that counts announcements from the
+/// start of a run knows which job every `ServiceStarted` names, as
+/// [`Replay`] does. `SubtaskSubmitted` has no `job` field for that
+/// reason: the benchmark package (`perfbench/src/shadow.rs`) destructures
+/// the variant without `..`, and a new field would stop it compiling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A local task arrived at a node.

@@ -9,6 +9,7 @@
 
 use sda::experiments::gantt::render_gantt;
 use sda::prelude::*;
+use sda::sched::Policy;
 use sda::sim::trace::{RingBufferSink, TraceRecord};
 use sda::sim::Simulation;
 use sda::simcore::Engine;
@@ -30,7 +31,7 @@ fn traced(strategy: SdaStrategy, seed: u64) -> Vec<TraceRecord> {
     handle.records()
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = 11;
     let gf = SdaStrategy {
         ssp: SspStrategy::Ud,
@@ -38,13 +39,14 @@ fn main() {
     };
     println!("== UD: subtasks queue by their (inherited) global deadlines ==");
     let trace = traced(SdaStrategy::ud_ud(), seed);
-    print!("{}", render_gantt(&trace, 6, 40.0, 100.0, 96));
+    print!("{}", render_gantt(&trace, 6, Policy::Edf, 40.0, 100.0, 96)?);
     println!("\n== GF: subtasks always cut ahead of waiting locals ==");
     let trace = traced(gf, seed);
-    print!("{}", render_gantt(&trace, 6, 40.0, 100.0, 96));
+    print!("{}", render_gantt(&trace, 6, Policy::Edf, 40.0, 100.0, 96)?);
     println!(
         "\nSame seed, same workload: only the queueing order differs. Busy\n\
          cells show the serving job id mod 10; '|' marks a within-cell\n\
          service change."
     );
+    Ok(())
 }

@@ -10,6 +10,11 @@
 //! aborts, stragglers, delayed hand-offs, and ranks other than the
 //! deadline); they also record each replication's integer counters.
 //!
+//! Every traced case also replays its trace through
+//! `sda::sim::trace::Replay`, which rejects any record the modelled
+//! system cannot produce (a dispatch out of EDF order, a start on a down
+//! node, a task finishing twice, ...).
+//!
 //! `response_quantiles.txt` pins the response-time histograms of the
 //! same six cases: every percentile of every replication and of the
 //! pooled metrics, as exact `f64` bits.
@@ -30,8 +35,9 @@ use std::sync::{Arc, Mutex};
 
 use sda::prelude::*;
 use sda::sched::Policy;
-use sda::sim::trace::{JsonlSink, SharedSink};
-use sda::sim::{CrashPolicy, FaultConfig};
+use sda::sim::trace::{parse_jsonl, JsonlSink, Replay, SharedSink};
+use sda::sim::{CrashPolicy, FaultConfig, Simulation};
+use sda::simcore::Engine;
 
 /// A writer handing every byte to a shared buffer, so the test can read
 /// what the sink wrote after the runner consumed it.
@@ -49,18 +55,40 @@ impl Write for SharedBuf {
     }
 }
 
-/// Executes `runner` with a JSONL trace on replication 0 and returns the
-/// run set and the trace bytes.
-fn run_traced(runner: Runner) -> (MultiRun, String) {
+/// Executes `case` with a JSONL trace on replication 0, checks the trace
+/// with [`check_replay`], and returns the run set and the trace bytes.
+fn run_traced(case: (SimConfig, u64)) -> (MultiRun, String) {
+    let cfg = case.0.clone();
     let buf = SharedBuf::default();
     let sink = SharedSink::new(Box::new(JsonlSink::new(buf.clone())));
-    let multi = runner
+    let multi = case_runner(case)
         .trace(sink)
         .execute()
         .expect("golden configs validate");
     let bytes = buf.0.lock().unwrap().clone();
     let trace = String::from_utf8(bytes).expect("utf-8 jsonl");
+    check_replay(&cfg, multi.runs()[0].seed, &trace);
     (multi, trace)
+}
+
+/// Replays replication 0's trace, which must hold only records the
+/// modelled system can produce (see [`Replay`]), and checks that the
+/// globals it leaves live are the simulator's in-flight globals at the
+/// horizon.
+fn check_replay(cfg: &SimConfig, seed: u64, trace: &str) {
+    let records = parse_jsonl(trace);
+    assert_eq!(records.len(), trace.lines().count(), "every line parses");
+    let mut replay = Replay::new(cfg.nodes, cfg.scheduler);
+    for record in &records {
+        if let Err(violation) = replay.apply(record) {
+            panic!("{violation}");
+        }
+    }
+    let mut sim = Simulation::new(cfg.clone(), seed).expect("golden configs validate");
+    let mut engine = Engine::new();
+    sim.prime(&mut engine);
+    engine.run_until(&mut sim, SimTime::from(cfg.duration));
+    assert_eq!(replay.live_slots(), sim.active_globals());
 }
 
 /// The runner every case runs under, exactly as the CLI would: 3
@@ -75,7 +103,7 @@ fn case_runner((cfg, seed): (SimConfig, u64)) -> Runner {
 /// Runs a case with a trace on replication 0 and returns
 /// (deterministic stats.json bytes, trace JSONL bytes).
 fn run_case(case: (SimConfig, u64)) -> (String, String) {
-    let (multi, trace) = run_traced(case_runner(case));
+    let (multi, trace) = run_traced(case);
     (multi.stats().to_json(), trace)
 }
 
@@ -141,7 +169,7 @@ fn counters_text(multi: &MultiRun) -> String {
 
 /// Like [`run_case`], plus the per-replication counters.
 fn run_counted_case(case: (SimConfig, u64)) -> (String, String, String) {
-    let (multi, trace) = run_traced(case_runner(case));
+    let (multi, trace) = run_traced(case);
     (multi.stats().to_json(), trace, counters_text(&multi))
 }
 

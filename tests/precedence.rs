@@ -1,26 +1,52 @@
 //! End-to-end precedence tests: the process manager must never submit a
 //! serial successor before its predecessor completes, verified against
-//! the live simulator through the trace facility.
-
-use std::collections::HashMap;
+//! the live simulator through the trace facility and [`Replay`].
 
 use sda::prelude::*;
-use sda::sim::trace::RingBufferSink;
+use sda::sim::trace::{Replay, RingBufferSink, SlotState, TraceRecord};
 use sda::sim::{Simulation, TraceEvent};
 use sda::simcore::Engine;
 
-fn traced_run(cfg: SimConfig, seed: u64, horizon: f64) -> Vec<(f64, TraceEvent)> {
+/// Runs `cfg` to `horizon` and replays its trace, calling `on_submit`
+/// with each submission's time, leaf, virtual deadline and the state of
+/// its global task just after it. Returns the number of submissions.
+fn replayed_submissions(
+    cfg: SimConfig,
+    seed: u64,
+    horizon: f64,
+    mut on_submit: impl FnMut(f64, usize, f64, &SlotState),
+) -> usize {
     let (sink, handle) = RingBufferSink::with_handle(usize::MAX);
+    let mut replay = Replay::new(cfg.nodes, cfg.scheduler);
     let mut sim = Simulation::new(cfg, seed).expect("valid config");
     sim.set_sink(Box::new(sink));
     let mut engine = Engine::new();
     sim.prime(&mut engine);
     engine.run_until(&mut sim, SimTime::from(horizon));
-    handle
-        .records()
-        .into_iter()
-        .map(|r| (r.time.value(), r.event))
-        .collect()
+    let mut submissions = 0;
+    for record in handle.records() {
+        if let Err(violation) = replay.apply(&record) {
+            panic!("{violation}");
+        }
+        let TraceRecord {
+            time,
+            event:
+                TraceEvent::SubtaskSubmitted {
+                    slot,
+                    leaf,
+                    virtual_deadline,
+                    ..
+                },
+        } = record
+        else {
+            continue;
+        };
+        let task = replay.slot(slot).expect("a submission's task is live");
+        on_submit(time.value(), leaf, virtual_deadline.value(), task);
+        submissions += 1;
+    }
+    assert_eq!(replay.live_slots(), sim.active_globals());
+    submissions
 }
 
 #[test]
@@ -28,7 +54,7 @@ fn serial_stages_submit_only_after_predecessors_complete() {
     // Pure 4-stage pipelines: leaf k of a global may only be submitted
     // after leaf k-1's node finished serving it. We check the weaker but
     // sufficient property observable from the trace: submissions of one
-    // global's leaves are strictly ordered by leaf index in time.
+    // global's leaves are strictly ordered by leaf index.
     let cfg = SimConfig {
         shape: GlobalShape::Spec(sda::model::TaskSpec::pipeline(4)),
         global_slack: sda::simcore::dist::Uniform::new(5.0, 20.0),
@@ -37,34 +63,16 @@ fn serial_stages_submit_only_after_predecessors_complete() {
         ..SimConfig::baseline()
     }
     .with_strategy(SdaStrategy::eqf_ud());
-    let log = traced_run(cfg, 7, 3_000.0);
-
-    // Track, per slot *incarnation*, the submissions seen so far. A slot
-    // is re-incarnated after GlobalFinished.
-    let mut incarnation: HashMap<usize, usize> = HashMap::new();
-    let mut last_leaf: HashMap<(usize, usize), (usize, f64)> = HashMap::new();
     let mut checked = 0;
-    for (t, ev) in log.iter() {
-        match ev {
-            TraceEvent::SubtaskSubmitted { slot, leaf, .. } => {
-                let inc = *incarnation.entry(*slot).or_insert(0);
-                if let Some((prev_leaf, prev_t)) = last_leaf.get(&(*slot, inc)) {
-                    assert_eq!(
-                        *leaf,
-                        prev_leaf + 1,
-                        "pipeline leaves must release in order"
-                    );
-                    assert!(*t >= *prev_t, "submission times must advance");
-                    checked += 1;
-                }
-                last_leaf.insert((*slot, inc), (*leaf, *t));
-            }
-            TraceEvent::GlobalFinished { slot, .. } => {
-                *incarnation.entry(*slot).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
+    replayed_submissions(cfg, 7, 3_000.0, |_, leaf, _, task| {
+        let leaves: Vec<usize> = task.submitted.iter().map(|&(leaf, _)| leaf).collect();
+        assert_eq!(
+            leaves,
+            (0..=leaf).collect::<Vec<_>>(),
+            "pipeline leaves must release in order"
+        );
+        checked += usize::from(leaf > 0);
+    });
     assert!(checked > 500, "exercised {checked} stage transitions");
 }
 
@@ -77,25 +85,13 @@ fn parallel_subtasks_all_submit_at_arrival() {
         warmup: 0.0,
         ..SimConfig::baseline()
     };
-    let log = traced_run(cfg, 8, 1_000.0);
-    let mut arrival_time: HashMap<usize, f64> = HashMap::new();
-    let mut submissions = 0;
-    for (t, ev) in log.iter() {
-        match ev {
-            TraceEvent::GlobalArrived { slot, .. } => {
-                arrival_time.insert(*slot, *t);
-            }
-            TraceEvent::SubtaskSubmitted { slot, .. } => {
-                let arrived = arrival_time[slot];
-                assert_eq!(*t, arrived, "parallel subtasks submit at arrival");
-                submissions += 1;
-            }
-            TraceEvent::GlobalFinished { slot, .. } => {
-                arrival_time.remove(slot);
-            }
-            _ => {}
-        }
-    }
+    let submissions = replayed_submissions(cfg, 8, 1_000.0, |t, _, _, task| {
+        assert_eq!(
+            t,
+            task.arrival.value(),
+            "parallel subtasks submit at arrival"
+        );
+    });
     assert!(submissions > 400);
 }
 
@@ -109,35 +105,13 @@ fn virtual_deadlines_in_trace_match_strategy() {
         ..SimConfig::baseline()
     }
     .with_strategy(SdaStrategy::ud_div1());
-    let log = traced_run(cfg, 9, 500.0);
-    let mut deadline: HashMap<usize, (f64, f64)> = HashMap::new(); // slot -> (ar, dl)
-    let mut checked = 0;
-    for (t, ev) in log.iter() {
-        match ev {
-            TraceEvent::GlobalArrived {
-                slot, deadline: dl, ..
-            } => {
-                deadline.insert(*slot, (*t, dl.value()));
-            }
-            TraceEvent::SubtaskSubmitted {
-                slot,
-                virtual_deadline,
-                ..
-            } => {
-                let (ar, dl) = deadline[slot];
-                let expect = ar + (dl - ar) / 4.0;
-                assert!(
-                    (virtual_deadline.value() - expect).abs() < 1e-9,
-                    "DIV-1 deadline mismatch: got {} expected {expect}",
-                    virtual_deadline.value()
-                );
-                checked += 1;
-            }
-            TraceEvent::GlobalFinished { slot, .. } => {
-                deadline.remove(slot);
-            }
-            _ => {}
-        }
-    }
+    let checked = replayed_submissions(cfg, 9, 500.0, |_, _, virtual_deadline, task| {
+        let (ar, dl) = (task.arrival.value(), task.deadline.value());
+        let expect = ar + (dl - ar) / 4.0;
+        assert!(
+            (virtual_deadline - expect).abs() < 1e-9,
+            "DIV-1 deadline mismatch: got {virtual_deadline} expected {expect}"
+        );
+    });
     assert!(checked > 200);
 }

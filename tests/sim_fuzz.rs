@@ -3,13 +3,10 @@
 //! whatever combination of strategy, shape, scheduler, abortion,
 //! placement, speeds, burstiness and injected faults is active.
 
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
-
 use proptest::prelude::*;
 
 use sda::prelude::*;
-use sda::sim::trace::TraceEvent;
+use sda::sim::trace::{Replay, RingBufferSink};
 use sda::sim::{CrashPolicy, FaultConfig, Simulation};
 use sda::simcore::Engine;
 
@@ -169,11 +166,34 @@ proptest! {
         // Response times can't be negative.
         prop_assert!(m.local_response.min() >= 0.0 || m.local_response.count() == 0);
         prop_assert!(m.global_response.min() >= 0.0 || m.global_response.count() == 0);
-        // Determinism: the same config and seed reproduce the counters.
-        let again = run(&cfg, seed).expect("validated above");
-        prop_assert_eq!(again.metrics.local_md, m.local_md);
-        prop_assert_eq!(again.events, result.events);
+        // Determinism: the same config and seed reproduce the counters,
+        // traced or not, and the trace replays.
+        let (again, events) = run_replayed(&cfg, seed)?;
+        prop_assert_eq!(again.metrics().local_md, m.local_md);
+        prop_assert_eq!(events, result.events);
     }
+}
+
+/// Runs a valid `cfg` straight through `Simulation` to its horizon and
+/// replays its whole trace: every record must be one the modelled system
+/// can produce (see [`Replay`]), and the globals left live must be the
+/// simulator's in-flight globals. Returns the simulation and its event
+/// count.
+fn run_replayed(cfg: &SimConfig, seed: u64) -> Result<(Simulation, u64), TestCaseError> {
+    let mut sim = Simulation::new(cfg.clone(), seed).expect("validated by the caller");
+    let (sink, handle) = RingBufferSink::with_handle(usize::MAX);
+    sim.set_sink(Box::new(sink));
+    let mut engine = Engine::new();
+    sim.prime(&mut engine);
+    engine.run_until(&mut sim, SimTime::from(cfg.duration));
+    let mut replay = Replay::new(cfg.nodes, cfg.scheduler);
+    for record in handle.records() {
+        replay
+            .apply(&record)
+            .map_err(|violation| TestCaseError::fail(violation.to_string()))?;
+    }
+    prop_assert_eq!(replay.live_slots(), sim.active_globals());
+    Ok((sim, engine.events_processed()))
 }
 
 /// Each fault class on or off with random rates, crossed with both crash
@@ -206,47 +226,6 @@ fn arb_faults() -> impl Strategy<Value = FaultConfig> {
         })
 }
 
-/// How a run's tasks ended, rebuilt from its trace: every local task
-/// finishes at most once and only after it arrived, and each slot
-/// alternates between a global arrival and that task's finish.
-#[derive(Default)]
-struct Endings {
-    /// Local jobs that arrived and have not finished.
-    open_locals: HashSet<u64>,
-    /// Slots holding a global task that arrived and has not finished.
-    live_slots: HashSet<usize>,
-    arrived_globals: usize,
-    finished_globals: usize,
-    /// The first violation, with its time.
-    violation: Option<String>,
-}
-
-impl Endings {
-    fn record(&mut self, now: SimTime, event: &TraceEvent) {
-        let problem = match *event {
-            TraceEvent::LocalArrived { job, .. } => {
-                (!self.open_locals.insert(job)).then(|| format!("local {job} arrived twice"))
-            }
-            TraceEvent::LocalFinished { job, .. } => (!self.open_locals.remove(&job))
-                .then(|| format!("local {job} finished twice or never arrived")),
-            TraceEvent::GlobalArrived { slot, .. } => {
-                self.arrived_globals += 1;
-                (!self.live_slots.insert(slot))
-                    .then(|| format!("slot {slot} took a global before the last one finished"))
-            }
-            TraceEvent::GlobalFinished { slot, .. } => {
-                self.finished_globals += 1;
-                (!self.live_slots.remove(&slot))
-                    .then(|| format!("slot {slot} finished a global that was not live"))
-            }
-            _ => None,
-        };
-        if let Some(problem) = problem {
-            self.violation.get_or_insert(format!("t={now}: {problem}"));
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -257,22 +236,9 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let cfg = SimConfig { fault, ..cfg };
-        let Ok(mut sim) = Simulation::new(cfg.clone(), seed) else { return Ok(()) };
-        let endings = Arc::new(Mutex::new(Endings::default()));
-        let ledger = Arc::clone(&endings);
-        sim.set_sink(Box::new(move |now: SimTime, event: &TraceEvent| {
-            ledger.lock().unwrap().record(now, event);
-        }));
-        let mut engine = Engine::new();
-        sim.prime(&mut engine);
-        engine.run_until(&mut sim, SimTime::from(cfg.duration));
-
-        let endings = endings.lock().unwrap();
-        if let Some(violation) = &endings.violation {
-            return Err(TestCaseError::fail(violation.clone()));
+        if cfg.validate().is_err() {
+            return Ok(());
         }
-        let in_flight = endings.arrived_globals - endings.finished_globals;
-        prop_assert_eq!(in_flight, sim.active_globals());
-        prop_assert_eq!(in_flight, endings.live_slots.len());
+        run_replayed(&cfg, seed)?;
     }
 }
