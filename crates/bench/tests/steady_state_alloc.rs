@@ -1,23 +1,41 @@
-//! Pins the tentpole claim of the hot-path work: after warmup, the
+//! Pins the allocations of two hot paths: after warmup, the
 //! arrival→dispatch→completion loop performs **zero** heap allocations
-//! (tracing off).
+//! (tracing off), and a point-cache disk hit allocates only the decoded
+//! result and its memory-layer entry.
 //!
 //! This test binary installs a counting global allocator; it is the only
 //! target that does, so every other build keeps the plain system
-//! allocator. The simulation is single-threaded and deterministic, so
-//! the allocation count over a fixed seed and horizon is deterministic
-//! too: this test either always passes or always fails for a given
-//! build.
+//! allocator. It counts only the allocations of the thread inside
+//! [`counted`], so tests running beside each other, and the test
+//! harness, do not disturb each other's counts. Both paths are
+//! single-threaded and deterministic, so each count is deterministic
+//! too: a test either always passes or always fails for a given build.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::path::Path;
 
-use sda_sim::{SimConfig, Simulation};
+use sda_sim::cache::{canonical_point, point_key_of};
+use sda_sim::runner::StopRule;
+use sda_sim::{PointCache, SimConfig, Simulation};
 use sda_simcore::{Engine, SimTime};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's `[allocations, deallocations, bytes]` while it runs
+    /// inside [`counted`], `None` otherwise. A const-initialized `Cell`
+    /// of plain values needs no allocation and no destructor, so the
+    /// allocator can read it at any time.
+    static COUNTS: Cell<Option<[u64; 3]>> = const { Cell::new(None) };
+}
+
+/// Adds to this thread's counters, if it is counting.
+fn count(allocations: u64, deallocations: u64, bytes: u64) {
+    COUNTS.with(|counts| {
+        if let Some([a, d, b]) = counts.get() {
+            counts.set(Some([a + allocations, d + deallocations, b + bytes]));
+        }
+    });
+}
 
 /// A [`GlobalAlloc`] that forwards to [`System`] while counting
 /// allocations (reallocations included), deallocations and requested
@@ -25,22 +43,20 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 struct CountingAlloc;
 
 // SAFETY: defers entirely to the system allocator; the counters are
-// plain relaxed atomics and never allocate.
+// thread-local cells that never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(1, 0, layout.size() as u64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(0, 1, 0);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(1, 0, new_size as u64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,9 +64,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The counters `(allocations, deallocations, bytes)` since process start.
-fn snapshot() -> [u64; 3] {
-    [&ALLOCATIONS, &DEALLOCATIONS, &BYTES].map(|c| c.load(Ordering::Relaxed))
+/// Runs `f`, returning its value and the `[allocations, deallocations,
+/// bytes]` this thread made inside it.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 3]) {
+    COUNTS.with(|counts| counts.set(Some([0; 3])));
+    let value = f();
+    let counts = COUNTS.with(|counts| counts.take()).expect("counting");
+    (value, counts)
 }
 
 #[test]
@@ -69,10 +89,8 @@ fn arrival_cycle_is_allocation_free_after_warmup() {
     engine.run_until(&mut sim, SimTime::from(40_000.0));
     let warm_events = engine.events_processed();
 
-    let before = snapshot();
-    engine.run_until(&mut sim, SimTime::from(50_000.0));
-    let after = snapshot();
-    let [allocations, deallocations, bytes] = [0, 1, 2].map(|i| after[i] - before[i]);
+    let (_, [allocations, deallocations, bytes]) =
+        counted(|| engine.run_until(&mut sim, SimTime::from(50_000.0)));
 
     let events = engine.events_processed() - warm_events;
     assert!(
@@ -85,4 +103,38 @@ fn arrival_cycle_is_allocation_free_after_warmup() {
          allocated {allocations} times / {bytes} bytes)"
     );
     assert_eq!(deallocations, 0, "nor free");
+}
+
+#[test]
+fn a_disk_hit_allocates_only_the_decoded_result() {
+    // The committed schema-4 entries of the quick baseline point.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../sim/tests/fixtures/cache-v4");
+    let cfg = SimConfig {
+        duration: 2_000.0,
+        warmup: 100.0,
+        ..SimConfig::baseline()
+    };
+    let point = |seed, stop| {
+        let preimage = canonical_point(&cfg, seed, &stop, 2, 64);
+        (point_key_of(&preimage), preimage)
+    };
+    let cache = PointCache::with_dir(&dir).expect("fixture dir opens");
+    // The larger entry first: it sizes the read buffer, and its memory
+    // entry gives the map room for the next.
+    let (key, preimage) = point(3, StopRule::CiWidth(0.5));
+    assert!(cache.lookup(&key, &preimage).is_some(), "{key} misses");
+    let (key, preimage) = point(42, StopRule::FixedReps(2));
+    let (found, [allocations, deallocations, bytes]) = counted(|| cache.lookup(&key, &preimage));
+    let runs = found.expect("a disk hit").runs().len();
+    assert_eq!((runs, cache.report().hits_disk), (2, 2));
+    // The decoded result: its runs vector and, per run, the class map
+    // and the node vector, and the two histograms' bins. Then its `Arc`,
+    // and the key and preimage copies the memory layer files it under.
+    // The path and the file bytes reuse the cache's read buffers.
+    let expected = 1 + 4 * runs as u64 + 3;
+    assert_eq!(
+        (allocations, deallocations),
+        (expected, 0),
+        "a disk hit allocated {allocations} times / {deallocations} frees / {bytes} bytes"
+    );
 }

@@ -60,31 +60,37 @@ impl Table {
     }
 
     /// Renders as comma-separated values (header row first). Cells
-    /// containing commas or quotes are quoted.
+    /// containing commas, quotes or newlines are quoted, with each quote
+    /// doubled.
     pub fn to_csv(&self) -> String {
-        fn escape(cell: &str) -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        }
         let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            for (i, cell) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_csv_cell(&mut out, cell);
+            }
             out.push('\n');
         }
         out
     }
+}
+
+/// Appends one CSV cell, quoted if it holds a comma, quote or newline.
+fn push_csv_cell(out: &mut String, cell: &str) {
+    if !cell.contains([',', '"', '\n']) {
+        out.push_str(cell);
+        return;
+    }
+    out.push('"');
+    for c in cell.chars() {
+        if c == '"' {
+            out.push('"');
+        }
+        out.push(c);
+    }
+    out.push('"');
 }
 
 impl fmt::Display for Table {
@@ -145,6 +151,75 @@ mod tests {
         assert!(csv.starts_with("x,note\n"));
         assert!(csv.contains("\"has, comma\""));
         assert!(csv.contains("\"has \"\"quote\"\"\""));
+    }
+
+    /// The escape-and-join writer `to_csv` replaced, kept as its oracle.
+    fn reference_csv(t: &Table) -> String {
+        fn escape(cell: &str) -> String {
+            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
+                format!("\"{}\"", cell.replace('"', "\"\""))
+            } else {
+                cell.to_string()
+            }
+        }
+        let mut out = String::new();
+        out.push_str(
+            &t.headers
+                .iter()
+                .map(|h| escape(h))
+                .collect::<Vec<_>>()
+                .join(","),
+        );
+        out.push('\n');
+        for row in &t.rows {
+            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn csv_matches_the_escape_and_join_reference() {
+        const CELLS: [&str; 12] = [
+            "",
+            "0.5",
+            "8.9%",
+            "has, comma",
+            "\"",
+            "say \"hi\"",
+            "two\nlines",
+            ",\"\n",
+            "±0.35pp",
+            "EQF ‖ DIV-1",
+            "\"é, ü\"",
+            "  spaced  ",
+        ];
+        let mut state = 0x00C5_u64;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            CELLS[(state >> 33) as usize % CELLS.len()]
+        };
+        for width in 1..5 {
+            let headers: Vec<&str> = (0..width).map(|_| draw()).collect();
+            for rows in 0..4 {
+                let mut t = Table::new("t", &headers);
+                for _ in 0..rows {
+                    let row: Vec<&str> = (0..width).map(|_| draw()).collect();
+                    t.row(&row);
+                }
+                assert_eq!(t.to_csv(), reference_csv(&t), "{t:?}");
+            }
+        }
+        // Every cell, alone and beside each other one.
+        for a in CELLS {
+            for b in CELLS {
+                let mut t = Table::new("t", &[a, b]);
+                t.row(&[b, a]);
+                assert_eq!(t.to_csv(), reference_csv(&t), "{t:?}");
+            }
+        }
     }
 
     #[test]

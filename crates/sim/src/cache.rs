@@ -33,12 +33,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::io::Write;
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sda_core::{EstimationModel, PspStrategy, SspStrategy};
+use sda_model::TaskSpec;
 use sda_simcore::stats::{Histogram, MissCounter, NodeStats, TimeWeighted, WeightedMiss, Welford};
 use sda_simcore::SimTime;
 
@@ -122,6 +124,37 @@ fn push_fixed(out: &mut String, n: u64, d: u32) {
     }
 }
 
+/// Appends the 16 lowercase hex digits of `x`, as `{x:016x}` writes them.
+fn push_hex16(out: &mut String, x: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for shift in (0..16).rev() {
+        out.push(char::from(DIGITS[(x >> (4 * shift)) as usize & 0xF]));
+    }
+}
+
+/// Appends `spec` in the bracket notation its `Display` writes, numbering
+/// the simple subtasks `T1, T2, …` depth first from `*next_leaf + 1`.
+fn push_spec(out: &mut String, spec: &TaskSpec, next_leaf: &mut u64) {
+    let (children, separator) = match spec {
+        TaskSpec::Simple => {
+            *next_leaf += 1;
+            out.push('T');
+            push_u64(out, *next_leaf);
+            return;
+        }
+        TaskSpec::Serial(children) => (children, " "),
+        TaskSpec::Parallel(children) => (children, " || "),
+    };
+    out.push('[');
+    for (i, child) in children.iter().enumerate() {
+        if i > 0 {
+            out.push_str(separator);
+        }
+        push_spec(out, child, next_leaf);
+    }
+    out.push(']');
+}
+
 /// Appends `name=` and `x` as [`push_f64`] writes it, ending the line.
 fn push_f64_line(out: &mut String, name: &str, x: f64) {
     out.push_str(name);
@@ -164,8 +197,8 @@ fn write_config(out: &mut String, cfg: &SimConfig) {
             push_u64(out, *hi as u64);
         }
         GlobalShape::Spec(spec) => {
-            // Formatting into a `String` cannot fail.
-            let _ = write!(out, "shape=spec:{spec}");
+            out.push_str("shape=spec:");
+            push_spec(out, spec, &mut 0);
         }
     }
     out.push('\n');
@@ -312,7 +345,10 @@ pub fn point_key_of(canonical: &str) -> String {
         lo = (lo ^ u64::from(byte)).wrapping_mul(PRIME);
         hi = (hi ^ u64::from(byte)).wrapping_mul(PRIME);
     }
-    format!("{hi:016x}{lo:016x}")
+    let mut key = String::with_capacity(32);
+    push_hex16(&mut key, hi);
+    push_hex16(&mut key, lo);
+    key
 }
 
 // ---------------------------------------------------------------------
@@ -346,8 +382,8 @@ impl Encoder {
 
     /// Appends ` X`: the 16 lowercase hex digits of `x`'s bits.
     fn f64(&mut self, x: f64) -> &mut Encoder {
-        // Formatting into a `String` cannot fail.
-        let _ = write!(self.out, " {:016x}", x.to_bits());
+        self.out.push(' ');
+        push_hex16(&mut self.out, x.to_bits());
         self
     }
 
@@ -736,9 +772,14 @@ fn single_digits(group: [u8; 8]) -> Option<[u64; 4]> {
 /// histogram that does not add up) are rejected too, so no input makes
 /// the decoder panic.
 pub fn parse_multi_run(text: &str, expected_preimage: &str) -> Option<MultiRun> {
-    let mut c = Cursor {
-        rest: text.as_bytes(),
-    };
+    decode(text.as_bytes(), expected_preimage)
+}
+
+/// [`parse_multi_run`] over the raw bytes of a cache file. Any byte
+/// outside the canonical encoding, a non-UTF-8 one included, reads as a
+/// miss, so a disk hit needs no UTF-8 check before it.
+fn decode(bytes: &[u8], expected_preimage: &str) -> Option<MultiRun> {
+    let mut c = Cursor { rest: bytes };
     if c.line("sda-point-cache", Cursor::u64)? != u64::from(CACHE_SCHEMA_VERSION)
         || c.line("preimage", Cursor::u64)? != expected_preimage.lines().count() as u64
     {
@@ -846,12 +887,54 @@ pub struct PointCache {
     /// key → (preimage, result); the preimage is kept so even a memory
     /// hit verifies the full canonical text, not just its hash.
     memory: Mutex<HashMap<String, (String, Arc<MultiRun>)>>,
+    /// The path and bytes buffers every disk read reuses.
+    read_buffers: Mutex<ReadBuffers>,
     hits_memory: AtomicU64,
     hits_disk: AtomicU64,
     misses: AtomicU64,
     read_errors: AtomicU64,
     write_errors: AtomicU64,
     verify_errors: AtomicU64,
+}
+
+/// The buffers of a disk read, kept across lookups so that a disk hit
+/// allocates nothing for the entry's path or its bytes.
+#[derive(Debug, Default)]
+struct ReadBuffers {
+    path: PathBuf,
+    /// Holds the last entry read in its first bytes; sized by the largest
+    /// entry read so far.
+    bytes: Vec<u8>,
+}
+
+/// Sets `path` to the file of `key` under `dir`, in `path`'s allocation.
+fn entry_path(path: &mut PathBuf, dir: &Path, key: &str) {
+    let text = path.as_mut_os_string();
+    text.clear();
+    text.push(dir);
+    path.push(key);
+    path.as_mut_os_string().push(".sdacache");
+}
+
+/// Reads the file at `path` into the front of `bytes` and returns its
+/// length: one open, reads until end of file, one close. Unlike
+/// `fs::read`, it asks for no metadata, and it grows `bytes` a page at a
+/// time only when a file fills it.
+fn read_entry(path: &Path, bytes: &mut Vec<u8>) -> io::Result<usize> {
+    const PAGE: usize = 4096;
+    let mut file = File::open(path)?;
+    let mut len = 0;
+    loop {
+        if len == bytes.len() {
+            bytes.resize(len + PAGE, 0);
+        }
+        match file.read(&mut bytes[len..]) {
+            Ok(0) => return Ok(len),
+            Ok(n) => len += n,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
 }
 
 /// Counts one degraded cache operation, warning on stderr the first time
@@ -870,6 +953,7 @@ impl PointCache {
         PointCache {
             dir: None,
             memory: Mutex::new(HashMap::new()),
+            read_buffers: Mutex::default(),
             hits_memory: AtomicU64::new(0),
             hits_disk: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -879,15 +963,19 @@ impl PointCache {
         }
     }
 
-    /// A cache persisted under `dir` (created if absent), with the same
-    /// in-memory layer in front.
+    /// A cache persisted under `dir` (created, with its parents, if
+    /// absent), with the same in-memory layer in front. An existing
+    /// directory costs one `stat`.
     ///
     /// # Errors
     ///
-    /// Returns the error from creating the directory.
-    pub fn with_dir(dir: impl Into<PathBuf>) -> std::io::Result<PointCache> {
+    /// Returns the error from creating the directory, which is also what
+    /// a `dir` naming a file gets.
+    pub fn with_dir(dir: impl Into<PathBuf>) -> io::Result<PointCache> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        if !dir.is_dir() {
+            std::fs::create_dir_all(&dir)?;
+        }
         Ok(PointCache {
             dir: Some(dir),
             ..PointCache::in_memory()
@@ -900,11 +988,19 @@ impl PointCache {
     }
 
     fn file_of(&self, key: &str) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{key}.sdacache")))
+        self.dir.as_ref().map(|dir| {
+            let mut path = PathBuf::new();
+            entry_path(&mut path, dir, key);
+            path
+        })
     }
 
     /// Looks up a point, counting a memory hit, a disk hit, or a miss.
     /// A disk hit is promoted into the memory layer.
+    ///
+    /// A disk read goes into buffers the cache reuses, and the bytes are
+    /// decoded where they lie: a file that is not valid UTF-8 is corrupt,
+    /// a verify error, like any other byte outside the encoding.
     pub fn lookup(&self, key: &str, preimage: &str) -> Option<Arc<MultiRun>> {
         if let Some((stored, found)) = self.memory.lock().expect("cache map").get(key) {
             if stored == preimage {
@@ -912,10 +1008,13 @@ impl PointCache {
                 return Some(Arc::clone(found));
             }
         }
-        if let Some(path) = self.file_of(key) {
-            match std::fs::read_to_string(&path) {
-                Ok(text) => {
-                    if let Some(multi) = parse_multi_run(&text, preimage) {
+        if let Some(dir) = &self.dir {
+            let mut buffers = self.read_buffers.lock().expect("read buffers");
+            let ReadBuffers { path, bytes } = &mut *buffers;
+            entry_path(path, dir, key);
+            match read_entry(path, bytes) {
+                Ok(len) => {
+                    if let Some(multi) = decode(&bytes[..len], preimage) {
                         self.hits_disk.fetch_add(1, Ordering::Relaxed);
                         let multi = Arc::new(multi);
                         self.memory
@@ -933,7 +1032,7 @@ impl PointCache {
                         &path.display(),
                     );
                 }
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
+                Err(err) if err.kind() == io::ErrorKind::NotFound => {}
                 Err(err) => {
                     count_error(
                         &self.read_errors,
@@ -1228,5 +1327,49 @@ mod tests {
         assert!(cache.lookup(&key, &preimage).is_none());
         assert_eq!(cache.report().errors(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_non_utf8_byte_is_a_verify_error_not_a_read_error() {
+        let dir = std::env::temp_dir().join(format!("sda-cache-utest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = PointCache::with_dir(&dir).unwrap();
+        let preimage = canonical_point(&quick_cfg(), 7, &StopRule::FixedReps(2), 2, 64);
+        let key = point_key_of(&preimage);
+        let mut bytes = serialize_multi_run(&preimage, &quick_multi(7)).into_bytes();
+        let path = cache.file_of(&key).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(
+            cache.lookup(&key, &preimage).is_some(),
+            "the intact entry hits"
+        );
+        // A fresh handle, so the lookup reaches the disk again.
+        let cache = PointCache::with_dir(&dir).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(cache.lookup(&key, &preimage).is_none());
+        let report = cache.report();
+        assert_eq!(
+            (report.verify_errors, report.read_errors, report.misses),
+            (1, 0, 1)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn with_dir_creates_missing_parents_and_rejects_a_file() {
+        let root = std::env::temp_dir().join(format!("sda-cache-dtest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let nested = root.join("a").join("b");
+        PointCache::with_dir(&nested).unwrap();
+        assert!(nested.is_dir(), "a missing nested directory is created");
+        // An existing directory opens as it is.
+        PointCache::with_dir(&nested).unwrap();
+        let file = root.join("file");
+        std::fs::write(&file, "not a directory").unwrap();
+        assert!(PointCache::with_dir(&file).is_err());
+        assert!(PointCache::with_dir(file.join("below")).is_err());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

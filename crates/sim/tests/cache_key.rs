@@ -5,14 +5,16 @@
 //!
 //! The preimage is written without `core::fmt`. Differential tests hold
 //! it to a `writeln!`-based reference writer, kept here as the oracle,
-//! and its float writer to `format!("{x:?}")`, so every key (and every
-//! cache file on disk) stays what the formatting machinery wrote.
+//! its float writer to `format!("{x:?}")`, its bracket-spec writer to
+//! `TaskSpec`'s `Display`, and the key's hex digits to
+//! `format!("{hi:016x}{lo:016x}")`, so every key (and every cache file on
+//! disk) stays what the formatting machinery wrote.
 
 use std::fmt::{self, Write as _};
 
 use proptest::prelude::*;
 use sda_core::{EstimationModel, PspStrategy, SdaStrategy, SspStrategy};
-use sda_model::parse_spec;
+use sda_model::{parse_spec, TaskSpec};
 use sda_sched::Policy;
 use sda_sim::cache::{canonical_point, point_key_of};
 use sda_sim::runner::StopRule;
@@ -587,10 +589,101 @@ proptest! {
     #[test]
     fn canonical_point_matches_the_reference(k in knobs(), seed in any::<u64>()) {
         let cfg = build(&k);
+        let canonical = canonical_point(&cfg, seed, &StopRule::FixedReps(2), 2, 64);
         prop_assert_eq!(
-            canonical_point(&cfg, seed, &StopRule::FixedReps(2), 2, 64),
-            reference_point(&cfg, seed, &StopRule::FixedReps(2), 2, 64)
+            &canonical,
+            &reference_point(&cfg, seed, &StopRule::FixedReps(2), 2, 64)
         );
+        prop_assert_eq!(point_key_of(&canonical), reference_key(&canonical));
         assert_matches_reference(&cfg, seed);
+    }
+}
+
+/// The key as `format!` wrote it, kept as the oracle for
+/// [`point_key_of`]'s direct hex writer: the same two FNV-1a lanes.
+fn reference_key(canonical: &str) -> String {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let (mut lo, mut hi) = (0xCBF2_9CE4_8422_2325_u64, 0x6C62_272E_07BB_0142_u64);
+    for &byte in canonical.as_bytes() {
+        lo = (lo ^ u64::from(byte)).wrapping_mul(PRIME);
+        hi = (hi ^ u64::from(byte)).wrapping_mul(PRIME);
+    }
+    format!("{hi:016x}{lo:016x}")
+}
+
+#[test]
+fn key_writer_matches_format_on_random_preimages() {
+    // Random lengths (the empty text included) over ASCII, multi-byte
+    // characters and newlines, so the lanes take every kind of digit.
+    const ALPHABET: [char; 8] = ['a', '0', '=', '\n', 'é', '‖', '𝒯', 'f'];
+    let mut state = 0x4E7;
+    for _ in 0..20_000 {
+        let len = splitmix(&mut state) % 64;
+        let text: String = (0..len)
+            .map(|_| ALPHABET[(splitmix(&mut state) % 8) as usize])
+            .collect();
+        assert_eq!(point_key_of(&text), reference_key(&text), "{text:?}");
+    }
+}
+
+/// A random serial-parallel spec at most `depth` levels deep, with up to
+/// four children per composite.
+fn random_spec(state: &mut u64, depth: u32) -> TaskSpec {
+    if depth == 0 || splitmix(state).is_multiple_of(3) {
+        return TaskSpec::simple();
+    }
+    let children = (0..1 + splitmix(state) % 4)
+        .map(|_| random_spec(state, depth - 1))
+        .collect();
+    if splitmix(state).is_multiple_of(2) {
+        TaskSpec::serial(children)
+    } else {
+        TaskSpec::parallel(children)
+    }
+}
+
+/// The `shape=spec:` line of the canonical text of `spec`.
+fn written_spec(spec: &TaskSpec) -> String {
+    let cfg = SimConfig {
+        shape: GlobalShape::Spec(spec.clone()),
+        ..SimConfig::baseline()
+    };
+    let text = canonical_point(&cfg, 1, &StopRule::FixedReps(2), 2, 64);
+    text.lines()
+        .find_map(|line| line.strip_prefix("shape=spec:"))
+        .expect("a shape=spec line")
+        .to_string()
+}
+
+#[test]
+fn spec_writer_matches_display() {
+    // The bracket parser's nesting bound.
+    const MAX_DEPTH: usize = 1024;
+    let mut specs = vec![
+        parse_spec("[T1 [T2 || [T3 T4 T5]] [T6 || T7] T8]").expect("Figure 1"),
+        TaskSpec::pipeline_with_fanout(5, &[(1, 4), (3, 4)]),
+        parse_spec(&format!(
+            "{}T1{}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        ))
+        .expect("nesting at the bound parses"),
+    ];
+    // Serial and parallel levels alternating down to the bound, with a
+    // leaf beside each, so the numbering runs through every level.
+    let mut deep = TaskSpec::simple();
+    for level in 1..MAX_DEPTH {
+        deep = if level % 2 == 0 {
+            TaskSpec::serial(vec![TaskSpec::simple(), deep])
+        } else {
+            TaskSpec::parallel(vec![deep, TaskSpec::simple()])
+        };
+    }
+    assert!(parse_spec(&deep.to_string()).is_ok(), "within the bound");
+    specs.push(deep);
+    let mut state = 0x5EC;
+    specs.extend((0..5_000).map(|_| random_spec(&mut state, 6)));
+    for spec in &specs {
+        assert_eq!(written_spec(spec), spec.to_string());
     }
 }
