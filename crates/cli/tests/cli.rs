@@ -296,8 +296,7 @@ fn trace_out_writes_jobs_invariant_jsonl() {
     assert_eq!(a, b, "trace bytes must not depend on --jobs");
     // Every line is a structured record the trace parser accepts.
     let text = String::from_utf8(a).unwrap();
-    let records = sda_sim::parse_jsonl(&text);
-    assert_eq!(records.len(), text.lines().count());
+    let records = sda_sim::parse_jsonl(&text).unwrap_or_else(|err| panic!("{err}"));
     assert!(records.iter().any(|r| r.event.kind() == "service_started"));
 }
 

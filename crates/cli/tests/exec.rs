@@ -6,7 +6,7 @@
 use sda_cli::{exec, CliError};
 use sda_sim::runner::test_hooks;
 use sda_sim::{SimConfig, Sweep, SweepPoint};
-use sda_simcore::rng::derive_seeds;
+use sda_simcore::rng::derive_seed;
 
 fn quick() -> SimConfig {
     SimConfig {
@@ -21,7 +21,7 @@ fn a_failed_replication_is_a_run_error_naming_point_rep_and_seed() {
     // An exotic base seed no other test uses: the armed panic seed is
     // process-global.
     let base = 0x00C1_1FA1_0000_0001;
-    let armed = derive_seeds(base, 2)[1];
+    let armed = derive_seed(base, 1);
     test_hooks::panic_on_seed(armed);
     let sweep = Sweep::new()
         .point(SweepPoint::new(quick(), 42))

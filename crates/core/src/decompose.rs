@@ -456,11 +456,6 @@ impl Decomposition {
         self.finished
     }
 
-    /// The critical-path predicted execution time of the whole task.
-    pub fn total_pex(&self) -> f64 {
-        self.subtree_pex[self.template.root]
-    }
-
     /// Starts the task at `now` with end-to-end deadline `deadline`,
     /// returning the initially executable subtasks (Figure 13's first
     /// descent).
@@ -682,6 +677,11 @@ mod tests {
         SimTime::from(v)
     }
 
+    /// The critical-path predicted execution time of the whole task.
+    fn total_pex(d: &Decomposition) -> f64 {
+        d.subtree_pex[d.template.root]
+    }
+
     #[test]
     fn pure_parallel_matches_figure4() {
         // [T1 || T2 || T3], deadline 9, DIV-1: every release at dl 3.
@@ -749,7 +749,7 @@ mod tests {
         let strategy = SdaStrategy::eqf_div1();
         // Critical-path pex: 1 + 1 + 1 + 1 + 1 = 5 (parallel stages count
         // as their max branch = 1).
-        assert_eq!(d.total_pex(), 5.0);
+        assert_eq!(total_pex(&d), 5.0);
 
         let dl = t(25.0);
         let s1 = d.start(t(0.0), dl, &strategy);
@@ -805,7 +805,7 @@ mod tests {
         // [[A || B] C]: branch pex 3 and 5 -> stage pex 5; EQF sees [5, 2].
         let spec = TaskSpec::serial(vec![TaskSpec::parallel_simple(2), TaskSpec::simple()]);
         let mut d = Decomposition::new(&spec, vec![3.0, 5.0, 2.0]);
-        assert_eq!(d.total_pex(), 7.0);
+        assert_eq!(total_pex(&d), 7.0);
         let strategy = SdaStrategy {
             ssp: SspStrategy::Eqf,
             psp: PspStrategy::Ud,
@@ -846,8 +846,8 @@ mod tests {
         };
         let mut a = Decomposition::from_template(Arc::clone(&tpl), &[3.0, 5.0, 2.0]);
         let mut b = Decomposition::from_template(Arc::clone(&tpl), &[1.0, 1.0, 1.0]);
-        assert_eq!(a.total_pex(), 7.0);
-        assert_eq!(b.total_pex(), 2.0);
+        assert_eq!(total_pex(&a), 7.0);
+        assert_eq!(total_pex(&b), 2.0);
         // Same walkthrough as `complex_stage_pex_is_max_of_branches`.
         let first = a.start(t(0.0), t(14.0), &strategy);
         for r in &first {
@@ -879,7 +879,7 @@ mod tests {
         d.reset_from(&tpl2, &[1.0; 11]);
         assert!(!d.is_finished());
         assert_eq!(d.leaf_count(), 11);
-        assert_eq!(d.total_pex(), 5.0);
+        assert_eq!(total_pex(&d), 5.0);
         let mut out = Vec::new();
         d.start_into(t(0.0), t(25.0), &strategy, &mut out);
         assert_eq!(out.len(), 1);
@@ -887,7 +887,7 @@ mod tests {
 
         // Reset again with the SAME template (the pool fast path).
         d.reset_from(&tpl2, &[2.0; 11]);
-        assert_eq!(d.total_pex(), 10.0);
+        assert_eq!(total_pex(&d), 10.0);
     }
 
     #[test]

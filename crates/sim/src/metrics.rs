@@ -201,18 +201,6 @@ impl Metrics {
         self.global_md.values().map(MissCounter::total).sum()
     }
 
-    /// Absolute number of missed deadlines, locals + globals — the §6.1
-    /// observation that DIV-1 misses more tasks *in number* than UD even
-    /// though the global miss rate drops.
-    pub fn total_missed_count(&self) -> u64 {
-        self.local_md.missed()
-            + self
-                .global_md
-                .values()
-                .map(MissCounter::missed)
-                .sum::<u64>()
-    }
-
     /// Merges another run's metrics into this one (for pooled estimates).
     pub fn merge(&mut self, other: &Metrics) {
         self.local_md.merge(&other.local_md);
@@ -244,6 +232,11 @@ impl Metrics {
 mod tests {
     use super::*;
 
+    /// Missed deadlines in number, locals + globals.
+    fn missed_count(m: &Metrics) -> u64 {
+        m.local_md.missed() + m.global_md.values().map(MissCounter::missed).sum::<u64>()
+    }
+
     #[test]
     fn md_accessors() {
         let mut m = Metrics::new();
@@ -264,7 +257,7 @@ mod tests {
         assert!((m.md_global() - 0.25).abs() < 1e-12);
         assert_eq!(m.local_count(), 2);
         assert_eq!(m.global_count(), 4);
-        assert_eq!(m.total_missed_count(), 2);
+        assert_eq!(missed_count(&m), 2);
     }
 
     #[test]
@@ -302,7 +295,7 @@ mod tests {
         assert_eq!(m.md_local(), 0.0);
         assert_eq!(m.md_global(), 0.0);
         assert_eq!(m.missed_work_fraction(), 0.0);
-        assert_eq!(m.total_missed_count(), 0);
+        assert_eq!(missed_count(&m), 0);
         assert_eq!(m.local_response_quantile(0.99), 0.0);
     }
 

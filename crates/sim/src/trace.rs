@@ -285,11 +285,20 @@ impl TraceRecord {
 }
 
 /// Parses a whole JSONL document (one record per line, blank lines
-/// skipped) back into records. Lines that fail to parse are dropped.
-pub fn parse_jsonl(text: &str) -> Vec<TraceRecord> {
+/// skipped) back into records.
+///
+/// # Errors
+///
+/// Names the first line [`TraceRecord::from_json`] cannot decode, by its
+/// 1-based number and its text.
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
     text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(TraceRecord::from_json)
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            TraceRecord::from_json(line)
+                .ok_or_else(|| format!("line {}: not a trace record: {line:?}", i + 1))
+        })
         .collect()
 }
 

@@ -324,7 +324,7 @@ fn per_node_local_miss_rates_bracket_the_aggregate() {
         lo <= aggregate && aggregate <= hi,
         "aggregate {aggregate} outside per-node range [{lo}, {hi}]"
     );
-    let finished: u64 = stats.iter().map(|s| s.locals_finished()).sum();
+    let finished: u64 = stats.iter().map(|s| s.local_counter().total()).sum();
     assert_eq!(
         finished,
         sim_local_count_of(quick_cfg()),

@@ -3,7 +3,7 @@
 
 use sda_sim::trace::{CountingSink, RingBufferSink, SharedSink};
 use sda_sim::{MultiRun, RunResult, Runner, SimConfig, Simulation, StopRule};
-use sda_simcore::rng::{derive_seed, derive_seeds};
+use sda_simcore::rng::derive_seed;
 use sda_simcore::stats::Estimate;
 use sda_simcore::{Engine, SimTime};
 
@@ -215,7 +215,7 @@ fn stats_report_covers_schema() {
 
 #[test]
 fn seeds_are_distinct_and_derived() {
-    let s = derive_seeds(1000, 8);
+    let s: Vec<u64> = (0..8).map(|i| derive_seed(1000, i)).collect();
     assert_eq!(s.len(), 8);
     let mut dedup = s.clone();
     dedup.sort_unstable();

@@ -11,7 +11,7 @@ use sda_sim::{
     CrashPolicy, FaultConfig, MultiRun, PointCache, RunError, SimConfig, StopRule, Sweep,
     SweepPoint,
 };
-use sda_simcore::rng::{derive_seed, derive_seeds};
+use sda_simcore::rng::derive_seed;
 
 fn quick(load: f64) -> SimConfig {
     SimConfig {
@@ -250,7 +250,7 @@ fn a_panicking_replication_fails_its_point_and_spares_the_others() {
     // process-global, and sibling tests run concurrently.
     let _hook = hook_lock();
     let base = 0x00AD_BEEF_FA17_0001;
-    let armed = derive_seeds(base, 2)[1];
+    let armed = derive_seed(base, 1);
     sda_sim::runner::test_hooks::panic_on_seed(armed);
     let points = vec![
         SweepPoint::new(quick(0.3), 42),

@@ -77,15 +77,24 @@ fn jsonl_lines_are_flat_json_objects() {
 }
 
 #[test]
-fn parse_jsonl_skips_garbage_and_blank_lines() {
+fn parse_jsonl_skips_blank_lines_and_names_the_first_bad_one() {
     let mut doc = String::new();
     for rec in samples() {
         doc.push_str(&rec.to_json());
-        doc.push('\n');
+        doc.push_str("\n \n");
     }
-    doc.push_str("\nnot json at all\n{\"t\":1.0,\"event\":\"who_knows\"}\n");
-    let parsed = parse_jsonl(&doc);
-    assert_eq!(parsed, samples());
+    assert_eq!(parse_jsonl(&doc), Ok(samples()));
+
+    // Every sample line is followed by a blank one, so the next line is
+    // number 2 * samples + 1.
+    let bad_line = 2 * samples().len() + 1;
+    let garbage = "not json at all";
+    let unknown = "{\"t\":1.0,\"event\":\"who_knows\"}";
+    for (bad, more) in [(garbage, unknown), (unknown, garbage)] {
+        let err = parse_jsonl(&format!("{doc}{bad}\n{more}\n")).expect_err(bad);
+        assert!(err.starts_with(&format!("line {bad_line}: ")), "{err}");
+        assert!(err.contains(&format!("{bad:?}")), "{err}");
+    }
 }
 
 #[test]
@@ -175,7 +184,7 @@ fn jsonl_sink_writes_parseable_lines() {
     sink.flush();
     let text = String::from_utf8(sink.into_inner()).unwrap();
     assert_eq!(text.lines().count(), samples().len());
-    assert_eq!(parse_jsonl(&text), samples());
+    assert_eq!(parse_jsonl(&text), Ok(samples()));
 }
 
 #[test]

@@ -850,11 +850,6 @@ impl NodeStats {
         self.local.rate()
     }
 
-    /// Finished local jobs observed at this node.
-    pub fn locals_finished(&self) -> u64 {
-        self.local.total()
-    }
-
     /// The local-task miss counter (for exact serialization).
     pub fn local_counter(&self) -> &MissCounter {
         &self.local
@@ -1273,6 +1268,6 @@ mod tests {
         assert_eq!(n.utilization(0.0), 0.0);
         assert!((n.mean_queue_len(SimTime::from(4.0)) - 1.5).abs() < 1e-12);
         assert!((n.local_miss_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(n.locals_finished(), 3);
+        assert_eq!(n.local_counter().total(), 3);
     }
 }

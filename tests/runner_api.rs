@@ -138,11 +138,12 @@ fn stats_json_matches_the_documented_schema() {
 
 #[test]
 fn explicit_seed_lists_agree_with_derived_seeds() {
-    // `with_seeds(derive_seeds(b, n))` must reproduce the derived-seed schedule
-    // exactly — the common-random-numbers workflow is just the default
-    // spelled out.
+    // `with_seeds` over `derive_seed(b, 0..n)` must reproduce the
+    // derived-seed schedule exactly — the common-random-numbers workflow
+    // is just the default spelled out.
+    let seeds = (0..3).map(|i| sda::simcore::rng::derive_seed(23, i));
     let explicit = Runner::new(quick())
-        .with_seeds(sda::simcore::rng::derive_seeds(23, 3))
+        .with_seeds(seeds.collect())
         .stop(StopRule::FixedReps(3))
         .execute()
         .expect("baseline validates");

@@ -153,7 +153,8 @@ proptest! {
         // Counters are consistent.
         prop_assert!(m.local_md.missed() <= m.local_md.total());
         prop_assert!(m.subtask_md.missed() <= m.subtask_md.total());
-        prop_assert!(m.total_missed_count() <= m.local_count() + m.global_count());
+        let missed = m.local_md.missed() + m.global_md.values().map(|c| c.missed()).sum::<u64>();
+        prop_assert!(missed <= m.local_count() + m.global_count());
         // Busy time per node never exceeds the horizon.
         for (i, node) in result.node_stats.iter().enumerate() {
             let busy = node.busy();

@@ -54,7 +54,6 @@ fn jsonl_trace_is_byte_identical_across_jobs() {
 
     // And the bytes are a well-formed structured trace: every line
     // round-trips through the parser.
-    let records = parse_jsonl(&seq);
-    assert_eq!(records.len(), seq.lines().count());
+    let records = parse_jsonl(&seq).unwrap_or_else(|err| panic!("{err}"));
     assert!(records.windows(2).all(|w| w[0].time <= w[1].time));
 }
