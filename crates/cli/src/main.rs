@@ -92,7 +92,11 @@ impl RunOptions {
     /// point (bytes independent of `--jobs`) and bypasses the cache.
     fn execute(&self, cfgs: Vec<SimConfig>) -> Result<Vec<Arc<MultiRun>>, CliError> {
         let stop = match self.ci_target {
-            Some(target) => StopRule::CiWidth(target),
+            Some(target) => StopRule::CiWidth {
+                target,
+                min_reps: self.reps,
+                max_reps: self.max_reps,
+            },
             None => StopRule::FixedReps(self.reps),
         };
         let mut points: Vec<SweepPoint> = cfgs
@@ -105,11 +109,7 @@ impl RunOptions {
             let sink = JsonlSink::new(std::io::BufWriter::new(file));
             first.trace = Some(SharedSink::new(Box::new(sink)));
         }
-        let mut sweep = Sweep::new()
-            .points(points)
-            .jobs(self.jobs)
-            .min_reps(self.reps.max(2))
-            .max_reps(self.max_reps);
+        let mut sweep = Sweep::new().points(points).jobs(self.jobs);
         let cache = match (&self.cache_dir, &self.trace_out) {
             (Some(dir), None) => {
                 Some(Arc::new(PointCache::with_dir(dir).map_err(|e| {
@@ -409,7 +409,9 @@ fn cmd_decompose(args: &[String]) -> Result<(), String> {
     let spec = parse_spec(spec_text).map_err(|e| e.to_string())?;
     let deadline: f64 = deadline_text
         .parse()
-        .map_err(|_| format!("bad deadline {deadline_text:?}"))?;
+        .ok()
+        .filter(|deadline: &f64| deadline.is_finite())
+        .ok_or_else(|| format!("bad deadline {deadline_text:?}: must be a finite number"))?;
     let strategy = parse_strategy(strategy_text)?;
     let leaves = spec.simple_count();
     let pex: Vec<f64> = match pex_arg {
@@ -417,6 +419,11 @@ fn cmd_decompose(args: &[String]) -> Result<(), String> {
             let parsed: Result<Vec<f64>, _> =
                 text.split(',').map(|p| p.trim().parse::<f64>()).collect();
             let parsed = parsed.map_err(|_| format!("bad pex list {text:?}"))?;
+            if let Some(bad) = parsed.iter().find(|p| !(p.is_finite() && **p >= 0.0)) {
+                return Err(format!(
+                    "bad pex {bad} in {text:?}: predicted execution times must be finite and non-negative"
+                ));
+            }
             if parsed.len() != leaves {
                 return Err(format!(
                     "pex list has {} entries, the graph has {leaves} subtasks",

@@ -195,6 +195,27 @@ fn deeply_nested_spec_is_a_usage_error_not_an_abort() {
 }
 
 #[test]
+fn decompose_rejects_non_finite_deadlines_and_bad_pex_as_usage_errors() {
+    let pex = |list| ["decompose", "[a b]", "4", "EQF-DIV1", "--pex", list];
+    for (args, needle) in [
+        (&["decompose", "[a b]", "NaN", "EQF-DIV1"][..], "NaN"),
+        (
+            &["decompose", "[a b]", "inf", "EQF-DIV1", "--pex", "0,1"],
+            "inf",
+        ),
+        (&pex("-1,1"), "-1"),
+        (&pex("NaN,1"), "NaN"),
+        (&pex("inf,1"), "inf"),
+    ] {
+        let out = sda(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn usage_errors_exit_2_and_name_the_setting() {
     let dir = std::env::temp_dir().join("sda-cli-badconf-test");
     std::fs::create_dir_all(&dir).unwrap();

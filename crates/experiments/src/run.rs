@@ -6,8 +6,9 @@
 //! are executed and at what size: each configuration gets the [`Scale`]'s
 //! horizon, its replication count and the campaign seed here and nowhere
 //! else. By default the campaign-level [`Sweep`] engine then schedules
-//! every replication of every point across one work-stealing worker pool
-//! and memoizes completed points in a [`PointCache`].
+//! every replication of every point across one worker pool, whose
+//! workers claim replications from a shared cursor, and memoizes
+//! completed points in a [`PointCache`].
 //!
 //! # Common random numbers, campaign-wide
 //!

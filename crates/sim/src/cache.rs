@@ -9,7 +9,7 @@
 //! * **key** = a stable 128-bit hash of the point's *canonical text*
 //!   ([`canonical_point`]): every simulated parameter of the
 //!   configuration, the base seed, the stop rule (with the adaptive
-//!   bounds that shape it), and [`CACHE_SCHEMA_VERSION`];
+//!   rule's replication bounds), and [`CACHE_SCHEMA_VERSION`];
 //! * **value** = the serialized [`MultiRun`], with every `f64` stored as
 //!   its exact bit pattern so a reloaded result is bit-identical to the
 //!   simulated one.
@@ -294,16 +294,10 @@ fn write_config(out: &mut String, cfg: &SimConfig) {
 
 /// The canonical text of a full data point: schema version, the
 /// configuration (one `name=value` line per simulated parameter), the
-/// base seed, and the stop rule. For the adaptive rule the replication
-/// bounds are included too, because they shape the result; for fixed
-/// replication counts they are irrelevant and omitted.
-pub fn canonical_point(
-    cfg: &SimConfig,
-    seed: u64,
-    stop: &StopRule,
-    min_reps: usize,
-    max_reps: usize,
-) -> String {
+/// base seed, and the stop rule. The adaptive rule writes its
+/// replication bounds as the sweep reads them, clamped, because they
+/// shape the result.
+pub fn canonical_point(cfg: &SimConfig, seed: u64, stop: &StopRule) -> String {
     let mut out = String::with_capacity(768);
     out.push_str("schema=");
     push_u64(&mut out, u64::from(CACHE_SCHEMA_VERSION));
@@ -316,7 +310,8 @@ pub fn canonical_point(
             out.push_str("\nstop=fixed:");
             push_u64(&mut out, *n as u64);
         }
-        StopRule::CiWidth(target) => {
+        StopRule::CiWidth { target, .. } => {
+            let (min_reps, max_reps) = stop.rep_bounds();
             out.push_str("\nstop=ci:target=");
             push_f64(&mut out, *target);
             out.push_str(",min=");
@@ -1149,28 +1144,26 @@ mod tests {
 
     #[test]
     fn canonical_text_is_stable_and_injective() {
-        let a = canonical_point(&quick_cfg(), 7, &StopRule::FixedReps(2), 2, 64);
-        let b = canonical_point(&quick_cfg(), 7, &StopRule::FixedReps(2), 2, 64);
+        let a = canonical_point(&quick_cfg(), 7, &StopRule::FixedReps(2));
+        let b = canonical_point(&quick_cfg(), 7, &StopRule::FixedReps(2));
         assert_eq!(a, b);
-        let other = canonical_point(
-            &quick_cfg().with_load(0.6),
-            7,
-            &StopRule::FixedReps(2),
-            2,
-            64,
-        );
+        let other = canonical_point(&quick_cfg().with_load(0.6), 7, &StopRule::FixedReps(2));
         assert_ne!(a, other);
-        let other_seed = canonical_point(&quick_cfg(), 8, &StopRule::FixedReps(2), 2, 64);
+        let other_seed = canonical_point(&quick_cfg(), 8, &StopRule::FixedReps(2));
         assert_ne!(a, other_seed);
     }
 
     #[test]
     fn fixed_reps_key_ignores_adaptive_bounds() {
-        let a = canonical_point(&quick_cfg(), 7, &StopRule::FixedReps(2), 2, 64);
-        let b = canonical_point(&quick_cfg(), 7, &StopRule::FixedReps(2), 4, 8);
-        assert_eq!(a, b, "min/max reps do not shape a fixed-count point");
-        let ca = canonical_point(&quick_cfg(), 7, &StopRule::CiWidth(0.1), 2, 64);
-        let cb = canonical_point(&quick_cfg(), 7, &StopRule::CiWidth(0.1), 2, 8);
+        // A fixed-count rule carries no bounds to write; an adaptive
+        // rule's bounds are part of its key.
+        let ci = |max_reps| StopRule::CiWidth {
+            target: 0.1,
+            min_reps: 2,
+            max_reps,
+        };
+        let ca = canonical_point(&quick_cfg(), 7, &ci(64));
+        let cb = canonical_point(&quick_cfg(), 7, &ci(8));
         assert_ne!(ca, cb, "adaptive bounds do shape a CI-width point");
     }
 
@@ -1180,13 +1173,7 @@ mod tests {
         // ever fails, the canonical format changed — bump
         // CACHE_SCHEMA_VERSION so old caches are invalidated rather than
         // silently missed or (worse) wrongly hit.
-        let key = point_key_of(&canonical_point(
-            &quick_cfg(),
-            42,
-            &StopRule::FixedReps(2),
-            2,
-            64,
-        ));
+        let key = point_key_of(&canonical_point(&quick_cfg(), 42, &StopRule::FixedReps(2)));
         assert_eq!(key, "04e422d4861b80b36486be121572ac1c");
     }
 
@@ -1198,7 +1185,7 @@ mod tests {
             .stop(StopRule::FixedReps(2))
             .execute()
             .unwrap();
-        let preimage = canonical_point(&quick_cfg(), 11, &StopRule::FixedReps(2), 2, 64);
+        let preimage = canonical_point(&quick_cfg(), 11, &StopRule::FixedReps(2));
         let text = serialize_multi_run(&preimage, &multi);
         let back = parse_multi_run(&text, &preimage).expect("round-trip parses");
         assert_eq!(back.stats().to_json(), multi.stats().to_json());
@@ -1233,7 +1220,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sda-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = quick_cfg();
-        let preimage = canonical_point(&cfg, 5, &StopRule::FixedReps(2), 2, 64);
+        let preimage = canonical_point(&cfg, 5, &StopRule::FixedReps(2));
         let key = point_key_of(&preimage);
         {
             let cache = PointCache::with_dir(&dir).unwrap();
@@ -1283,7 +1270,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sda-cache-wtest-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = PointCache::with_dir(&dir).unwrap();
-        let preimage = canonical_point(&quick_cfg(), 5, &StopRule::FixedReps(2), 2, 64);
+        let preimage = canonical_point(&quick_cfg(), 5, &StopRule::FixedReps(2));
         let key = point_key_of(&preimage);
         let multi = Arc::new(quick_multi(5));
         // Yank the directory out from under the cache: the tmp-file
@@ -1302,7 +1289,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sda-cache-rtest-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = PointCache::with_dir(&dir).unwrap();
-        let preimage = canonical_point(&quick_cfg(), 6, &StopRule::FixedReps(2), 2, 64);
+        let preimage = canonical_point(&quick_cfg(), 6, &StopRule::FixedReps(2));
         let key = point_key_of(&preimage);
         let path = cache.file_of(&key).unwrap();
         // A corrupted payload parses to a miss and counts a verify error.
@@ -1334,7 +1321,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sda-cache-utest-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = PointCache::with_dir(&dir).unwrap();
-        let preimage = canonical_point(&quick_cfg(), 7, &StopRule::FixedReps(2), 2, 64);
+        let preimage = canonical_point(&quick_cfg(), 7, &StopRule::FixedReps(2));
         let key = point_key_of(&preimage);
         let mut bytes = serialize_multi_run(&preimage, &quick_multi(7)).into_bytes();
         let path = cache.file_of(&key).unwrap();

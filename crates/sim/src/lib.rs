@@ -20,7 +20,7 @@
 //! | [`runner`] | the one-configuration builder, stopping rules, run results, stats |
 //! | [`fault`] | deterministic fault injection: crashes, stragglers, comm delays |
 //! | [`cache`] | content-addressed memoization of completed data points |
-//! | [`sweep`] | the executor: one work-stealing pool over every replication |
+//! | [`sweep`] | the executor: one worker pool over every replication |
 //!
 //! ```
 //! use sda_core::SdaStrategy;

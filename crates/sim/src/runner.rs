@@ -11,7 +11,7 @@
 //! every tracked metric's CI width ratio falls below a target.
 //!
 //! [`Runner::execute`] lowers to a one-point [`Sweep`], so a single run
-//! and a whole campaign share one executor: the same work-stealing pool,
+//! and a whole campaign share one executor: the same worker pool,
 //! panic isolation, and run body ([`crate::sweep`] has the scheduling
 //! details).
 //!
@@ -102,13 +102,38 @@ pub enum StopRule {
     /// Run exactly this many replications (the paper used 2 per point).
     FixedReps(usize),
     /// Add replications until the 95% CI width ratio of every tracked
-    /// metric (`MD_local` and `MD_global`) falls at or below this
-    /// target, within the runner's `min_reps..=max_reps` bounds.
+    /// metric (`MD_local` and `MD_global`) falls at or below `target`,
+    /// running at least `min_reps` and at most `max_reps` replications.
     ///
     /// The width ratio is `(hi − lo) / |mean|`, falling back to the
     /// absolute width for means at zero — see
     /// [`Estimate::width_ratio`](sda_simcore::stats::Estimate::width_ratio).
-    CiWidth(f64),
+    /// All three fields are part of the point's cache key.
+    CiWidth {
+        /// The CI width ratio to reach; must be positive.
+        target: f64,
+        /// The replication floor, clamped up to 2 (a CI needs two
+        /// samples).
+        min_reps: usize,
+        /// The hard replication cap; a cap below the floor stops the
+        /// point at its floor.
+        max_reps: usize,
+    },
+}
+
+impl StopRule {
+    /// The first round's size and the replication cap. The adaptive
+    /// floor is clamped up to 2 and its cap up to 1. The sweep schedules
+    /// by these and the cache key writes them, so both always read the
+    /// same bounds.
+    pub(crate) fn rep_bounds(&self) -> (usize, usize) {
+        match *self {
+            StopRule::FixedReps(n) => (n, n),
+            StopRule::CiWidth {
+                min_reps, max_reps, ..
+            } => (min_reps.max(2), max_reps.max(1)),
+        }
+    }
 }
 
 /// Builds and executes a set of simulation replications.
@@ -160,20 +185,6 @@ impl Runner {
     /// Sets the stopping rule.
     pub fn stop(mut self, rule: StopRule) -> Runner {
         self.point.stop = rule;
-        self
-    }
-
-    /// Sets the replication floor for [`StopRule::CiWidth`]
-    /// (default 2; clamped up to 2, since a CI needs two samples).
-    pub fn min_reps(mut self, n: usize) -> Runner {
-        self.sweep = self.sweep.min_reps(n);
-        self
-    }
-
-    /// Sets the hard replication cap for [`StopRule::CiWidth`]
-    /// (default 64).
-    pub fn max_reps(mut self, n: usize) -> Runner {
-        self.sweep = self.sweep.max_reps(n);
         self
     }
 

@@ -1,18 +1,18 @@
 //! The replication executor: every simulation this crate runs is a unit
-//! of a [`Sweep`], scheduled on one work-stealing worker pool.
+//! of a [`Sweep`], scheduled on one worker pool.
 //!
 //! A paper reproduction is a *campaign*: dozens of points (configuration
 //! × base seed × stop rule), each several replications. [`Sweep`]
-//! flattens all points into per-replication work units and schedules the
-//! units across a single work-stealing pool, so workers drain the whole
-//! campaign without ever waiting at a point boundary. Running one
-//! configuration on its own is a one-point sweep.
+//! flattens all points into per-replication work units, and the pool's
+//! workers claim units one at a time from a shared cursor, so they drain
+//! the whole campaign without ever waiting at a point boundary. Running
+//! one configuration on its own is a one-point sweep.
 //!
 //! A [`StopRule::FixedReps`]`(n)` point is `n` units. A
 //! [`StopRule::CiWidth`] point runs in rounds, each one pass of the pool
-//! shared with every point still running: first its floor, then
-//! `(len / 2).max(2)` more replications per round until its metrics
-//! converge or it reaches its cap.
+//! shared with every point still running: first its floor `min_reps`,
+//! then `(len / 2).max(2)` more replications per round until its metrics
+//! converge or it reaches its cap `max_reps`.
 //!
 //! # Determinism
 //!
@@ -36,9 +36,9 @@
 //! making repeated reproductions incremental.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use sda_simcore::rng::derive_seed;
 use sda_simcore::stats::Summary;
@@ -101,6 +101,17 @@ impl SweepPoint {
             None => derive_seed(self.seed, rep as u64),
         }
     }
+
+    /// The first round's size and the replication cap: the stop rule's
+    /// bounds, both capped by an explicit seed list.
+    fn rep_bounds(&self) -> (usize, usize) {
+        if let StopRule::CiWidth { target, .. } = self.stop {
+            assert!(target > 0.0, "CI width target must be positive");
+        }
+        let (first, cap) = self.stop.rep_bounds();
+        let budget = |n: usize| self.seeds.as_ref().map_or(n, |list| n.min(list.len()));
+        (budget(first), budget(cap))
+    }
 }
 
 /// How a point gets its result.
@@ -120,7 +131,7 @@ struct Task {
     /// `None` for a point that is never shared.
     address: Option<(String, String)>,
     /// The first round's size and the most replications this task may
-    /// reach.
+    /// reach; a cap below the first round stops the task after it.
     first: usize,
     cap: usize,
     /// Results by replication index; each round appends empty slots.
@@ -136,7 +147,7 @@ impl Task {
         let len = self.runs.len();
         let add = match self.point.stop {
             _ if len == 0 => self.first,
-            StopRule::CiWidth(target)
+            StopRule::CiWidth { target, .. }
                 if self.failure.is_none()
                     && len < self.cap
                     && !ci_converged(&self.runs, target) =>
@@ -166,16 +177,10 @@ fn ci_converged(runs: &[Option<RunResult>], target: f64) -> bool {
 }
 
 /// One schedulable unit of work: a single replication of a task.
+#[derive(Clone, Copy)]
 struct Unit {
     task: usize,
     rep: usize,
-}
-
-/// The result of one executed unit.
-struct Outcome {
-    task: usize,
-    rep: usize,
-    result: Result<RunResult, RunError>,
 }
 
 /// Why a point of a [`Sweep`] failed — returned per point by
@@ -259,15 +264,13 @@ impl RunError {
     }
 }
 
-/// Builds and executes a campaign of points over one work-stealing
-/// worker pool. See the [module docs](self).
+/// Builds and executes a campaign of points over one worker pool. See
+/// the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Sweep {
     points: Vec<SweepPoint>,
     jobs: usize,
     cache: Option<Arc<PointCache>>,
-    min_reps: usize,
-    max_reps: usize,
     event_budget: Option<u64>,
 }
 
@@ -284,8 +287,6 @@ impl Sweep {
             points: Vec::new(),
             jobs: 0,
             cache: None,
-            min_reps: 2,
-            max_reps: 64,
             event_budget: None,
         }
     }
@@ -317,21 +318,6 @@ impl Sweep {
         self
     }
 
-    /// Sets the replication floor for [`StopRule::CiWidth`] points
-    /// (default 2; clamped up to 2, since a CI needs two samples; part
-    /// of those points' cache key).
-    pub fn min_reps(mut self, n: usize) -> Sweep {
-        self.min_reps = n.max(2);
-        self
-    }
-
-    /// Sets the hard replication cap for [`StopRule::CiWidth`] points
-    /// (default 64; part of those points' cache key).
-    pub fn max_reps(mut self, n: usize) -> Sweep {
-        self.max_reps = n.max(1);
-        self
-    }
-
     /// Arms a per-replication event-count watchdog: a replication that
     /// processes more than `budget` engine events is cut off and its
     /// point fails with [`RunError::Budget`] instead of hanging the
@@ -349,20 +335,6 @@ impl Sweep {
         let auto = || std::thread::available_parallelism().map_or(1, |n| n.get());
         let jobs = if self.jobs > 0 { self.jobs } else { auto() };
         jobs.min(units).max(1)
-    }
-
-    /// The first-round size and the replication cap of `point`.
-    fn rep_bounds(&self, point: &SweepPoint) -> (usize, usize) {
-        let (first, cap) = match point.stop {
-            StopRule::FixedReps(n) => (n, n),
-            StopRule::CiWidth(target) => {
-                assert!(target > 0.0, "CI width target must be positive");
-                (self.min_reps, self.max_reps.max(self.min_reps))
-            }
-        };
-        // An explicit seed list caps both.
-        let budget = |n: usize| point.seeds.as_ref().map_or(n, |list| n.min(list.len()));
-        (budget(first), budget(cap))
     }
 
     /// Executes every point and returns their results in point order.
@@ -420,13 +392,7 @@ impl Sweep {
         let mut planned: HashMap<String, usize> = HashMap::new();
         for point in &self.points {
             let address = (point.trace.is_none() && point.seeds.is_none()).then(|| {
-                let preimage = canonical_point(
-                    &point.cfg,
-                    point.seed,
-                    &point.stop,
-                    self.min_reps,
-                    self.max_reps,
-                );
+                let preimage = canonical_point(&point.cfg, point.seed, &point.stop);
                 (point_key_of(&preimage), preimage)
             });
             if let Some((key, preimage)) = &address {
@@ -445,7 +411,7 @@ impl Sweep {
                 }
                 planned.insert(key.clone(), tasks.len());
             }
-            let (first, cap) = self.rep_bounds(point);
+            let (first, cap) = point.rep_bounds();
             assert!(first > 0, "need at least one replication");
             plans.push(Plan::Task(tasks.len()));
             tasks.push(Task {
@@ -470,13 +436,13 @@ impl Sweep {
             if round.is_empty() {
                 break;
             }
-            for Outcome { task, rep, result } in self.run_units(&tasks, round) {
+            for (Unit { task, rep }, result) in self.run_units(&tasks, &round) {
                 let task = &mut tasks[task];
                 match result {
                     Ok(run) => task.runs[rep] = Some(run),
-                    // Outcomes arrive in worker-completion order; keep the
-                    // lowest failing replication so the error is the same
-                    // at any jobs level.
+                    // Results arrive in no fixed order; keep the lowest
+                    // failing replication so the error is the same at any
+                    // jobs level.
                     Err(error) => {
                         if task.failure.as_ref().is_none_or(|f| error.rep() < f.rep()) {
                             task.failure = Some(error);
@@ -521,46 +487,29 @@ impl Sweep {
             .collect())
     }
 
-    /// Runs all units on the work-stealing pool and returns their
-    /// outcomes in any order.
-    fn run_units(&self, tasks: &[Task], units: Vec<Unit>) -> Vec<Outcome> {
-        // One deque per worker, units dealt round-robin. A worker pops
-        // from the front of its own deque and steals from the back of
-        // others'; since no unit ever enqueues more work, a full empty
-        // scan means the round is drained and the worker can exit.
-        let (jobs, total) = (self.effective_jobs(units.len()), units.len());
-        let queues: Vec<Mutex<VecDeque<Unit>>> =
-            (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (index, unit) in units.into_iter().enumerate() {
-            queues[index % jobs]
-                .lock()
-                .expect("sweep queue")
-                .push_back(unit);
-        }
-        let outcomes = Mutex::new(Vec::with_capacity(total));
-        let (queues, outcomes_ref) = (&queues, &outcomes);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|me| {
-                    scope.spawn(move || loop {
-                        let unit = {
-                            let own = queues[me].lock().expect("sweep queue").pop_front();
-                            match own {
-                                Some(unit) => Some(unit),
-                                None => (1..jobs).find_map(|step| {
-                                    queues[(me + step) % jobs]
-                                        .lock()
-                                        .expect("sweep queue")
-                                        .pop_back()
-                                }),
-                            }
-                        };
-                        let Some(Unit { task, rep }) = unit else {
-                            break;
-                        };
-                        let result = run_unit(&tasks[task].point, rep, self.event_budget);
-                        let outcome = Outcome { task, rep, result };
-                        outcomes_ref.lock().expect("sweep outcomes").push(outcome);
+    /// Runs one round's units on the worker pool and returns each unit
+    /// with its result, in no fixed order.
+    fn run_units(
+        &self,
+        tasks: &[Task],
+        units: &[Unit],
+    ) -> impl Iterator<Item = (Unit, Result<RunResult, RunError>)> {
+        // Workers claim units in submission order from one shared
+        // cursor; no unit schedules another, so a worker whose claim
+        // passes the end is done.
+        let cursor = AtomicUsize::new(0);
+        let cursor = &cursor;
+        let per_worker: Vec<Vec<_>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.effective_jobs(units.len()))
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        while let Some(&unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            let result =
+                                run_unit(&tasks[unit.task].point, unit.rep, self.event_budget);
+                            done.push((unit, result));
+                        }
+                        done
                     })
                 })
                 .collect();
@@ -569,13 +518,16 @@ impl Sweep {
             // their malloc arenas back, so the next sweep's workers could
             // find none free and make another, about 1.5 MB more resident
             // for the rest of the process, in some runs and not others.
-            for worker in workers {
-                if let Err(payload) = worker.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
+            workers
+                .into_iter()
+                .map(|worker| {
+                    worker
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
         });
-        outcomes.into_inner().expect("sweep outcomes")
+        per_worker.into_iter().flatten()
     }
 }
 

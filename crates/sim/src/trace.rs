@@ -231,7 +231,11 @@ impl TraceRecord {
 
     /// Decodes one JSONL line produced by [`TraceRecord::to_json`].
     ///
-    /// Returns `None` for malformed lines or unknown event kinds.
+    /// Strict: accepts a line only if the decoded record re-encodes to
+    /// exactly that line, so anything [`TraceRecord::to_json`] cannot
+    /// have written (missing braces, a duplicated key, trailing text, a
+    /// number such as `1e0` or `NaN`) returns `None`, as do unknown
+    /// event kinds.
     pub fn from_json(line: &str) -> Option<TraceRecord> {
         let time = SimTime::from(json_f64(line, "t")?);
         let kind = json_str(line, "event")?;
@@ -280,7 +284,8 @@ impl TraceRecord {
             },
             _ => return None,
         };
-        Some(TraceRecord { time, event })
+        let record = TraceRecord { time, event };
+        (record.to_json() == line).then_some(record)
     }
 }
 
@@ -318,8 +323,13 @@ fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     }
 }
 
+/// A number field. `NaN` is rejected here: [`SimTime`] panics on it, and
+/// [`TraceRecord::to_json`] never writes it.
 fn json_f64(line: &str, key: &str) -> Option<f64> {
-    json_raw(line, key)?.parse().ok()
+    json_raw(line, key)?
+        .parse()
+        .ok()
+        .filter(|value: &f64| !value.is_nan())
 }
 
 fn json_u64(line: &str, key: &str) -> Option<u64> {

@@ -45,7 +45,11 @@ fn pinned_points() -> [(u64, StopRule, &'static str); 2] {
         ),
         (
             3,
-            StopRule::CiWidth(0.5),
+            StopRule::CiWidth {
+                target: 0.5,
+                min_reps: 2,
+                max_reps: 64,
+            },
             "d998ee8433876def271b245b43aa0af4",
         ),
     ]
@@ -55,7 +59,7 @@ fn pinned_points() -> [(u64, StopRule, &'static str); 2] {
 fn committed_entries_decode_and_reencode_byte_for_byte() {
     assert_eq!(CACHE_SCHEMA_VERSION, 4);
     for (seed, stop, key) in pinned_points() {
-        let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+        let preimage = canonical_point(&quick_cfg(), seed, &stop);
         assert_eq!(point_key_of(&preimage), key, "key drifted for {stop:?}");
         let path = fixture_dir("cache-v4").join(format!("{key}.sdacache"));
         let text = std::fs::read_to_string(&path).expect("fixture present");
@@ -72,7 +76,7 @@ fn committed_entries_decode_and_reencode_byte_for_byte() {
 fn committed_directory_serves_disk_hits() {
     let cache = PointCache::with_dir(fixture_dir("cache-v4")).expect("fixture dir opens");
     for (seed, stop, key) in pinned_points() {
-        let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+        let preimage = canonical_point(&quick_cfg(), seed, &stop);
         assert!(cache.lookup(key, &preimage).is_some(), "{key} misses");
     }
     let report = cache.report();
@@ -107,7 +111,7 @@ fn stale_directories_miss_without_errors() {
     for (schema, _) in STALE {
         let cache = PointCache::with_dir(fixture_dir(schema)).expect("fixture dir opens");
         for (seed, stop, key) in pinned_points() {
-            let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+            let preimage = canonical_point(&quick_cfg(), seed, &stop);
             assert!(
                 cache.lookup(key, &preimage).is_none(),
                 "{schema}: {key} hits"
@@ -135,7 +139,7 @@ fn stale_entry_under_a_current_key_fails_verification() {
             )
             .expect("copy the stale entry");
             let cache = PointCache::with_dir(&dir).unwrap();
-            let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+            let preimage = canonical_point(&quick_cfg(), seed, &stop);
             assert!(
                 cache.lookup(key, &preimage).is_none(),
                 "{schema}: {key} hits"

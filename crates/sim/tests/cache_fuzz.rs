@@ -36,7 +36,7 @@ fn quick_cfg() -> SimConfig {
 }
 
 fn fixture(seed: u64, stop: StopRule) -> Payload {
-    let preimage = canonical_point(&quick_cfg(), seed, &stop, 2, 64);
+    let preimage = canonical_point(&quick_cfg(), seed, &stop);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/cache-v4")
         .join(format!("{}.sdacache", point_key_of(&preimage)));
@@ -70,7 +70,7 @@ fn multi_class() -> Payload {
         .unwrap()
         .remove(0);
     assert!(multi.runs()[0].metrics.global_md.len() >= 2);
-    let preimage = canonical_point(&cfg, 17, &stop, 2, 64);
+    let preimage = canonical_point(&cfg, 17, &stop);
     let text = serialize_multi_run(&preimage, &multi);
     Payload { preimage, text }
 }
@@ -78,7 +78,14 @@ fn multi_class() -> Payload {
 fn payloads() -> Vec<Payload> {
     vec![
         fixture(42, StopRule::FixedReps(2)),
-        fixture(3, StopRule::CiWidth(0.5)),
+        fixture(
+            3,
+            StopRule::CiWidth {
+                target: 0.5,
+                min_reps: 2,
+                max_reps: 64,
+            },
+        ),
         multi_class(),
     ]
 }

@@ -172,7 +172,7 @@ fn build_other_order(k: &Knobs) -> SimConfig {
 }
 
 fn key(cfg: &SimConfig, seed: u64) -> String {
-    point_key_of(&canonical_point(cfg, seed, &StopRule::FixedReps(2), 2, 64))
+    point_key_of(&canonical_point(cfg, seed, &StopRule::FixedReps(2)))
 }
 
 proptest! {
@@ -234,9 +234,9 @@ proptest! {
     fn key_changes_with_seed_and_stop_rule(k in knobs(), seed in 0u64..1_000) {
         let cfg = build(&k);
         prop_assert_ne!(key(&cfg, seed), key(&cfg, seed + 1));
-        let fixed = canonical_point(&cfg, seed, &StopRule::FixedReps(2), 2, 64);
-        let more = canonical_point(&cfg, seed, &StopRule::FixedReps(3), 2, 64);
-        let adaptive = canonical_point(&cfg, seed, &StopRule::CiWidth(0.1), 2, 64);
+        let fixed = canonical_point(&cfg, seed, &StopRule::FixedReps(2));
+        let more = canonical_point(&cfg, seed, &StopRule::FixedReps(3));
+        let adaptive = canonical_point(&cfg, seed, &StopRule::CiWidth { target: 0.1, min_reps: 2, max_reps: 64 });
         prop_assert_ne!(point_key_of(&fixed), point_key_of(&more));
         prop_assert_ne!(point_key_of(&fixed), point_key_of(&adaptive));
     }
@@ -364,26 +364,24 @@ fn reference_config(out: &mut String, cfg: &SimConfig) -> fmt::Result {
     writeln!(out, "warmup={:?}", cfg.warmup)
 }
 
-/// The reference canonical point text (see [`reference_config`]).
-fn reference_point(
-    cfg: &SimConfig,
-    seed: u64,
-    stop: &StopRule,
-    min_reps: usize,
-    max_reps: usize,
-) -> String {
+/// The reference canonical point text (see [`reference_config`]). The
+/// adaptive rule's bounds are written as the rule clamps them: the floor
+/// up to 2, the cap up to 1.
+fn reference_point(cfg: &SimConfig, seed: u64, stop: &StopRule) -> String {
     let mut out = String::new();
     let written = (|| {
         writeln!(out, "schema={CACHE_SCHEMA_VERSION}")?;
         reference_config(&mut out, cfg)?;
         writeln!(out, "seed={seed}")?;
-        match stop {
+        match *stop {
             StopRule::FixedReps(n) => writeln!(out, "stop=fixed:{n}"),
-            StopRule::CiWidth(target) => {
-                writeln!(
-                    out,
-                    "stop=ci:target={target:?},min={min_reps},max={max_reps}"
-                )
+            StopRule::CiWidth {
+                target,
+                min_reps,
+                max_reps,
+            } => {
+                let (min, max) = (min_reps.max(2), max_reps.max(1));
+                writeln!(out, "stop=ci:target={target:?},min={min},max={max}")
             }
         }
     })();
@@ -394,18 +392,31 @@ fn reference_point(
 /// Asserts that the direct writer and the reference agree on `cfg` under
 /// both stop rules.
 fn assert_matches_reference(cfg: &SimConfig, seed: u64) {
-    for (stop, min, max) in [
-        (StopRule::FixedReps(2), 2, 64),
-        (StopRule::FixedReps(137), 2, 64),
-        (StopRule::CiWidth(0.05), 3, 48),
-        (StopRule::CiWidth(1.0 / 3.0), 10, 1_000),
+    let ci = |target, min_reps, max_reps| StopRule::CiWidth {
+        target,
+        min_reps,
+        max_reps,
+    };
+    for stop in [
+        StopRule::FixedReps(2),
+        StopRule::FixedReps(137),
+        ci(0.05, 3, 48),
+        ci(1.0 / 3.0, 10, 1_000),
+        ci(0.25, 1, 0),
     ] {
         assert_eq!(
-            canonical_point(cfg, seed, &stop, min, max),
-            reference_point(cfg, seed, &stop, min, max),
+            canonical_point(cfg, seed, &stop),
+            reference_point(cfg, seed, &stop),
             "{cfg:?} under {stop:?}"
         );
     }
+    // Bounds below the clamps are written clamped, as existing cache
+    // entries were keyed.
+    let clamped = canonical_point(cfg, seed, &ci(0.25, 1, 0));
+    assert!(
+        clamped.ends_with("stop=ci:target=0.25,min=2,max=1\n"),
+        "{clamped}"
+    );
 }
 
 /// The floats of `values` as the preimage writes them: they ride in
@@ -415,7 +426,7 @@ fn written_floats(values: &[f64]) -> Vec<String> {
         node_speeds: values.to_vec(),
         ..SimConfig::baseline()
     };
-    let text = canonical_point(&cfg, 1, &StopRule::FixedReps(2), 2, 64);
+    let text = canonical_point(&cfg, 1, &StopRule::FixedReps(2));
     let line = text
         .lines()
         .find_map(|line| line.strip_prefix("node_speeds="))
@@ -589,10 +600,10 @@ proptest! {
     #[test]
     fn canonical_point_matches_the_reference(k in knobs(), seed in any::<u64>()) {
         let cfg = build(&k);
-        let canonical = canonical_point(&cfg, seed, &StopRule::FixedReps(2), 2, 64);
+        let canonical = canonical_point(&cfg, seed, &StopRule::FixedReps(2));
         prop_assert_eq!(
             &canonical,
-            &reference_point(&cfg, seed, &StopRule::FixedReps(2), 2, 64)
+            &reference_point(&cfg, seed, &StopRule::FixedReps(2))
         );
         prop_assert_eq!(point_key_of(&canonical), reference_key(&canonical));
         assert_matches_reference(&cfg, seed);
@@ -648,7 +659,7 @@ fn written_spec(spec: &TaskSpec) -> String {
         shape: GlobalShape::Spec(spec.clone()),
         ..SimConfig::baseline()
     };
-    let text = canonical_point(&cfg, 1, &StopRule::FixedReps(2), 2, 64);
+    let text = canonical_point(&cfg, 1, &StopRule::FixedReps(2));
     text.lines()
         .find_map(|line| line.strip_prefix("shape=spec:"))
         .expect("a shape=spec line")

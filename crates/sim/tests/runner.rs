@@ -70,18 +70,22 @@ fn runner_ci_width_stops_when_converged() {
     // so a loose target is met at the floor.
     let multi = Runner::new(quick())
         .seed(7)
-        .stop(StopRule::CiWidth(50.0))
-        .min_reps(2)
-        .max_reps(32)
+        .stop(StopRule::CiWidth {
+            target: 50.0,
+            min_reps: 2,
+            max_reps: 32,
+        })
         .execute()
         .unwrap();
     assert_eq!(multi.runs().len(), 2, "loose target must stop at the floor");
     // And the cap binds under an unattainable target.
     let capped = Runner::new(quick())
         .seed(7)
-        .stop(StopRule::CiWidth(1e-9))
-        .min_reps(2)
-        .max_reps(5)
+        .stop(StopRule::CiWidth {
+            target: 1e-9,
+            min_reps: 2,
+            max_reps: 5,
+        })
         .execute()
         .unwrap();
     assert_eq!(capped.runs().len(), 5, "hard cap must bind");
@@ -89,10 +93,11 @@ fn runner_ci_width_stops_when_converged() {
 
 #[test]
 fn runner_ci_width_rep_counts_match_across_jobs() {
-    let base = Runner::new(quick())
-        .seed(11)
-        .stop(StopRule::CiWidth(0.05))
-        .max_reps(8);
+    let base = Runner::new(quick()).seed(11).stop(StopRule::CiWidth {
+        target: 0.05,
+        min_reps: 2,
+        max_reps: 8,
+    });
     let serial = base.clone().jobs(1).execute().unwrap();
     let parallel = base.clone().jobs(4).execute().unwrap();
     assert_eq!(serial.runs().len(), parallel.runs().len());
@@ -168,8 +173,11 @@ fn stats_report_covers_schema() {
     // An unattainable target runs rounds of 2, 2 and 1 up to the cap.
     let adaptive = Runner::new(quick())
         .seed(7)
-        .stop(StopRule::CiWidth(1e-9))
-        .max_reps(5)
+        .stop(StopRule::CiWidth {
+            target: 1e-9,
+            min_reps: 2,
+            max_reps: 5,
+        })
         .execute()
         .unwrap();
     let seeded = Runner::new(quick())

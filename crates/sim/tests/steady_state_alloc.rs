@@ -115,13 +115,20 @@ fn a_disk_hit_allocates_only_the_decoded_result() {
         ..SimConfig::baseline()
     };
     let point = |seed, stop| {
-        let preimage = canonical_point(&cfg, seed, &stop, 2, 64);
+        let preimage = canonical_point(&cfg, seed, &stop);
         (point_key_of(&preimage), preimage)
     };
     let cache = PointCache::with_dir(&dir).expect("fixture dir opens");
     // The larger entry first: it sizes the read buffer, and its memory
     // entry gives the map room for the next.
-    let (key, preimage) = point(3, StopRule::CiWidth(0.5));
+    let (key, preimage) = point(
+        3,
+        StopRule::CiWidth {
+            target: 0.5,
+            min_reps: 2,
+            max_reps: 64,
+        },
+    );
     assert!(cache.lookup(&key, &preimage).is_some(), "{key} misses");
     let (key, preimage) = point(42, StopRule::FixedReps(2));
     let (found, [allocations, deallocations, bytes]) = counted(|| cache.lookup(&key, &preimage));

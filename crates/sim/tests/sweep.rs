@@ -28,7 +28,11 @@ fn campaign() -> Vec<SweepPoint> {
         SweepPoint::new(quick(0.3), 42),
         SweepPoint::new(quick(0.5), 42).stop(StopRule::FixedReps(3)),
         SweepPoint::new(quick(0.5).with_strategy(SdaStrategy::ud_div1()), 42),
-        SweepPoint::new(quick(0.7), 42).stop(StopRule::CiWidth(0.9)),
+        SweepPoint::new(quick(0.7), 42).stop(StopRule::CiWidth {
+            target: 0.9,
+            min_reps: 2,
+            max_reps: 64,
+        }),
     ]
 }
 
@@ -52,10 +56,48 @@ fn fingerprint(multi: &MultiRun) -> String {
 #[test]
 fn sweep_is_bit_identical_at_any_jobs_level() {
     let sequential = Sweep::new().points(campaign()).jobs(1).execute().unwrap();
-    let parallel = Sweep::new().points(campaign()).jobs(4).execute().unwrap();
-    assert_eq!(parallel.len(), sequential.len());
-    for (point, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-        assert_eq!(fingerprint(a), fingerprint(b), "point {point} diverged");
+    // The campaign's first round is 9 units, so 16 workers outnumber
+    // them.
+    for jobs in [2, 3, 4, 16] {
+        let parallel = Sweep::new()
+            .points(campaign())
+            .jobs(jobs)
+            .execute()
+            .unwrap();
+        assert_eq!(parallel.len(), sequential.len());
+        for (point, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
+            assert_eq!(
+                fingerprint(a),
+                fingerprint(b),
+                "point {point} diverged at jobs {jobs}"
+            );
+        }
+    }
+}
+
+#[test]
+fn adaptive_points_in_one_sweep_keep_their_own_bounds() {
+    // A target no run set meets, so each point runs to its own cap.
+    let adaptive = |min_reps, max_reps| {
+        SweepPoint::new(quick(0.5), 42).stop(StopRule::CiWidth {
+            target: 1e-12,
+            min_reps,
+            max_reps,
+        })
+    };
+    for jobs in [1, 3] {
+        let results = Sweep::new()
+            .points([adaptive(2, 4), adaptive(3, 6)])
+            .jobs(jobs)
+            .execute()
+            .unwrap();
+        let counts: Vec<usize> = results.iter().map(|multi| multi.runs().len()).collect();
+        assert_eq!(counts, [4, 6], "jobs {jobs}");
+        // Both points share the base seed, so the longer run set extends
+        // the shorter one.
+        for (a, b) in results[0].runs().iter().zip(results[1].runs()) {
+            assert_eq!((a.seed, a.events), (b.seed, b.events));
+        }
     }
 }
 
@@ -79,7 +121,7 @@ fn duplicate_points_simulate_once() {
 #[test]
 fn shared_points_are_one_allocation() {
     let point = SweepPoint::new(quick(0.5), 11);
-    let preimage = canonical_point(&point.cfg, 11, &point.stop, 2, 64);
+    let preimage = canonical_point(&point.cfg, 11, &point.stop);
     let key = point_key_of(&preimage);
     let dir = std::env::temp_dir().join(format!("sda-sweep-share-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -354,7 +396,11 @@ fn adaptive_points_fail_at_the_real_replication_and_seed() {
     let _hook = hook_lock();
     let base = 0x00AD_BEEF_FA17_0002;
     let armed = derive_seed(base, 3);
-    let adaptive = SweepPoint::new(quick(0.5), base).stop(StopRule::CiWidth(1e-9));
+    let adaptive = SweepPoint::new(quick(0.5), base).stop(StopRule::CiWidth {
+        target: 1e-9,
+        min_reps: 2,
+        max_reps: 6,
+    });
     sda_sim::runner::test_hooks::panic_on_seed(armed);
     let runs: Vec<_> = [1, 4]
         .into_iter()
@@ -362,7 +408,6 @@ fn adaptive_points_fail_at_the_real_replication_and_seed() {
             Sweep::new()
                 .points([SweepPoint::new(quick(0.3), 42), adaptive.clone()])
                 .jobs(jobs)
-                .max_reps(6)
                 .try_execute()
                 .unwrap()
         })
@@ -382,7 +427,11 @@ fn adaptive_points_fail_at_the_real_replication_and_seed() {
     // and names the replication's own seed rather than the base seed.
     let results = Sweep::new()
         .points([
-            SweepPoint::new(quick(0.5), 42).stop(StopRule::CiWidth(0.5)),
+            SweepPoint::new(quick(0.5), 42).stop(StopRule::CiWidth {
+                target: 0.5,
+                min_reps: 2,
+                max_reps: 64,
+            }),
             SweepPoint::new(quick(0.5), 42).stop(StopRule::FixedReps(1)),
         ])
         .jobs(2)

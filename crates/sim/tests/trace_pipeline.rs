@@ -90,7 +90,35 @@ fn parse_jsonl_skips_blank_lines_and_names_the_first_bad_one() {
     let bad_line = 2 * samples().len() + 1;
     let garbage = "not json at all";
     let unknown = "{\"t\":1.0,\"event\":\"who_knows\"}";
-    for (bad, more) in [(garbage, unknown), (unknown, garbage)] {
+    // Each row below breaks one of these canonical lines in one way.
+    let crashed = "{\"t\":1.5,\"event\":\"node_crashed\",\"node\":2}";
+    let arrived = "{\"t\":1.5,\"event\":\"local_arrived\",\"node\":3,\"job\":17,\"deadline\":4.5}";
+    let submitted = "{\"t\":1.5,\"event\":\"subtask_submitted\",\"slot\":0,\"leaf\":2,\"node\":5,\"virtual_deadline\":3}";
+    for line in [crashed, arrived, submitted] {
+        assert_eq!(
+            parse_jsonl(line).map(|records| records.len()),
+            Ok(1),
+            "{line}"
+        );
+    }
+    let no_braces = &crashed[1..crashed.len() - 1];
+    let duplicated_key = crashed.replace('}', ",\"node\":3}");
+    let trailing_text = format!("{crashed} x");
+    let non_canonical = crashed.replace("1.5", "1e0");
+    let nan_time = crashed.replace("1.5", "NaN");
+    let nan_deadline = arrived.replace("4.5", "NaN");
+    let nan_virtual_deadline = submitted.replace(":3}", ":NaN}");
+    for (bad, more) in [
+        (garbage, unknown),
+        (unknown, garbage),
+        (no_braces, garbage),
+        (&duplicated_key, garbage),
+        (&trailing_text, garbage),
+        (&non_canonical, garbage),
+        (&nan_time, garbage),
+        (&nan_deadline, garbage),
+        (&nan_virtual_deadline, garbage),
+    ] {
         let err = parse_jsonl(&format!("{doc}{bad}\n{more}\n")).expect_err(bad);
         assert!(err.starts_with(&format!("line {bad_line}: ")), "{err}");
         assert!(err.contains(&format!("{bad:?}")), "{err}");

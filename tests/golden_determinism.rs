@@ -414,9 +414,11 @@ fn ci_width_case(jobs: usize) -> String {
     let multi = Runner::new(short().with_load(0.7))
         .seed(31)
         .jobs(jobs)
-        .stop(StopRule::CiWidth(0.12))
-        .min_reps(3)
-        .max_reps(20)
+        .stop(StopRule::CiWidth {
+            target: 0.12,
+            min_reps: 3,
+            max_reps: 20,
+        })
         .execute()
         .expect("golden configs validate");
     assert!(

@@ -53,18 +53,22 @@ fn ci_width_rule_respects_min_and_max_reps() {
     // at the cap.
     let loose = Runner::new(quick())
         .seed(11)
-        .stop(StopRule::CiWidth(100.0))
-        .min_reps(3)
-        .max_reps(10)
+        .stop(StopRule::CiWidth {
+            target: 100.0,
+            min_reps: 3,
+            max_reps: 10,
+        })
         .execute()
         .expect("baseline validates");
     assert_eq!(loose.runs().len(), 3);
 
     let hopeless = Runner::new(quick())
         .seed(11)
-        .stop(StopRule::CiWidth(1e-12))
-        .min_reps(2)
-        .max_reps(4)
+        .stop(StopRule::CiWidth {
+            target: 1e-12,
+            min_reps: 2,
+            max_reps: 4,
+        })
         .execute()
         .expect("baseline validates");
     assert_eq!(hopeless.runs().len(), 4);
