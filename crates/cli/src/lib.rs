@@ -1,8 +1,9 @@
-//! # sda-cli — configuration parsing and report rendering for the `sda`
-//! command-line tool
+//! # sda-cli — execution and report rendering for the `sda` command-line
+//! tool
 //!
-//! The binary (`sda`) drives the simulator from a plain-text
-//! configuration format, so experiments can be run without writing Rust:
+//! The binary (`sda`) drives the simulator from the plain-text
+//! configuration format that [`sda_sim::SimConfig::from_text`] reads, so
+//! experiments can be run without writing Rust:
 //!
 //! ```text
 //! # trading.conf — §8's experiment
@@ -25,12 +26,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod config_file;
 pub mod exec;
-pub mod parse;
 pub mod report;
 
-pub use config_file::{apply_setting, load_config, ConfigFileError};
 pub use exec::CliError;
-pub use parse::{parse_abort, parse_estimation, parse_range, parse_shape, parse_strategy};
 pub use report::render_report;

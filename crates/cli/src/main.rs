@@ -29,11 +29,11 @@ use std::process::ExitCode;
 
 use std::sync::Arc;
 
-use sda_cli::{apply_setting, load_config, parse_strategy, render_report, CliError};
+use sda_cli::{render_report, CliError};
 use sda_core::Decomposition;
 use sda_model::parse_spec;
 use sda_sim::trace::{JsonlSink, SharedSink};
-use sda_sim::{MultiRun, PointCache, SimConfig, StopRule, Sweep, SweepPoint};
+use sda_sim::{parse_strategy, MultiRun, PointCache, SimConfig, StopRule, Sweep, SweepPoint};
 use sda_simcore::SimTime;
 
 fn main() -> ExitCode {
@@ -234,14 +234,16 @@ fn build_config<'a>(positional: &[&'a String]) -> Result<(SimConfig, Vec<&'a Str
     let mut rest = positional;
     if let Some(first) = positional.first() {
         if !first.contains('=') && Path::new(first).exists() {
-            cfg = load_config(Path::new(first)).map_err(|e| e.to_string())?;
+            let text =
+                std::fs::read_to_string(first).map_err(|e| format!("cannot read config: {e}"))?;
+            cfg = SimConfig::from_text(&text)?;
             rest = &positional[1..];
         }
     }
     let mut leftovers = Vec::new();
     for arg in rest {
         if let Some((key, value)) = arg.split_once('=') {
-            apply_setting(&mut cfg, key, value).map_err(|e| e.to_string())?;
+            cfg.set(key, value)?;
         } else {
             leftovers.push(*arg);
         }
@@ -384,7 +386,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     let mut rows = Vec::new();
     for value in values {
         let mut cfg = base.clone();
-        apply_setting(&mut cfg, &key, &format!("{value}")).map_err(|e| e.to_string())?;
+        cfg.set(&key, &format!("{value}"))?;
         cfg.validate().map_err(|e| e.to_string())?;
         rows.push((format!("{value:.3}"), format!("{key}={value}"), cfg));
     }
@@ -434,6 +436,15 @@ fn cmd_decompose(args: &[String]) -> Result<(), String> {
         }
         None => vec![1.0; leaves],
     };
+    // Finite inputs whose sums overflow would reach the strategies as an
+    // infinite slack, which EQF turns into NaN.
+    let total: f64 = pex.iter().sum();
+    if !(deadline - total).is_finite() {
+        let pex_text = pex_arg.map_or("", String::as_str);
+        return Err(format!(
+            "deadline {deadline_text:?} minus the total {total:?} of pex {pex_text:?} overflows"
+        ));
+    }
 
     println!("task graph: {spec}");
     println!("strategy:   {strategy}, end-to-end deadline {deadline}\n");
@@ -463,28 +474,12 @@ fn cmd_decompose(args: &[String]) -> Result<(), String> {
 fn print_help(topic: Option<&str>) {
     if topic == Some("config") {
         println!(
-            "config file format: one `key = value` per line, `#` comments.\n\
-             keys:\n\
-             \x20 nodes, load, frac_local, mu_local, mu_subtask, duration, warmup\n\
-             \x20 slack = LO..HI            local slack distribution\n\
-             \x20 global_slack = LO..HI\n\
-             \x20 shape = parallel:N | uniform:LO-HI | spec:[...] | figure14\n\
-             \x20 strategy = SSP-PSP        e.g. UD-UD, UD-DIV1, EQF-DIV1, ED-GF\n\
-             \x20 scheduler = edf|fcfs|sjf|llf\n\
-             \x20 preemptive = true|false\n\
-             \x20 speeds = S1,S2,...        per-node speed factors\n\
-             \x20 service_shape = exponential|deterministic|uniform\n\
-             \x20 placement = random|least-loaded\n\
-             \x20 burst = none|PERIOD,ON_FRACTION,BOOST  (ON/OFF arrival bursts)\n\
-             \x20 abort = none|pm|local|local-drop\n\
-             \x20 estimation = exact|factor:F|bias:F|mean:M\n\
-             fault injection (all off by default; see also `repro --only f1_faults`):\n\
-             \x20 fault_mttf = T            mean time to node failure (0 = never)\n\
-             \x20 fault_mttr = T            mean time to repair\n\
-             \x20 fault_crash = abort|requeue   fate of work on a crashed node\n\
-             \x20 fault_straggler = PROB,FACTOR  inflate service times by FACTOR\n\
-             \x20 fault_comm = PROB,MEAN    delay serial hand-offs by Exp(MEAN)"
+            "config file format: one `key = value` per line, `#` comments; a\n\
+             `key=value` argument overrides the file. Fault injection is off by\n\
+             default (see also `repro --only f1_faults`).\n\
+             keys:"
         );
+        print!("{}", SimConfig::key_help());
         return;
     }
     println!(

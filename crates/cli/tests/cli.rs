@@ -206,6 +206,19 @@ fn decompose_rejects_non_finite_deadlines_and_bad_pex_as_usage_errors() {
         (&pex("-1,1"), "-1"),
         (&pex("NaN,1"), "NaN"),
         (&pex("inf,1"), "inf"),
+        // Finite values whose sums overflow.
+        (&pex("1e308,1e308"), "1e308,1e308"),
+        (
+            &[
+                "decompose",
+                "[a [b || c]]",
+                "-1e308",
+                "EQF-DIV1",
+                "--pex",
+                "0,1.7e308,1",
+            ],
+            "-1e308",
+        ),
     ] {
         let out = sda(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -252,6 +265,12 @@ fn non_finite_horizons_and_rates_are_usage_errors() {
         ("mu_local=nan", "service rates"),
         ("mu_subtask=nan", "service rates"),
         ("mu_local=inf", "service rates"),
+        // Finite rates whose mean service time 1/μ is infinite.
+        ("mu_local=1e-320", "mu_local = 1e-320"),
+        ("mu_subtask=1e-320", "mu_subtask = 1e-320"),
+        // A class-mean prediction that is not a finite, non-negative time.
+        ("estimation=mean:NaN", "ClassMean"),
+        ("estimation=mean:-1", "ClassMean"),
     ] {
         let out = sda(&["run", setting, "--reps", "1"]);
         assert_eq!(out.status.code(), Some(2), "{setting}: {out:?}");
@@ -259,6 +278,18 @@ fn non_finite_horizons_and_rates_are_usage_errors() {
         assert!(err.contains(needle), "{setting}: {err}");
         assert!(!err.contains("panicked"), "{setting}: {err}");
     }
+    // A rate whose mean is finite until a node's speed divides it.
+    let out = sda(&[
+        "run",
+        "mu_subtask=1e-300",
+        "speeds=1e-10,1,1,1,1,1",
+        "--reps",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("mu_subtask = 1e-300"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

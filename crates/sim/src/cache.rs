@@ -7,9 +7,9 @@
 //! memoized by content address:
 //!
 //! * **key** = a stable 128-bit hash of the point's *canonical text*
-//!   ([`canonical_point`]): every simulated parameter of the
-//!   configuration, the base seed, the stop rule (with the adaptive
-//!   rule's replication bounds), and [`CACHE_SCHEMA_VERSION`];
+//!   ([`canonical_point`]): [`CACHE_SCHEMA_VERSION`], the configuration's
+//!   text form ([`SimConfig::to_text`]), the base seed, and the stop rule
+//!   (with the adaptive rule's replication bounds);
 //! * **value** = the serialized [`MultiRun`], with every `f64` stored as
 //!   its exact bit pattern so a reloaded result is bit-identical to the
 //!   simulated one.
@@ -32,97 +32,28 @@
 //! directory can be wiped at any time.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sda_core::{EstimationModel, PspStrategy, SspStrategy};
-use sda_model::TaskSpec;
 use sda_simcore::stats::{Histogram, MissCounter, NodeStats, TimeWeighted, WeightedMiss, Welford};
 use sda_simcore::SimTime;
 
-use crate::config::{AbortPolicy, GlobalShape, Placement, ResubmitPolicy, ServiceShape, SimConfig};
+use crate::config::text::{push_f64, push_u64};
+use crate::config::SimConfig;
+use crate::fault::FaultConfig;
 use crate::metrics::{response_histogram, Metrics};
 use crate::runner::{MultiRun, RunResult, StopRule};
 
 /// Version of both the canonical point text and the on-disk value
 /// format. Part of every key: bumping it invalidates all prior entries.
-pub const CACHE_SCHEMA_VERSION: u32 = 4;
+pub const CACHE_SCHEMA_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------
 // Canonical serialization and stable hashing
 // ---------------------------------------------------------------------
-
-/// Appends `n` in decimal, as `{}` writes it.
-fn push_u64(out: &mut String, mut n: u64) {
-    // Most histogram bins are single digits, most of them 0.
-    if n < 10 {
-        out.push(char::from(b'0' + n as u8));
-        return;
-    }
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
-}
-
-/// Appends `x` exactly as `{:?}` writes it: the shortest decimal that
-/// reads back as `x`.
-///
-/// Configuration floats are short decimals (`0.5`, `20000.0`), so for
-/// finite `x` in `[1e-4, 1e15)` — where `{:?}` never uses an exponent —
-/// this takes the smallest `d ≤ 8` for which `n = round(x·10^d)` is below
-/// 2^50 and `n / 10^d == x`, and prints `n` with `d` fractional digits.
-/// Both `n` and `10^d` are exact in an `f64`, so the quotient is the
-/// correctly rounded value of the decimal, which therefore reads back as
-/// `x`; no shorter decimal does, or a smaller `d` would have matched. Any
-/// other `x` goes through `{:?}`.
-fn push_f64(out: &mut String, x: f64) {
-    const POW10: [f64; 9] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8];
-    const LIMIT: f64 = (1u64 << 50) as f64;
-    if (1e-4..1e15).contains(&x) {
-        for (d, &scale) in POW10.iter().enumerate() {
-            let n = (x * scale).round();
-            if n >= LIMIT {
-                break;
-            }
-            if n / scale == x {
-                push_fixed(out, n as u64, d as u32);
-                return;
-            }
-        }
-    }
-    // Formatting into a `String` cannot fail.
-    let _ = write!(out, "{x:?}");
-}
-
-/// Appends `n / 10^d` with exactly `d` fractional digits (`.0` when
-/// `d = 0`).
-fn push_fixed(out: &mut String, n: u64, d: u32) {
-    let scale = 10u64.pow(d);
-    push_u64(out, n / scale);
-    out.push('.');
-    if d == 0 {
-        out.push('0');
-        return;
-    }
-    let frac = n % scale;
-    let mut place = scale / 10;
-    while place > 0 {
-        out.push(char::from(b'0' + (frac / place % 10) as u8));
-        place /= 10;
-    }
-}
 
 /// Appends the 16 lowercase hex digits of `x`, as `{x:016x}` writes them.
 fn push_hex16(out: &mut String, x: u64) {
@@ -132,177 +63,30 @@ fn push_hex16(out: &mut String, x: u64) {
     }
 }
 
-/// Appends `spec` in the bracket notation its `Display` writes, numbering
-/// the simple subtasks `T1, T2, …` depth first from `*next_leaf + 1`.
-fn push_spec(out: &mut String, spec: &TaskSpec, next_leaf: &mut u64) {
-    let (children, separator) = match spec {
-        TaskSpec::Simple => {
-            *next_leaf += 1;
-            out.push('T');
-            push_u64(out, *next_leaf);
-            return;
-        }
-        TaskSpec::Serial(children) => (children, " "),
-        TaskSpec::Parallel(children) => (children, " || "),
-    };
-    out.push('[');
-    for (i, child) in children.iter().enumerate() {
-        if i > 0 {
-            out.push_str(separator);
-        }
-        push_spec(out, child, next_leaf);
-    }
-    out.push(']');
-}
-
-/// Appends `name=` and `x` as [`push_f64`] writes it, ending the line.
-fn push_f64_line(out: &mut String, name: &str, x: f64) {
-    out.push_str(name);
-    push_f64(out, x);
-    out.push('\n');
-}
-
-/// Writes the canonical text of a configuration: one `name=value` line
-/// per simulated parameter, in fixed order. Two configurations write
-/// identically if and only if they compare equal. Floats are written as
-/// `{:?}` writes them ([`push_f64`]), the shortest decimal that
-/// round-trips, so distinct values produce distinct text.
-fn write_config(out: &mut String, cfg: &SimConfig) {
-    out.push_str("nodes=");
-    push_u64(out, cfg.nodes as u64);
-    out.push('\n');
-    push_f64_line(out, "load=", cfg.load);
-    push_f64_line(out, "frac_local=", cfg.frac_local);
-    push_f64_line(out, "mu_local=", cfg.mu_local);
-    push_f64_line(out, "mu_subtask=", cfg.mu_subtask);
-    for (name, slack) in [
-        ("local_slack=uniform[", &cfg.local_slack),
-        ("global_slack=uniform[", &cfg.global_slack),
-    ] {
-        out.push_str(name);
-        push_f64(out, slack.lo());
-        out.push(',');
-        push_f64(out, slack.hi());
-        out.push_str("]\n");
-    }
-    match &cfg.shape {
-        GlobalShape::ParallelFixed { n } => {
-            out.push_str("shape=parallel_fixed:");
-            push_u64(out, *n as u64);
-        }
-        GlobalShape::ParallelUniform { lo, hi } => {
-            out.push_str("shape=parallel_uniform:");
-            push_u64(out, *lo as u64);
-            out.push_str("..");
-            push_u64(out, *hi as u64);
-        }
-        GlobalShape::Spec(spec) => {
-            out.push_str("shape=spec:");
-            push_spec(out, spec, &mut 0);
-        }
-    }
-    out.push('\n');
-    out.push_str(match cfg.strategy.ssp {
-        SspStrategy::Ud => "ssp=ud\n",
-        SspStrategy::Ed => "ssp=ed\n",
-        SspStrategy::Eqs => "ssp=eqs\n",
-        SspStrategy::Eqf => "ssp=eqf\n",
-    });
-    match cfg.strategy.psp {
-        PspStrategy::Ud => out.push_str("psp=ud\n"),
-        PspStrategy::DivX { x } => push_f64_line(out, "psp=div:", x),
-        PspStrategy::Gf { delta } => push_f64_line(out, "psp=gf:", delta),
-    }
-    out.push_str("scheduler=");
-    out.push_str(cfg.scheduler.label());
-    out.push('\n');
-    out.push_str(if cfg.preemptive {
-        "preemptive=true\n"
-    } else {
-        "preemptive=false\n"
-    });
-    out.push_str("node_speeds=");
-    for (i, &speed) in cfg.node_speeds.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, speed);
-    }
-    out.push('\n');
-    out.push_str(match cfg.service_shape {
-        ServiceShape::Exponential => "service_shape=exponential\n",
-        ServiceShape::Deterministic => "service_shape=deterministic\n",
-        ServiceShape::UniformSpread => "service_shape=uniform_spread\n",
-    });
-    out.push_str(match cfg.placement {
-        Placement::RandomDistinct => "placement=random_distinct\n",
-        Placement::LeastLoaded => "placement=least_loaded\n",
-    });
-    match &cfg.burst {
-        None => out.push_str("burst=none\n"),
-        Some(b) => {
-            out.push_str("burst=period:");
-            push_f64(out, b.period);
-            out.push_str(",on:");
-            push_f64(out, b.on_fraction);
-            push_f64_line(out, ",boost:", b.boost);
-        }
-    }
-    out.push_str(match cfg.abort {
-        AbortPolicy::None => "abort=none\n",
-        AbortPolicy::ProcessManager => "abort=process_manager\n",
-        AbortPolicy::LocalScheduler {
-            resubmit: ResubmitPolicy::Never,
-        } => "abort=local_scheduler:never\n",
-        AbortPolicy::LocalScheduler {
-            resubmit: ResubmitPolicy::OnceWithRealDeadline,
-        } => "abort=local_scheduler:once_real_deadline\n",
-    });
-    match cfg.estimation {
-        EstimationModel::Exact => out.push_str("estimation=exact\n"),
-        EstimationModel::UniformFactor { max_factor } => {
-            push_f64_line(out, "estimation=uniform_factor:", max_factor);
-        }
-        EstimationModel::Bias { factor } => push_f64_line(out, "estimation=bias:", factor),
-        EstimationModel::ClassMean { mean } => push_f64_line(out, "estimation=class_mean:", mean),
-    }
-    let fault = &cfg.fault;
-    if fault.any_enabled() {
-        out.push_str("fault=mttf:");
-        push_f64(out, fault.mttf);
-        out.push_str(",mttr:");
-        push_f64(out, fault.mttr);
-        out.push_str(",crash:");
-        out.push_str(fault.crash_policy.label());
-        out.push_str(",straggler:");
-        push_f64(out, fault.straggler_prob);
-        out.push('x');
-        push_f64(out, fault.straggler_factor);
-        out.push_str(",comm:");
-        push_f64(out, fault.comm_delay_prob);
-        out.push('~');
-        push_f64(out, fault.comm_delay_mean);
-        out.push('\n');
-    } else {
-        // Every disabled fault configuration simulates identically (no
-        // fault stream is ever drawn), so they all share one key.
-        out.push_str("fault=none\n");
-    }
-    push_f64_line(out, "duration=", cfg.duration);
-    push_f64_line(out, "warmup=", cfg.warmup);
-}
-
-/// The canonical text of a full data point: schema version, the
-/// configuration (one `name=value` line per simulated parameter), the
-/// base seed, and the stop rule. The adaptive rule writes its
-/// replication bounds as the sweep reads them, clamped, because they
-/// shape the result.
+/// The canonical text of a full data point: the schema version, the
+/// configuration's text form ([`SimConfig::to_text`], one `key=value`
+/// line per setting, with a disabled fault layer written as the
+/// default), the base seed, and the stop rule. The adaptive rule writes
+/// its replication bounds as the sweep reads them, clamped, because
+/// they shape the result.
 pub fn canonical_point(cfg: &SimConfig, seed: u64, stop: &StopRule) -> String {
-    let mut out = String::with_capacity(768);
+    // A disk hit keeps this buffer in the memory layer: 512 bytes hold
+    // every quick-campaign preimage (400-468 bytes) without growing.
+    let mut out = String::with_capacity(512);
     out.push_str("schema=");
     push_u64(&mut out, u64::from(CACHE_SCHEMA_VERSION));
     out.push('\n');
-    write_config(&mut out, cfg);
+    if cfg.fault.any_enabled() || cfg.fault == FaultConfig::disabled() {
+        cfg.write_text(&mut out);
+    } else {
+        // Every disabled fault configuration simulates identically (no
+        // fault stream is ever drawn), so they all share one key.
+        let cfg = SimConfig {
+            fault: FaultConfig::disabled(),
+            ..cfg.clone()
+        };
+        cfg.write_text(&mut out);
+    }
     out.push_str("seed=");
     push_u64(&mut out, seed);
     match stop {
@@ -991,32 +775,38 @@ impl PointCache {
     }
 
     /// Looks up a point, counting a memory hit, a disk hit, or a miss.
-    /// A disk hit is promoted into the memory layer.
+    /// A disk hit is promoted into the memory layer, which keeps `key`
+    /// and `preimage` as they are handed in; a miss hands them back.
     ///
     /// A disk read goes into buffers the cache reuses, and the bytes are
     /// decoded where they lie: a file that is not valid UTF-8 is corrupt,
     /// a verify error, like any other byte outside the encoding.
-    pub fn lookup(&self, key: &str, preimage: &str) -> Option<Arc<MultiRun>> {
-        if let Some((stored, found)) = self.memory.lock().expect("cache map").get(key) {
-            if stored == preimage {
+    ///
+    /// # Errors
+    ///
+    /// A miss returns `(key, preimage)`, so the caller can file the
+    /// point's result under them.
+    pub fn lookup(&self, key: String, preimage: String) -> Result<Arc<MultiRun>, (String, String)> {
+        if let Some((stored, found)) = self.memory.lock().expect("cache map").get(&key) {
+            if *stored == preimage {
                 self.hits_memory.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::clone(found));
+                return Ok(Arc::clone(found));
             }
         }
         if let Some(dir) = &self.dir {
             let mut buffers = self.read_buffers.lock().expect("read buffers");
             let ReadBuffers { path, bytes } = &mut *buffers;
-            entry_path(path, dir, key);
+            entry_path(path, dir, &key);
             match read_entry(path, bytes) {
                 Ok(len) => {
-                    if let Some(multi) = decode(&bytes[..len], preimage) {
+                    if let Some(multi) = decode(&bytes[..len], &preimage) {
                         self.hits_disk.fetch_add(1, Ordering::Relaxed);
                         let multi = Arc::new(multi);
                         self.memory
                             .lock()
                             .expect("cache map")
-                            .insert(key.to_string(), (preimage.to_string(), Arc::clone(&multi)));
-                        return Some(multi);
+                            .insert(key, (preimage, Arc::clone(&multi)));
+                        return Ok(multi);
                     }
                     // The file exists but is not a valid entry for this
                     // point: corruption, truncation, schema skew, or a
@@ -1038,7 +828,7 @@ impl PointCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        Err((key, preimage))
     }
 
     /// Counts a point resolved by sharing another identical point's
@@ -1174,7 +964,7 @@ mod tests {
         // CACHE_SCHEMA_VERSION so old caches are invalidated rather than
         // silently missed or (worse) wrongly hit.
         let key = point_key_of(&canonical_point(&quick_cfg(), 42, &StopRule::FixedReps(2)));
-        assert_eq!(key, "04e422d4861b80b36486be121572ac1c");
+        assert_eq!(key, "4c36f800781c38b19857946e6f5a2b90");
     }
 
     #[test]
@@ -1224,7 +1014,7 @@ mod tests {
         let key = point_key_of(&preimage);
         {
             let cache = PointCache::with_dir(&dir).unwrap();
-            assert!(cache.lookup(&key, &preimage).is_none());
+            assert!(cache.lookup(key.clone(), preimage.clone()).is_err());
             let multi = Arc::new(
                 crate::Runner::new(cfg.clone())
                     .seed(5)
@@ -1233,7 +1023,10 @@ mod tests {
                     .unwrap(),
             );
             cache.store(&key, &preimage, &multi);
-            assert!(cache.lookup(&key, &preimage).is_some(), "memory hit");
+            assert!(
+                cache.lookup(key.clone(), preimage.clone()).is_ok(),
+                "memory hit"
+            );
             assert_eq!(
                 cache.report(),
                 CacheReport {
@@ -1246,12 +1039,14 @@ mod tests {
         }
         // A fresh handle over the same directory: a disk hit.
         let cache = PointCache::with_dir(&dir).unwrap();
-        let found = cache.lookup(&key, &preimage).expect("disk hit");
+        let found = cache
+            .lookup(key.clone(), preimage.clone())
+            .expect("disk hit");
         assert_eq!(found.runs().len(), 2);
         assert_eq!(cache.report().hits_disk, 1);
         // A different preimage under the same key must miss, and the
         // disagreement is surfaced as a verification error.
-        assert!(cache.lookup(&key, "other-point").is_none());
+        assert!(cache.lookup(key.clone(), "other-point".into()).is_err());
         assert_eq!(cache.report().verify_errors, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1279,7 +1074,10 @@ mod tests {
         cache.store(&key, &preimage, &multi);
         assert_eq!(cache.report().write_errors, 1, "store failure is counted");
         // The in-memory layer still holds the result.
-        assert!(cache.lookup(&key, &preimage).is_some(), "memory unaffected");
+        assert!(
+            cache.lookup(key.clone(), preimage.clone()).is_ok(),
+            "memory unaffected"
+        );
         assert_eq!(cache.report().hits_memory, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1294,14 +1092,14 @@ mod tests {
         let path = cache.file_of(&key).unwrap();
         // A corrupted payload parses to a miss and counts a verify error.
         std::fs::write(&path, "sda-point-cache garbage\n").unwrap();
-        assert!(cache.lookup(&key, &preimage).is_none());
+        assert!(cache.lookup(key.clone(), preimage.clone()).is_err());
         let report = cache.report();
         assert_eq!((report.verify_errors, report.misses), (1, 1));
         // An entry that cannot be read at all (here: the path is a
         // directory) counts a read error and still degrades to a miss.
         std::fs::remove_file(&path).unwrap();
         std::fs::create_dir(&path).unwrap();
-        assert!(cache.lookup(&key, &preimage).is_none());
+        assert!(cache.lookup(key.clone(), preimage.clone()).is_err());
         let report = cache.report();
         assert_eq!((report.read_errors, report.misses), (1, 2));
         assert_eq!(report.errors(), 2);
@@ -1311,7 +1109,7 @@ mod tests {
         );
         // An absent file is an ordinary miss, not an error.
         std::fs::remove_dir(&path).unwrap();
-        assert!(cache.lookup(&key, &preimage).is_none());
+        assert!(cache.lookup(key.clone(), preimage.clone()).is_err());
         assert_eq!(cache.report().errors(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1327,7 +1125,7 @@ mod tests {
         let path = cache.file_of(&key).unwrap();
         std::fs::write(&path, &bytes).unwrap();
         assert!(
-            cache.lookup(&key, &preimage).is_some(),
+            cache.lookup(key.clone(), preimage.clone()).is_ok(),
             "the intact entry hits"
         );
         // A fresh handle, so the lookup reaches the disk again.
@@ -1335,7 +1133,7 @@ mod tests {
         let at = bytes.len() / 2;
         bytes[at] = 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(cache.lookup(&key, &preimage).is_none());
+        assert!(cache.lookup(key.clone(), preimage.clone()).is_err());
         let report = cache.report();
         assert_eq!(
             (report.verify_errors, report.read_errors, report.misses),

@@ -2,12 +2,16 @@
 
 use std::fmt;
 
-use sda_core::{EstimationModel, SdaStrategy};
+use sda_core::{EstimationModel, PspStrategy, SdaStrategy};
 use sda_model::TaskSpec;
 use sda_sched::Policy;
 use sda_simcore::dist::{Constant, Dist, Exp, Uniform};
 
 use crate::fault::FaultConfig;
+
+pub(crate) mod text;
+
+pub use text::parse_strategy;
 
 /// The shape of the global tasks a run generates.
 #[derive(Debug, Clone, PartialEq)]
@@ -416,8 +420,21 @@ impl SimConfig {
         }
         // Positive tests, so NaN fails them too.
         let finite_positive = |x: f64| x.is_finite() && x > 0.0;
-        if !finite_positive(self.mu_local) || !finite_positive(self.mu_subtask) {
-            return Err(ConfigError::BadServiceRate);
+        // The parameters the constructors check, for a configuration
+        // built from struct literals.
+        let at_least = |x: f64, floor: f64| x.is_finite() && x >= floor;
+        let psp_ok = match self.strategy.psp {
+            PspStrategy::Ud => true,
+            PspStrategy::DivX { x: p } | PspStrategy::Gf { delta: p } => finite_positive(p),
+        };
+        let estimation_ok = match self.estimation {
+            EstimationModel::Exact => true,
+            EstimationModel::UniformFactor { max_factor } => at_least(max_factor, 1.0),
+            EstimationModel::Bias { factor } => finite_positive(factor),
+            EstimationModel::ClassMean { mean } => at_least(mean, 0.0),
+        };
+        if !psp_ok || !estimation_ok {
+            return Err(ConfigError::BadModel(self.strategy.psp, self.estimation));
         }
         if self.preemptive && self.scheduler != Policy::Edf {
             return Err(ConfigError::PreemptionNeedsEdf(self.scheduler));
@@ -439,11 +456,23 @@ impl SimConfig {
                     "speeds must be finite and positive".to_string(),
                 ));
             }
-            for node in 0..self.nodes {
-                let rho = self.per_node_load(node);
-                if rho >= 1.0 {
-                    return Err(ConfigError::NodeSaturated { node, rho });
-                }
+        }
+        // Each rate, its mean service time 1/μ and each node's 1/(μ·speed)
+        // must be finite and positive: 1e-320 is such a rate, its mean is
+        // not.
+        for (class, rate) in [("local", self.mu_local), ("subtask", self.mu_subtask)] {
+            let speeds = std::iter::once(&1.0).chain(&self.node_speeds);
+            let mut means = speeds.map(|speed| 1.0 / (rate * speed));
+            if !finite_positive(rate) || !means.all(finite_positive) {
+                let rate = format!("mu_{class} = {rate:?}");
+                return Err(ConfigError::BadServiceRate(rate));
+            }
+        }
+        // Only heterogeneous speeds can saturate a node.
+        for node in 0..self.node_speeds.len() {
+            let rho = self.per_node_load(node);
+            if rho >= 1.0 {
+                return Err(ConfigError::NodeSaturated { node, rho });
             }
         }
         let warmup_ok = self.warmup.is_finite() && self.warmup >= 0.0;
@@ -489,8 +518,13 @@ pub enum ConfigError {
     BadLoad(f64),
     /// `frac_local` outside `[0, 1]`.
     BadFracLocal(f64),
-    /// A service rate that is not finite and positive.
-    BadServiceRate,
+    /// A service rate, named with its value, that is not finite and
+    /// positive, or whose mean service time at some node is not.
+    BadServiceRate(String),
+    /// A DIV factor or GF shift that is not finite and positive, or an
+    /// estimation model parameter its constructor would reject (a class
+    /// mean must be a finite, non-negative time).
+    BadModel(PspStrategy, EstimationModel),
     /// `preemptive` set with a non-EDF scheduler.
     PreemptionNeedsEdf(Policy),
     /// Wrong number of node speeds, or a non-positive speed.
@@ -533,7 +567,13 @@ impl fmt::Display for ConfigError {
             ConfigError::NoNodes => write!(f, "node count must be positive"),
             ConfigError::BadLoad(l) => write!(f, "load must be in [0, 1), got {l}"),
             ConfigError::BadFracLocal(x) => write!(f, "frac_local must be in [0, 1], got {x}"),
-            ConfigError::BadServiceRate => write!(f, "service rates must be finite and positive"),
+            ConfigError::BadServiceRate(rate) => write!(
+                f,
+                "service rates and mean service times must be finite and positive, got {rate}"
+            ),
+            ConfigError::BadModel(psp, model) => {
+                write!(f, "invalid parameter in {psp:?} or {model:?}")
+            }
             ConfigError::PreemptionNeedsEdf(policy) => {
                 write!(f, "preemption requires EDF, got {policy}")
             }

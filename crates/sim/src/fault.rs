@@ -54,17 +54,6 @@ pub enum CrashPolicy {
     RequeueSubtask,
 }
 
-impl CrashPolicy {
-    /// Stable lowercase label (used by canonical cache text and CLI
-    /// parsing).
-    pub fn label(self) -> &'static str {
-        match self {
-            CrashPolicy::AbortTask => "abort",
-            CrashPolicy::RequeueSubtask => "requeue",
-        }
-    }
-}
-
 /// Fault-injection rates and policies. All rates default to zero
 /// (disabled); see the [module docs](self) for the semantics of each
 /// fault class.

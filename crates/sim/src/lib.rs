@@ -17,6 +17,7 @@
 //! | `pm` (private) | the process manager's slot table of in-flight global tasks |
 //! | [`Simulation`] | the orchestration tying the layers together over the engine |
 //! | [`trace`] | the structured [`trace::TraceSink`] observability pipeline |
+//! | `config` (private) | [`SimConfig`], its validation, and its text form ([`SimConfig::from_text`], [`SimConfig::to_text`]) |
 //! | [`runner`] | the one-configuration builder, stopping rules, run results, stats |
 //! | [`fault`] | deterministic fault injection: crashes, stragglers, comm delays |
 //! | [`cache`] | content-addressed memoization of completed data points |
@@ -55,8 +56,8 @@ mod workload;
 
 pub use cache::{CacheReport, PointCache, CACHE_SCHEMA_VERSION};
 pub use config::{
-    AbortPolicy, Burst, ConfigError, GlobalShape, Placement, ResubmitPolicy, ServiceShape,
-    SimConfig,
+    parse_strategy, AbortPolicy, Burst, ConfigError, GlobalShape, Placement, ResubmitPolicy,
+    ServiceShape, SimConfig,
 };
 pub use fault::{CrashPolicy, FaultConfig};
 pub use metrics::Metrics;

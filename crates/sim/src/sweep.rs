@@ -391,25 +391,29 @@ impl Sweep {
         let mut tasks: Vec<Task> = Vec::new();
         let mut planned: HashMap<String, usize> = HashMap::new();
         for point in &self.points {
-            let address = (point.trace.is_none() && point.seeds.is_none()).then(|| {
+            let mut address = None;
+            if point.trace.is_none() && point.seeds.is_none() {
                 let preimage = canonical_point(&point.cfg, point.seed, &point.stop);
-                (point_key_of(&preimage), preimage)
-            });
-            if let Some((key, preimage)) = &address {
-                if let Some(&task) = planned.get(key) {
+                let key = point_key_of(&preimage);
+                if let Some(&task) = planned.get(&key) {
                     if let Some(cache) = &self.cache {
                         cache.record_shared_hit();
                     }
                     plans.push(Plan::Task(task));
                     continue;
                 }
-                if let Some(cache) = &self.cache {
-                    if let Some(found) = cache.lookup(key, preimage) {
-                        plans.push(Plan::Cached(found));
-                        continue;
-                    }
-                }
+                let (key, preimage) = match &self.cache {
+                    Some(cache) => match cache.lookup(key, preimage) {
+                        Ok(found) => {
+                            plans.push(Plan::Cached(found));
+                            continue;
+                        }
+                        Err(missed) => missed,
+                    },
+                    None => (key, preimage),
+                };
                 planned.insert(key.clone(), tasks.len());
+                address = Some((key, preimage));
             }
             let (first, cap) = point.rep_bounds();
             assert!(first > 0, "need at least one replication");

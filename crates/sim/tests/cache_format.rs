@@ -1,15 +1,18 @@
 //! Format pins for the on-disk point cache: entries written by an
 //! earlier build of the cache codec, committed under
-//! `tests/fixtures/cache-v4/` (one file per point, named by its key).
+//! `tests/fixtures/cache-v5/` (one file per point, named by its key).
 //! Each must still decode, re-encode to the same bytes, and hit when a
 //! cache is opened over that directory — so cache directories written
 //! before a codec change keep hitting after it.
 //!
-//! `tests/fixtures/cache-v3/` and `tests/fixtures/cache-v2/` hold
-//! entries as schemas 3 and 2 wrote them: the same fixed-count point,
-//! and a batch-means point of a stop rule that no longer exists. Schema
-//! 4 never reads them: their keys are not the current ones, and a stale
-//! file found under a current key fails verification instead of hitting.
+//! `tests/fixtures/cache-v4/`, `cache-v3/` and `cache-v2/` hold entries
+//! as schemas 4, 3 and 2 wrote them: the same fixed-count point, and an
+//! adaptive point (v4) or a batch-means point of a stop rule that no
+//! longer exists (v3, v2). Schema 5 never reads them: their keys are not
+//! the current ones, and a stale file found under a current key fails
+//! verification instead of hitting. The v5 entries carry the v4 entries'
+//! payloads byte for byte: schema 5 changed only the preimage, the
+//! configuration's text form.
 
 use std::path::PathBuf;
 
@@ -41,7 +44,7 @@ fn pinned_points() -> [(u64, StopRule, &'static str); 2] {
         (
             42,
             StopRule::FixedReps(2),
-            "04e422d4861b80b36486be121572ac1c",
+            "4c36f800781c38b19857946e6f5a2b90",
         ),
         (
             3,
@@ -50,18 +53,18 @@ fn pinned_points() -> [(u64, StopRule, &'static str); 2] {
                 min_reps: 2,
                 max_reps: 64,
             },
-            "d998ee8433876def271b245b43aa0af4",
+            "ca6e0ab54f1cb23105d4b5989e6c6e98",
         ),
     ]
 }
 
 #[test]
 fn committed_entries_decode_and_reencode_byte_for_byte() {
-    assert_eq!(CACHE_SCHEMA_VERSION, 4);
+    assert_eq!(CACHE_SCHEMA_VERSION, 5);
     for (seed, stop, key) in pinned_points() {
         let preimage = canonical_point(&quick_cfg(), seed, &stop);
         assert_eq!(point_key_of(&preimage), key, "key drifted for {stop:?}");
-        let path = fixture_dir("cache-v4").join(format!("{key}.sdacache"));
+        let path = fixture_dir("cache-v5").join(format!("{key}.sdacache"));
         let text = std::fs::read_to_string(&path).expect("fixture present");
         let multi = parse_multi_run(&text, &preimage).expect("fixture decodes");
         assert!(
@@ -74,10 +77,13 @@ fn committed_entries_decode_and_reencode_byte_for_byte() {
 
 #[test]
 fn committed_directory_serves_disk_hits() {
-    let cache = PointCache::with_dir(fixture_dir("cache-v4")).expect("fixture dir opens");
+    let cache = PointCache::with_dir(fixture_dir("cache-v5")).expect("fixture dir opens");
     for (seed, stop, key) in pinned_points() {
         let preimage = canonical_point(&quick_cfg(), seed, &stop);
-        assert!(cache.lookup(key, &preimage).is_some(), "{key} misses");
+        assert!(
+            cache.lookup(key.to_string(), preimage).is_ok(),
+            "{key} misses"
+        );
     }
     let report = cache.report();
     assert_eq!(
@@ -87,9 +93,10 @@ fn committed_directory_serves_disk_hits() {
 }
 
 /// The stale fixture directories and the keys their schemas filed the
-/// fixed-count point and the batch-means point under; each stale entry
-/// stands in for the [`pinned_points`] entry at its position.
-const STALE: [(&str, [&str; 2]); 2] = [
+/// fixed-count point and the adaptive (v4) or batch-means point under;
+/// each stale entry stands in for the [`pinned_points`] entry at its
+/// position.
+const STALE: [(&str, [&str; 2]); 3] = [
     (
         "cache-v2",
         [
@@ -104,6 +111,13 @@ const STALE: [(&str, [&str; 2]); 2] = [
             "300ace1938b16bd1837a48867b9ba0ac",
         ],
     ),
+    (
+        "cache-v4",
+        [
+            "04e422d4861b80b36486be121572ac1c",
+            "d998ee8433876def271b245b43aa0af4",
+        ],
+    ),
 ];
 
 #[test]
@@ -113,7 +127,7 @@ fn stale_directories_miss_without_errors() {
         for (seed, stop, key) in pinned_points() {
             let preimage = canonical_point(&quick_cfg(), seed, &stop);
             assert!(
-                cache.lookup(key, &preimage).is_none(),
+                cache.lookup(key.to_string(), preimage).is_err(),
                 "{schema}: {key} hits"
             );
         }
@@ -141,7 +155,7 @@ fn stale_entry_under_a_current_key_fails_verification() {
             let cache = PointCache::with_dir(&dir).unwrap();
             let preimage = canonical_point(&quick_cfg(), seed, &stop);
             assert!(
-                cache.lookup(key, &preimage).is_none(),
+                cache.lookup(key.to_string(), preimage).is_err(),
                 "{schema}: {key} hits"
             );
             let report = cache.report();

@@ -38,7 +38,7 @@ fn quick_cfg() -> SimConfig {
 fn fixture(seed: u64, stop: StopRule) -> Payload {
     let preimage = canonical_point(&quick_cfg(), seed, &stop);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/cache-v4")
+        .join("tests/fixtures/cache-v5")
         .join(format!("{}.sdacache", point_key_of(&preimage)));
     let text = std::fs::read_to_string(&path).expect("fixture present");
     Payload { preimage, text }

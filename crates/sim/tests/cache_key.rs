@@ -1,16 +1,17 @@
 //! Property tests for cache-key stability: the canonical point text (and
 //! therefore the content address) is a pure function of the simulated
-//! parameters — identical however the configuration was constructed, and
-//! different whenever any simulated parameter differs.
+//! parameters — different whenever any simulated parameter differs.
 //!
-//! The preimage is written without `core::fmt`. Differential tests hold
-//! it to a `writeln!`-based reference writer, kept here as the oracle,
+//! The configuration part of the preimage is the config-file text form,
+//! [`SimConfig::to_text`]. The round-trip property reads it back with
+//! [`SimConfig::from_text`] on generated configurations, whose generator
+//! builds every struct as a literal: a new field does not compile until
+//! the generator draws it, so the key stays complete by construction.
+//! The preimage is written without `core::fmt`; differential tests hold
 //! its float writer to `format!("{x:?}")`, its bracket-spec writer to
 //! `TaskSpec`'s `Display`, and the key's hex digits to
-//! `format!("{hi:016x}{lo:016x}")`, so every key (and every cache file on
-//! disk) stays what the formatting machinery wrote.
-
-use std::fmt::{self, Write as _};
+//! `format!("{hi:016x}{lo:016x}")`, and the committed preimages under
+//! `tests/fixtures/preimages-v5/` pin the whole text of named points.
 
 use proptest::prelude::*;
 use sda_core::{EstimationModel, PspStrategy, SdaStrategy, SspStrategy};
@@ -20,49 +21,138 @@ use sda_sim::cache::{canonical_point, point_key_of};
 use sda_sim::runner::StopRule;
 use sda_sim::{
     AbortPolicy, Burst, CrashPolicy, FaultConfig, GlobalShape, Placement, ResubmitPolicy,
-    ServiceShape, SimConfig, CACHE_SCHEMA_VERSION,
+    ServiceShape, SimConfig,
 };
 use sda_simcore::dist::Uniform;
 
-/// The generated knobs a test configuration is built from. Everything
-/// here is a *simulated parameter*: changing any field must change the
-/// cache key.
-#[derive(Debug, Clone, PartialEq)]
-struct Knobs {
-    nodes: usize,
-    load: f64,
-    frac_local: f64,
-    shape_n: usize,
-    psp: PspStrategy,
-    ssp: SspStrategy,
-    preemptive: bool,
-    service_shape: ServiceShape,
-    placement: Placement,
-    abort: AbortPolicy,
-    estimation: EstimationModel,
-    burst_boost: Option<f64>,
-    duration: f64,
+/// Positive finite floats over many magnitudes, with integers and their
+/// neighbours one ulp away (which `PspStrategy::label` rounds) among
+/// them.
+fn arb_positive() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (1u64..100).prop_map(|n| n as f64),
+        (1u64..100, any::<bool>()).prop_map(|(n, up)| {
+            let bits = (n as f64).to_bits();
+            f64::from_bits(if up { bits + 1 } else { bits - 1 })
+        }),
+        (0u64..90, any::<u64>()).prop_map(|(exponent, bits)| f64::from_bits(
+            ((1023 - 30 + exponent) << 52) | (bits >> 12)
+        )),
+    ]
 }
 
-fn knobs() -> impl Strategy<Value = Knobs> {
+/// A serial-parallel spec whose compositions all have at least two
+/// children, so its bracket text parses back to it.
+fn arb_spec() -> impl Strategy<Value = TaskSpec> {
+    Just(TaskSpec::Simple).prop_recursive(4, 24, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 2..5).prop_map(TaskSpec::serial),
+            prop::collection::vec(inner, 2..5).prop_map(TaskSpec::parallel),
+        ]
+    })
+}
+
+fn arb_shape() -> impl Strategy<Value = GlobalShape> {
+    prop_oneof![
+        (1usize..8).prop_map(|n| GlobalShape::ParallelFixed { n }),
+        (1usize..4, 0usize..4)
+            .prop_map(|(lo, extra)| GlobalShape::ParallelUniform { lo, hi: lo + extra }),
+        Just(GlobalShape::figure14()),
+        arb_spec().prop_map(GlobalShape::Spec),
+    ]
+}
+
+fn arb_strategy() -> impl Strategy<Value = SdaStrategy> {
+    let ssp = prop_oneof![
+        Just(SspStrategy::Ud),
+        Just(SspStrategy::Ed),
+        Just(SspStrategy::Eqs),
+        Just(SspStrategy::Eqf),
+    ];
+    let psp = prop_oneof![
+        Just(PspStrategy::Ud),
+        arb_positive().prop_map(PspStrategy::div),
+        Just(PspStrategy::gf()),
+        arb_positive().prop_map(|delta| PspStrategy::Gf { delta }),
+    ];
+    (ssp, psp).prop_map(|(ssp, psp)| SdaStrategy { ssp, psp })
+}
+
+fn arb_abort() -> impl Strategy<Value = AbortPolicy> {
+    prop_oneof![
+        Just(AbortPolicy::None),
+        Just(AbortPolicy::ProcessManager),
+        Just(AbortPolicy::LocalScheduler {
+            resubmit: ResubmitPolicy::Never
+        }),
+        Just(AbortPolicy::LocalScheduler {
+            resubmit: ResubmitPolicy::OnceWithRealDeadline
+        }),
+    ]
+}
+
+fn arb_estimation() -> impl Strategy<Value = EstimationModel> {
+    prop_oneof![
+        Just(EstimationModel::Exact),
+        arb_positive().prop_map(|x| EstimationModel::uniform_factor(1.0 + x)),
+        arb_positive().prop_map(EstimationModel::bias),
+        arb_positive().prop_map(|mean| EstimationModel::ClassMean { mean }),
+    ]
+}
+
+/// Each fault class on or off, with every rate drawn either way: an off
+/// class keeps the values of its other fields.
+fn arb_fault() -> impl Strategy<Value = FaultConfig> {
+    (
+        (any::<bool>(), arb_positive(), arb_positive()),
+        prop_oneof![
+            Just(CrashPolicy::AbortTask),
+            Just(CrashPolicy::RequeueSubtask)
+        ],
+        (any::<bool>(), 0.01f64..1.0, arb_positive()),
+        (any::<bool>(), 0.01f64..1.0, arb_positive()),
+    )
+        .prop_map(
+            |(
+                (crash, mttf, mttr),
+                crash_policy,
+                (slow, p_slow, factor),
+                (delay, p_delay, mean),
+            )| {
+                FaultConfig {
+                    mttf: if crash { mttf } else { 0.0 },
+                    mttr,
+                    crash_policy,
+                    straggler_prob: if slow { p_slow } else { 0.0 },
+                    straggler_factor: 1.0 + factor,
+                    comm_delay_prob: if delay { p_delay } else { 0.0 },
+                    comm_delay_mean: mean,
+                }
+            },
+        )
+}
+
+/// Every field drawn, as a struct literal with no `..base`.
+fn arb_config() -> impl Strategy<Value = SimConfig> {
     (
         (
-            2usize..8,
-            0.05f64..0.9,
-            0.0f64..0.95,
-            2usize..6,
+            1usize..12,
+            0.0f64..1.0,
+            0.0f64..=1.0,
+            arb_positive(),
+            arb_positive(),
+        ),
+        ((0.0f64..10.0, 0.0f64..10.0), (0.0f64..10.0, 0.0f64..10.0)),
+        (arb_shape(), arb_strategy()),
+        (
             prop_oneof![
-                Just(PspStrategy::Ud),
-                (0.25f64..4.0).prop_map(PspStrategy::div),
-                Just(PspStrategy::gf()),
-            ],
-            prop_oneof![
-                Just(SspStrategy::Ud),
-                Just(SspStrategy::Ed),
-                Just(SspStrategy::Eqs),
-                Just(SspStrategy::Eqf),
+                Just(Policy::Edf),
+                Just(Policy::Fcfs),
+                Just(Policy::Sjf),
+                Just(Policy::Llf)
             ],
             any::<bool>(),
+            proptest::option::of(prop::collection::vec(arb_positive(), 12..13)),
         ),
         (
             prop_oneof![
@@ -74,165 +164,212 @@ fn knobs() -> impl Strategy<Value = Knobs> {
                 Just(Placement::RandomDistinct),
                 Just(Placement::LeastLoaded)
             ],
-            prop_oneof![
-                Just(AbortPolicy::None),
-                Just(AbortPolicy::ProcessManager),
-                Just(AbortPolicy::LocalScheduler {
-                    resubmit: ResubmitPolicy::Never
-                }),
-                Just(AbortPolicy::LocalScheduler {
-                    resubmit: ResubmitPolicy::OnceWithRealDeadline
-                }),
-            ],
-            prop_oneof![
-                Just(EstimationModel::Exact),
-                (1.1f64..4.0).prop_map(EstimationModel::uniform_factor),
-                (0.3f64..3.0).prop_map(EstimationModel::bias),
-            ],
-            proptest::option::of(1.5f64..8.0),
-            1_000.0f64..50_000.0,
+            proptest::option::of((arb_positive(), 0.05f64..0.95, 0.0f64..1.0)),
         ),
+        (arb_abort(), arb_estimation(), arb_fault()),
+        (arb_positive(), 0.0f64..1.0),
     )
         .prop_map(
             |(
-                (nodes, load, frac_local, shape_n, psp, ssp, preemptive),
-                (service_shape, placement, abort, estimation, burst_boost, duration),
-            )| Knobs {
+                (nodes, load, frac_local, mu_local, mu_subtask),
+                ((local_lo, local_width), (global_lo, global_width)),
+                (shape, strategy),
+                (scheduler, preemptive, speeds),
+                (service_shape, placement, burst),
+                (abort, estimation, fault),
+                (duration, warmup_share),
+            )| SimConfig {
                 nodes,
                 load,
                 frac_local,
-                shape_n: shape_n.min(nodes),
-                psp,
-                ssp,
+                mu_local,
+                mu_subtask,
+                local_slack: Uniform::new(local_lo, local_lo + local_width),
+                global_slack: Uniform::new(global_lo, global_lo + global_width),
+                shape,
+                strategy,
+                scheduler,
                 preemptive,
+                node_speeds: speeds.map_or(Vec::new(), |speeds| speeds[..nodes].to_vec()),
                 service_shape,
                 placement,
+                burst: burst.map(|(period, on_fraction, boost_share)| Burst {
+                    period,
+                    on_fraction,
+                    boost: 1.0 + boost_share * (1.0 / on_fraction - 1.0),
+                }),
                 abort,
                 estimation,
-                burst_boost,
+                fault,
                 duration,
+                warmup: duration * warmup_share,
             },
         )
-}
-
-/// Builds the configuration from knobs, assigning fields in one order.
-fn build(k: &Knobs) -> SimConfig {
-    SimConfig {
-        nodes: k.nodes,
-        load: k.load,
-        frac_local: k.frac_local,
-        shape: GlobalShape::ParallelFixed { n: k.shape_n },
-        strategy: SdaStrategy {
-            ssp: k.ssp,
-            psp: k.psp,
-        },
-        preemptive: k.preemptive,
-        node_speeds: vec![1.0; k.nodes],
-        service_shape: k.service_shape,
-        placement: k.placement,
-        abort: k.abort,
-        estimation: k.estimation,
-        burst: k.burst_boost.map(|boost| Burst {
-            period: 50.0,
-            on_fraction: 0.25,
-            boost,
-        }),
-        duration: k.duration,
-        warmup: k.duration / 100.0,
-        ..SimConfig::baseline()
-    }
-}
-
-/// Builds the same configuration through a different construction path
-/// (builder methods applied after a differently-ordered literal).
-fn build_other_order(k: &Knobs) -> SimConfig {
-    let base = SimConfig {
-        duration: k.duration,
-        warmup: k.duration / 100.0,
-        estimation: k.estimation,
-        abort: k.abort,
-        placement: k.placement,
-        service_shape: k.service_shape,
-        node_speeds: vec![1.0; k.nodes],
-        preemptive: k.preemptive,
-        shape: GlobalShape::ParallelFixed { n: k.shape_n },
-        frac_local: k.frac_local,
-        nodes: k.nodes,
-        burst: k.burst_boost.map(|boost| Burst {
-            period: 50.0,
-            on_fraction: 0.25,
-            boost,
-        }),
-        ..SimConfig::baseline()
-    };
-    base.with_load(k.load).with_strategy(SdaStrategy {
-        ssp: k.ssp,
-        psp: k.psp,
-    })
 }
 
 fn key(cfg: &SimConfig, seed: u64) -> String {
     point_key_of(&canonical_point(cfg, seed, &StopRule::FixedReps(2)))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Whether `a` and `b` differ only in fault fields while neither enables
+/// a fault class: such configurations simulate identically.
+fn differ_only_in_idle_faults(a: &SimConfig, b: &SimConfig) -> bool {
+    let a_without_faults = SimConfig {
+        fault: b.fault,
+        ..a.clone()
+    };
+    !a.fault.any_enabled() && !b.fault.any_enabled() && a_without_faults == *b
+}
 
-    /// The key does not depend on how the config value was constructed.
-    #[test]
-    fn key_is_stable_across_construction_orders(k in knobs(), seed in 0u64..1_000) {
-        prop_assert_eq!(key(&build(&k), seed), key(&build_other_order(&k), seed));
-    }
+/// The next value of a small enum in `values`, cyclically.
+fn next<T: PartialEq + Copy>(values: &[T], current: T) -> T {
+    let at = values.iter().position(|&v| v == current).expect("listed");
+    values[(at + 1) % values.len()]
+}
 
-    /// Changing any single simulated parameter changes the key.
-    #[test]
-    fn key_changes_with_every_parameter(k in knobs(), seed in 0u64..1_000, which in 0usize..10) {
-        let base_key = key(&build(&k), seed);
-        let mut m = k.clone();
-        match which {
-            0 => m.load = (m.load * 0.5) + 0.01,
-            1 => m.nodes += 1,
-            2 => m.frac_local = (m.frac_local * 0.5) + 0.001,
-            3 => m.shape_n += 1,
-            4 => m.preemptive = !m.preemptive,
-            5 => m.duration *= 2.0,
-            6 => {
-                m.psp = match m.psp {
-                    PspStrategy::Ud => PspStrategy::div(1.0),
-                    _ => PspStrategy::Ud,
+/// `cfg` with one field changed: `which` ranges over every field of
+/// [`SimConfig`] and of its [`FaultConfig`].
+fn mutate(cfg: &SimConfig, which: usize) -> SimConfig {
+    let mut m = cfg.clone();
+    let shift = |x: f64| if x < 0.5 { x + 0.25 } else { x - 0.25 };
+    let wider = |u: Uniform| Uniform::new(u.lo(), u.hi() + 1.0);
+    match which {
+        0 => m.nodes += 1,
+        1 => m.load = shift(m.load),
+        2 => m.frac_local = shift(m.frac_local),
+        3 => m.mu_local *= 2.0,
+        4 => m.mu_subtask *= 2.0,
+        5 => m.local_slack = wider(m.local_slack),
+        6 => m.global_slack = wider(m.global_slack),
+        7 => {
+            m.shape = match m.shape {
+                GlobalShape::ParallelFixed { n } => GlobalShape::ParallelFixed { n: n + 1 },
+                GlobalShape::ParallelUniform { lo, hi } => {
+                    GlobalShape::ParallelUniform { lo, hi: hi + 1 }
                 }
-            }
-            7 => {
-                m.ssp = match m.ssp {
-                    SspStrategy::Ud => SspStrategy::Eqf,
-                    _ => SspStrategy::Ud,
-                }
-            }
-            8 => {
-                m.placement = match m.placement {
-                    Placement::RandomDistinct => Placement::LeastLoaded,
-                    Placement::LeastLoaded => Placement::RandomDistinct,
-                }
-            }
-            _ => {
-                m.abort = match m.abort {
-                    AbortPolicy::None => AbortPolicy::ProcessManager,
-                    _ => AbortPolicy::None,
+                GlobalShape::Spec(spec) => {
+                    GlobalShape::Spec(TaskSpec::serial(vec![spec, TaskSpec::Simple]))
                 }
             }
         }
-        // `shape_n` is clamped to `nodes` at build time, so bumping it can
-        // be a no-op; only a knob change that survives the build must
-        // change the key.
-        if build(&m) != build(&k) {
-            prop_assert_ne!(key(&build(&m), seed), base_key);
+        8 => {
+            let ssps = [
+                SspStrategy::Ud,
+                SspStrategy::Ed,
+                SspStrategy::Eqs,
+                SspStrategy::Eqf,
+            ];
+            m.strategy.ssp = next(&ssps, m.strategy.ssp);
+        }
+        9 => {
+            m.strategy.psp = match m.strategy.psp {
+                PspStrategy::Ud => PspStrategy::div(1.0),
+                PspStrategy::DivX { x } => PspStrategy::div(2.0 * x),
+                PspStrategy::Gf { delta } => PspStrategy::Gf { delta: 2.0 * delta },
+            }
+        }
+        10 => m.scheduler = next(&Policy::ALL, m.scheduler),
+        11 => m.preemptive = !m.preemptive,
+        12 => match m.node_speeds.first_mut() {
+            Some(speed) => *speed *= 2.0,
+            None => m.node_speeds = vec![1.0; m.nodes],
+        },
+        13 => {
+            let shapes = [
+                ServiceShape::Exponential,
+                ServiceShape::Deterministic,
+                ServiceShape::UniformSpread,
+            ];
+            m.service_shape = next(&shapes, m.service_shape);
+        }
+        14 => {
+            let placements = [Placement::RandomDistinct, Placement::LeastLoaded];
+            m.placement = next(&placements, m.placement);
+        }
+        15 => {
+            m.burst = match m.burst {
+                Some(_) => None,
+                None => Some(Burst {
+                    period: 50.0,
+                    on_fraction: 0.25,
+                    boost: 2.0,
+                }),
+            }
+        }
+        16 => {
+            let aborts = [
+                AbortPolicy::None,
+                AbortPolicy::ProcessManager,
+                AbortPolicy::LocalScheduler {
+                    resubmit: ResubmitPolicy::Never,
+                },
+                AbortPolicy::LocalScheduler {
+                    resubmit: ResubmitPolicy::OnceWithRealDeadline,
+                },
+            ];
+            m.abort = next(&aborts, m.abort);
+        }
+        17 => {
+            m.estimation = match m.estimation {
+                EstimationModel::Exact => EstimationModel::bias(2.0),
+                _ => EstimationModel::Exact,
+            }
+        }
+        18 => m.fault.mttf = if m.fault.mttf == 0.0 { 500.0 } else { 0.0 },
+        19 => m.fault.mttr *= 2.0,
+        20 => {
+            let policies = [CrashPolicy::AbortTask, CrashPolicy::RequeueSubtask];
+            m.fault.crash_policy = next(&policies, m.fault.crash_policy);
+        }
+        21 => m.fault.straggler_prob = shift(m.fault.straggler_prob),
+        22 => m.fault.straggler_factor *= 2.0,
+        23 => m.fault.comm_delay_prob = shift(m.fault.comm_delay_prob),
+        24 => m.fault.comm_delay_mean *= 2.0,
+        25 => m.duration *= 2.0,
+        26 => m.warmup = if m.warmup > 1.0 { m.warmup / 2.0 } else { 2.0 },
+        _ => unreachable!("27 fields"),
+    }
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The text form reads back to the configuration it was written
+    /// from, and the key is the one its writer hashes.
+    #[test]
+    fn text_form_round_trips(cfg in arb_config(), seed in any::<u64>()) {
+        let text = cfg.to_text();
+        let back = SimConfig::from_text(&text);
+        prop_assert_eq!(back.as_ref(), Ok(&cfg), "{}", text);
+        let canonical = canonical_point(&cfg, seed, &StopRule::FixedReps(2));
+        prop_assert!(canonical.contains(&text) || !cfg.fault.any_enabled(), "{}", canonical);
+        prop_assert_eq!(point_key_of(&canonical), reference_key(&canonical));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Changing any single field changes the key, unless the change only
+    /// touches a fault layer that no class enables.
+    #[test]
+    fn key_changes_with_every_parameter(cfg in arb_config(), seed in 0u64..1_000) {
+        let base_key = key(&cfg, seed);
+        for which in 0..27 {
+            let m = mutate(&cfg, which);
+            prop_assert!(m != cfg, "mutation {} changed nothing", which);
+            if differ_only_in_idle_faults(&m, &cfg) {
+                prop_assert_eq!(key(&m, seed), base_key.clone(), "mutation {}", which);
+            } else {
+                prop_assert_ne!(key(&m, seed), base_key.clone(), "mutation {}", which);
+            }
         }
     }
 
     /// The base seed and the stop rule are part of the key.
     #[test]
-    fn key_changes_with_seed_and_stop_rule(k in knobs(), seed in 0u64..1_000) {
-        let cfg = build(&k);
+    fn key_changes_with_seed_and_stop_rule(cfg in arb_config(), seed in 0u64..1_000) {
         prop_assert_ne!(key(&cfg, seed), key(&cfg, seed + 1));
         let fixed = canonical_point(&cfg, seed, &StopRule::FixedReps(2));
         let more = canonical_point(&cfg, seed, &StopRule::FixedReps(3));
@@ -240,187 +377,175 @@ proptest! {
         prop_assert_ne!(point_key_of(&fixed), point_key_of(&more));
         prop_assert_ne!(point_key_of(&fixed), point_key_of(&adaptive));
     }
+}
 
-    /// Slack distributions are simulated parameters too.
-    #[test]
-    fn key_changes_with_slack_bounds(k in knobs(), lo in 0.5f64..2.0, width in 0.1f64..3.0) {
-        let cfg = build(&k);
-        let other = SimConfig {
-            global_slack: Uniform::new(lo, lo + width),
-            ..cfg.clone()
-        };
-        if other.global_slack.lo() != cfg.global_slack.lo()
-            || other.global_slack.hi() != cfg.global_slack.hi()
-        {
-            prop_assert_ne!(key(&cfg, 1), key(&other, 1));
+#[test]
+fn idle_fault_layers_share_one_key() {
+    let base = SimConfig::baseline();
+    let disabled = FaultConfig::disabled();
+    let idle = FaultConfig {
+        mttr: 25.0,
+        crash_policy: CrashPolicy::RequeueSubtask,
+        straggler_factor: 4.0,
+        comm_delay_mean: 0.5,
+        ..disabled
+    };
+    let with = |fault| SimConfig {
+        fault,
+        ..base.clone()
+    };
+    for fault in [
+        FaultConfig {
+            mttr: 25.0,
+            ..disabled
+        },
+        FaultConfig {
+            crash_policy: CrashPolicy::RequeueSubtask,
+            ..disabled
+        },
+        FaultConfig {
+            straggler_factor: 4.0,
+            ..disabled
+        },
+        FaultConfig {
+            comm_delay_mean: 0.5,
+            ..disabled
+        },
+        idle,
+    ] {
+        assert!(!fault.any_enabled());
+        assert_eq!(key(&with(fault), 1), key(&base, 1), "{fault:?}");
+    }
+    // Enabling any one class, over either fault layer, changes the key.
+    for enable in [
+        |f: FaultConfig| FaultConfig { mttf: 500.0, ..f },
+        |f: FaultConfig| FaultConfig {
+            straggler_prob: 0.05,
+            ..f
+        },
+        |f: FaultConfig| FaultConfig {
+            comm_delay_prob: 0.1,
+            ..f
+        },
+    ] {
+        for layer in [disabled, idle] {
+            let fault = enable(layer);
+            assert!(fault.any_enabled());
+            assert_ne!(key(&with(fault), 1), key(&base, 1), "{fault:?}");
         }
+        assert_ne!(key(&with(enable(disabled)), 1), key(&with(enable(idle)), 1));
     }
 }
 
-/// The reference preimage writer: the configuration lines written with
-/// `writeln!` and `{:?}`, as the cache wrote them before the direct
-/// writer replaced it.
-fn reference_config(out: &mut String, cfg: &SimConfig) -> fmt::Result {
-    writeln!(out, "nodes={}", cfg.nodes)?;
-    writeln!(out, "load={:?}", cfg.load)?;
-    writeln!(out, "frac_local={:?}", cfg.frac_local)?;
-    writeln!(out, "mu_local={:?}", cfg.mu_local)?;
-    writeln!(out, "mu_subtask={:?}", cfg.mu_subtask)?;
-    let (local, global) = (&cfg.local_slack, &cfg.global_slack);
-    writeln!(
-        out,
-        "local_slack=uniform[{:?},{:?}]",
-        local.lo(),
-        local.hi()
-    )?;
-    writeln!(
-        out,
-        "global_slack=uniform[{:?},{:?}]",
-        global.lo(),
-        global.hi()
-    )?;
-    match &cfg.shape {
-        GlobalShape::ParallelFixed { n } => writeln!(out, "shape=parallel_fixed:{n}"),
-        GlobalShape::ParallelUniform { lo, hi } => {
-            writeln!(out, "shape=parallel_uniform:{lo}..{hi}")
-        }
-        GlobalShape::Spec(spec) => writeln!(out, "shape=spec:{spec}"),
-    }?;
-    let ssp = match cfg.strategy.ssp {
-        SspStrategy::Ud => "ud",
-        SspStrategy::Ed => "ed",
-        SspStrategy::Eqs => "eqs",
-        SspStrategy::Eqf => "eqf",
+/// The named configurations of the committed preimages, each with its
+/// fixture file under `tests/fixtures/preimages-v5/`.
+fn named_configs() -> [(&'static str, SimConfig, &'static str); 6] {
+    let fault_on = SimConfig {
+        fault: FaultConfig {
+            mttf: 500.0,
+            mttr: 25.0,
+            crash_policy: CrashPolicy::RequeueSubtask,
+            straggler_prob: 0.05,
+            straggler_factor: 4.0,
+            comm_delay_prob: 0.1,
+            comm_delay_mean: 0.5,
+        },
+        abort: AbortPolicy::ProcessManager,
+        scheduler: Policy::Sjf,
+        ..SimConfig::section8().with_strategy(SdaStrategy {
+            ssp: SspStrategy::Eqf,
+            psp: PspStrategy::div(1.0),
+        })
     };
-    writeln!(out, "ssp={ssp}")?;
-    match cfg.strategy.psp {
-        PspStrategy::Ud => writeln!(out, "psp=ud"),
-        PspStrategy::DivX { x } => writeln!(out, "psp=div:{x:?}"),
-        PspStrategy::Gf { delta } => writeln!(out, "psp=gf:{delta:?}"),
-    }?;
-    writeln!(out, "scheduler={}", cfg.scheduler)?;
-    writeln!(out, "preemptive={}", cfg.preemptive)?;
-    out.push_str("node_speeds=");
-    for (i, speed) in cfg.node_speeds.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        write!(out, "{sep}{speed:?}")?;
-    }
-    out.push('\n');
-    let service_shape = match cfg.service_shape {
-        ServiceShape::Exponential => "exponential",
-        ServiceShape::Deterministic => "deterministic",
-        ServiceShape::UniformSpread => "uniform_spread",
+    let burst = SimConfig {
+        burst: Some(Burst {
+            period: 50.0,
+            on_fraction: 0.25,
+            boost: 3.0,
+        }),
+        node_speeds: vec![1.0, 2.0, 0.5, 1.5, 1.0, 0.75],
+        estimation: EstimationModel::ClassMean { mean: 1.0 },
+        scheduler: Policy::Fcfs,
+        ..SimConfig::baseline().with_load(0.7)
     };
-    writeln!(out, "service_shape={service_shape}")?;
-    let placement = match cfg.placement {
-        Placement::RandomDistinct => "random_distinct",
-        Placement::LeastLoaded => "least_loaded",
-    };
-    writeln!(out, "placement={placement}")?;
-    match &cfg.burst {
-        None => writeln!(out, "burst=none"),
-        Some(b) => writeln!(
-            out,
-            "burst=period:{:?},on:{:?},boost:{:?}",
-            b.period, b.on_fraction, b.boost
+    let bracket = SimConfig {
+        shape: GlobalShape::Spec(
+            parse_spec("[T1 [T2 || [T3 T4 T5]] [T6 || T7] T8]").expect("a valid spec"),
         ),
-    }?;
-    let abort = match cfg.abort {
-        AbortPolicy::None => "none",
-        AbortPolicy::ProcessManager => "process_manager",
-        AbortPolicy::LocalScheduler {
-            resubmit: ResubmitPolicy::Never,
-        } => "local_scheduler:never",
-        AbortPolicy::LocalScheduler {
-            resubmit: ResubmitPolicy::OnceWithRealDeadline,
-        } => "local_scheduler:once_real_deadline",
+        scheduler: Policy::Llf,
+        ..SimConfig::baseline()
     };
-    writeln!(out, "abort={abort}")?;
-    match cfg.estimation {
-        EstimationModel::Exact => writeln!(out, "estimation=exact"),
-        EstimationModel::UniformFactor { max_factor } => {
-            writeln!(out, "estimation=uniform_factor:{max_factor:?}")
-        }
-        EstimationModel::Bias { factor } => writeln!(out, "estimation=bias:{factor:?}"),
-        EstimationModel::ClassMean { mean } => writeln!(out, "estimation=class_mean:{mean:?}"),
-    }?;
-    let fault = &cfg.fault;
-    if fault.any_enabled() {
-        writeln!(
-            out,
-            "fault=mttf:{:?},mttr:{:?},crash:{},straggler:{:?}x{:?},comm:{:?}~{:?}",
-            fault.mttf,
-            fault.mttr,
-            fault.crash_policy.label(),
-            fault.straggler_prob,
-            fault.straggler_factor,
-            fault.comm_delay_prob,
-            fault.comm_delay_mean
-        )?;
-    } else {
-        writeln!(out, "fault=none")?;
+    let uniform_shape = SimConfig {
+        shape: GlobalShape::ParallelUniform { lo: 2, hi: 6 },
+        preemptive: true,
+        ..SimConfig::baseline().with_strategy(SdaStrategy::ud_div1())
+    };
+    [
+        (
+            "baseline",
+            SimConfig::baseline(),
+            include_str!("fixtures/preimages-v5/baseline.txt"),
+        ),
+        (
+            "section8",
+            SimConfig::section8(),
+            include_str!("fixtures/preimages-v5/section8.txt"),
+        ),
+        (
+            "bracket",
+            bracket,
+            include_str!("fixtures/preimages-v5/bracket.txt"),
+        ),
+        (
+            "burst",
+            burst,
+            include_str!("fixtures/preimages-v5/burst.txt"),
+        ),
+        (
+            "fault_on",
+            fault_on,
+            include_str!("fixtures/preimages-v5/fault_on.txt"),
+        ),
+        (
+            "uniform_shape",
+            uniform_shape,
+            include_str!("fixtures/preimages-v5/uniform_shape.txt"),
+        ),
+    ]
+}
+
+#[test]
+fn canonical_point_matches_the_committed_preimages() {
+    for (name, cfg, committed) in named_configs() {
+        assert_eq!(
+            canonical_point(&cfg, 42, &StopRule::FixedReps(2)),
+            committed,
+            "{name}"
+        );
     }
-    writeln!(out, "duration={:?}", cfg.duration)?;
-    writeln!(out, "warmup={:?}", cfg.warmup)
-}
-
-/// The reference canonical point text (see [`reference_config`]). The
-/// adaptive rule's bounds are written as the rule clamps them: the floor
-/// up to 2, the cap up to 1.
-fn reference_point(cfg: &SimConfig, seed: u64, stop: &StopRule) -> String {
-    let mut out = String::new();
-    let written = (|| {
-        writeln!(out, "schema={CACHE_SCHEMA_VERSION}")?;
-        reference_config(&mut out, cfg)?;
-        writeln!(out, "seed={seed}")?;
-        match *stop {
-            StopRule::FixedReps(n) => writeln!(out, "stop=fixed:{n}"),
-            StopRule::CiWidth {
-                target,
-                min_reps,
-                max_reps,
-            } => {
-                let (min, max) = (min_reps.max(2), max_reps.max(1));
-                writeln!(out, "stop=ci:target={target:?},min={min},max={max}")
-            }
-        }
-    })();
-    written.expect("formatting into a String cannot fail");
-    out
-}
-
-/// Asserts that the direct writer and the reference agree on `cfg` under
-/// both stop rules.
-fn assert_matches_reference(cfg: &SimConfig, seed: u64) {
+    // The stop rule's line, with adaptive bounds below the clamps
+    // written clamped, as existing cache entries were keyed.
     let ci = |target, min_reps, max_reps| StopRule::CiWidth {
         target,
         min_reps,
         max_reps,
     };
-    for stop in [
-        StopRule::FixedReps(2),
-        StopRule::FixedReps(137),
-        ci(0.05, 3, 48),
-        ci(1.0 / 3.0, 10, 1_000),
-        ci(0.25, 1, 0),
+    for (stop, line) in [
+        (StopRule::FixedReps(137), "stop=fixed:137\n"),
+        (ci(0.05, 3, 48), "stop=ci:target=0.05,min=3,max=48\n"),
+        (
+            ci(1.0 / 3.0, 10, 1_000),
+            "stop=ci:target=0.3333333333333333,min=10,max=1000\n",
+        ),
+        (ci(0.25, 1, 0), "stop=ci:target=0.25,min=2,max=1\n"),
     ] {
-        assert_eq!(
-            canonical_point(cfg, seed, &stop),
-            reference_point(cfg, seed, &stop),
-            "{cfg:?} under {stop:?}"
-        );
+        let text = canonical_point(&SimConfig::baseline(), 42, &stop);
+        assert!(text.ends_with(&format!("seed=42\n{line}")), "{text}");
     }
-    // Bounds below the clamps are written clamped, as existing cache
-    // entries were keyed.
-    let clamped = canonical_point(cfg, seed, &ci(0.25, 1, 0));
-    assert!(
-        clamped.ends_with("stop=ci:target=0.25,min=2,max=1\n"),
-        "{clamped}"
-    );
 }
 
 /// The floats of `values` as the preimage writes them: they ride in
-/// `node_speeds`, which the canonical text lists comma-separated.
+/// `speeds`, which the text form lists comma-separated.
 fn written_floats(values: &[f64]) -> Vec<String> {
     let cfg = SimConfig {
         node_speeds: values.to_vec(),
@@ -429,8 +554,8 @@ fn written_floats(values: &[f64]) -> Vec<String> {
     let text = canonical_point(&cfg, 1, &StopRule::FixedReps(2));
     let line = text
         .lines()
-        .find_map(|line| line.strip_prefix("node_speeds="))
-        .expect("a node_speeds line");
+        .find_map(|line| line.strip_prefix("speeds="))
+        .expect("a speeds line");
     line.split(',').map(str::to_string).collect()
 }
 
@@ -536,78 +661,6 @@ fn float_writer_matches_debug_on_random_bit_patterns() {
         f64::from_bits((exponent << 52) | mantissa)
     }));
     assert_floats_match_debug(&values);
-}
-
-#[test]
-fn canonical_point_matches_the_reference_on_named_configs() {
-    let fault_on = SimConfig {
-        fault: FaultConfig {
-            mttf: 500.0,
-            mttr: 25.0,
-            crash_policy: CrashPolicy::RequeueSubtask,
-            straggler_prob: 0.05,
-            straggler_factor: 4.0,
-            comm_delay_prob: 0.1,
-            comm_delay_mean: 0.5,
-        },
-        abort: AbortPolicy::ProcessManager,
-        scheduler: Policy::Sjf,
-        ..SimConfig::section8().with_strategy(SdaStrategy {
-            ssp: SspStrategy::Eqf,
-            psp: PspStrategy::div(1.0),
-        })
-    };
-    let burst = SimConfig {
-        burst: Some(Burst {
-            period: 50.0,
-            on_fraction: 0.25,
-            boost: 3.0,
-        }),
-        node_speeds: vec![1.0, 2.0, 0.5, 1.5, 1.0, 0.75],
-        estimation: EstimationModel::ClassMean { mean: 1.0 },
-        scheduler: Policy::Fcfs,
-        ..SimConfig::baseline().with_load(0.7)
-    };
-    let bracket = SimConfig {
-        shape: GlobalShape::Spec(
-            parse_spec("[T1 [T2 || [T3 T4 T5]] [T6 || T7] T8]").expect("a valid spec"),
-        ),
-        scheduler: Policy::Llf,
-        ..SimConfig::baseline()
-    };
-    let uniform_shape = SimConfig {
-        shape: GlobalShape::ParallelUniform { lo: 2, hi: 6 },
-        preemptive: true,
-        ..SimConfig::baseline().with_strategy(SdaStrategy::ud_div1())
-    };
-    for cfg in [
-        SimConfig::baseline(),
-        SimConfig::section8(),
-        bracket,
-        burst,
-        fault_on,
-        uniform_shape,
-    ] {
-        assert_matches_reference(&cfg, 42);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The direct writer and the reference agree on every generated
-    /// configuration.
-    #[test]
-    fn canonical_point_matches_the_reference(k in knobs(), seed in any::<u64>()) {
-        let cfg = build(&k);
-        let canonical = canonical_point(&cfg, seed, &StopRule::FixedReps(2));
-        prop_assert_eq!(
-            &canonical,
-            &reference_point(&cfg, seed, &StopRule::FixedReps(2))
-        );
-        prop_assert_eq!(point_key_of(&canonical), reference_key(&canonical));
-        assert_matches_reference(&cfg, seed);
-    }
 }
 
 /// The key as `format!` wrote it, kept as the oracle for

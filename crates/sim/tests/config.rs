@@ -1,7 +1,7 @@
 //! Configuration and validation tests (moved out of `config.rs` to keep
 //! the module focused; everything here goes through the public API).
 
-use sda_core::SdaStrategy;
+use sda_core::{EstimationModel, PspStrategy, SdaStrategy, SspStrategy};
 use sda_sched::Policy;
 use sda_sim::{AbortPolicy, ConfigError, GlobalShape, ServiceShape, SimConfig};
 use sda_simcore::dist::Uniform;
@@ -98,7 +98,7 @@ fn validation_rejects_bad_configs() {
             ..base.clone()
         }
         .validate(),
-        Err(ConfigError::BadServiceRate)
+        Err(ConfigError::BadServiceRate("mu_local = 0.0".into()))
     );
     assert!(matches!(
         SimConfig {
@@ -117,15 +117,15 @@ fn validation_rejects_bad_configs() {
         (1.0, f64::INFINITY),
         (-1.0, 1.0),
     ] {
-        assert_eq!(
-            SimConfig {
-                mu_local,
-                mu_subtask,
-                ..base.clone()
-            }
-            .validate(),
-            Err(ConfigError::BadServiceRate),
-            "mu_local {mu_local}, mu_subtask {mu_subtask}"
+        let err = SimConfig {
+            mu_local,
+            mu_subtask,
+            ..base.clone()
+        }
+        .validate();
+        assert!(
+            matches!(&err, Err(ConfigError::BadServiceRate(rate)) if rate.starts_with(if mu_local == 1.0 { "mu_subtask" } else { "mu_local" })),
+            "mu_local {mu_local}, mu_subtask {mu_subtask}: {err:?}"
         );
     }
     for (duration, warmup) in [
@@ -317,4 +317,76 @@ fn error_display() {
         ConfigError::NoNodes.to_string(),
         "node count must be positive"
     );
+}
+
+#[test]
+fn validation_rejects_infinite_service_means() {
+    let base = SimConfig::baseline();
+    // Finite, positive rates whose mean service time 1/μ is infinite.
+    for (mu_local, mu_subtask, named) in [
+        (1e-320, 1.0, "mu_local = 1e-320"),
+        (1.0, 1e-320, "mu_subtask = 1e-320"),
+    ] {
+        let cfg = SimConfig {
+            mu_local,
+            mu_subtask,
+            ..base.clone()
+        };
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::BadServiceRate(named.into()))
+        );
+    }
+    // A mean that a slow node's speed makes infinite, and one that a
+    // fast node's speed makes zero.
+    for (mu_subtask, speed) in [(1e-300, 1e-10), (1e300, 1e10)] {
+        let cfg = SimConfig {
+            mu_subtask,
+            node_speeds: vec![1.0, speed, 1.0, 1.0, 1.0, 1.0],
+            ..base.clone()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::BadServiceRate(format!("mu_subtask = {mu_subtask:?}"))
+        );
+        assert!(err.to_string().contains("mu_subtask"), "{err}");
+    }
+}
+
+#[test]
+fn validation_rejects_parameters_the_constructors_reject() {
+    let base = SimConfig::baseline();
+    for psp in [
+        PspStrategy::DivX { x: -2.0 },
+        PspStrategy::DivX { x: f64::NAN },
+        PspStrategy::Gf { delta: 0.0 },
+        PspStrategy::Gf {
+            delta: f64::INFINITY,
+        },
+    ] {
+        let cfg = base.clone().with_strategy(SdaStrategy {
+            ssp: SspStrategy::Ud,
+            psp,
+        });
+        assert!(
+            matches!(cfg.validate(), Err(ConfigError::BadModel(..))),
+            "{psp:?}"
+        );
+    }
+    for estimation in [
+        EstimationModel::UniformFactor { max_factor: 0.5 },
+        EstimationModel::Bias { factor: -1.0 },
+        EstimationModel::ClassMean { mean: f64::NAN },
+        EstimationModel::ClassMean { mean: -1.0 },
+    ] {
+        let cfg = SimConfig {
+            estimation,
+            ..base.clone()
+        };
+        assert!(
+            matches!(cfg.validate(), Err(ConfigError::BadModel(..))),
+            "{estimation:?}"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Pins the allocations of two hot paths: after warmup, the
 //! arrival→dispatch→completion loop performs **zero** heap allocations
 //! (tracing off), and a point-cache disk hit allocates only the decoded
-//! result and its memory-layer entry.
+//! result.
 //!
 //! This test binary installs a counting global allocator; it is the only
 //! target that does, so every other build keeps the plain system
@@ -107,8 +107,8 @@ fn arrival_cycle_is_allocation_free_after_warmup() {
 
 #[test]
 fn a_disk_hit_allocates_only_the_decoded_result() {
-    // The committed schema-4 entries of the quick baseline point.
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cache-v4");
+    // The committed schema-5 entries of the quick baseline point.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cache-v5");
     let cfg = SimConfig {
         duration: 2_000.0,
         warmup: 100.0,
@@ -129,16 +129,20 @@ fn a_disk_hit_allocates_only_the_decoded_result() {
             max_reps: 64,
         },
     );
-    assert!(cache.lookup(&key, &preimage).is_some(), "{key} misses");
+    assert!(
+        cache.lookup(key, preimage).is_ok(),
+        "the first entry misses"
+    );
     let (key, preimage) = point(42, StopRule::FixedReps(2));
-    let (found, [allocations, deallocations, bytes]) = counted(|| cache.lookup(&key, &preimage));
+    let (found, [allocations, deallocations, bytes]) = counted(|| cache.lookup(key, preimage));
     let runs = found.expect("a disk hit").runs().len();
     assert_eq!((runs, cache.report().hits_disk), (2, 2));
     // The decoded result: its runs vector and, per run, the class map
-    // and the node vector, and the two histograms' bins. Then its `Arc`,
-    // and the key and preimage copies the memory layer files it under.
-    // The path and the file bytes reuse the cache's read buffers.
-    let expected = 1 + 4 * runs as u64 + 3;
+    // and the node vector, and the two histograms' bins. Then its `Arc`.
+    // The memory layer files it under the key and preimage it was
+    // handed, and the path and the file bytes reuse the cache's read
+    // buffers.
+    let expected = 1 + 4 * runs as u64 + 1;
     assert_eq!(
         (allocations, deallocations),
         (expected, 0),

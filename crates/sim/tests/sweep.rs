@@ -140,7 +140,7 @@ fn shared_points_are_one_allocation() {
     let again = sweep.execute().unwrap();
     assert!(Arc::ptr_eq(&again[0], &cold[0]), "memory hit");
     assert!(Arc::ptr_eq(&again[1], &cold[0]), "memory hit");
-    let stored = cache.lookup(&key, &preimage).expect("stored");
+    let stored = cache.lookup(key, preimage).expect("stored");
     assert!(Arc::ptr_eq(&stored, &cold[0]), "stored result");
     let report = cache.report();
     assert_eq!((report.misses, report.hits_memory), (1, 4));

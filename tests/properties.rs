@@ -79,23 +79,7 @@ proptest! {
         n in 1usize..12,
         x in 0.1f64..50.0,
     ) {
-        let ar_t = T::from(ar);
-        let dl = T::from(ar + window);
-        let got = PspStrategy::div(x).assign(ar_t, dl, n);
-        // Always strictly after arrival; and whenever the divisor n*x is
-        // at least 1 (every configuration the paper uses), never after
-        // the real deadline. (n*x < 1 deliberately *extends* the window:
-        // Equation 1 is a division, and dividing by less than one is a
-        // de-boost.)
-        prop_assert!(got > ar_t);
-        if n as f64 * x >= 1.0 {
-            prop_assert!(got <= dl + 1e-9);
-        }
-        // Monotone: larger x or larger n gives an earlier deadline.
-        let tighter = PspStrategy::div(x * 2.0).assign(ar_t, dl, n);
-        prop_assert!(tighter <= got);
-        let wider_n = PspStrategy::div(x).assign(ar_t, dl, n + 1);
-        prop_assert!(wider_n <= got);
+        check_div_x(ar, window, n, x)?;
     }
 
     #[test]
@@ -213,34 +197,74 @@ proptest! {
         spec in arb_spec(),
         pex_seed in 0u64..100,
     ) {
-        // With non-negative slack at start and on-time completions, no
-        // virtual deadline can exceed the end-to-end deadline under any
-        // Table 2 strategy.
-        let n = spec.simple_count();
-        let mut rng = sda::simcore::rng::Rng::seed_from(pex_seed);
-        let pex: Vec<f64> = (0..n).map(|_| 0.1 + rng.next_f64()).collect();
-        let total: f64 = pex.iter().sum();
-        let dl = T::from(total * 2.0 + 5.0);
-        for strategy in SdaStrategy::table2() {
-            let mut d = Decomposition::new(&spec, pex.clone());
-            let mut pending = d.start(T::ZERO, dl, &strategy);
-            let mut now = 0.0;
-            while let Some(r) = pending.pop() {
-                // The last-stage identity now + pex + (dl - now - pex) can
-                // land one ulp above dl; allow fp tolerance.
-                prop_assert!(
-                    r.deadline.value() <= dl.value() + 1e-9,
-                    "{} exceeded dl: {} > {}",
-                    strategy,
-                    r.deadline,
-                    dl
-                );
-                // Finish each leaf quickly (before its virtual deadline).
-                now += 0.01;
-                pending.extend(d.complete_leaf(r.leaf, T::from(now), &strategy));
-            }
+        check_virtual_deadlines_within_end_to_end(&spec, pex_seed)?;
+    }
+}
+
+/// The DIV-x property: the virtual deadline lies after the arrival,
+/// before the real deadline whenever `n·x ≥ 1`, and moves earlier as `x`
+/// or `n` grows.
+fn check_div_x(ar: f64, window: f64, n: usize, x: f64) -> Result<(), TestCaseError> {
+    let ar_t = T::from(ar);
+    let dl = T::from(ar + window);
+    let got = PspStrategy::div(x).assign(ar_t, dl, n);
+    // Always strictly after arrival; and whenever the divisor n*x is
+    // at least 1 (every configuration the paper uses), never after
+    // the real deadline. (n*x < 1 deliberately *extends* the window:
+    // Equation 1 is a division, and dividing by less than one is a
+    // de-boost.)
+    prop_assert!(got > ar_t);
+    if n as f64 * x >= 1.0 {
+        prop_assert!(got <= dl + 1e-9);
+    }
+    // Monotone: larger x or larger n gives an earlier deadline.
+    let tighter = PspStrategy::div(x * 2.0).assign(ar_t, dl, n);
+    prop_assert!(tighter <= got);
+    let wider_n = PspStrategy::div(x).assign(ar_t, dl, n + 1);
+    prop_assert!(wider_n <= got);
+    Ok(())
+}
+
+/// The decomposition property: with non-negative slack at the start and
+/// on-time completions, no virtual deadline exceeds the end-to-end
+/// deadline under any Table 2 strategy.
+fn check_virtual_deadlines_within_end_to_end(
+    spec: &TaskSpec,
+    pex_seed: u64,
+) -> Result<(), TestCaseError> {
+    let n = spec.simple_count();
+    let mut rng = sda::simcore::rng::Rng::seed_from(pex_seed);
+    let pex: Vec<f64> = (0..n).map(|_| 0.1 + rng.next_f64()).collect();
+    let total: f64 = pex.iter().sum();
+    let dl = T::from(total * 2.0 + 5.0);
+    for strategy in SdaStrategy::table2() {
+        let mut d = Decomposition::new(spec, pex.clone());
+        let mut pending = d.start(T::ZERO, dl, &strategy);
+        let mut now = 0.0;
+        while let Some(r) = pending.pop() {
+            // The last-stage identity now + pex + (dl - now - pex) can
+            // land one ulp above dl; allow fp tolerance.
+            prop_assert!(
+                r.deadline.value() <= dl.value() + 1e-9,
+                "{} exceeded dl: {} > {}",
+                strategy,
+                r.deadline,
+                dl
+            );
+            // Finish each leaf quickly (before its virtual deadline).
+            now += 0.01;
+            pending.extend(d.complete_leaf(r.leaf, T::from(now), &strategy));
         }
     }
+    Ok(())
+}
+
+/// Cases the properties once failed on, kept as explicit tests.
+#[test]
+fn recorded_property_cases_still_hold() {
+    check_div_x(0.0, 0.01, 1, 0.1).expect("DIV-x at the smallest window and factor");
+    let spec = TaskSpec::parallel(vec![TaskSpec::pipeline(2), TaskSpec::pipeline(4)]);
+    check_virtual_deadlines_within_end_to_end(&spec, 0).expect("two pipelines in parallel");
 }
 
 // ---------------------------------------------------------------------

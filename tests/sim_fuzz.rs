@@ -140,39 +140,86 @@ proptest! {
         cfg in arb_config(),
         seed in 0u64..1_000,
     ) {
-        // Some generated combos are legitimately invalid (e.g. fan-out
-        // wider than nodes with globals present): they must be *rejected*,
-        // never panic.
-        let Ok(result) = run(&cfg, seed) else { return Ok(()) };
-        let m = &result.metrics;
-
-        // Rates are probabilities.
-        for rate in [m.md_local(), m.md_subtask(), m.md_global(), m.missed_work_fraction()] {
-            prop_assert!((0.0..=1.0).contains(&rate), "rate {rate} out of range");
-        }
-        // Counters are consistent.
-        prop_assert!(m.local_md.missed() <= m.local_md.total());
-        prop_assert!(m.subtask_md.missed() <= m.subtask_md.total());
-        let missed = m.local_md.missed() + m.global_md.values().map(|c| c.missed()).sum::<u64>();
-        prop_assert!(missed <= m.local_count() + m.global_count());
-        // Busy time per node never exceeds the horizon.
-        for (i, node) in result.node_stats.iter().enumerate() {
-            let busy = node.busy();
-            prop_assert!(busy <= result.duration * 1.0001, "node {i} busy {busy}");
-            prop_assert!(busy >= 0.0);
-            // Queue lengths are non-negative and finite.
-            let q = node.mean_queue_len(SimTime::from(result.duration));
-            prop_assert!(q.is_finite() && q >= 0.0);
-        }
-        // Response times can't be negative.
-        prop_assert!(m.local_response.min() >= 0.0 || m.local_response.count() == 0);
-        prop_assert!(m.global_response.min() >= 0.0 || m.global_response.count() == 0);
-        // Determinism: the same config and seed reproduce the counters,
-        // traced or not, and the trace replays.
-        let (again, events) = run_replayed(&cfg, seed)?;
-        prop_assert_eq!(again.metrics().local_md, m.local_md);
-        prop_assert_eq!(events, result.events);
+        check_runs_and_accounts(&cfg, seed)?;
     }
+}
+
+/// Runs `cfg` and checks its accounting, its determinism and its trace.
+fn check_runs_and_accounts(cfg: &SimConfig, seed: u64) -> Result<(), TestCaseError> {
+    // Some generated combos are legitimately invalid (e.g. fan-out
+    // wider than nodes with globals present): they must be *rejected*,
+    // never panic.
+    let Ok(result) = run(cfg, seed) else {
+        return Ok(());
+    };
+    let m = &result.metrics;
+
+    // Rates are probabilities.
+    for rate in [
+        m.md_local(),
+        m.md_subtask(),
+        m.md_global(),
+        m.missed_work_fraction(),
+    ] {
+        prop_assert!((0.0..=1.0).contains(&rate), "rate {rate} out of range");
+    }
+    // Counters are consistent.
+    prop_assert!(m.local_md.missed() <= m.local_md.total());
+    prop_assert!(m.subtask_md.missed() <= m.subtask_md.total());
+    let missed = m.local_md.missed() + m.global_md.values().map(|c| c.missed()).sum::<u64>();
+    prop_assert!(missed <= m.local_count() + m.global_count());
+    // Busy time per node never exceeds the horizon.
+    for (i, node) in result.node_stats.iter().enumerate() {
+        let busy = node.busy();
+        prop_assert!(busy <= result.duration * 1.0001, "node {i} busy {busy}");
+        prop_assert!(busy >= 0.0);
+        // Queue lengths are non-negative and finite.
+        let q = node.mean_queue_len(SimTime::from(result.duration));
+        prop_assert!(q.is_finite() && q >= 0.0);
+    }
+    // Response times can't be negative.
+    prop_assert!(m.local_response.min() >= 0.0 || m.local_response.count() == 0);
+    prop_assert!(m.global_response.min() >= 0.0 || m.global_response.count() == 0);
+    // Determinism: the same config and seed reproduce the counters,
+    // traced or not, and the trace replays.
+    let (again, events) = run_replayed(cfg, seed)?;
+    prop_assert_eq!(again.metrics().local_md, m.local_md);
+    prop_assert_eq!(events, result.events);
+    Ok(())
+}
+
+/// A configuration the property once failed on, in its text form.
+#[test]
+fn recorded_config_case_still_holds() {
+    const TEXT: &str = "\
+nodes=6
+load=0.05
+frac_local=0.0
+mu_local=1.0
+mu_subtask=1.0
+slack=1.25..5.0
+global_slack=1.25..5.0
+shape=parallel:2
+strategy=UD-GF
+scheduler=edf
+preemptive=false
+speeds=
+service_shape=exponential
+placement=random
+burst=none
+abort=local-drop
+estimation=exact
+fault_mttf=0.0
+fault_mttr=0.0
+fault_crash=abort
+fault_straggler=0.0,1.0
+fault_comm=0.0,0.0
+duration=600.0
+warmup=10.0
+";
+    let cfg = SimConfig::from_text(TEXT).expect("valid text");
+    assert_eq!(cfg.to_text(), TEXT);
+    check_runs_and_accounts(&cfg, 0).expect("UD-GF with local-drop aborts and no locals");
 }
 
 /// Runs a valid `cfg` straight through `Simulation` to its horizon and
