@@ -1,9 +1,8 @@
-//! Running a sweep for the `sda` tool, and the two ways a command fails.
+//! The two ways an `sda` command fails.
 
 use std::fmt;
-use std::sync::Arc;
 
-use sda_sim::{MultiRun, Sweep};
+use sda_sim::SweepError;
 
 /// Why an `sda` command failed; the kind selects the exit status.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,18 +44,15 @@ impl From<&str> for CliError {
     }
 }
 
-/// Executes `sweep`, returning every point's result in point order.
-///
-/// # Errors
-///
-/// A configuration the sweep rejects is a [`CliError::Usage`]. A failed
-/// replication is a [`CliError::Run`] naming the first failed point (in
-/// point order), its replication and its seed.
-pub fn execute(sweep: &Sweep) -> Result<Vec<Arc<MultiRun>>, CliError> {
-    sweep
-        .try_execute()
-        .map_err(|e| CliError::Usage(e.to_string()))?
-        .into_iter()
-        .map(|point| point.map_err(|e| CliError::Run(format!("replication failed: {e}"))))
-        .collect()
+/// A point the sweep rejects (its configuration or stop rule) is a
+/// [`CliError::Usage`]; a failed replication is a [`CliError::Run`]
+/// naming the first failed point (in point order), its replication and
+/// its seed.
+impl From<SweepError> for CliError {
+    fn from(error: SweepError) -> CliError {
+        match error {
+            SweepError::Config(error) => CliError::Usage(error.to_string()),
+            SweepError::Run(error) => CliError::Run(format!("replication failed: {error}")),
+        }
+    }
 }

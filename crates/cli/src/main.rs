@@ -13,7 +13,7 @@
 //! 0 = auto), --ci-target R (adaptive stopping on the 95% CI width
 //! ratio; --reps becomes the floor, --max-reps the cap),
 //! --stats-out PATH (write per-metric statistics as stats.json), and
-//! --cache-dir DIR / --no-cache (memoize completed points on disk).
+//! --cache-dir DIR (memoize completed points on disk).
 //! `run` additionally takes --trace-out PATH: write replication 0's
 //! structured event trace as JSONL, byte-identical at any --jobs level.
 //!
@@ -76,9 +76,6 @@ struct RunOptions {
     max_reps: usize,
     /// Where to write the per-metric `stats.json`, if anywhere.
     stats_out: Option<String>,
-    /// Include the (nondeterministic) `events_per_sec` entry in
-    /// `stats.json`.
-    throughput: bool,
     /// Where to write the replication-0 JSONL trace, if anywhere.
     trace_out: Option<String>,
     /// On-disk result cache directory; completed points are memoized
@@ -121,7 +118,7 @@ impl RunOptions {
         if let Some(cache) = &cache {
             sweep = sweep.cache(Arc::clone(cache));
         }
-        let results = sda_cli::exec::execute(&sweep)?;
+        let results = sweep.execute()?;
         if let Some(cache) = &cache {
             eprintln!("{}", cache.report());
         }
@@ -129,16 +126,6 @@ impl RunOptions {
             eprintln!("trace written to {path}");
         }
         Ok(results)
-    }
-
-    /// The run point's `stats.json` document: deterministic by default,
-    /// with the wall-clock `events_per_sec` entry under `--throughput`.
-    fn stats_json(&self, multi: &MultiRun) -> String {
-        if self.throughput {
-            multi.stats_with_throughput().to_json()
-        } else {
-            multi.stats().to_json()
-        }
     }
 }
 
@@ -160,11 +147,9 @@ fn split_options(args: &[String]) -> Result<(Vec<&String>, RunOptions), String> 
         ci_target: None,
         max_reps: 64,
         stats_out: None,
-        throughput: false,
         trace_out: None,
         cache_dir: None,
     };
-    let mut no_cache = false;
     let mut positional = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -203,9 +188,6 @@ fn split_options(args: &[String]) -> Result<(Vec<&String>, RunOptions), String> 
                 let v = iter.next().ok_or("--stats-out needs a value")?;
                 opts.stats_out = Some(v.clone());
             }
-            "--throughput" => {
-                opts.throughput = true;
-            }
             "--trace-out" => {
                 let v = iter.next().ok_or("--trace-out needs a value")?;
                 opts.trace_out = Some(v.clone());
@@ -214,15 +196,8 @@ fn split_options(args: &[String]) -> Result<(Vec<&String>, RunOptions), String> 
                 let v = iter.next().ok_or("--cache-dir needs a directory")?;
                 opts.cache_dir = Some(v.clone());
             }
-            "--no-cache" => no_cache = true,
             _ => positional.push(arg),
         }
-    }
-    if no_cache {
-        if opts.cache_dir.is_some() {
-            return Err("--no-cache conflicts with --cache-dir".into());
-        }
-        opts.cache_dir = None;
     }
     Ok((positional, opts))
 }
@@ -261,7 +236,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let multi = opts.execute(vec![cfg.clone()])?.remove(0);
     print!("{}", render_report(&cfg, &multi));
     if let Some(path) = &opts.stats_out {
-        write_stats(path, &opts.stats_json(&multi))?;
+        write_stats(path, &multi.stats().to_json())?;
     }
     Ok(())
 }
@@ -276,7 +251,7 @@ fn cmd_compare(args: &[String]) -> Result<(), CliError> {
     let mut rows = Vec::new();
     for label in strategy_args {
         let strategy = parse_strategy(label)?;
-        let label = strategy.label().into_owned();
+        let label = strategy.label();
         rows.push((label.clone(), label, base.clone().with_strategy(strategy)));
     }
     run_table(&opts, "strategy", 12, rows)
@@ -312,7 +287,7 @@ fn run_table(
             format!("{}", multi.missed_work()),
         );
         if opts.stats_out.is_some() {
-            stats_entries.push((key, opts.stats_json(multi)));
+            stats_entries.push((key, multi.stats().to_json()));
         }
     }
     if let Some(path) = &opts.stats_out {
@@ -498,13 +473,10 @@ fn print_help(topic: Option<&str>) {
          \x20                width ratio is <= R (capped by --max-reps)\n\
          \x20 --max-reps N   replication cap under --ci-target (default 64)\n\
          \x20 --stats-out F  write per-metric statistics to F as stats.json\n\
-         \x20 --throughput   add the wall-clock events_per_sec entry to\n\
-         \x20                stats.json (nondeterministic; off by default)\n\
          \x20 --trace-out F  (run only) write replication 0's event trace to F\n\
          \x20                as JSONL; the bytes do not depend on --jobs\n\
          \x20 --cache-dir D  memoize completed points in D and replay them on\n\
-         \x20                later invocations (bypassed when --trace-out is set)\n\
-         \x20 --no-cache     never read or write a result cache\n\n\
+         \x20                later invocations (bypassed when --trace-out is set)\n\n\
          examples:\n\
          \x20 sda run load=0.7 strategy=UD-DIV1 --jobs 8 --stats-out stats.json\n\
          \x20 sda run load=0.7 duration=2000 --trace-out trace.jsonl\n\
@@ -577,11 +549,7 @@ mod tests {
     fn split_options_cache_flags() {
         let (_, opts) = split_options(&strings(&["--cache-dir", "pts"])).unwrap();
         assert_eq!(opts.cache_dir.as_deref(), Some("pts"));
-        let (_, opts) = split_options(&strings(&["--no-cache"])).unwrap();
-        assert_eq!(opts.cache_dir, None);
         assert!(split_options(&strings(&["--cache-dir"])).is_err());
-        let err = split_options(&strings(&["--no-cache", "--cache-dir", "pts"])).unwrap_err();
-        assert!(err.contains("--no-cache"), "{err:?}");
     }
 
     #[test]
@@ -608,17 +576,6 @@ mod tests {
         assert_eq!(want, cold);
         assert_eq!(want, warm);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn split_options_throughput_flag() {
-        let none = strings(&[]);
-        let (_, opts) = split_options(&none).expect("no options is fine");
-        assert!(!opts.throughput, "deterministic stats.json by default");
-        let args = strings(&["--throughput"]);
-        let (positional, opts) = split_options(&args).unwrap();
-        assert!(positional.is_empty());
-        assert!(opts.throughput);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! can recycle completed instances and the steady-state arrival path
 //! performs no heap allocation (see `sda-sim`'s process manager).
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -91,40 +90,10 @@ impl SdaStrategy {
         ]
     }
 
-    /// A label like `EQF-DIV1` matching the paper's Table 2 naming.
-    ///
-    /// Borrowed (`&'static`) for every strategy the paper's experiment
-    /// grid uses — this is called in per-replication reporting, so the
-    /// common cases must not allocate. Exotic `DIV-x` factors fall back
-    /// to an owned string.
-    pub fn label(&self) -> Cow<'static, str> {
-        let psp: &'static str = match self.psp {
-            PspStrategy::Ud => "UD",
-            PspStrategy::Gf { .. } => "GF",
-            PspStrategy::DivX { x } => {
-                if x == 1.0 {
-                    "DIV1"
-                } else {
-                    let psp = self.psp.label();
-                    return Cow::Owned(format!("{}-{}", self.ssp.label(), psp.replace('-', "")));
-                }
-            }
-        };
-        Cow::Borrowed(match (self.ssp, psp) {
-            (SspStrategy::Ud, "UD") => "UD-UD",
-            (SspStrategy::Ud, "DIV1") => "UD-DIV1",
-            (SspStrategy::Ud, "GF") => "UD-GF",
-            (SspStrategy::Ed, "UD") => "ED-UD",
-            (SspStrategy::Ed, "DIV1") => "ED-DIV1",
-            (SspStrategy::Ed, "GF") => "ED-GF",
-            (SspStrategy::Eqs, "UD") => "EQS-UD",
-            (SspStrategy::Eqs, "DIV1") => "EQS-DIV1",
-            (SspStrategy::Eqs, "GF") => "EQS-GF",
-            (SspStrategy::Eqf, "UD") => "EQF-UD",
-            (SspStrategy::Eqf, "DIV1") => "EQF-DIV1",
-            (SspStrategy::Eqf, "GF") => "EQF-GF",
-            _ => unreachable!("psp label is one of the three above"),
-        })
+    /// A label like `EQF-DIV1` matching the paper's Table 2 naming: the
+    /// SSP label, a dash, and the PSP label without its dash.
+    pub fn label(&self) -> String {
+        format!("{}-{}", self.ssp.label(), self.psp.label().replace('-', ""))
     }
 }
 
@@ -927,23 +896,29 @@ mod tests {
 
     #[test]
     fn strategy_labels_match_table2() {
-        let labels: Vec<String> = SdaStrategy::table2()
-            .iter()
-            .map(|s| s.label().into_owned())
-            .collect();
+        let labels: Vec<String> = SdaStrategy::table2().iter().map(|s| s.label()).collect();
         assert_eq!(labels, vec!["UD-UD", "UD-DIV1", "EQF-UD", "EQF-DIV1"]);
         assert_eq!(SdaStrategy::eqf_div1().to_string(), "EQF-DIV1");
     }
 
     #[test]
-    fn table2_labels_do_not_allocate() {
-        for s in SdaStrategy::table2() {
-            assert!(
-                matches!(s.label(), Cow::Borrowed(_)),
-                "{s} label must be borrowed: it runs in per-replication reporting"
-            );
+    fn labels_join_the_ssp_and_psp_labels() {
+        let mut labels = Vec::new();
+        for ssp in [
+            SspStrategy::Ud,
+            SspStrategy::Ed,
+            SspStrategy::Eqs,
+            SspStrategy::Eqf,
+        ] {
+            for psp in [PspStrategy::Ud, PspStrategy::div(1.0), PspStrategy::gf()] {
+                labels.push(SdaStrategy { ssp, psp }.label());
+            }
         }
-        // An exotic factor still formats correctly (owned).
+        let want = [
+            "UD-UD", "UD-DIV1", "UD-GF", "ED-UD", "ED-DIV1", "ED-GF", "EQS-UD", "EQS-DIV1",
+            "EQS-GF", "EQF-UD", "EQF-DIV1", "EQF-GF",
+        ];
+        assert_eq!(labels, want);
         let odd = SdaStrategy {
             ssp: SspStrategy::Eqf,
             psp: PspStrategy::div(2.5),

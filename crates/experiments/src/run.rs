@@ -119,7 +119,7 @@ impl Exec {
         if let Some(cache) = &self.cache {
             sweep = sweep.cache(Arc::clone(cache));
         }
-        sweep.execute().expect("experiment configuration validates")
+        sweep.execute().expect("every experiment point runs")
     }
 }
 

@@ -49,7 +49,7 @@ pub fn table2() -> Table {
     );
     for strategy in SdaStrategy::table2() {
         t.row(&[
-            strategy.label().into_owned(),
+            strategy.label(),
             strategy.ssp.label().to_string(),
             strategy.psp.label().into_owned(),
         ]);

@@ -761,11 +761,6 @@ impl PointCache {
         })
     }
 
-    /// The on-disk directory, if this cache persists.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
     fn file_of(&self, key: &str) -> Option<PathBuf> {
         self.dir.as_ref().map(|dir| {
             let mut path = PathBuf::new();
@@ -834,7 +829,7 @@ impl PointCache {
     /// Counts a point resolved by sharing another identical point's
     /// result within one sweep (a memory-level hit that never reached
     /// [`PointCache::lookup`]).
-    pub fn record_shared_hit(&self) {
+    pub(crate) fn record_shared_hit(&self) {
         self.hits_memory.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -497,6 +497,9 @@ impl SimConfig {
                 if spec.validate().is_err() {
                     return Err(ConfigError::EmptyShape);
                 }
+                if has_one_child_parallel(spec) {
+                    return Err(ConfigError::OneChildParallel);
+                }
             }
         }
         if self.frac_local < 1.0 && self.shape.max_fanout() > self.nodes {
@@ -509,7 +512,21 @@ impl SimConfig {
     }
 }
 
-/// Error returned by [`SimConfig::validate`].
+/// Whether `spec` holds a parallel composition with one child anywhere.
+/// Such a spec writes the same text, and so has the same cache key, as
+/// the one-stage serial composition it does not simulate like.
+fn has_one_child_parallel(spec: &TaskSpec) -> bool {
+    match spec {
+        TaskSpec::Simple => false,
+        TaskSpec::Parallel(children) if children.len() == 1 => true,
+        TaskSpec::Serial(children) | TaskSpec::Parallel(children) => {
+            children.iter().any(has_one_child_parallel)
+        }
+    }
+}
+
+/// Error returned by [`SimConfig::validate`], and by
+/// [`Sweep::execute`](crate::Sweep::execute) for a point's stop rule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// `nodes == 0`.
@@ -551,6 +568,9 @@ pub enum ConfigError {
     },
     /// A global shape with no subtasks (or an invalid spec).
     EmptyShape,
+    /// A spec shape with a one-child parallel composition, which would
+    /// share its text form with a one-stage serial composition.
+    OneChildParallel,
     /// A parallel composition wider than the node count: its subtasks
     /// could not run at distinct nodes.
     FanoutExceedsNodes {
@@ -559,6 +579,12 @@ pub enum ConfigError {
         /// Configured node count.
         nodes: usize,
     },
+    /// A stop rule that asks for no replications: `FixedReps(0)`, or an
+    /// empty seed list.
+    NoReplications,
+    /// A [`StopRule::CiWidth`](crate::StopRule::CiWidth) target that is
+    /// not positive, or is NaN.
+    BadCiTarget(f64),
 }
 
 impl fmt::Display for ConfigError {
@@ -587,8 +613,16 @@ impl fmt::Display for ConfigError {
                 write!(f, "invalid horizon: duration {duration}, warmup {warmup}")
             }
             ConfigError::EmptyShape => write!(f, "global task shape has no subtasks"),
+            ConfigError::OneChildParallel => write!(
+                f,
+                "shape: a parallel composition needs at least two children, got one"
+            ),
             ConfigError::FanoutExceedsNodes { fanout, nodes } => {
                 write!(f, "parallel fan-out {fanout} exceeds node count {nodes}")
+            }
+            ConfigError::NoReplications => write!(f, "a point needs at least one replication"),
+            ConfigError::BadCiTarget(target) => {
+                write!(f, "CI width target must be positive, got {target}")
             }
         }
     }

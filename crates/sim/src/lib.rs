@@ -36,7 +36,7 @@
 //!     .stop(StopRule::FixedReps(2))
 //!     .execute()?;
 //! assert!(div1.md_global().mean < ud.md_global().mean);
-//! # Ok::<(), sda_sim::ConfigError>(())
+//! # Ok::<(), sda_sim::SweepError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -63,7 +63,7 @@ pub use fault::{CrashPolicy, FaultConfig};
 pub use metrics::Metrics;
 pub use runner::{MultiRun, NodeSummary, RunResult, Runner, StatsReport, StopRule};
 pub use simulation::{Ev, Simulation};
-pub use sweep::{RunError, Sweep, SweepPoint};
+pub use sweep::{RunError, Sweep, SweepError, SweepPoint};
 pub use trace::{
     parse_jsonl, CountingHandle, CountingSink, JsonlSink, RingBufferHandle, RingBufferSink,
     SharedSink, TraceCounts, TraceEvent, TraceRecord, TraceSink,

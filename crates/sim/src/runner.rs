@@ -12,8 +12,8 @@
 //!
 //! [`Runner::execute`] lowers to a one-point [`Sweep`], so a single run
 //! and a whole campaign share one executor: the same worker pool,
-//! panic isolation, and run body ([`crate::sweep`] has the scheduling
-//! details).
+//! panic isolation, run body and error, a [`SweepError`]
+//! ([`crate::sweep`] has the scheduling and failure details).
 //!
 //! # Determinism
 //!
@@ -47,10 +47,10 @@ use std::sync::Arc;
 use sda_simcore::stats::{Estimate, NodeStats, Summary};
 use sda_simcore::{Engine, SimTime};
 
-use crate::config::{ConfigError, SimConfig};
+use crate::config::SimConfig;
 use crate::metrics::Metrics;
 use crate::simulation::Simulation;
-use crate::sweep::{Sweep, SweepPoint};
+use crate::sweep::{Sweep, SweepError, SweepPoint};
 use crate::trace::{SharedSink, TraceSink};
 
 /// The outcome of one simulation run.
@@ -69,9 +69,7 @@ pub struct RunResult {
     pub seed: u64,
     /// Wall-clock seconds the engine loop took (excluding setup and
     /// result extraction). Nondeterministic — machine- and load-
-    /// dependent — which is why throughput is kept out of the default
-    /// [`MultiRun::stats`] report and surfaced only by the explicit
-    /// [`MultiRun::stats_with_throughput`].
+    /// dependent — so no [`MultiRun::stats`] report carries it.
     pub wall_secs: f64,
 }
 
@@ -83,16 +81,6 @@ impl RunResult {
         }
         let busy = self.node_stats.iter().map(NodeStats::busy).sum::<f64>();
         busy / (self.node_stats.len() as f64 * self.duration)
-    }
-
-    /// Events processed per wall-clock second (0 if the run was too
-    /// fast for the clock to resolve).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
     }
 }
 
@@ -202,15 +190,12 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// Returns the configuration's validation error before starting any
-    /// run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rule asks for zero replications (explicit empty
-    /// seed list, `FixedReps(0)`), if the CI target is not positive, or
-    /// if a replication panics.
-    pub fn execute(&self) -> Result<MultiRun, ConfigError> {
+    /// Returns [`SweepError::Config`] before starting any run if the
+    /// configuration is invalid, the rule asks for zero replications
+    /// (`FixedReps(0)`, an empty seed list) or the CI target is not
+    /// positive, and [`SweepError::Run`] if a replication panics or
+    /// blows the event budget.
+    pub fn execute(&self) -> Result<MultiRun, SweepError> {
         let mut results = self.sweep.clone().point(self.point.clone()).execute()?;
         // A one-point sweep with no cache holds the only reference.
         let multi = results.pop().expect("one point in, one result out");
@@ -385,13 +370,6 @@ impl MultiRun {
         self.estimate(RunResult::utilization)
     }
 
-    /// Engine throughput (events per wall-clock second) across
-    /// replications. Nondeterministic: depends on the machine and its
-    /// load, never on the seed.
-    pub fn events_per_sec(&self) -> Estimate {
-        self.estimate(RunResult::events_per_sec)
-    }
-
     /// Pools the raw metrics of all runs (counter-level merge).
     pub fn pooled_metrics(&self) -> Metrics {
         let mut pooled = Metrics::new();
@@ -427,21 +405,6 @@ impl MultiRun {
             ],
             per_node,
         }
-    }
-
-    /// [`MultiRun::stats`] plus an `events_per_sec` throughput entry.
-    ///
-    /// Kept separate from the default report on purpose: wall-clock
-    /// throughput varies run to run, and `stats.json` is otherwise
-    /// bit-identical for a given seed (the golden-determinism contract).
-    /// Callers who want the perf number in their `stats.json` opt in
-    /// (the CLI's `--throughput` flag does).
-    pub fn stats_with_throughput(&self) -> StatsReport {
-        let mut report = self.stats();
-        report
-            .entries
-            .push(("events_per_sec", self.summary_of(RunResult::events_per_sec)));
-        report
     }
 }
 

@@ -34,6 +34,19 @@
 //! [`PointCache`] attached, completed points are also memoized across
 //! sweeps — and, when the cache is disk-backed, across processes —
 //! making repeated reproductions incremental.
+//!
+//! # Failures
+//!
+//! [`Sweep::execute`] is the only way to run points, and it fails one
+//! way: with a [`SweepError`]. A point whose configuration or stop rule
+//! is rejected fails the sweep before any simulation starts. Each
+//! replication runs under [`std::panic::catch_unwind`] and an optional
+//! event budget, so a panicking or runaway replication stops only its
+//! own point; the other points run to the end and are stored in the
+//! cache, so a rerun resumes from them. The sweep then returns the
+//! [`RunError`] of the first failed point in point order, naming its
+//! lowest failed replication and that replication's seed, the same at
+//! any `jobs` level.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -102,15 +115,22 @@ impl SweepPoint {
         }
     }
 
-    /// The first round's size and the replication cap: the stop rule's
-    /// bounds, both capped by an explicit seed list.
-    fn rep_bounds(&self) -> (usize, usize) {
+    /// Checks the configuration and the stop rule, and returns the first
+    /// round's size and the replication cap: the stop rule's bounds, both
+    /// capped by an explicit seed list.
+    fn validate(&self) -> Result<(usize, usize), ConfigError> {
+        self.cfg.validate()?;
         if let StopRule::CiWidth { target, .. } = self.stop {
-            assert!(target > 0.0, "CI width target must be positive");
+            if target.is_nan() || target <= 0.0 {
+                return Err(ConfigError::BadCiTarget(target));
+            }
         }
         let (first, cap) = self.stop.rep_bounds();
         let budget = |n: usize| self.seeds.as_ref().map_or(n, |list| n.min(list.len()));
-        (budget(first), budget(cap))
+        match budget(first) {
+            0 => Err(ConfigError::NoReplications),
+            first => Ok((first, budget(cap))),
+        }
     }
 }
 
@@ -127,6 +147,9 @@ enum Plan {
 /// duplicates an earlier point) and the replications it has run so far.
 struct Task {
     point: SweepPoint,
+    /// The index of the point that planned this task: the first point
+    /// that resolves to it, since duplicates come later.
+    index: usize,
     /// Content address, for storing the result back into the cache;
     /// `None` for a point that is never shared.
     address: Option<(String, String)>,
@@ -183,10 +206,8 @@ struct Unit {
     rep: usize,
 }
 
-/// Why a point of a [`Sweep`] failed — returned per point by
-/// [`Sweep::try_execute`], so one poisoned replication degrades that
-/// point instead of killing the whole campaign. `rep`/`seed` name the
-/// failing replication.
+/// Why a replication of a [`Sweep`] failed: `point`, `rep` and `seed`
+/// name the point, the replication and the seed it ran with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The replication panicked; the panic payload is in `message`.
@@ -252,15 +273,34 @@ impl RunError {
             RunError::Panic { rep, .. } | RunError::Budget { rep, .. } => *rep,
         }
     }
+}
 
-    /// This error attributed to the point at `index` (every point that
-    /// resolves to a failed task reports that task's error).
-    fn at_point(&self, index: usize) -> RunError {
-        let mut error = self.clone();
-        match &mut error {
-            RunError::Panic { point, .. } | RunError::Budget { point, .. } => *point = index,
+/// Why [`Sweep::execute`] returned no results.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SweepError {
+    /// A point was rejected before any simulation started: its
+    /// configuration failed [`SimConfig::validate`], or its stop rule
+    /// asks for no replications or sets a CI target that is not
+    /// positive.
+    Config(ConfigError),
+    /// The first failed point in point order.
+    Run(RunError),
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SweepError::Config(error) => error.fmt(f),
+            SweepError::Run(error) => error.fmt(f),
         }
-        error
+    }
+}
+
+impl std::error::Error for SweepError {}
+
+impl From<ConfigError> for SweepError {
+    fn from(error: ConfigError) -> SweepError {
+        SweepError::Config(error)
     }
 }
 
@@ -338,51 +378,22 @@ impl Sweep {
     }
 
     /// Executes every point and returns their results in point order.
-    /// Duplicate points and cache hits share one allocation.
+    /// Duplicate points and cache hits share one allocation. See the
+    /// [module docs](self) for how a failure stops the sweep.
     ///
     /// # Errors
     ///
-    /// Returns the first configuration validation error before starting
-    /// any simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a point asks for zero replications
-    /// ([`StopRule::FixedReps`]`(0)`, an empty seed list) or sets a
-    /// non-positive CI target, or if any replication fails (panics or
-    /// blows the event budget) — use [`Sweep::try_execute`] to degrade
-    /// gracefully instead.
-    pub fn execute(&self) -> Result<Vec<Arc<MultiRun>>, ConfigError> {
-        Ok(self
-            .try_execute()?
-            .into_iter()
-            .map(|point| point.unwrap_or_else(|e| panic!("sweep replication failed: {e}")))
-            .collect())
-    }
-
-    /// [`Sweep::execute`] with graceful degradation: each point resolves
-    /// independently to a result or a structured [`RunError`] naming the
-    /// failed point, replication, and seed. A panicking or runaway
-    /// replication poisons only the points sharing its task; every other
-    /// point completes, and the output stays in point order (failures
-    /// are attributed deterministically — the lowest failing replication
-    /// index wins — regardless of worker timing).
-    ///
-    /// Failed points are never stored into the cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first configuration validation error before starting
-    /// any simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a point asks for zero replications or sets a
-    /// non-positive CI target.
-    pub fn try_execute(&self) -> Result<Vec<Result<Arc<MultiRun>, RunError>>, ConfigError> {
-        for point in &self.points {
-            point.cfg.validate()?;
-        }
+    /// Returns [`SweepError::Config`] for the first rejected point before
+    /// starting any simulation, and [`SweepError::Run`] for the first
+    /// point, in point order, whose replication panicked or blew the
+    /// event budget. Every point that completed is still stored in the
+    /// cache.
+    pub fn execute(&self) -> Result<Vec<Arc<MultiRun>>, SweepError> {
+        let bounds = self
+            .points
+            .iter()
+            .map(SweepPoint::validate)
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Resolve each point: cache hit, duplicate of an earlier point,
         // or a fresh task to simulate. Deduplication keys on the same
@@ -390,7 +401,7 @@ impl Sweep {
         let mut plans = Vec::with_capacity(self.points.len());
         let mut tasks: Vec<Task> = Vec::new();
         let mut planned: HashMap<String, usize> = HashMap::new();
-        for point in &self.points {
+        for (index, (point, (first, cap))) in self.points.iter().zip(bounds).enumerate() {
             let mut address = None;
             if point.trace.is_none() && point.seeds.is_none() {
                 let preimage = canonical_point(&point.cfg, point.seed, &point.stop);
@@ -415,11 +426,10 @@ impl Sweep {
                 planned.insert(key.clone(), tasks.len());
                 address = Some((key, preimage));
             }
-            let (first, cap) = point.rep_bounds();
-            assert!(first > 0, "need at least one replication");
             plans.push(Plan::Task(tasks.len()));
             tasks.push(Task {
                 point: point.clone(),
+                index,
                 address,
                 first,
                 cap,
@@ -456,13 +466,15 @@ impl Sweep {
             }
         }
 
-        // Reassemble per task by replication index. A failed task is not
-        // cached.
-        let computed: Vec<Result<Arc<MultiRun>, RunError>> = tasks
+        // Reassemble per task by replication index and store every
+        // completed task, so a rerun resumes from it: the first collect
+        // visits every task, the second returns the first failure. Tasks
+        // are planned in point order, so that is the first failed point.
+        let computed = tasks
             .into_iter()
             .map(|task| {
                 if let Some(error) = task.failure {
-                    return Err(error);
+                    return Err(SweepError::Run(error));
                 }
                 let runs = task
                     .runs
@@ -475,18 +487,16 @@ impl Sweep {
                 }
                 Ok(multi)
             })
-            .collect();
+            .collect::<Vec<_>>()
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Hand results back in point order.
         Ok(plans
             .into_iter()
-            .enumerate()
-            .map(|(point, plan)| match plan {
-                Plan::Cached(multi) => Ok(multi),
-                Plan::Task(task) => match &computed[task] {
-                    Ok(multi) => Ok(Arc::clone(multi)),
-                    Err(error) => Err(error.at_point(point)),
-                },
+            .map(|plan| match plan {
+                Plan::Cached(multi) => multi,
+                Plan::Task(task) => Arc::clone(&computed[task]),
             })
             .collect())
     }
@@ -509,8 +519,7 @@ impl Sweep {
                     scope.spawn(move || {
                         let mut done = Vec::new();
                         while let Some(&unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                            let result =
-                                run_unit(&tasks[unit.task].point, unit.rep, self.event_budget);
+                            let result = run_unit(&tasks[unit.task], unit.rep, self.event_budget);
                             done.push((unit, result));
                         }
                         done
@@ -535,12 +544,13 @@ impl Sweep {
     }
 }
 
-/// Executes replication `rep` of `point`. Configurations were validated
-/// up front, so simulation itself cannot fail — but the unit is isolated
-/// with [`std::panic::catch_unwind`] so a poisoned replication (a model
-/// bug, a fault-injection edge case) degrades into a [`RunError`]
-/// instead of tearing down the worker pool.
-fn run_unit(point: &SweepPoint, rep: usize, budget: Option<u64>) -> Result<RunResult, RunError> {
+/// Executes replication `rep` of `task`'s point. Configurations were
+/// validated up front, so simulation itself cannot fail — but the unit
+/// is isolated with [`std::panic::catch_unwind`] so a poisoned
+/// replication (a model bug, a fault-injection edge case) degrades into
+/// a [`RunError`] instead of tearing down the worker pool.
+fn run_unit(task: &Task, rep: usize, budget: Option<u64>) -> Result<RunResult, RunError> {
+    let Task { point, index, .. } = task;
     let seed = point.seed_of(rep);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let sink = match (rep, &point.trace) {
@@ -551,16 +561,15 @@ fn run_unit(point: &SweepPoint, rep: usize, budget: Option<u64>) -> Result<RunRe
     }));
     match caught {
         Ok(Ok(run)) => Ok(run),
-        // `point` is filled in when the task's error is attributed.
         Ok(Err(exceeded)) => Err(RunError::Budget {
-            point: 0,
+            point: *index,
             rep,
             seed,
             events: exceeded.events,
             budget: exceeded.budget,
         }),
         Err(payload) => Err(RunError::Panic {
-            point: 0,
+            point: *index,
             rep,
             seed,
             message: panic_message(payload.as_ref()),

@@ -390,3 +390,44 @@ fn validation_rejects_parameters_the_constructors_reject() {
         );
     }
 }
+
+#[test]
+fn one_child_parallel_specs_are_rejected() {
+    use sda_model::TaskSpec::{Parallel, Serial, Simple};
+    // `[[T1] T2]` with its first stage a one-child parallel composition
+    // writes the same text, and so the same cache key, as the serial one,
+    // yet the two simulate differently.
+    let serial = Serial(vec![Serial(vec![Simple]), Simple]);
+    let parallel = Serial(vec![Parallel(vec![Simple]), Simple]);
+    let with = |spec| SimConfig {
+        shape: GlobalShape::Spec(spec),
+        strategy: SdaStrategy {
+            ssp: SspStrategy::Eqf,
+            psp: PspStrategy::div(4.0),
+        },
+        load: 0.7,
+        ..SimConfig::baseline()
+    };
+    assert_eq!(
+        with(serial.clone()).to_text(),
+        with(parallel.clone()).to_text()
+    );
+    assert_eq!(with(serial).validate(), Ok(()));
+    let error = with(parallel).validate().unwrap_err();
+    assert_eq!(error, ConfigError::OneChildParallel);
+    assert!(error.to_string().starts_with("shape:"), "{error}");
+    // At the top level and nested deeper alike.
+    for spec in [
+        Parallel(vec![Simple]),
+        Serial(vec![Simple, Parallel(vec![Simple, Parallel(vec![Simple])])]),
+    ] {
+        assert_eq!(with(spec).validate(), Err(ConfigError::OneChildParallel));
+    }
+    // The fixed-width shape builds a one-child parallel spec internally
+    // and stays valid.
+    let one = SimConfig {
+        shape: GlobalShape::ParallelFixed { n: 1 },
+        ..SimConfig::baseline()
+    };
+    assert_eq!(one.validate(), Ok(()));
+}

@@ -1,8 +1,9 @@
 //! Runner tests: determinism across `jobs` levels, stopping rules,
 //! stats.json schema, and the trace threading of replication 0.
 
+use sda_sim::runner::test_hooks;
 use sda_sim::trace::{CountingSink, RingBufferSink, SharedSink};
-use sda_sim::{MultiRun, RunResult, Runner, SimConfig, Simulation, StopRule};
+use sda_sim::{MultiRun, RunError, RunResult, Runner, SimConfig, Simulation, StopRule, SweepError};
 use sda_simcore::rng::derive_seed;
 use sda_simcore::stats::Estimate;
 use sda_simcore::{Engine, SimTime};
@@ -233,12 +234,53 @@ fn seeds_are_distinct_and_derived() {
 }
 
 #[test]
-#[should_panic(expected = "at least one replication")]
-fn empty_seed_list_panics() {
-    let _ = Runner::new(quick())
-        .with_seeds(vec![])
+fn wrong_stop_rules_are_errors_before_any_run() {
+    // Replication 0 of every case would panic if it ran. An exotic base
+    // seed no other test uses: the armed panic seed is process-global.
+    let base = 0x00AD_BEEF_FA17_0100;
+    let ci = |target: f64| StopRule::CiWidth {
+        target,
+        min_reps: 2,
+        max_reps: 8,
+    };
+    let runner = Runner::new(quick()).seed(base);
+    let cases = [
+        (
+            runner.clone().stop(StopRule::FixedReps(0)),
+            "NoReplications",
+        ),
+        (runner.clone().with_seeds(vec![]), "NoReplications"),
+        (runner.clone().stop(ci(0.0)), "BadCiTarget(0.0)"),
+        (runner.clone().stop(ci(f64::NAN)), "BadCiTarget(NaN)"),
+    ];
+    test_hooks::panic_on_seed(derive_seed(base, 0));
+    let results: Vec<_> = cases.iter().map(|(runner, _)| runner.execute()).collect();
+    test_hooks::clear();
+    for ((_, want), result) in cases.iter().zip(results) {
+        let error = result.expect_err(want);
+        assert_eq!(format!("{error:?}"), format!("Config({want})"));
+    }
+}
+
+#[test]
+fn a_panicking_replication_is_an_error() {
+    // An exotic base seed no other test uses: the armed panic seed is
+    // process-global.
+    let base = 0x00AD_BEEF_FA17_0101;
+    let armed = derive_seed(base, 1);
+    test_hooks::panic_on_seed(armed);
+    let result = Runner::new(quick())
+        .seed(base)
+        .jobs(2)
         .stop(StopRule::FixedReps(2))
         .execute();
+    test_hooks::clear();
+    match result {
+        Err(SweepError::Run(RunError::Panic {
+            point, rep, seed, ..
+        })) => assert_eq!((point, rep, seed), (0, 1, armed)),
+        other => panic!("expected a failed replication, got {other:?}"),
+    }
 }
 
 #[test]
@@ -310,7 +352,7 @@ fn tracing_does_not_change_results() {
 }
 
 #[test]
-fn throughput_is_measured_and_surfaced_on_opt_in() {
+fn wall_time_is_measured_but_kept_out_of_stats() {
     let multi = Runner::new(quick())
         .seed(3)
         .stop(StopRule::FixedReps(2))
@@ -318,17 +360,8 @@ fn throughput_is_measured_and_surfaced_on_opt_in() {
         .unwrap();
     for r in multi.runs() {
         assert!(r.wall_secs > 0.0, "the engine loop takes measurable time");
-        assert!(r.events_per_sec() > 0.0);
-        assert_eq!(r.events_per_sec(), r.events as f64 / r.wall_secs);
     }
-    assert!(multi.events_per_sec().mean > 0.0);
-    // The default report stays free of wall-clock entries (its bytes are
-    // the golden-determinism contract); the opt-in report appends one.
-    let default = multi.stats();
-    assert!(default.get("events_per_sec").is_none());
-    let with = multi.stats_with_throughput();
-    let eps = with.get("events_per_sec").expect("opt-in entry present");
-    assert!(eps.mean > 0.0);
-    assert!(with.to_json().contains("\"events_per_sec\""));
-    assert!(!default.to_json().contains("\"events_per_sec\""));
+    // The report's bytes are the golden-determinism contract, so no
+    // wall-clock entry enters it.
+    assert!(!multi.stats().to_json().contains("per_sec"));
 }

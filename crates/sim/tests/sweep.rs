@@ -1,7 +1,7 @@
 //! The sweep engine's contract: results bit-identical at any `jobs`
 //! level (the golden fixtures pin the bytes themselves), duplicates
-//! deduplicated, the cache making repeat sweeps free, and failures
-//! attributed to the replication that failed.
+//! deduplicated, the cache making repeat sweeps free, and a failure
+//! reported as the first failed point, its replication and its seed.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -9,7 +9,7 @@ use sda_core::SdaStrategy;
 use sda_sim::cache::{canonical_point, point_key_of};
 use sda_sim::{
     CrashPolicy, FaultConfig, MultiRun, PointCache, RunError, SimConfig, StopRule, Sweep,
-    SweepPoint,
+    SweepError, SweepPoint,
 };
 use sda_simcore::rng::derive_seed;
 
@@ -286,80 +286,93 @@ fn faulty_sweeps_are_jobs_invariant_and_cache_replayable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The error of a sweep that must fail with a failed replication.
+fn run_error(sweep: &Sweep) -> RunError {
+    match sweep.execute() {
+        Err(SweepError::Run(error)) => error,
+        other => panic!("expected a failed replication, got {other:?}"),
+    }
+}
+
 #[test]
-fn a_panicking_replication_fails_its_point_and_spares_the_others() {
+fn a_panicking_replication_fails_the_sweep_at_the_first_failed_point() {
     // An exotic base seed no other test uses: the armed panic seed is
-    // process-global, and sibling tests run concurrently.
+    // process-global, and sibling tests run concurrently. Points 1 and 3
+    // share it, so both fail at replication 1.
     let _hook = hook_lock();
     let base = 0x00AD_BEEF_FA17_0001;
     let armed = derive_seed(base, 1);
-    sda_sim::runner::test_hooks::panic_on_seed(armed);
     let points = vec![
         SweepPoint::new(quick(0.3), 42),
         SweepPoint::new(quick(0.45), base),
         SweepPoint::new(quick(0.6), 42),
+        SweepPoint::new(quick(0.5), base),
     ];
-    let results = Sweep::new()
-        .points(points.clone())
-        .jobs(4)
-        .try_execute()
-        .unwrap();
-    sda_sim::runner::test_hooks::clear();
-    assert_eq!(results.len(), 3, "every point reports, pass or fail");
-    let error = results[1].as_ref().expect_err("armed point must fail");
-    match error {
-        RunError::Panic {
-            point,
-            rep,
-            seed,
-            message,
-        } => {
-            assert_eq!((*point, *rep, *seed), (1, 1, armed));
-            assert!(message.contains("injected panic"), "{message}");
-        }
-        other => panic!("expected a panic error, got {other}"),
-    }
-    let shown = error.to_string();
-    assert!(
-        shown.contains("point 1") && shown.contains("rep 1"),
-        "{shown}"
-    );
-    // The sibling points completed normally, bit-identical to a clean
-    // sequential run.
-    for index in [0, 2] {
-        let clean = Sweep::new()
-            .point(points[index].clone())
-            .jobs(1)
-            .execute()
-            .unwrap();
-        let survived = results[index].as_ref().expect("sibling completes");
-        assert_eq!(fingerprint(&clean[0]), fingerprint(survived));
-    }
-    // The strict entry point turns the structured error into a panic.
+    let cache = Arc::new(PointCache::in_memory());
     sda_sim::runner::test_hooks::panic_on_seed(armed);
-    let strict = std::panic::catch_unwind(|| {
-        Sweep::new()
-            .points(vec![SweepPoint::new(quick(0.45), base)])
-            .jobs(1)
-            .execute()
-    });
+    let errors: Vec<RunError> = [1, 4]
+        .into_iter()
+        .map(|jobs| {
+            run_error(
+                &Sweep::new()
+                    .points(points.clone())
+                    .jobs(jobs)
+                    .cache(Arc::clone(&cache)),
+            )
+        })
+        .collect();
     sda_sim::runner::test_hooks::clear();
-    assert!(strict.is_err(), "execute() panics on a failed point");
+    for error in &errors {
+        match error {
+            RunError::Panic {
+                point,
+                rep,
+                seed,
+                message,
+            } => {
+                assert_eq!((*point, *rep, *seed), (1, 1, armed));
+                assert!(message.contains("injected panic"), "{message}");
+            }
+            other => panic!("expected a panic error, got {other}"),
+        }
+        let shown = error.to_string();
+        for part in ["point 1", "rep 1", &format!("seed {armed}")] {
+            assert!(shown.contains(part), "{shown:?} lacks {part:?}");
+        }
+    }
+    // The completed siblings were stored: the second failed sweep found
+    // them, and a rerun simulates only the two failed points,
+    // bit-identical to a clean sequential run.
+    let before = cache.report();
+    assert_eq!((before.hits_memory, before.misses), (2, 6));
+    let rerun = Sweep::new()
+        .points(points.clone())
+        .jobs(2)
+        .cache(Arc::clone(&cache))
+        .execute()
+        .unwrap();
+    let after = cache.report();
+    assert_eq!(after.hits_memory - before.hits_memory, 2);
+    assert_eq!(after.misses - before.misses, 2);
+    let clean = Sweep::new().points(points).jobs(1).execute().unwrap();
+    for (a, b) in clean.iter().zip(&rerun) {
+        assert_eq!(fingerprint(a), fingerprint(b));
+    }
 }
 
 #[test]
 fn an_event_budget_fails_runaway_points_deterministically() {
-    let results = Sweep::new()
-        .points(vec![
-            SweepPoint::new(quick(0.5), 42),
-            SweepPoint::new(quick(0.5).with_load(0.8), 42),
-        ])
-        .jobs(2)
-        .event_budget(500)
-        .try_execute()
-        .unwrap();
-    for (index, point) in results.iter().enumerate() {
-        match point.as_ref().expect_err("500 events is far too few") {
+    for jobs in [1, 2] {
+        let error = run_error(
+            &Sweep::new()
+                .points(vec![
+                    SweepPoint::new(quick(0.5), 42),
+                    SweepPoint::new(quick(0.5).with_load(0.8), 42),
+                ])
+                .jobs(jobs)
+                .event_budget(500),
+        );
+        match error {
             RunError::Budget {
                 point,
                 rep,
@@ -367,8 +380,8 @@ fn an_event_budget_fails_runaway_points_deterministically() {
                 budget,
                 ..
             } => {
-                assert_eq!((*point, *rep), (index, 0), "lowest rep reports");
-                assert!(*events > 500 && *budget == 500);
+                assert_eq!((point, rep), (0, 0), "the first point's lowest rep");
+                assert!(events > 500 && budget == 500);
             }
             other => panic!("expected a budget error, got {other}"),
         }
@@ -402,47 +415,46 @@ fn adaptive_points_fail_at_the_real_replication_and_seed() {
         max_reps: 6,
     });
     sda_sim::runner::test_hooks::panic_on_seed(armed);
-    let runs: Vec<_> = [1, 4]
+    let errors: Vec<RunError> = [1, 4]
         .into_iter()
         .map(|jobs| {
-            Sweep::new()
-                .points([SweepPoint::new(quick(0.3), 42), adaptive.clone()])
-                .jobs(jobs)
-                .try_execute()
-                .unwrap()
+            run_error(
+                &Sweep::new()
+                    .points([SweepPoint::new(quick(0.3), 42), adaptive.clone()])
+                    .jobs(jobs),
+            )
         })
         .collect();
     sda_sim::runner::test_hooks::clear();
-    for results in &runs {
-        assert!(results[0].is_ok(), "the fixed point is spared");
-        match results[1].as_ref().expect_err("armed replication fails") {
+    for error in errors {
+        match error {
             RunError::Panic {
                 point, rep, seed, ..
-            } => assert_eq!((*point, *rep, *seed), (1, 3, armed)),
+            } => assert_eq!((point, rep, seed), (1, 3, armed)),
             other => panic!("expected a panic error, got {other}"),
         }
     }
 
     // The event budget covers adaptive and fixed-count points alike,
     // and names the replication's own seed rather than the base seed.
-    let results = Sweep::new()
-        .points([
-            SweepPoint::new(quick(0.5), 42).stop(StopRule::CiWidth {
-                target: 0.5,
-                min_reps: 2,
-                max_reps: 64,
-            }),
-            SweepPoint::new(quick(0.5), 42).stop(StopRule::FixedReps(1)),
-        ])
-        .jobs(2)
-        .event_budget(500)
-        .try_execute()
-        .unwrap();
-    for (index, result) in results.iter().enumerate() {
-        match result.as_ref().expect_err("500 events is far too few") {
+    for stop in [
+        StopRule::CiWidth {
+            target: 0.5,
+            min_reps: 2,
+            max_reps: 64,
+        },
+        StopRule::FixedReps(1),
+    ] {
+        let error = run_error(
+            &Sweep::new()
+                .point(SweepPoint::new(quick(0.5), 42).stop(stop))
+                .jobs(2)
+                .event_budget(500),
+        );
+        match error {
             RunError::Budget {
                 point, rep, seed, ..
-            } => assert_eq!((*point, *rep, *seed), (index, 0, derive_seed(42, 0))),
+            } => assert_eq!((point, rep, seed), (0, 0, derive_seed(42, 0))),
             other => panic!("expected a budget error, got {other}"),
         }
     }

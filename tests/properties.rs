@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use sda::prelude::*;
 
 /// Single-replication run through the [`Runner`], with the replication's
-/// seed given explicitly (shadows the deprecated free function).
-fn run(cfg: &SimConfig, seed: u64) -> Result<RunResult, sda::sim::ConfigError> {
+/// seed given explicitly.
+fn run(cfg: &SimConfig, seed: u64) -> Result<RunResult, sda::sim::SweepError> {
     Ok(Runner::new(cfg.clone())
         .with_seeds(vec![seed])
         .stop(StopRule::FixedReps(1))

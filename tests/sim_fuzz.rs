@@ -11,8 +11,8 @@ use sda::sim::{CrashPolicy, FaultConfig, Simulation};
 use sda::simcore::Engine;
 
 /// Single-replication run through the [`Runner`], with the replication's
-/// seed given explicitly (shadows the deprecated free function).
-fn run(cfg: &SimConfig, seed: u64) -> Result<RunResult, sda::sim::ConfigError> {
+/// seed given explicitly.
+fn run(cfg: &SimConfig, seed: u64) -> Result<RunResult, sda::sim::SweepError> {
     Ok(Runner::new(cfg.clone())
         .with_seeds(vec![seed])
         .stop(StopRule::FixedReps(1))
@@ -22,7 +22,7 @@ fn run(cfg: &SimConfig, seed: u64) -> Result<RunResult, sda::sim::ConfigError> {
 }
 
 use sda::sched::Policy;
-use sda::sim::{Burst, Placement, ServiceShape};
+use sda::sim::{Burst, Placement, ServiceShape, SweepError};
 
 fn arb_strategy() -> impl Strategy<Value = SdaStrategy> {
     let ssp = prop_oneof![
@@ -148,9 +148,11 @@ proptest! {
 fn check_runs_and_accounts(cfg: &SimConfig, seed: u64) -> Result<(), TestCaseError> {
     // Some generated combos are legitimately invalid (e.g. fan-out
     // wider than nodes with globals present): they must be *rejected*,
-    // never panic.
-    let Ok(result) = run(cfg, seed) else {
-        return Ok(());
+    // never panic. A replication that fails is a failed case.
+    let result = match run(cfg, seed) {
+        Ok(result) => result,
+        Err(SweepError::Config(_)) => return Ok(()),
+        Err(error) => return Err(TestCaseError::fail(error.to_string())),
     };
     let m = &result.metrics;
 
