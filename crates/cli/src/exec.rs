@@ -9,7 +9,7 @@ use sda_sim::SweepError;
 pub enum CliError {
     /// A bad command, flag, key, value or file: exit status 2.
     Usage(String),
-    /// A replication failed (panicked or blew its event budget): exit
+    /// A replication failed (panicked or used up its event budget): exit
     /// status 1. The message names the point, replication and seed.
     Run(String),
 }

@@ -158,6 +158,7 @@ fn split_options(args: &[String]) -> Result<(Vec<&String>, RunOptions), String> 
                 let v = iter.next().ok_or("--seed needs a value")?;
                 opts.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
             }
+            // --reps and --max-reps: under --ci-target the sweep clamps 0 up, so reject it here.
             "--reps" => {
                 let v = iter.next().ok_or("--reps needs a value")?;
                 opts.reps = v.parse().map_err(|_| format!("bad reps {v:?}"))?;
@@ -171,11 +172,7 @@ fn split_options(args: &[String]) -> Result<(Vec<&String>, RunOptions), String> 
             }
             "--ci-target" => {
                 let v = iter.next().ok_or("--ci-target needs a value")?;
-                let target: f64 = v.parse().map_err(|_| format!("bad ci target {v:?}"))?;
-                if target <= 0.0 {
-                    return Err("ci target must be positive".into());
-                }
-                opts.ci_target = Some(target);
+                opts.ci_target = Some(v.parse().map_err(|_| format!("bad ci target {v:?}"))?);
             }
             "--max-reps" => {
                 let v = iter.next().ok_or("--max-reps needs a value")?;
@@ -539,7 +536,9 @@ mod tests {
         assert_eq!(opts.max_reps, 16);
         assert_eq!(opts.stats_out.as_deref(), Some("out.json"));
         assert_eq!(opts.trace_out.as_deref(), Some("trace.jsonl"));
-        assert!(split_options(&strings(&["--ci-target", "-1"])).is_err());
+        // A target that parses but is not positive is the sweep's to
+        // reject (the `non_positive_ci_targets_are_usage_errors` CLI test).
+        assert!(split_options(&strings(&["--ci-target", "soon"])).is_err());
         assert!(split_options(&strings(&["--max-reps", "0"])).is_err());
         assert!(split_options(&strings(&["--stats-out"])).is_err());
         assert!(split_options(&strings(&["--trace-out"])).is_err());

@@ -293,6 +293,40 @@ fn non_finite_horizons_and_rates_are_usage_errors() {
 }
 
 #[test]
+fn runaway_configurations_are_usage_errors() {
+    // Each passes every per-field check, but its rates or crash cycles
+    // are so fast that a short run would never end.
+    for settings in [
+        &["mu_local=1e308"][..],
+        &["mu_subtask=1e300"],
+        &["speeds=1e300,1e300,1e300,1e300,1e300,1e300"],
+        &["fault_mttf=1e-300", "fault_mttr=1e-300"],
+    ] {
+        let mut args = vec!["run", "duration=200", "warmup=1"];
+        args.extend(settings);
+        let out = sda(&args);
+        assert_eq!(out.status.code(), Some(2), "{settings:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("would process") && err.contains("events"),
+            "{err}"
+        );
+        assert!(!err.contains("panicked"), "{settings:?}: {err}");
+    }
+}
+
+#[test]
+fn non_positive_ci_targets_are_usage_errors() {
+    for target in ["0", "-1", "NaN"] {
+        let out = sda(&["run", "duration=200", "warmup=1", "--ci-target", target]);
+        assert_eq!(out.status.code(), Some(2), "{target}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("CI width target must be positive"), "{err}");
+        assert!(!err.contains("panicked"), "{target}: {err}");
+    }
+}
+
+#[test]
 fn faulty_run_produces_a_report() {
     let out = sda(&[
         "run",

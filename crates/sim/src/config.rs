@@ -403,6 +403,23 @@ impl SimConfig {
         (local_work + global_work) / self.capacity()
     }
 
+    /// The engine events one replication is expected to process: candidate
+    /// arrivals (at the burst peak rate), one completion per job and subtask,
+    /// and a crash and a recovery per node per MTTF + MTTR.
+    pub fn expected_events(&self) -> f64 {
+        let boost = self.burst.map_or(1.0, |b| b.boost);
+        let locals = self.lambda_local() * self.capacity();
+        let globals = self.lambda_global();
+        let arrivals = boost * (locals + globals);
+        let completions = locals + globals * self.shape.mean_leaf_count();
+        let crashes = if self.fault.crash_enabled() {
+            2.0 * self.nodes as f64 / (self.fault.mttf + self.fault.mttr)
+        } else {
+            0.0
+        };
+        self.duration * (arrivals + completions + crashes)
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
@@ -482,25 +499,16 @@ impl SimConfig {
                 warmup: self.warmup,
             });
         }
-        match &self.shape {
-            GlobalShape::ParallelFixed { n } => {
-                if *n == 0 {
-                    return Err(ConfigError::EmptyShape);
-                }
-            }
-            GlobalShape::ParallelUniform { lo, hi } => {
-                if *lo == 0 || lo > hi {
-                    return Err(ConfigError::EmptyShape);
-                }
-            }
-            GlobalShape::Spec(spec) => {
-                if spec.validate().is_err() {
-                    return Err(ConfigError::EmptyShape);
-                }
-                if has_one_child_parallel(spec) {
-                    return Err(ConfigError::OneChildParallel);
-                }
-            }
+        let empty = match &self.shape {
+            GlobalShape::ParallelFixed { n } => *n == 0,
+            GlobalShape::ParallelUniform { lo, hi } => *lo == 0 || lo > hi,
+            GlobalShape::Spec(spec) => spec.validate().is_err(),
+        };
+        if empty {
+            return Err(ConfigError::EmptyShape);
+        }
+        if matches!(&self.shape, GlobalShape::Spec(spec) if has_one_child_parallel(spec)) {
+            return Err(ConfigError::OneChildParallel);
         }
         if self.frac_local < 1.0 && self.shape.max_fanout() > self.nodes {
             return Err(ConfigError::FanoutExceedsNodes {
@@ -508,9 +516,17 @@ impl SimConfig {
                 nodes: self.nodes,
             });
         }
+        // Last, as the count means something only for a config valid so far.
+        let events = self.expected_events();
+        if !(events.is_finite() && events <= EVENT_CEILING) {
+            return Err(ConfigError::TooManyEvents(events));
+        }
         Ok(())
     }
 }
+
+/// The most events [`SimConfig::validate`] lets a run expect: ~780× the largest paper point's.
+const EVENT_CEILING: f64 = 1e10;
 
 /// Whether `spec` holds a parallel composition with one child anywhere.
 /// Such a spec writes the same text, and so has the same cache key, as
@@ -579,6 +595,8 @@ pub enum ConfigError {
         /// Configured node count.
         nodes: usize,
     },
+    /// A [`SimConfig::expected_events`] count that is not finite or is above 1e10.
+    TooManyEvents(f64),
     /// A stop rule that asks for no replications: `FixedReps(0)`, or an
     /// empty seed list.
     NoReplications,
@@ -620,6 +638,11 @@ impl fmt::Display for ConfigError {
             ConfigError::FanoutExceedsNodes { fanout, nodes } => {
                 write!(f, "parallel fan-out {fanout} exceeds node count {nodes}")
             }
+            ConfigError::TooManyEvents(events) => write!(
+                f,
+                "a replication would process {events:.3e} events, above the ceiling of \
+                 {EVENT_CEILING:e}: shorten the run or lower its rates"
+            ),
             ConfigError::NoReplications => write!(f, "a point needs at least one replication"),
             ConfigError::BadCiTarget(target) => {
                 write!(f, "CI width target must be positive, got {target}")

@@ -101,12 +101,12 @@ impl FaultConfig {
     }
 
     /// Whether straggler inflation can occur.
-    pub fn straggler_enabled(&self) -> bool {
+    fn straggler_enabled(&self) -> bool {
         self.straggler_prob > 0.0
     }
 
     /// Whether hand-off communication delays can occur.
-    pub fn comm_enabled(&self) -> bool {
+    fn comm_enabled(&self) -> bool {
         self.comm_delay_prob > 0.0
     }
 

@@ -194,7 +194,7 @@ impl Runner {
     /// configuration is invalid, the rule asks for zero replications
     /// (`FixedReps(0)`, an empty seed list) or the CI target is not
     /// positive, and [`SweepError::Run`] if a replication panics or
-    /// blows the event budget.
+    /// uses up its event budget.
     pub fn execute(&self) -> Result<MultiRun, SweepError> {
         let mut results = self.sweep.clone().point(self.point.clone()).execute()?;
         // A one-point sweep with no cache holds the only reference.
@@ -203,33 +203,17 @@ impl Runner {
     }
 }
 
-/// A replication exceeded its event-count budget (watchdog): the run was
-/// cut off mid-horizon and its partial results discarded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BudgetExceeded {
-    /// Events processed when the watchdog fired.
-    pub events: u64,
-    /// The configured budget.
-    pub budget: u64,
-}
-
 /// The run body of every replication: one simulation of a validated
 /// configuration to its duration, optionally feeding a trace sink
-/// (flushed at the end of the run), under an optional event-count
-/// watchdog.
-///
-/// The horizon is run in 256 equal time chunks (chunked
-/// [`Engine::run_until`] calls process the identical event sequence that
-/// one call would, so results do not depend on the chunking). With a
-/// budget, the event count is checked between chunks; a runaway
-/// replication comes back as `Err(BudgetExceeded)` instead of looping
-/// forever.
+/// (flushed at the end of the run), as one engine run of at most
+/// `budget` events. A run that reaches its budget first (a runaway, or a
+/// livelock at one instant) is `None`, its partial results discarded.
 pub(crate) fn run_single_with_budget(
     cfg: &SimConfig,
     seed: u64,
     sink: Option<Box<dyn TraceSink>>,
-    budget: Option<u64>,
-) -> Result<RunResult, BudgetExceeded> {
+    budget: u64,
+) -> Option<RunResult> {
     test_hooks::check(seed);
     let mut sim = Simulation::new(cfg.clone(), seed).expect("config validated");
     if let Some(sink) = sink {
@@ -238,29 +222,19 @@ pub(crate) fn run_single_with_budget(
     let mut engine = Engine::new();
     sim.prime(&mut engine);
     let started = std::time::Instant::now();
-    const CHUNKS: u32 = 256;
-    for chunk in 1..=CHUNKS {
-        let until = cfg.duration * f64::from(chunk) / f64::from(CHUNKS);
-        engine.run_until(&mut sim, SimTime::from(until));
-        if let Some(limit) = budget.filter(|&limit| engine.events_processed() > limit) {
-            return Err(BudgetExceeded {
-                events: engine.events_processed(),
-                budget: limit,
-            });
-        }
+    if !engine.run_bounded(&mut sim, SimTime::from(cfg.duration), budget) {
+        return None;
     }
     let wall_secs = started.elapsed().as_secs_f64();
     if let Some(mut sink) = sim.take_sink() {
         sink.flush();
     }
-    let events = engine.events_processed();
-    let duration = cfg.duration;
     let (metrics, node_stats) = sim.into_results();
-    Ok(RunResult {
+    Some(RunResult {
         metrics,
-        events,
+        events: engine.events_processed(),
         node_stats,
-        duration,
+        duration: cfg.duration,
         seed,
         wall_secs,
     })
@@ -472,5 +446,40 @@ impl StatsReport {
         }
         out.push_str("  ]\n}");
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fingerprint(run: &RunResult) -> (u64, u64, u64, u64) {
+        let m = &run.metrics;
+        (
+            run.events,
+            m.local_count(),
+            m.global_count(),
+            m.md_global().to_bits(),
+        )
+    }
+
+    #[test]
+    fn a_budget_cuts_a_run_off_and_changes_nothing_it_lets_finish() {
+        let cfg = SimConfig {
+            duration: 2_000.0,
+            warmup: 100.0,
+            ..SimConfig::baseline()
+        };
+        let free = run_single_with_budget(&cfg, 9, None, u64::MAX).expect("no bound");
+        // The derived budget, and one just above the run's own count.
+        let derived = (16.0 * cfg.expected_events()) as u64 + 10_000;
+        for budget in [derived, free.events + 1] {
+            let bounded = run_single_with_budget(&cfg, 9, None, budget).expect("within");
+            assert_eq!(fingerprint(&bounded), fingerprint(&free));
+        }
+        // A run that reaches its budget before its horizon is discarded.
+        for budget in [500, free.events] {
+            assert!(run_single_with_budget(&cfg, 9, None, budget).is_none());
+        }
     }
 }

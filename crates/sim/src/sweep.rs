@@ -40,13 +40,13 @@
 //! [`Sweep::execute`] is the only way to run points, and it fails one
 //! way: with a [`SweepError`]. A point whose configuration or stop rule
 //! is rejected fails the sweep before any simulation starts. Each
-//! replication runs under [`std::panic::catch_unwind`] and an optional
-//! event budget, so a panicking or runaway replication stops only its
-//! own point; the other points run to the end and are stored in the
-//! cache, so a rerun resumes from them. The sweep then returns the
-//! [`RunError`] of the first failed point in point order, naming its
-//! lowest failed replication and that replication's seed, the same at
-//! any `jobs` level.
+//! replication runs under [`std::panic::catch_unwind`] and a budget of
+//! 16 × [`SimConfig::expected_events`] + 10,000 events, so a panicking or
+//! runaway replication stops only its own point; the other points run to
+//! the end and are stored in the cache, so a rerun resumes from them. The
+//! sweep then returns the [`RunError`] of the first failed point in point
+//! order, naming its lowest failed replication and that replication's
+//! seed, the same at any `jobs` level.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -126,10 +126,10 @@ impl SweepPoint {
             }
         }
         let (first, cap) = self.stop.rep_bounds();
-        let budget = |n: usize| self.seeds.as_ref().map_or(n, |list| n.min(list.len()));
-        match budget(first) {
+        let capped = |n: usize| self.seeds.as_ref().map_or(n, |list| n.min(list.len()));
+        match capped(first) {
             0 => Err(ConfigError::NoReplications),
-            first => Ok((first, budget(cap))),
+            first => Ok((first, capped(cap))),
         }
     }
 }
@@ -157,6 +157,8 @@ struct Task {
     /// reach; a cap below the first round stops the task after it.
     first: usize,
     cap: usize,
+    /// Each replication's event budget (see the [module docs](self)).
+    budget: u64,
     /// Results by replication index; each round appends empty slots.
     runs: Vec<Option<RunResult>>,
     /// The lowest failed replication; a failed task runs no more rounds.
@@ -221,9 +223,8 @@ pub enum RunError {
         /// The panic message.
         message: String,
     },
-    /// The replication exceeded the sweep's event budget
-    /// ([`Sweep::event_budget`]) — a runaway simulation converted into a
-    /// structured result.
+    /// The replication used up its event budget (see the [module
+    /// docs](self)) before its horizon: a runaway simulation, cut off.
     Budget {
         /// Index of the failed point in the sweep's point list.
         point: usize,
@@ -231,9 +232,7 @@ pub enum RunError {
         rep: usize,
         /// The seed the replication ran with.
         seed: u64,
-        /// Events processed when the watchdog fired.
-        events: u64,
-        /// The configured budget.
+        /// The replication's event budget.
         budget: u64,
     },
 }
@@ -254,12 +253,11 @@ impl std::fmt::Display for RunError {
                 point,
                 rep,
                 seed,
-                events,
                 budget,
             } => write!(
                 f,
-                "point {point} rep {rep} (seed {seed}) exceeded the event budget \
-                 ({events} events > {budget})"
+                "point {point} rep {rep} (seed {seed}) did not reach its horizon \
+                 within its budget of {budget} events"
             ),
         }
     }
@@ -311,7 +309,6 @@ pub struct Sweep {
     points: Vec<SweepPoint>,
     jobs: usize,
     cache: Option<Arc<PointCache>>,
-    event_budget: Option<u64>,
 }
 
 impl Default for Sweep {
@@ -327,7 +324,6 @@ impl Sweep {
             points: Vec::new(),
             jobs: 0,
             cache: None,
-            event_budget: None,
         }
     }
 
@@ -358,18 +354,6 @@ impl Sweep {
         self
     }
 
-    /// Arms a per-replication event-count watchdog: a replication that
-    /// processes more than `budget` engine events is cut off and its
-    /// point fails with [`RunError::Budget`] instead of hanging the
-    /// campaign.
-    ///
-    /// Not part of the cache key — the budget cannot change the result
-    /// of a replication that completes within it.
-    pub fn event_budget(mut self, budget: u64) -> Sweep {
-        self.event_budget = Some(budget);
-        self
-    }
-
     /// Worker-thread count for a given unit count.
     fn effective_jobs(&self, units: usize) -> usize {
         let auto = || std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -385,7 +369,7 @@ impl Sweep {
     ///
     /// Returns [`SweepError::Config`] for the first rejected point before
     /// starting any simulation, and [`SweepError::Run`] for the first
-    /// point, in point order, whose replication panicked or blew the
+    /// point, in point order, whose replication panicked or used up its
     /// event budget. Every point that completed is still stored in the
     /// cache.
     pub fn execute(&self) -> Result<Vec<Arc<MultiRun>>, SweepError> {
@@ -433,6 +417,7 @@ impl Sweep {
                 address,
                 first,
                 cap,
+                budget: (16.0 * point.cfg.expected_events()) as u64 + 10_000,
                 runs: Vec::new(),
                 failure: None,
             });
@@ -519,7 +504,7 @@ impl Sweep {
                     scope.spawn(move || {
                         let mut done = Vec::new();
                         while let Some(&unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                            let result = run_unit(&tasks[unit.task], unit.rep, self.event_budget);
+                            let result = run_unit(&tasks[unit.task], unit.rep);
                             done.push((unit, result));
                         }
                         done
@@ -549,7 +534,7 @@ impl Sweep {
 /// is isolated with [`std::panic::catch_unwind`] so a poisoned
 /// replication (a model bug, a fault-injection edge case) degrades into
 /// a [`RunError`] instead of tearing down the worker pool.
-fn run_unit(task: &Task, rep: usize, budget: Option<u64>) -> Result<RunResult, RunError> {
+fn run_unit(task: &Task, rep: usize) -> Result<RunResult, RunError> {
     let Task { point, index, .. } = task;
     let seed = point.seed_of(rep);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -557,16 +542,15 @@ fn run_unit(task: &Task, rep: usize, budget: Option<u64>) -> Result<RunResult, R
             (0, Some(user)) => Some(Box::new(user.clone()) as Box<dyn TraceSink>),
             _ => None,
         };
-        run_single_with_budget(&point.cfg, seed, sink, budget)
+        run_single_with_budget(&point.cfg, seed, sink, task.budget)
     }));
     match caught {
-        Ok(Ok(run)) => Ok(run),
-        Ok(Err(exceeded)) => Err(RunError::Budget {
+        Ok(Some(run)) => Ok(run),
+        Ok(None) => Err(RunError::Budget {
             point: *index,
             rep,
             seed,
-            events: exceeded.events,
-            budget: exceeded.budget,
+            budget: task.budget,
         }),
         Err(payload) => Err(RunError::Panic {
             point: *index,
@@ -586,5 +570,90 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quick(load: f64) -> SimConfig {
+        SimConfig {
+            duration: 2_000.0,
+            warmup: 100.0,
+            ..SimConfig::baseline().with_load(load)
+        }
+    }
+
+    /// The task planning makes of `point` at `index`, with its budget
+    /// cut to `budget` events.
+    fn task(point: SweepPoint, index: usize, budget: u64) -> Task {
+        let (first, cap) = point.validate().expect("valid point");
+        Task {
+            point,
+            index,
+            address: None,
+            first,
+            cap,
+            budget,
+            runs: Vec::new(),
+            failure: None,
+        }
+    }
+
+    #[test]
+    fn a_replication_over_its_budget_fails_naming_its_point_rep_and_seed() {
+        let error = run_unit(&task(SweepPoint::new(quick(0.5), 42), 3, 500), 1).unwrap_err();
+        let seed = derive_seed(42, 1);
+        assert_eq!(
+            error,
+            RunError::Budget {
+                point: 3,
+                rep: 1,
+                seed,
+                budget: 500
+            }
+        );
+        let shown = error.to_string();
+        for part in ["point 3", "rep 1", &format!("seed {seed}"), "500 events"] {
+            assert!(shown.contains(part), "{shown:?} lacks {part:?}");
+        }
+    }
+
+    #[test]
+    fn budget_failures_name_their_point_rep_and_seed_at_any_jobs_level() {
+        // Adaptive and fixed-count points alike; each error names the
+        // replication's own seed, not the base seed.
+        let adaptive = StopRule::CiWidth {
+            target: 0.5,
+            min_reps: 2,
+            max_reps: 64,
+        };
+        let tasks = [
+            task(SweepPoint::new(quick(0.5), 42).stop(adaptive), 0, 500),
+            task(
+                SweepPoint::new(quick(0.8), 7).stop(StopRule::FixedReps(3)),
+                1,
+                500,
+            ),
+        ];
+        let units: Vec<Unit> = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+            .map(|(task, rep)| Unit { task, rep })
+            .into();
+        for jobs in [1, 2] {
+            let mut results: Vec<_> = Sweep::new().jobs(jobs).run_units(&tasks, &units).collect();
+            results.sort_by_key(|(unit, _)| (unit.task, unit.rep));
+            assert_eq!(results.len(), units.len());
+            for (Unit { task, rep }, result) in results {
+                let base = [42, 7][task];
+                let expected = RunError::Budget {
+                    point: task,
+                    rep,
+                    seed: derive_seed(base, rep as u64),
+                    budget: 500,
+                };
+                assert_eq!(result.unwrap_err(), expected, "jobs {jobs}");
+            }
+        }
     }
 }

@@ -3,8 +3,12 @@
 
 use sda_core::{EstimationModel, PspStrategy, SdaStrategy, SspStrategy};
 use sda_sched::Policy;
-use sda_sim::{AbortPolicy, ConfigError, GlobalShape, ServiceShape, SimConfig};
+use sda_sim::{
+    AbortPolicy, Burst, ConfigError, CrashPolicy, FaultConfig, GlobalShape, ResubmitPolicy,
+    ServiceShape, SimConfig, Simulation,
+};
 use sda_simcore::dist::Uniform;
+use sda_simcore::{Engine, SimTime};
 
 #[test]
 fn baseline_matches_table1() {
@@ -430,4 +434,124 @@ fn one_child_parallel_specs_are_rejected() {
         ..SimConfig::baseline()
     };
     assert_eq!(one.validate(), Ok(()));
+}
+
+/// `expected_events` is the one estimate of a replication's work: the
+/// sweep's event budget is a multiple of it. Each row's measured event
+/// count must lie within [0.9, 1.2] of it, whatever the fault class,
+/// abort policy, burst or speed mix; a new event source that breaks the
+/// band belongs in the formula, not in a wider band or budget.
+#[test]
+fn expected_events_tracks_the_events_of_every_model_feature() {
+    let base = SimConfig {
+        duration: 20_000.0,
+        warmup: 200.0,
+        ..SimConfig::baseline()
+    };
+    let faults = |fault: FaultConfig| {
+        [CrashPolicy::AbortTask, CrashPolicy::RequeueSubtask].map(|crash_policy| SimConfig {
+            fault: FaultConfig {
+                crash_policy,
+                ..fault
+            },
+            ..SimConfig::section8().with_duration(20_000.0)
+        })
+    };
+    let crash = FaultConfig {
+        mttf: 200.0,
+        mttr: 20.0,
+        ..FaultConfig::disabled()
+    };
+    let straggler = FaultConfig {
+        straggler_prob: 0.3,
+        straggler_factor: 4.0,
+        ..FaultConfig::disabled()
+    };
+    let comm = FaultConfig {
+        comm_delay_prob: 1.0,
+        comm_delay_mean: 2.0,
+        ..FaultConfig::disabled()
+    };
+    let mut rows = vec![
+        ("load 0.1", base.clone().with_load(0.1)),
+        ("load 0.5", base.clone()),
+        ("load 0.9", base.clone().with_load(0.9)),
+        ("section 8", SimConfig::section8().with_duration(20_000.0)),
+        (
+            "burst",
+            SimConfig {
+                burst: Some(Burst {
+                    period: 100.0,
+                    on_fraction: 0.25,
+                    boost: 3.0,
+                }),
+                ..base.clone()
+            },
+        ),
+        (
+            "preemptive EDF",
+            SimConfig {
+                preemptive: true,
+                ..base.clone().with_load(0.9)
+            },
+        ),
+        (
+            "local abort, resubmit",
+            SimConfig {
+                abort: AbortPolicy::LocalScheduler {
+                    resubmit: ResubmitPolicy::OnceWithRealDeadline,
+                },
+                ..base.clone().with_load(0.9)
+            },
+        ),
+        (
+            "PM abort",
+            SimConfig {
+                abort: AbortPolicy::ProcessManager,
+                ..base.clone().with_load(0.9)
+            },
+        ),
+        (
+            "speeds",
+            SimConfig {
+                node_speeds: vec![2.0, 2.0, 1.0, 1.0, 0.5, 0.5],
+                ..base.clone()
+            },
+        ),
+        // No arrivals, so the crash term alone is the whole estimate.
+        (
+            "crash cycles alone",
+            SimConfig {
+                fault: FaultConfig {
+                    mttf: 5.0,
+                    mttr: 5.0,
+                    ..FaultConfig::disabled()
+                },
+                ..base.clone().with_load(0.0)
+            },
+        ),
+    ];
+    for (class, fault) in [("crash", crash), ("straggler", straggler), ("comm", comm)] {
+        let [abort, requeue] = faults(fault);
+        rows.push((class, abort));
+        rows.push((class, requeue));
+    }
+    for (name, cfg) in rows {
+        let cfg = SimConfig {
+            warmup: 200.0,
+            ..cfg
+        };
+        let mut sim = Simulation::new(cfg.clone(), 11).expect("valid row");
+        let mut engine = Engine::new();
+        sim.prime(&mut engine);
+        engine.run_until(&mut sim, SimTime::from(cfg.duration));
+        let ratio = engine.events_processed() as f64 / cfg.expected_events();
+        assert!(
+            (0.9..=1.2).contains(&ratio),
+            "{name} ({:?}): {} events, {ratio:.3} of the expected {:.0}",
+            cfg.fault.crash_policy,
+            engine.events_processed(),
+            cfg.expected_events()
+        );
+    }
 }

@@ -3,12 +3,14 @@
 //! it accepts) and the bracket task notation (`parse_spec`). Inputs are
 //! random lines and token strings over each format's own vocabulary
 //! (every key, keyword, separator and number spelling, including NaN,
-//! infinities, signs, overflow and stray characters), so most of them
-//! get deep into the value parsers. Any input may be rejected; none may
-//! panic.
+//! infinities, signs, overflow, subnormals, the floats on each side of
+//! every bound, and stray characters), so most of them get deep into the
+//! value parsers. Any input may be rejected; none may panic, and every
+//! accepted configuration small enough to run quickly runs one
+//! replication to its end.
 
 use sda_model::parse_spec;
-use sda_sim::SimConfig;
+use sda_sim::{SimConfig, StopRule, Sweep, SweepPoint};
 
 /// SplitMix64: a small deterministic generator.
 struct Rng(u64);
@@ -57,6 +59,9 @@ const KEYS: &[&str] = &[
     "unknown",
 ];
 
+/// Number spellings, with the edge floats: subnormals, signed zeros and
+/// extremes, and the neighbours of 0 and 1, which bound every rate,
+/// probability, fraction, load and multiplier.
 const NUMBERS: &[&str] = &[
     "0",
     "1",
@@ -66,9 +71,15 @@ const NUMBERS: &[&str] = &[
     "-1",
     "-0",
     "1e308",
+    "-1e308",
     "1e309",
     "-1e309",
     "1e-320",
+    "5e-324",
+    "-5e-324",
+    "0.9999999999999999",
+    "1.0000000000000002",
+    "1e10",
     "NaN",
     "nan",
     "inf",
@@ -145,9 +156,14 @@ fn spec(rng: &mut Rng) -> String {
 #[test]
 fn config_text_never_panics() {
     let mut rng = Rng(1);
-    let mut accepted = 0;
+    let (mut accepted, mut ran) = (0, 0);
     for _ in 0..100_000 {
-        let mut text = String::new();
+        // Half the inputs start from a short horizon, so that enough
+        // accepted configurations are small enough to run.
+        let mut text = match rng.below(2) {
+            0 => format!("duration = {}\nwarmup = 0\n", rng.pick(NUMBERS)),
+            _ => String::new(),
+        };
         for _ in 0..=rng.below(4) {
             match rng.below(10) {
                 0 => text.push_str(&value(&mut rng)),
@@ -160,11 +176,23 @@ fn config_text_never_panics() {
             }
             text.push('\n');
         }
-        if let Ok(cfg) = SimConfig::from_text(&text) {
-            accepted += usize::from(cfg.validate().is_ok());
+        let Ok(cfg) = SimConfig::from_text(&text) else {
+            continue;
+        };
+        if cfg.validate().is_err() {
+            continue;
+        }
+        accepted += 1;
+        if cfg.expected_events() <= 100_000.0 {
+            let point = SweepPoint::new(cfg, 5).stop(StopRule::FixedReps(1));
+            if let Err(error) = Sweep::new().point(point).jobs(1).execute() {
+                panic!("{error} on\n{text}");
+            }
+            ran += 1;
         }
     }
     assert!(accepted > 0, "some random settings are valid");
+    assert!(ran > 0, "some valid settings are small enough to run");
 }
 
 #[test]

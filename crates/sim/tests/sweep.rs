@@ -361,47 +361,6 @@ fn a_panicking_replication_fails_the_sweep_at_the_first_failed_point() {
 }
 
 #[test]
-fn an_event_budget_fails_runaway_points_deterministically() {
-    for jobs in [1, 2] {
-        let error = run_error(
-            &Sweep::new()
-                .points(vec![
-                    SweepPoint::new(quick(0.5), 42),
-                    SweepPoint::new(quick(0.5).with_load(0.8), 42),
-                ])
-                .jobs(jobs)
-                .event_budget(500),
-        );
-        match error {
-            RunError::Budget {
-                point,
-                rep,
-                events,
-                budget,
-                ..
-            } => {
-                assert_eq!((point, rep), (0, 0), "the first point's lowest rep");
-                assert!(events > 500 && budget == 500);
-            }
-            other => panic!("expected a budget error, got {other}"),
-        }
-    }
-    // A generous budget changes nothing about the results.
-    let roomy = Sweep::new()
-        .points(vec![SweepPoint::new(quick(0.5), 42)])
-        .jobs(1)
-        .event_budget(10_000_000)
-        .execute()
-        .unwrap();
-    let unbudgeted = Sweep::new()
-        .points(vec![SweepPoint::new(quick(0.5), 42)])
-        .jobs(1)
-        .execute()
-        .unwrap();
-    assert_eq!(fingerprint(&roomy[0]), fingerprint(&unbudgeted[0]));
-}
-
-#[test]
 fn adaptive_points_fail_at_the_real_replication_and_seed() {
     // A target no run set meets, so the point runs rounds 0..2, 2..4 and
     // 4..6; the armed seed is replication 3, in the second round. The
@@ -432,30 +391,6 @@ fn adaptive_points_fail_at_the_real_replication_and_seed() {
                 point, rep, seed, ..
             } => assert_eq!((point, rep, seed), (1, 3, armed)),
             other => panic!("expected a panic error, got {other}"),
-        }
-    }
-
-    // The event budget covers adaptive and fixed-count points alike,
-    // and names the replication's own seed rather than the base seed.
-    for stop in [
-        StopRule::CiWidth {
-            target: 0.5,
-            min_reps: 2,
-            max_reps: 64,
-        },
-        StopRule::FixedReps(1),
-    ] {
-        let error = run_error(
-            &Sweep::new()
-                .point(SweepPoint::new(quick(0.5), 42).stop(stop))
-                .jobs(2)
-                .event_budget(500),
-        );
-        match error {
-            RunError::Budget {
-                point, rep, seed, ..
-            } => assert_eq!((point, rep, seed), (0, 0, derive_seed(42, 0))),
-            other => panic!("expected a budget error, got {other}"),
         }
     }
 }

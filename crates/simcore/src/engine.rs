@@ -95,18 +95,38 @@ impl<E> Engine<E> {
         M: Model<Event = E>,
     {
         let before = self.processed;
+        self.run_bounded(model, until, u64::MAX);
+        self.processed - before
+    }
+
+    /// [`Engine::run_until`], stopping once this call has processed `limit`
+    /// events, so a model that keeps scheduling work (even at one instant,
+    /// where the clock never moves) cannot run forever. Returns `false` if
+    /// it stopped at the bound, with the clock at the last event processed.
+    pub fn run_bounded<M>(&mut self, model: &mut M, until: SimTime, limit: u64) -> bool
+    where
+        M: Model<Event = E>,
+    {
+        let stop = self.processed.saturating_add(limit);
+        if self.processed == stop {
+            return false;
+        }
+        // Popping in the loop condition hands the event to `handle` uncopied.
         while let Some((time, event)) = self.calendar.pop_before(until) {
             debug_assert!(time >= self.now, "calendar returned an event in the past");
             self.now = time;
             self.processed += 1;
             model.handle(self, event);
+            if self.processed == stop {
+                return false;
+            }
         }
-        // Leave the clock at `until` so time-weighted statistics can close
-        // their windows consistently, but never move it backwards.
+        // Leave the clock at `until`, never moving it backwards, so
+        // time-weighted statistics can close their windows.
         if until > self.now && until.is_finite() {
             self.now = until;
         }
-        self.processed - before
+        true
     }
 }
 
@@ -176,6 +196,42 @@ mod tests {
         engine.schedule(SimTime::from(2.0), Ev::Stop);
         engine.run_until(&mut model, SimTime::from(2.0));
         assert!(model.stopped);
+    }
+
+    #[test]
+    fn run_bounded_stops_a_model_stuck_at_one_instant() {
+        struct Livelock;
+        impl Model for Livelock {
+            type Event = ();
+            fn handle(&mut self, engine: &mut Engine<()>, _: ()) {
+                engine.schedule_after(0.0, ());
+            }
+        }
+        let mut engine = Engine::new();
+        engine.schedule(SimTime::from(1.0), ());
+        let until = SimTime::from(10.0);
+        assert!(!engine.run_bounded(&mut Livelock, until, 1_000));
+        assert_eq!(engine.events_processed(), 1_000);
+        assert_eq!(engine.now(), SimTime::from(1.0));
+        assert!(engine.now() < until);
+        // The bound counts this call's events only.
+        assert!(!engine.run_bounded(&mut Livelock, until, 5));
+        assert_eq!(engine.events_processed(), 1_005);
+    }
+
+    #[test]
+    fn run_bounded_within_its_bound_matches_run_until() {
+        let mut bounded = Engine::new();
+        let mut model = Recorder::default();
+        bounded.schedule(SimTime::from(0.5), Ev::Ping(1));
+        assert!(bounded.run_bounded(&mut model, SimTime::from(1.6), 3));
+        assert_eq!(model.seen, vec![(0.5, 1), (1.5, 2)]);
+        assert_eq!(bounded.now(), SimTime::from(1.6));
+        // Two events due and a bound of two: the bound is reached first.
+        let mut tight = Engine::new();
+        tight.schedule(SimTime::from(0.5), Ev::Ping(1));
+        assert!(!tight.run_bounded(&mut Recorder::default(), SimTime::from(1.6), 2));
+        assert_eq!(tight.now(), SimTime::from(1.5));
     }
 
     #[test]

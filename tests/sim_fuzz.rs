@@ -246,17 +246,37 @@ fn run_replayed(cfg: &SimConfig, seed: u64) -> Result<(Simulation, u64), TestCas
     Ok((sim, engine.events_processed()))
 }
 
+/// Edge floats for the fault means: subnormals, signed zeros, extremes
+/// and the neighbours of 1.
+const EDGES: &[f64] = &[
+    5e-324,
+    1e-320,
+    0.0,
+    -0.0,
+    0.9999999999999999,
+    1.0,
+    1.0000000000000002,
+    1e308,
+    -1e308,
+];
+
+/// A mean drawn from `range` or, one time in four, from [`EDGES`].
+fn arb_mean(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
+    (0usize..4, range, 0..EDGES.len()).prop_map(|(pick, x, i)| if pick == 0 { EDGES[i] } else { x })
+}
+
 /// Each fault class on or off with random rates, crossed with both crash
-/// policies.
+/// policies; the MTTF, MTTR and hand-off delay means are sometimes edge
+/// floats.
 fn arb_faults() -> impl Strategy<Value = FaultConfig> {
     (
-        (any::<bool>(), 50.0f64..400.0, 1.0f64..40.0),
+        (any::<bool>(), arb_mean(50.0..400.0), arb_mean(1.0..40.0)),
         prop_oneof![
             Just(CrashPolicy::AbortTask),
             Just(CrashPolicy::RequeueSubtask)
         ],
         (any::<bool>(), 0.01f64..0.3, 1.0f64..5.0),
-        (any::<bool>(), 0.01f64..0.5, 0.1f64..3.0),
+        (any::<bool>(), 0.01f64..0.5, arb_mean(0.1..3.0)),
     )
         .prop_map(|(crash, crash_policy, slow, delay)| {
             let mut fault = FaultConfig {
